@@ -14,7 +14,8 @@ from repro.cache import PAPER_L1I, simulate, simulate_shared
 from repro.core import AffinityAnalysis, build_hierarchy, build_trg, layout_order, reduce_trg
 from repro.engine import collect_trace, fetch_lines
 from repro.ir import baseline_layout
-from repro.locality import footprint_curve, reuse_distances
+from repro.locality import footprint_curve
+from repro.perf import resolve_backend
 from repro.trace import trim
 from repro.workloads import build
 
@@ -93,8 +94,11 @@ def bench_footprint_curve(benchmark, sjeng):
     assert curve.m > 0
 
 
-def bench_reuse_distances(benchmark):
+@pytest.mark.parametrize("tier", ["scalar", "numpy"])
+def bench_stack_distance_tiers(benchmark, tier):
+    """Fully associative reuse (stack) distances: one histogram at
+    ``n_sets=1`` on each kernel tier."""
     rng = np.random.default_rng(0)
     trace = rng.integers(0, 512, 50_000)
-    d = benchmark(reuse_distances, trace)
-    assert d.shape == trace.shape
+    hist = benchmark(resolve_backend(tier).histogram, trace, 1)
+    assert hist.accesses == trace.shape[0]

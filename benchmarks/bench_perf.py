@@ -20,7 +20,7 @@ from repro.core import (
     coverage_from_analysis,
 )
 from repro.experiments import Lab
-from repro.perf import SimMemo, affinity_key, memo_key
+from repro.perf import SimMemo, affinity_key, memo_key, resolve_backend
 
 _RNG = np.random.default_rng(2014)
 _LINES = _RNG.integers(0, 700, int(200_000 * max(BENCH_SCALE, 0.05)))
@@ -57,16 +57,17 @@ def bench_memo_key(benchmark):
 
 
 def bench_kernel_pass(benchmark):
-    """One stack-distance pass (MTF): answers every associativity at once."""
-    hist = benchmark(stack_distance_histogram, _LINES, PAPER_L1I.n_sets)
+    """One stack-distance pass on the numpy tier (sweep): answers every
+    associativity at once."""
+    hist = benchmark(resolve_backend("numpy").histogram, _LINES, PAPER_L1I.n_sets)
     assert hist.accesses == len(_LINES)
     assert hist.stats(PAPER_L1I.assoc) == simulate(_LINES, PAPER_L1I)
 
 
 def bench_kernel_pass_bit(benchmark):
-    """The Fenwick-tree reference construction (O(n log n), slower in
-    CPython than MTF — kept to document the gap)."""
-    hist = benchmark(stack_distance_histogram, _LINES, PAPER_L1I.n_sets, method="bit")
+    """The scalar tier's Fenwick-tree oracle (O(n log n), pure-Python
+    loop — kept to document the gap to the numpy tier)."""
+    hist = benchmark(resolve_backend("scalar").histogram, _LINES, PAPER_L1I.n_sets)
     assert hist == stack_distance_histogram(_LINES, PAPER_L1I.n_sets)
 
 

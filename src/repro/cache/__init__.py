@@ -4,6 +4,7 @@ and the exact stack-distance kernel answering all associativities at once."""
 from .config import PAPER_L1I, CacheConfig
 from .fastsim import (
     DistanceHistogram,
+    fenwick_histogram,
     simulate_fast,
     stack_distance_histogram,
     sweep_stats,
@@ -35,6 +36,7 @@ __all__ = [
     "RandomSet",
     "SharedCacheStats",
     "TreePLRUSet",
+    "fenwick_histogram",
     "make_policy",
     "simulate",
     "simulate_fast",

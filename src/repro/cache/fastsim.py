@@ -16,33 +16,25 @@ associativity; this kernel replaces an A-point associativity sweep with
 one pass (see ``docs/algorithms.md`` for the derivation and
 ``docs/performance.md`` for measured speedups).
 
-Three interchangeable constructions, parity-tested against each other
-and against the event-driven simulator:
+Two constructions, parity-tested against each other and against the
+event-driven simulator; each kernel tier of :mod:`repro.perf.backends`
+picks its own:
 
-* ``method="sweep"`` (default) — the batch offline sweep: no per-access
-  Python loop at all.  Stack distances are recovered from the
-  previous-occurrence / dominance-count identity
+* :func:`stack_distance_histogram` (the ``numpy`` tier) — the batch
+  offline sweep: no per-access Python loop at all.  Stack distances are
+  recovered from the previous-occurrence / dominance-count identity
   ``d_i = #{k in (p_i, i) : prev[k] <= p_i}`` — after partitioning and
   distance-0 stripping, the left-rank counts reduce to a pure
   permutation problem solved by a chunked Fenwick-style decomposition:
   a 2D block-grid cumulative histogram for cross-block pairs plus
   64-wide bitset rows (``uint64`` masks + popcount) for the partial and
   within-block pairs.  Everything is whole-array NumPy work.
-* ``method="mtf"`` — per-set move-to-front lists.  Set partitioning,
-  per-set access counts, and the dominant distance-0 accesses
-  (immediate same-line repeats, the bulk of real fetch streams) are all
-  handled vectorized in NumPy; only the stack-changing accesses reach
-  the Python loop, which reuses the same C-speed
-  ``list.index``/``insert``/``pop`` machinery as the scalar simulator.
-  Worst case O(n·m) for m distinct lines per set, but on fetch streams
-  the average scan depth is a handful of entries.
-* ``method="bit"`` — the textbook O(n log n) construction: line ids are
-  compacted through one global ``np.unique``, and a Fenwick tree
-  (binary indexed tree) over set-local positions maintains one mark per
-  distinct line at its latest access, so the
-  distinct-since-last-access count is a range sum.  Kept as the
-  algorithmic reference; the pure-Python tree walk makes it slower than
-  MTF under CPython, which the benchmark suite documents.
+* :func:`fenwick_histogram` (the ``scalar`` tier's oracle) — the
+  textbook O(n log n) construction: line ids are compacted through one
+  global ``np.unique``, and a Fenwick tree (binary indexed tree) over
+  set-local positions maintains one mark per distinct line at its
+  latest access, so the distinct-since-last-access count is a range
+  sum.  Slow under CPython, obviously correct.
 
 The kernel only models what stack distances can express: a **cold**
 cache, **no prefetcher**, true LRU.  Prefetching, warm-start state, and
@@ -61,6 +53,8 @@ from .stats import CacheStats
 
 __all__ = [
     "DistanceHistogram",
+    "build_histogram",
+    "fenwick_histogram",
     "per_line_misses",
     "simulate_fast",
     "stack_distance_histogram",
@@ -204,43 +198,6 @@ def _set_bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _trim(hist: list[int]) -> np.ndarray:
     arr = np.asarray(hist, dtype=np.int64)
     return np.trim_zeros(arr, "b")
-
-
-def _mtf_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
-    """Move-to-front distances over the partitioned stream.
-
-    Distance-0 accesses are immediate same-line repeats inside a set's
-    subsequence; a same-line repeat across a set boundary is impossible
-    (a line maps to one set), so one vectorized adjacent-equality scan
-    finds all of them.  They never change a stack, so they are counted
-    into ``hist[0]`` and dropped before the Python loop — on real fetch
-    streams that removes the large majority of iterations.
-    """
-    part, counts, n_d0 = _strip_d0(part, counts)
-    stream = part.tolist()
-    hist: list[int] = [n_d0]
-    cold = 0
-    starts, ends, _ = _set_bounds(counts)
-    for pos, end in zip(starts.tolist(), ends.tolist()):
-        stack: list[int] = []
-        index = stack.index
-        insert = stack.insert
-        pop = stack.pop
-        for line in stream[pos:end]:
-            try:
-                d = index(line)
-            except ValueError:
-                cold += 1
-                insert(0, line)
-                continue
-            # d >= 1 always: the d == 0 repeats were stripped above.
-            insert(0, pop(d))
-            if d < len(hist):
-                hist[d] += 1
-            else:
-                hist.extend([0] * (d + 1 - len(hist)))
-                hist[d] = 1
-    return cold, _trim(hist)
 
 
 def _bit_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
@@ -424,38 +381,34 @@ def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndar
     return cold, _trim(hist)
 
 
-_METHODS = {
-    "sweep": _sweep_histogram,
-    "mtf": _mtf_histogram,
-    "bit": _bit_histogram,
-}
-
-
-def stack_distance_histogram(
-    lines: np.ndarray, n_sets: int, *, method: str = "sweep"
-) -> DistanceHistogram:
+def build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHistogram:
     """Exact per-set LRU stack-distance histogram of ``lines``.
 
     ``n_sets`` must be a power of two (set index is ``line & (n_sets-1)``,
-    as in the event-driven simulators).  The result answers the miss
-    count of *every* associativity at this ``n_sets`` — see
-    :meth:`DistanceHistogram.misses`.
+    as in the event-driven simulators).  ``construction`` maps the
+    set-partitioned stream and per-set counts to ``(cold, hist)``; the
+    result answers the miss count of *every* associativity at this
+    ``n_sets`` — see :meth:`DistanceHistogram.misses`.
     """
     if n_sets < 1 or n_sets & (n_sets - 1):
         raise ValueError("n_sets must be a positive power of two")
-    try:
-        build = _METHODS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; known: {', '.join(_METHODS)}"
-        ) from None
     arr = _canonical_stream(lines)
     n = arr.shape[0]
     if n == 0:
         return DistanceHistogram(n_sets, 0, 0, np.zeros(0, dtype=np.int64))
     part, counts = _partition(arr, n_sets)
-    cold, hist = build(part, counts)
+    cold, hist = construction(part, counts)
     return DistanceHistogram(n_sets=n_sets, accesses=n, cold=cold, hist=hist)
+
+
+def stack_distance_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
+    """The histogram by the batch sweep (the ``numpy`` tier)."""
+    return build_histogram(lines, n_sets, _sweep_histogram)
+
+
+def fenwick_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
+    """The histogram by the per-access Fenwick tree (the ``scalar`` tier)."""
+    return build_histogram(lines, n_sets, _bit_histogram)
 
 
 def simulate_fast(
@@ -464,7 +417,6 @@ def simulate_fast(
     *,
     prefetch: bool = False,
     state=None,
-    method: str = "sweep",
 ) -> CacheStats:
     """Drop-in for cold, prefetch-free :func:`repro.cache.setassoc.simulate`.
 
@@ -484,7 +436,7 @@ def simulate_fast(
             "the stack-distance kernel models a cold cache; "
             "use repro.cache.setassoc.simulate for warm-start runs"
         )
-    return stack_distance_histogram(lines, cfg.n_sets, method=method).stats(cfg.assoc)
+    return stack_distance_histogram(lines, cfg.n_sets).stats(cfg.assoc)
 
 
 def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
@@ -532,9 +484,7 @@ def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
     return misses
 
 
-def sweep_stats(
-    lines: np.ndarray, n_sets: int, assocs, *, method: str = "sweep"
-) -> dict[int, CacheStats]:
+def sweep_stats(lines: np.ndarray, n_sets: int, assocs) -> dict[int, CacheStats]:
     """Stats for a whole associativity family from one kernel pass."""
-    hist = stack_distance_histogram(lines, n_sets, method=method)
+    hist = stack_distance_histogram(lines, n_sets)
     return {int(a): hist.stats(int(a)) for a in assocs}

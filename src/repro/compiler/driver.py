@@ -151,7 +151,11 @@ class Driver:
         from ..perf.parallel import CellPool
 
         if self._cell_pool is None:
-            self._cell_pool = CellPool(self.jobs, store=self.store)
+            self._cell_pool = CellPool(
+                self.jobs,
+                store=self.store,
+                kernel_backend=self.optimizer_config.kernel_backend,
+            )
         return self._cell_pool
 
     def close(self) -> None:
@@ -205,7 +209,7 @@ class Driver:
             tasks.append((shipped, self.cache, False))
         pool = self.cell_pool() if (self.jobs > 1 or self.store is not None) else None
         for (i, key), stats in zip(
-            pending, simulate_cells(tasks, jobs=self.jobs, pool=pool)
+            pending, simulate_cells(tasks, pool=pool)
         ):
             if self.memo is not None:
                 self.memo.put(key, stats)

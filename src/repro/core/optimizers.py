@@ -37,7 +37,7 @@ from .affinity import AffinityAnalysis
 from .fastanalysis import analysis_from_coverage
 from .hierarchy import build_hierarchy, layout_order
 from .layout import Granularity, apply_symbol_order
-from .trg import build_trg, trg_window_blocks, uniform_block_slots
+from .trg import trg_window_blocks, uniform_block_slots
 from .trg_reduce import reduce_trg
 
 __all__ = [
@@ -89,11 +89,7 @@ class OptimizerConfig:
     cache: CacheConfig = field(default=PAPER_L1I)
     #: TRG examines a window of ``trg_window_factor * cache size``.
     trg_window_factor: float = 2.0
-    #: route the locality models through the vectorized kernels in
-    #: :mod:`repro.core.fastanalysis` (parity-gated bit-identical to the
-    #: scalar implementations; False forces the scalar oracles).
-    use_fast_analysis: bool = True
-    #: kernel backend tier for the fast-analysis path (``scalar`` /
+    #: kernel backend tier the locality models run on (``scalar`` /
     #: ``numpy`` / ``compiled``; see :mod:`repro.perf.backends`).  None
     #: resolves to the fastest tier available *where the analysis runs*
     #: — a worker without numba degrades a ``compiled`` request to
@@ -153,20 +149,19 @@ def _note_analysis(
         stats["analysis_memo_hits"] = stats.get("analysis_memo_hits", 0) + 1
 
 
+def _backend(config: OptimizerConfig):
+    """The configured kernel tier, resolved where the analysis runs."""
+    from ..perf import backends
+
+    return backends.resolve_backend(config.kernel_backend, strict=False)
+
+
 def _affinity_analysis(
     trace: np.ndarray, config: OptimizerConfig, memo, stats: Optional[dict]
 ) -> AffinityAnalysis:
-    """The affinity model, through the kernel/memo when enabled."""
-    if not config.use_fast_analysis:
-        return AffinityAnalysis(
-            trace,
-            w_max=config.w_max,
-            coverage=config.coverage,
-            time_horizon=config.affinity_time_horizon,
-        )
-    from ..perf.backends import resolve_backend
-
-    backend = resolve_backend(config.kernel_backend, strict=False)
+    """The affinity model, on the configured kernel tier (through the memo
+    when one is given)."""
+    backend = _backend(config)
     start = time.perf_counter()
     if memo is not None:
         misses_before = memo.misses
@@ -194,12 +189,9 @@ def _affinity_analysis(
 def _trg_analysis(
     trace: np.ndarray, window: int, config: OptimizerConfig, memo, stats
 ):
-    """The TRG model, through the kernel/memo when enabled."""
-    if not config.use_fast_analysis:
-        return build_trg(trace, window_blocks=window)
-    from ..perf.backends import resolve_backend
-
-    backend = resolve_backend(config.kernel_backend, strict=False)
+    """The TRG model, on the configured kernel tier (through the memo when
+    one is given)."""
+    backend = _backend(config)
     start = time.perf_counter()
     if memo is not None:
         misses_before = memo.misses
@@ -259,10 +251,9 @@ def optimize(
 
     ``memo`` (a :class:`repro.perf.memo.SimMemo`) replays identical
     model analyses from the content-addressed cache; ``stats`` collects
-    ``analysis_*`` throughput counters.  Both are inert unless
-    ``config.use_fast_analysis`` routes through the kernels, and neither
-    ever changes the produced layout — the kernels are parity-gated
-    bit-identical to the scalar models.
+    ``analysis_*`` throughput counters.  Neither ever changes the
+    produced layout — every kernel tier is parity-gated bit-identical to
+    the scalar models.
     """
     trace = _prepare_trace(bundle, granularity, config)
     if model == Model.AFFINITY:

@@ -23,7 +23,6 @@ from itertools import permutations
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..cache.fastsim import simulate_fast
 from ..cache.setassoc import simulate
 from ..core.goals import relative_reduction
 from ..core.layout import Granularity
@@ -48,6 +47,11 @@ __all__ = [
 ]
 
 
+def _sim_misses(lab: Lab, stream: np.ndarray, cache: CacheConfig) -> int:
+    """Cold, prefetch-free LRU misses of ``stream`` on the lab's kernel tier."""
+    return lab.backend.histogram(stream, cache.n_sets).misses(cache.assoc)
+
+
 def _solo_reduction(lab: Lab, name: str, layout_result, channel: str = "sim") -> float:
     """Solo miss reduction of an ad-hoc layout vs baseline (sim channel)."""
     prepared = lab.program(name)
@@ -58,12 +62,10 @@ def _solo_reduction(lab: Lab, name: str, layout_result, channel: str = "sim") ->
         lab.cache_cfg.line_bytes,
     )
     if channel == "hw":
-        stats = simulate(stream, lab.cache_cfg, prefetch=True)
-    elif lab.use_kernel:
-        stats = simulate_fast(stream, lab.cache_cfg)
+        misses = simulate(stream, lab.cache_cfg, prefetch=True).misses
     else:
-        stats = simulate(stream, lab.cache_cfg, prefetch=False)
-    mr = stats.misses / prepared.instr_count
+        misses = _sim_misses(lab, stream, lab.cache_cfg)
+    mr = misses / prepared.instr_count
     return relative_reduction(base, mr)
 
 
@@ -182,19 +184,18 @@ def run_optimal_gap(lab: Lab | None = None) -> ExperimentResult:
     """A4: exhaustive optimal layout vs affinity/TRG on a tiny program.
 
     Uses a doll-house cache (256 B direct-mapped, 16 B lines) so layout
-    actually matters at this scale.  ``lab`` is unused (kept for registry
-    uniformity).
+    actually matters at this scale.  ``lab`` only contributes its kernel
+    tier (default: a fresh lab's).
     """
+    lab = lab if lab is not None else Lab()
     module = _tiny_module()
     cache = CacheConfig(size_bytes=128, assoc=1, line_bytes=16)
     spec = InputSpec("ref", seed=11, max_blocks=4_000)
     bundle = collect_trace(module, spec)
     # 720+ cold prefetch-free simulations: the kernel's home turf.
-    sim = simulate_fast if lab is None or lab.use_kernel else simulate
-
     def misses(layout) -> int:
         stream = fetch_lines(bundle.bb_trace, layout.address_map, cache.line_bytes)
-        return sim(stream, cache).misses
+        return _sim_misses(lab, stream, cache)
 
     # All candidates live in the same stub-charged address space, so the
     # comparison isolates pure ordering (baseline_layout would be 4 bytes
@@ -205,7 +206,9 @@ def run_optimal_gap(lab: Lab | None = None) -> ExperimentResult:
     ]
     base = misses(reorder_basic_blocks(module, main_gids + leaf_gids))
 
-    cfg = OptimizerConfig(cache=cache, w_max=8)
+    cfg = OptimizerConfig(
+        cache=cache, w_max=8, kernel_backend=lab.optimizer_config.kernel_backend
+    )
     aff = misses(
         optimize(module, bundle, Granularity.BASIC_BLOCK, Model.AFFINITY, cfg)
     )
@@ -261,9 +264,9 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
     from ..ir.transforms import baseline_layout
     from ..workloads.generator import WorkloadSpec, build_program
 
-    cache = lab.cache_cfg if lab is not None else OptimizerConfig().cache
-    scale = lab.scale if lab is not None else 1.0
-    sim = simulate_fast if lab is None or lab.use_kernel else simulate
+    lab = lab if lab is not None else Lab()
+    cache = lab.cache_cfg
+    scale = lab.scale
     reductions: dict[str, list[float]] = {name: [] for name in OPTIMIZERS}
     for seed in range(100, 100 + n_seeds):
         spec = WorkloadSpec(
@@ -287,12 +290,14 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
         base_lines = fetch_lines(
             ref.bb_trace, baseline_layout(module).address_map, cache.line_bytes
         )
-        base_mr = sim(base_lines, cache).misses / ref.instr_count
-        cfg = OptimizerConfig(cache=cache)
+        base_mr = _sim_misses(lab, base_lines, cache) / ref.instr_count
+        cfg = OptimizerConfig(
+            cache=cache, kernel_backend=lab.optimizer_config.kernel_backend
+        )
         for name, optimizer in OPTIMIZERS.items():
             layout = optimizer(module, test, cfg)
             lines = fetch_lines(ref.bb_trace, layout.address_map, cache.line_bytes)
-            mr = sim(lines, cache).misses / ref.instr_count
+            mr = _sim_misses(lab, lines, cache) / ref.instr_count
             reductions[name].append(relative_reduction(base_mr, mr))
 
     rows = []

@@ -37,8 +37,8 @@ def run(lab: Lab) -> ExperimentResult:
         cfg = CacheConfig(size_bytes=size_kb * 1024, assoc=4, line_bytes=64)
         # Co-runs need a lab at the sweep geometry (shared-cache
         # interleaving depends on the full config); solo sim cells do
-        # not — with the kernel they read the parent lab's per-n_sets
-        # stack-distance histograms, so the sweep shares one prepared
+        # not — they read the parent lab's per-n_sets stack-distance
+        # histograms, so the sweep shares one prepared
         # program/layout/stream set (line size is 64 B throughout)
         # instead of rebuilding it per size.
         sub = Lab(
@@ -47,17 +47,13 @@ def run(lab: Lab) -> ExperimentResult:
             quantum=lab.quantum,
             noise_sigma=lab.noise_sigma,
             timing=lab.timing,
-            use_kernel=lab.use_kernel,
+            kernel_backend=lab.kernel_backend,
         )
         for name in SWEEP_PROGRAMS:
-            if lab.use_kernel:
-                instr = lab.program(name).instr_count
-                solo_b = lab.histogram(name, BASELINE, cfg.n_sets).misses(cfg.assoc)
-                solo_o = lab.histogram(name, _OPT, cfg.n_sets).misses(cfg.assoc)
-                solo_b, solo_o = solo_b / instr, solo_o / instr
-            else:
-                solo_b = sub.solo_miss(name, BASELINE, channel="sim").ratio
-                solo_o = sub.solo_miss(name, _OPT, channel="sim").ratio
+            instr = lab.program(name).instr_count
+            solo_b = lab.histogram(name, BASELINE, cfg.n_sets).misses(cfg.assoc)
+            solo_o = lab.histogram(name, _OPT, cfg.n_sets).misses(cfg.assoc)
+            solo_b, solo_o = solo_b / instr, solo_o / instr
             corun_b = sub.corun_miss((name, BASELINE), (_PROBE, BASELINE), "sim")[0].ratio
             corun_o = sub.corun_miss((name, _OPT), (_PROBE, BASELINE), "sim")[0].ratio
             solo_red = relative_reduction(solo_b, solo_o)

@@ -43,7 +43,7 @@ def run(lab: Lab) -> ExperimentResult:
         quantum=lab.quantum,
         noise_sigma=lab.noise_sigma,
         timing=lab.timing,
-        use_kernel=lab.use_kernel,
+        kernel_backend=lab.kernel_backend,
         profile_source="static",
     )
 

@@ -18,12 +18,13 @@ Two measurement channels, as in the paper (Sec. III-A):
   this channel, because the paper times real runs.
 
 The ``sim`` channel is exactly the stack-distance kernel's domain (cold
-cache, no prefetch, true LRU), so by default the lab routes it through
-:mod:`repro.cache.fastsim`: one histogram per (program, layout, n_sets)
-answers every associativity, which collapses geometry sweeps.  The
-scalar simulator remains the oracle (``use_kernel=False``, also the
-runner's ``--no-fastsim``) and the only path for the ``hw`` channel and
-co-runs.
+cache, no prefetch, true LRU), so the lab answers it from
+:meth:`Lab.histogram`: one histogram per (program, layout, n_sets)
+answers every associativity, which collapses geometry sweeps.  Which
+code computes the histogram and the locality models is the lab's kernel
+tier (``kernel_backend``; ``scalar`` is the oracle run, see
+:mod:`repro.perf.backends`).  The event-driven simulators stay the path
+for the ``hw`` channel and co-runs.
 
 ``scale`` shrinks every program's test/ref trace budgets; benchmarks run
 the full experiment logic at a fraction of the cost.
@@ -42,7 +43,10 @@ import numpy as np
 
 from ..cache.config import PAPER_L1I, CacheConfig
 from ..cache.fastsim import DistanceHistogram
-from ..cache.setassoc import simulate
+# No caller here: the sim channel reads Lab.histogram.  The name stays
+# importable from this module because the traced benchmark run
+# (perfbench/spans.py) wraps it where the pipeline looks it up.
+from ..cache.setassoc import simulate  # noqa: F401
 from ..cache.shared import simulate_shared
 from ..cache.stats import CacheStats
 from ..core.optimizers import OPTIMIZERS, OptimizerConfig
@@ -123,16 +127,10 @@ class Lab:
         (1 = fully serial; never changes results, only wall-clock time).
     memo: optional :class:`repro.perf.memo.SimMemo` replaying identical
         solo simulations instead of re-running them.
-    use_kernel: route sim-channel solo cells through the stack-distance
-        kernel (parity-gated bit-identical to the scalar simulator;
-        False forces the scalar oracle everywhere).
-    use_fast_analysis: route the locality models (affinity coverage, TRG
-        construction) through the vectorized kernels in
-        :mod:`repro.core.fastanalysis` (also parity-gated bit-identical).
-        ``None`` (default) respects ``optimizer_config``; a bool
-        overrides its ``use_fast_analysis`` field.
-    kernel_backend: requested kernel tier name for the hot analysis
-        kernels (see :mod:`repro.perf.backends`).  ``None`` (default)
+    kernel_backend: requested kernel tier name for the stack-distance
+        histogram and the locality models (see
+        :mod:`repro.perf.backends`) — the lab's only choice of kernel
+        implementation; ``"scalar"`` runs the oracles.  ``None`` (default)
         resolves to the fastest available tier; an explicit name is
         resolved with ``strict=False`` so a lab reconstructed inside a
         worker without numba degrades ``compiled -> numpy`` with
@@ -161,8 +159,6 @@ class Lab:
         timing: TimingParams = TimingParams(),
         jobs: int = 1,
         memo=None,
-        use_kernel: bool = True,
-        use_fast_analysis: Optional[bool] = None,
         kernel_backend: Optional[str] = None,
         profile_source: str = "trace",
         store=None,
@@ -179,10 +175,6 @@ class Lab:
         self.cache_cfg = cache_cfg
         self.scale = scale
         self.optimizer_config = optimizer_config or OptimizerConfig(cache=cache_cfg)
-        if use_fast_analysis is not None:
-            self.optimizer_config = dataclasses.replace(
-                self.optimizer_config, use_fast_analysis=use_fast_analysis
-            )
         #: requested kernel tier (travels through spawn_config; workers
         #: re-resolve it against their own environment).
         self.kernel_backend = kernel_backend
@@ -192,7 +184,8 @@ class Lab:
             )
         from ..perf.backends import resolve_backend
 
-        self._backend = resolve_backend(kernel_backend, strict=False)
+        #: the resolved tier every histogram of this lab runs on.
+        self.backend = resolve_backend(kernel_backend, strict=False)
         self.quantum = quantum
         self.noise_sigma = noise_sigma
         self.timing = timing
@@ -201,7 +194,6 @@ class Lab:
         self.store = store
         #: lazily created persistent CellPool (reused across fan-outs).
         self._cell_pool = None
-        self.use_kernel = use_kernel
         #: where the *optimization* profile (test input) comes from:
         #: "trace" instruments a real run; "static" synthesizes the test
         #: bundle from CFG structure alone (no-profile layout builds).
@@ -302,7 +294,6 @@ class Lab:
             "quantum": self.quantum,
             "noise_sigma": self.noise_sigma,
             "timing": self.timing,
-            "use_kernel": self.use_kernel,
             "kernel_backend": self.kernel_backend,
             "profile_source": self.profile_source,
         }
@@ -449,13 +440,13 @@ class Lab:
         The ablation experiments sweep optimizer parameters the four
         named layouts pin down; routing them here (instead of calling
         :func:`repro.core.optimizers.optimize` directly) keeps the lab's
-        analysis memo, ``analysis_*`` counters, and the lab-level
-        ``use_fast_analysis`` override in force for every layout build
-        in a suite run.  Not memoized: sweeps never repeat a config.
+        analysis memo, ``analysis_*`` counters, and the lab's kernel tier
+        in force for every layout build in a suite run.  Not memoized:
+        sweeps never repeat a config.
         """
         prepared = self.program(name)
         config = dataclasses.replace(
-            config, use_fast_analysis=self.optimizer_config.use_fast_analysis
+            config, kernel_backend=self.optimizer_config.kernel_backend
         )
         stats: dict = {}
         with self._stage("optimize"):
@@ -495,11 +486,7 @@ class Lab:
             for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
             if (name, layout_name) not in self._layouts
         ]
-        if (
-            jobs > 1
-            and len(todo) > 1
-            and self.optimizer_config.use_fast_analysis
-        ):
+        if jobs > 1 and len(todo) > 1:
             from ..core.optimizers import analysis_cell
             from ..perf.memo import affinity_key, trg_key
             from ..perf.parallel import analysis_cells
@@ -596,11 +583,11 @@ class Lab:
             ), error_context("simulate", program=name, layout=layout_name):
                 if self.memo is not None:
                     misses_before = self.memo.misses
-                    hist = self.memo.histogram(stream, n_sets, backend=self._backend)
+                    hist = self.memo.histogram(stream, n_sets, backend=self.backend)
                     if self.memo.misses > misses_before:
                         self.counters["kernel_passes"] += 1
                 else:
-                    hist = self._backend.histogram(stream, n_sets)
+                    hist = self.backend.histogram(stream, n_sets)
                     self.counters["kernel_passes"] += 1
             self._hists[key] = hist
         return hist
@@ -704,24 +691,18 @@ class Lab:
         result = self._solo.get(key)
         if result is None:
             prepared = self.program(name)
-            if channel == "sim" and self.use_kernel:
+            if channel == "sim":
                 # The kernel's exact domain: cold cache, no prefetch.
                 hist = self.histogram(name, layout_name)
                 self.counters["kernel_cells"] += 1
                 result = MissRatios(
                     hist.misses(self.cache_cfg.assoc), prepared.instr_count
                 )
-                self._solo[key] = result
-                return result
-            stream = self.lines(name, layout_name)
-            sim = simulate if self.memo is None else self.memo.simulate
-            with self._stage("simulate", accesses=len(stream)), error_context(
-                "simulate", program=name, layout=layout_name
-            ):
-                if channel == "sim":
-                    stats = sim(stream, self.cache_cfg, prefetch=False)
-                    result = MissRatios(stats.misses, prepared.instr_count)
-                else:
+            else:
+                stream = self.lines(name, layout_name)
+                with self._stage(
+                    "simulate", accesses=len(stream)
+                ), error_context("simulate", program=name, layout=layout_name):
                     reading = measure_solo(
                         stream,
                         prepared.instr_count,
@@ -730,7 +711,7 @@ class Lab:
                         measurement_id=f"{name}/{layout_name}",
                         memo=self.memo,
                     )
-                    result = MissRatios(reading.icache_misses, reading.instructions)
+                result = MissRatios(reading.icache_misses, reading.instructions)
             self._solo[key] = result
         return result
 
@@ -782,7 +763,7 @@ class Lab:
             # keys the memo entry *and* the store entry.
             keysrc = trace_digest(stream) if self.store is not None else stream
             digest = keysrc if isinstance(keysrc, str) else None
-            if channel == "sim" and self.use_kernel:
+            if channel == "sim":
                 hkey = histogram_key(keysrc, n_sets)
                 hist = self._hists.get((name, layout_name, n_sets))
                 if hist is None and self.memo is not None:
@@ -797,14 +778,13 @@ class Lab:
                     kernel_pending.append((cell, hkey))
                     kernel_accesses += len(stream)
                 continue
-            prefetch = channel == "hw"
-            key = memo_key(keysrc, self.cache_cfg, prefetch=prefetch)
+            key = memo_key(keysrc, self.cache_cfg, prefetch=True)
             cached = self.memo.get(key) if self.memo is not None else None
             if cached is not None:
                 self._finish_solo_cell(cell, cached)
             else:
                 tasks.append(
-                    (self._ship_stream(stream, digest), self.cache_cfg, prefetch)
+                    (self._ship_stream(stream, digest), self.cache_cfg, True)
                 )
                 pending.append((cell, key))
                 task_accesses += len(stream)

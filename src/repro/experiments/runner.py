@@ -607,27 +607,14 @@ def main(argv: list[str] | None = None) -> int:
         help="write a BENCH_perf.json timing/telemetry report here",
     )
     parser.add_argument(
-        "--no-fastsim",
-        action="store_true",
-        help="force the scalar LRU simulator for sim-channel cells instead "
-        "of the stack-distance kernel (the kernel is parity-gated "
-        "bit-identical; this flag exists for oracle comparison)",
-    )
-    parser.add_argument(
-        "--no-fast-analysis",
-        action="store_true",
-        help="force the scalar locality models (AffinityAnalysis / "
-        "build_trg) instead of the vectorized analysis kernels (also "
-        "parity-gated bit-identical; for oracle comparison)",
-    )
-    parser.add_argument(
         "--kernel-backend",
         default=None,
         choices=("scalar", "numpy", "compiled"),
         metavar="TIER",
-        help="force one kernel tier (scalar|numpy|compiled) for the hot "
-        "analysis kernels instead of the fastest available; all tiers "
-        "are parity-gated bit-identical (see docs/performance.md)",
+        help="force one kernel tier (scalar|numpy|compiled) for the "
+        "stack-distance histogram and the locality models instead of the "
+        "fastest available; all tiers are parity-gated bit-identical, and "
+        "scalar is the oracle run (see docs/performance.md)",
     )
     parser.add_argument(
         "--chaos",
@@ -755,8 +742,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=cell_jobs,
         memo=memo,
         store=store,
-        use_kernel=not args.no_fastsim,
-        use_fast_analysis=False if args.no_fast_analysis else None,
         kernel_backend=args.kernel_backend,
     )
     with lab:

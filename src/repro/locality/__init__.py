@@ -1,5 +1,7 @@
-"""Locality theory: reuse distance, all-window footprint, HOTL conversion,
-and the formal defensiveness/politeness miss model."""
+"""Locality theory: all-window footprint, HOTL conversion, and the formal
+defensiveness/politeness miss model.  Reuse (LRU stack) distance lives in
+:mod:`repro.cache.fastsim`; at ``n_sets=1`` it is the fully associative
+case."""
 
 from .footprint import FootprintCurve, average_footprint, footprint_brute, footprint_curve
 from .hotl import (
@@ -18,30 +20,18 @@ from .windowstats import (
     prob_sum_exceeds,
     window_footprint_distribution,
 )
-from .reuse import (
-    COLD,
-    distance_histogram,
-    miss_ratio_curve as lru_miss_ratio_curve,
-    reuse_distances,
-    reuse_distances_naive,
-)
 
 __all__ = [
-    "COLD",
     "BenefitReport",
     "FootprintCurve",
     "average_footprint",
     "classify_benefits",
     "compose_curves",
     "corun_miss_ratios",
-    "distance_histogram",
     "footprint_brute",
     "footprint_curve",
-    "lru_miss_ratio_curve",
     "miss_ratio",
     "miss_ratio_curve",
-    "reuse_distances",
-    "reuse_distances_naive",
     "shared_fill_time",
     "shared_fill_time_scalar",
     "shared_miss_ratios",

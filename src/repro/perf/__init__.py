@@ -7,7 +7,8 @@ makes it fast without changing a single result:
 - :mod:`repro.perf.parallel` — process-pool fan-out at two levels:
   whole experiments (``python -m repro.experiments --jobs N``) and
   independent simulation cells inside a pipeline
-  (:func:`~repro.perf.parallel.simulate_cells`);
+  (:func:`~repro.perf.parallel.simulate_cells` on a
+  :class:`~repro.perf.parallel.CellPool`);
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
   cache for cache simulations (:class:`~repro.perf.memo.SimMemo`),
   keyed by hash of (line stream, geometry, prefetch flag, warm state);
@@ -52,7 +53,6 @@ from .memo import (
 )
 from .parallel import (
     CellPool,
-    ExperimentPool,
     analysis_cells,
     histogram_cells,
     rebuild_error,
@@ -66,7 +66,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "CellPool",
     "KernelBackend",
-    "ExperimentPool",
     "SimMemo",
     "StoreRef",
     "Telemetry",

@@ -221,7 +221,7 @@ def _trg_pass(ids, n_syms, window_blocks):
 
 
 def histogram_compiled(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
-    """``repro.cache.fastsim`` method-style histogram construction."""
+    """A :func:`repro.cache.fastsim.build_histogram` construction."""
     from ..cache.fastsim import _set_bounds, _strip_d0, _trim
 
     part, counts, n_d0 = _strip_d0(part, counts)

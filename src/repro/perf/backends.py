@@ -9,8 +9,9 @@ no tolerances):
 
 ``scalar``
     The in-tree oracles, unchanged: the textbook per-access Fenwick
-    histogram construction, :class:`repro.core.affinity.AffinityAnalysis`,
-    and :func:`repro.core.trg.build_trg`.  Slow, obviously correct, and
+    histogram (:func:`repro.cache.fastsim.fenwick_histogram`),
+    :class:`repro.core.affinity.AffinityAnalysis`, and
+    :func:`repro.core.trg.build_trg`.  Slow, obviously correct, and
     the reference every faster tier is gated against.
 ``numpy``
     The batch-vectorized paths: the offline dominance-count sweep for
@@ -24,10 +25,11 @@ no tolerances):
     and silently absent when numba is not installed.
 
 Resolution order is ``compiled -> numpy -> scalar``: :func:`resolve`
-with no name returns the fastest available tier.  Callers override per
-run via ``Lab(kernel_backend=...)``, ``OptimizerConfig.kernel_backend``,
-or the ``--kernel-backend`` CLI flag.  Worker processes resolve their
-*own* backend from the requested name with ``strict=False`` — a parent
+with no name returns the fastest available tier.  The tier is the only
+kernel-selection knob: callers override it per run via
+``Lab(kernel_backend=...)``, ``OptimizerConfig.kernel_backend``, or the
+``--kernel-backend`` CLI flag, and an oracle run is simply the
+``scalar`` tier.  Worker processes resolve their *own* backend from the requested name with ``strict=False`` — a parent
 that resolved ``compiled`` can hand work to a worker without numba and
 the worker degrades to ``numpy`` with identical results (that is the
 point of the bit-identical contract).
@@ -45,7 +47,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..cache.fastsim import DistanceHistogram, stack_distance_histogram
+from ..cache.fastsim import (
+    DistanceHistogram,
+    build_histogram,
+    fenwick_histogram,
+    stack_distance_histogram,
+)
 from ..core.fastanalysis import (
     AffinityCoverage,
     affinity_coverage,
@@ -82,10 +89,6 @@ class KernelBackend:
     trg: Callable[..., object]
 
 
-def _scalar_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
-    return stack_distance_histogram(lines, n_sets, method="bit")
-
-
 def _scalar_affinity(
     trace: np.ndarray, w_max: int = 20, time_horizon: Optional[int] = None
 ) -> AffinityCoverage:
@@ -101,22 +104,8 @@ def _scalar_trg(trace: np.ndarray, window_blocks: Optional[int] = None):
     return build_trg(trace, window_blocks)
 
 
-def _numpy_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
-    return stack_distance_histogram(lines, n_sets, method="sweep")
-
-
 def _compiled_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
-    from ..cache import fastsim
-
-    if n_sets < 1 or n_sets & (n_sets - 1):
-        raise ValueError("n_sets must be a positive power of two")
-    arr = fastsim._canonical_stream(lines)
-    n = arr.shape[0]
-    if n == 0:
-        return DistanceHistogram(n_sets, 0, 0, np.zeros(0, dtype=np.int64))
-    part, counts = fastsim._partition(arr, n_sets)
-    cold, hist = _numba_kernels.histogram_compiled(part, counts)
-    return DistanceHistogram(n_sets=n_sets, accesses=n, cold=cold, hist=hist)
+    return build_histogram(lines, n_sets, _numba_kernels.histogram_compiled)
 
 
 def _compiled_affinity(
@@ -138,14 +127,14 @@ def _compiled_trg(trace: np.ndarray, window_blocks: Optional[int] = None):
 
 _SCALAR = KernelBackend(
     name="scalar",
-    histogram=_scalar_histogram,
+    histogram=fenwick_histogram,
     affinity=_scalar_affinity,
     trg=_scalar_trg,
 )
 
 _NUMPY = KernelBackend(
     name="numpy",
-    histogram=_numpy_histogram,
+    histogram=stack_distance_histogram,
     affinity=affinity_coverage,
     trg=build_trg_fast,
 )

@@ -71,8 +71,8 @@ depends only on ``(line stream, n_sets)`` — not on ``line_bytes``,
 ``size_bytes``, or ``assoc`` — so one stored histogram answers every
 associativity of a geometry family.  :func:`histogram_key` keys those
 entries under the separate ``KERNEL_SCHEMA`` tag, and
-:meth:`SimMemo.histogram` / :meth:`SimMemo.simulate_fast` memoize the
-histogram itself rather than a single :class:`CacheStats`.
+:meth:`SimMemo.histogram` memoizes the histogram itself rather than a
+single :class:`CacheStats`.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from ..cache.config import CacheConfig
-from ..cache.fastsim import DistanceHistogram, stack_distance_histogram
+from ..cache.fastsim import DistanceHistogram
 from ..cache.setassoc import CacheState, simulate
 from ..cache.stats import CacheStats
 from ..locality.footprint import FootprintCurve, footprint_curve
@@ -477,17 +477,17 @@ class SimMemo:
     def histogram(
         self, lines: np.ndarray, n_sets: int, *, backend=None
     ) -> DistanceHistogram:
-        """Memoized :func:`repro.cache.fastsim.stack_distance_histogram`.
+        """Memoized stack-distance histogram (:mod:`repro.cache.fastsim`).
 
         The histogram is immutable in practice (``misses()`` only builds
         an internal suffix sum), so the stored object is returned
         directly — no per-call copy.
 
         ``backend`` (a :class:`repro.perf.backends.KernelBackend`) picks
-        the construction used on a miss.  It deliberately does NOT enter
-        the key: every tier is bit-identical by contract, so entries are
-        shared across backends (pinned by the cross-backend memo-hit
-        test).
+        the tier used on a miss (default: the fastest available).  It
+        deliberately does NOT enter the key: every tier is bit-identical
+        by contract, so entries are shared across backends (pinned by
+        the cross-backend memo-hit test).
         """
         key = histogram_key(lines, n_sets)
         hist = self.get_histogram(key)
@@ -498,20 +498,9 @@ class SimMemo:
                     if hist is not None:
                         self.hits += 1
                 if hist is None:
-                    if backend is not None:
-                        hist = backend.histogram(lines, n_sets)
-                    else:
-                        hist = stack_distance_histogram(lines, n_sets)
+                    hist = _tier(backend).histogram(lines, n_sets)
                     self.put_histogram(key, hist)
         return hist
-
-    def simulate_fast(
-        self, lines: np.ndarray, cfg: CacheConfig, *, backend=None
-    ) -> CacheStats:
-        """Memoized :func:`repro.cache.fastsim.simulate_fast` (cold, no
-        prefetch); one histogram entry serves every ``assoc`` of this
-        ``n_sets``."""
-        return self.histogram(lines, cfg.n_sets, backend=backend).stats(cfg.assoc)
 
     # -- footprint curves (repro.locality.footprint) ------------------------
 
@@ -642,14 +631,14 @@ class SimMemo:
         time_horizon: Optional[int] = None,
         backend=None,
     ):
-        """Memoized :func:`repro.core.fastanalysis.affinity_coverage`.
+        """Memoized affinity coverage (:mod:`repro.core.fastanalysis`).
 
         One entry answers every ``coverage`` threshold and every
         ``w <= w_max`` (both are applied at query time).  ``backend``
         picks the kernel tier used on a miss and never enters the key
         (tiers are bit-identical by contract).
         """
-        from ..core.fastanalysis import AffinityCoverage, affinity_coverage
+        from ..core.fastanalysis import AffinityCoverage
 
         key = affinity_key(trace, w_max=w_max, time_horizon=time_horizon)
 
@@ -667,14 +656,9 @@ class SimMemo:
                     if covg is not None:
                         self.hits += 1
                 if covg is None:
-                    if backend is not None:
-                        covg = backend.affinity(
-                            trace, w_max=w_max, time_horizon=time_horizon
-                        )
-                    else:
-                        covg = affinity_coverage(
-                            trace, w_max=w_max, time_horizon=time_horizon
-                        )
+                    covg = _tier(backend).affinity(
+                        trace, w_max=w_max, time_horizon=time_horizon
+                    )
                     self.put_analysis(key, covg.to_dict())
         return covg
 
@@ -685,17 +669,13 @@ class SimMemo:
         window_blocks: Optional[int] = None,
         backend=None,
     ):
-        """Memoized :func:`repro.core.fastanalysis.build_trg_fast`.
+        """Memoized TRG build (:mod:`repro.core.fastanalysis`).
 
         Always returns a *fresh* :class:`~repro.core.trg.TRG` — callers
         may hand the graph to mutating consumers.  ``backend`` picks the
         kernel tier used on a miss and never enters the key.
         """
-        from ..core.fastanalysis import (
-            build_trg_fast,
-            trg_from_payload,
-            trg_to_payload,
-        )
+        from ..core.fastanalysis import trg_from_payload, trg_to_payload
 
         key = trg_key(trace, window_blocks=window_blocks)
         trg = self._get_analysis(key, trg_from_payload)
@@ -706,10 +686,7 @@ class SimMemo:
                     if trg is not None:
                         self.hits += 1
                 if trg is None:
-                    if backend is not None:
-                        trg = backend.trg(trace, window_blocks)
-                    else:
-                        trg = build_trg_fast(trace, window_blocks=window_blocks)
+                    trg = _tier(backend).trg(trace, window_blocks)
                     self.put_analysis(key, trg_to_payload(trg, window_blocks))
         return trg
 
@@ -773,3 +750,13 @@ def _copy(stats: CacheStats) -> CacheStats:
         prefetches=stats.prefetches,
         prefetch_hits=stats.prefetch_hits,
     )
+
+
+def _tier(backend):
+    """The kernel tier that computes a miss: ``backend``, or the default
+    tier when the caller named none."""
+    if backend is not None:
+        return backend
+    from . import backends
+
+    return backends.resolve_backend(None)

@@ -2,8 +2,9 @@
 
 Two fan-out layers, matching the structure of the evaluation:
 
-* **experiment level** — :class:`ExperimentPool` runs whole experiment
-  drivers in worker processes.  Each worker builds its own
+* **experiment level** — the worker side of
+  :class:`~repro.robust.supervisor.SupervisedPool`, which runs whole
+  experiment drivers in worker processes.  Each worker builds its own
   :class:`~repro.experiments.pipeline.Lab` from the parent lab's
   configuration (labs hold megabytes of memoized traces and are not
   shareable), executes the same per-experiment attempt loop as the
@@ -14,7 +15,8 @@ Two fan-out layers, matching the structure of the evaluation:
   and outcomes are identical to a serial run (modulo wall-clock fields).
 
 * **cell level** — :func:`simulate_cells` fans independent
-  (line stream, cache config, prefetch) simulation cells across a pool;
+  (line stream, cache config, prefetch) simulation cells across a
+  :class:`CellPool` (or runs them serially without one);
   :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`
   and the :class:`~repro.compiler.driver.Driver` evaluation stage use it
   for intra-experiment parallelism.  :func:`histogram_cells` is the
@@ -46,7 +48,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..cache.config import CacheConfig
 from ..cache.fastsim import DistanceHistogram
 from ..cache.stats import CacheStats
 from ..robust.errors import (
@@ -61,7 +62,6 @@ from .store import StoreRef, TraceStore
 
 __all__ = [
     "CellPool",
-    "ExperimentPool",
     "analysis_cells",
     "curve_cells",
     "histogram_cells",
@@ -216,52 +216,6 @@ def rebuild_error(payload: dict) -> ReproError:
     # Preserve the worker-side rendering exactly (parity with serial output).
     err.args = (payload.get("rendered", str(err)),)
     return err
-
-
-class ExperimentPool:
-    """A pool of experiment workers, each owning a private Lab.
-
-    ``breaker_config`` (kwargs for
-    :class:`~repro.robust.supervisor.CircuitBreaker`) guards each
-    worker's memo disk tier, and ``store_dir`` attaches each worker to
-    the shared :class:`~repro.perf.store.TraceStore` — both thread
-    through the initializer exactly as :class:`SupervisedPool` does.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        lab_config: dict,
-        *,
-        memo_dir: Optional[str] = None,
-        breaker_config: Optional[dict] = None,
-        store_dir: Optional[str] = None,
-    ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self._executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=_mp_context(),
-            initializer=_init_experiment_worker,
-            initargs=(lab_config, memo_dir, breaker_config, store_dir),
-        )
-
-    def submit(
-        self, exp_id: str, *, retries: int = 0, inject_fault: Optional[str] = None
-    ) -> Future:
-        return self._executor.submit(_experiment_task, exp_id, retries, inject_fault)
-
-    def shutdown(self, *, cancel: bool = False) -> None:
-        self._executor.shutdown(wait=not cancel, cancel_futures=cancel)
-
-    def __enter__(self) -> "ExperimentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # Queued-but-unstarted work is always abandoned on exit: either
-        # every future was consumed (cancel is a no-op) or the suite
-        # aborted early and the leftovers must not burn CPU.
-        self.shutdown(cancel=True)
 
 
 # -- cell-level fan-out -------------------------------------------------------
@@ -438,52 +392,14 @@ class CellPool:
         self.shutdown()
 
 
-def _pool_map(fn: Callable[[Any], Any], cells: list, jobs: int) -> list:
-    """Map ``fn`` over ``cells`` in a transient process pool.
-
-    Cell kernels are pure and deterministic, so a pool that dies mid-map
-    (a worker OOM-killed or segfaulted raises
-    :class:`~concurrent.futures.process.BrokenProcessPool`) loses no
-    state.  Cells are submitted as individual futures and consumed
-    incrementally: results completed before the pool broke are kept, and
-    only the lost tail is recomputed serially in the parent.  Slower,
-    never wrong — and never wasteful.
-    """
-    results: list = [None] * len(cells)
-    done = [False] * len(cells)
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(cells)), mp_context=_mp_context()
-    ) as pool:
-        futures: list[Future] = []
-        try:
-            for cell in cells:
-                futures.append(pool.submit(fn, cell))
-        except BrokenProcessPool:
-            pass  # remaining cells fall through to the serial tail.
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-                done[i] = True
-            except BrokenProcessPool:
-                continue
-    for i, cell in enumerate(cells):
-        if not done[i]:
-            results[i] = fn(cell)
-    return results
-
-
 def _map_cells(
-    fn: Callable[[Any], Any],
-    cells: list,
-    jobs: int,
-    pool: Optional[CellPool],
+    fn: Callable[[Any], Any], cells: list, pool: Optional[CellPool]
 ) -> list:
-    """Route one fan-out through the persistent pool when one is given."""
+    """One fan-out: through the persistent pool when one is given, else
+    serially in this process."""
     if pool is not None:
         return pool.map(fn, cells)
-    if jobs <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    return _pool_map(fn, cells, jobs)
+    return [fn(c) for c in cells]
 
 
 def _simulate_cell(cell: tuple) -> tuple[int, int, int, int]:
@@ -495,20 +411,17 @@ def _simulate_cell(cell: tuple) -> tuple[int, int, int, int]:
 
 
 def simulate_cells(
-    cells: list[tuple],
-    *,
-    jobs: int = 1,
-    pool: Optional[CellPool] = None,
+    cells: list[tuple], *, pool: Optional[CellPool] = None
 ) -> list[CacheStats]:
     """Simulate independent (lines, cfg, prefetch) cells, possibly in parallel.
 
     ``lines`` may be an array or a :class:`~repro.perf.store.StoreRef`.
     Results are positionally aligned with ``cells`` and bit-identical to
     serial :func:`repro.cache.setassoc.simulate` calls — the cells share
-    no state, so execution order cannot matter.  With ``jobs <= 1`` (or a
-    single cell) and no ``pool``, no workers are spawned.
+    no state, so execution order cannot matter.  Without a ``pool`` the
+    cells run serially in this process.
     """
-    raw = _map_cells(_simulate_cell, cells, jobs, pool)
+    raw = _map_cells(_simulate_cell, cells, pool)
     return [
         CacheStats(accesses=a, misses=m, prefetches=p, prefetch_hits=h)
         for (a, m, p, h) in raw
@@ -535,10 +448,7 @@ def _analysis_cell(cell: tuple) -> dict:
 
 
 def analysis_cells(
-    cells: list[tuple],
-    *,
-    jobs: int = 1,
-    pool: Optional[CellPool] = None,
+    cells: list[tuple], *, pool: Optional[CellPool] = None
 ) -> list[dict]:
     """Compute independent locality-model analysis cells, possibly in
     parallel.
@@ -552,9 +462,7 @@ def analysis_cells(
     aligned with ``cells`` and identical to serial kernel runs — the
     kernels are deterministic, so fan-out cannot change any layout.
     """
-    if pool is None and (jobs <= 1 or len(cells) <= 1):
-        return [_analysis_cell(c) for c in cells]
-    return _map_cells(_analysis_cell, cells, jobs, pool)
+    return _map_cells(_analysis_cell, cells, pool)
 
 
 def _histogram_cell(cell: tuple) -> dict:
@@ -570,10 +478,7 @@ def _curve_cell(cell: tuple) -> dict:
 
 
 def curve_cells(
-    cells: list[tuple],
-    *,
-    jobs: int = 1,
-    pool: Optional[CellPool] = None,
+    cells: list[tuple], *, pool: Optional[CellPool] = None
 ) -> list["FootprintCurve"]:
     """Compute independent all-window footprint curves, possibly in parallel.
 
@@ -586,15 +491,12 @@ def curve_cells(
     """
     from ..locality.footprint import FootprintCurve
 
-    raw = _map_cells(_curve_cell, cells, jobs, pool)
+    raw = _map_cells(_curve_cell, cells, pool)
     return [FootprintCurve.from_dict(r) for r in raw]
 
 
 def histogram_cells(
-    cells: list[tuple],
-    *,
-    jobs: int = 1,
-    pool: Optional[CellPool] = None,
+    cells: list[tuple], *, pool: Optional[CellPool] = None
 ) -> list[DistanceHistogram]:
     """Compute independent (lines, n_sets) stack-distance histograms.
 
@@ -605,5 +507,5 @@ def histogram_cells(
     cheap relative to the streams — which, with a store attached, do not
     cross at all).
     """
-    raw = _map_cells(_histogram_cell, cells, jobs, pool)
+    raw = _map_cells(_histogram_cell, cells, pool)
     return [DistanceHistogram.from_dict(r) for r in raw]

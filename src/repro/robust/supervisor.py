@@ -347,8 +347,7 @@ def _failure_payload(exp_id: str, err: ReproError, *, attempts: int = 1) -> dict
 
 
 class SupervisedPool:
-    """A supervised pool of experiment workers (drop-in upgrade of
-    :class:`repro.perf.parallel.ExperimentPool`).
+    """A supervised pool of experiment workers.
 
     Each worker owns a private Lab and a duplex pipe; a background
     supervisor thread collects results, watches heartbeats and per-task
@@ -456,8 +455,8 @@ class SupervisedPool:
         return self
 
     def __exit__(self, *exc) -> None:
-        # Same contract as ExperimentPool: leftover queued work is
-        # always abandoned on exit (consumed suites make this a no-op).
+        # Leftover queued work is always abandoned on exit (consumed
+        # suites make this a no-op).
         self.shutdown(cancel=True)
 
     # -- worker lifecycle --------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.cache import (
     CacheConfig,
     DistanceHistogram,
+    fenwick_histogram,
     simulate,
     simulate_fast,
     stack_distance_histogram,
@@ -86,14 +87,11 @@ def test_single_set_degenerate_geometry():
 @pytest.mark.parametrize("stream_name", sorted(_streams()))
 @pytest.mark.parametrize("n_sets", N_SETS)
 def test_histogram_constructions_agree(stream_name, n_sets):
-    """All three constructions — the per-set MTF walk, the Fenwick pass,
-    and the offline dominance-count sweep — are bit-identical."""
+    """Both constructions — the Fenwick pass (the scalar tier's oracle)
+    and the offline dominance-count sweep (the numpy tier) — are
+    bit-identical."""
     lines = _streams()[stream_name]
-    mtf = stack_distance_histogram(lines, n_sets, method="mtf")
-    bit = stack_distance_histogram(lines, n_sets, method="bit")
-    sweep = stack_distance_histogram(lines, n_sets, method="sweep")
-    assert mtf == bit
-    assert mtf == sweep
+    assert fenwick_histogram(lines, n_sets) == stack_distance_histogram(lines, n_sets)
 
 
 @pytest.mark.parametrize("n_sets", (1, 4, 128))
@@ -178,12 +176,14 @@ def test_refuses_warm_state():
 
 
 def test_rejects_bad_geometry_and_method():
-    with pytest.raises(ValueError, match="power of two"):
-        stack_distance_histogram(np.arange(10), 96)
-    with pytest.raises(ValueError, match="power of two"):
-        stack_distance_histogram(np.arange(10), 0)
-    with pytest.raises(ValueError, match="unknown method"):
-        stack_distance_histogram(np.arange(10), 64, method="magic")
+    for build in (stack_distance_histogram, fenwick_histogram):
+        with pytest.raises(ValueError, match="power of two"):
+            build(np.arange(10), 96)
+        with pytest.raises(ValueError, match="power of two"):
+            build(np.arange(10), 0)
+    # The construction belongs to the kernel tier: there is no method knob.
+    with pytest.raises(TypeError):
+        stack_distance_histogram(np.arange(10), 64, method="sweep")
     with pytest.raises(ValueError, match="one-dimensional"):
         stack_distance_histogram(np.zeros((3, 3)), 64)
     with pytest.raises(ValueError, match="assoc"):

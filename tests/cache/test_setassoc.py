@@ -14,7 +14,7 @@ from repro.cache import (
     simulate_shared,
     warm_cache,
 )
-from repro.locality import COLD, reuse_distances
+from repro.cache.fastsim import fenwick_histogram
 
 
 def test_direct_mapped_conflicts():
@@ -45,8 +45,10 @@ def test_fully_associative_equals_reuse_distance_model():
     lines = rng.integers(0, 24, 800)
     cfg = CacheConfig(size_bytes=8 * 64, assoc=8, line_bytes=64)  # 1 set, 8-way
     st_ = simulate(lines, cfg)
-    d = reuse_distances(lines)
-    expected = int(((d == COLD) | (d > 8)).sum())
+    # Fully associative: a miss is a cold access or a reuse (stack)
+    # distance past the 8 ways, read off the scalar-tier oracle.
+    hist = fenwick_histogram(lines, 1)
+    expected = hist.cold + int(hist.hist[8:].sum())
     assert st_.misses == expected
 
 

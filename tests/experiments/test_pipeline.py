@@ -97,9 +97,30 @@ def test_timing_pieces(lab):
     assert timing.corun_slowdown(0) >= 1.0
 
 
+def _oracle_solo_miss(lab, name, layout, channel):
+    """A solo cell measured by the event-driven simulator directly."""
+    from repro.cache import simulate
+    from repro.experiments.pipeline import MissRatios
+    from repro.machine.counters import measure_solo
+
+    stream = lab.lines(name, layout)
+    prepared = lab.program(name)
+    if channel == "sim":
+        stats = simulate(stream, lab.cache_cfg, prefetch=False)
+        return MissRatios(stats.misses, prepared.instr_count)
+    reading = measure_solo(
+        stream,
+        prepared.instr_count,
+        lab.cache_cfg,
+        noise_sigma=lab.noise_sigma,
+        measurement_id=f"{name}/{layout}",
+    )
+    return MissRatios(reading.icache_misses, reading.instructions)
+
+
 class TestKernelRouting:
-    """The sim channel rides the stack-distance kernel by default and
-    must be bit-identical to the scalar oracle (use_kernel=False)."""
+    """The sim channel rides the stack-distance kernel on the lab's tier
+    and must be bit-identical to the event-driven simulator."""
 
     CELLS = [
         (name, layout, channel)
@@ -110,21 +131,23 @@ class TestKernelRouting:
 
     def test_solo_miss_parity_with_scalar_oracle(self):
         fast = Lab(scale=SCALE, noise_sigma=0.0)
-        oracle = Lab(scale=SCALE, noise_sigma=0.0, use_kernel=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         for cell in self.CELLS:
-            assert fast.solo_miss(*cell) == oracle.solo_miss(*cell), cell
+            expected = _oracle_solo_miss(fast, *cell)
+            assert fast.solo_miss(*cell) == expected, cell
+            assert scalar.solo_miss(*cell) == expected, cell
         assert fast.counters["kernel_cells"] > 0
         assert fast.counters["kernel_passes"] > 0
-        assert oracle.counters["kernel_cells"] == 0
+        assert scalar.backend.name == "scalar"
+        assert scalar.counters["kernel_cells"] == fast.counters["kernel_cells"]
 
     def test_precompute_solo_kernel_fanout_parity(self):
         from repro.perf import SimMemo
 
         batched = Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo())
         batched.precompute_solo(self.CELLS, jobs=2)
-        lazy = Lab(scale=SCALE, noise_sigma=0.0, use_kernel=False)
         for cell in self.CELLS:
-            assert batched.solo_miss(*cell) == lazy.solo_miss(*cell), cell
+            assert batched.solo_miss(*cell) == _oracle_solo_miss(batched, *cell), cell
         # The second precompute replays histograms from the memo.
         again = Lab(scale=SCALE, noise_sigma=0.0, memo=batched.memo)
         again.precompute_solo(self.CELLS, jobs=2)
@@ -138,10 +161,6 @@ class TestKernelRouting:
         assert lab.counters["kernel_passes"] == 1
         # One histogram answers other associativities of the family.
         assert h4.misses(1) >= h4.misses(8)
-
-    def test_spawn_config_carries_use_kernel(self):
-        assert Lab(scale=SCALE).spawn_config()["use_kernel"] is True
-        assert Lab(scale=SCALE, use_kernel=False).spawn_config()["use_kernel"] is False
 
     def test_hw_channel_never_uses_kernel(self):
         lab = Lab(scale=SCALE, noise_sigma=0.0)
@@ -168,30 +187,40 @@ class TestAnalysisRouting:
 
     def test_layout_parity_fast_vs_scalar(self):
         fast = Lab(scale=SCALE, noise_sigma=0.0)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         for layout_name in self.LAYOUTS:
             assert self._same_layout(
                 fast.layout("syn-mcf", layout_name),
                 scalar.layout("syn-mcf", layout_name),
             ), layout_name
-        assert fast.counters["analysis_cells"] == len(self.LAYOUTS)
-        assert fast.counters["analysis_passes"] == len(self.LAYOUTS)
-        assert fast.counters["analysis_accesses"] > 0
-        # The scalar path runs the original oracles: no kernel counters.
-        assert scalar.counters["analysis_cells"] == 0
+        for lab in (fast, scalar):
+            assert lab.counters["analysis_cells"] == len(self.LAYOUTS)
+            assert lab.counters["analysis_passes"] == len(self.LAYOUTS)
+            assert lab.counters["analysis_accesses"] > 0
 
-    def test_lab_optimize_inherits_fast_analysis_override(self):
-        from repro.core.optimizers import Model, OptimizerConfig
+    def test_lab_optimize_inherits_fast_analysis_override(self, monkeypatch):
+        """``Lab.optimize`` runs a caller's config on the lab's tier."""
+        from repro.core import optimizers
         from repro.core.layout import Granularity
+        from repro.core.optimizers import Model, OptimizerConfig
 
+        tiers = []
+        resolve = optimizers._backend
+
+        def spy(config):
+            tiers.append(config.kernel_backend)
+            return resolve(config)
+
+        monkeypatch.setattr(optimizers, "_backend", spy)
         cfg = OptimizerConfig(w_max=8)
         fast = Lab(scale=SCALE, noise_sigma=0.0)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         a = fast.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
         b = scalar.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
         assert self._same_layout(a, b)
+        assert tiers == [None, "scalar"]
         assert fast.counters["analysis_cells"] == 1
-        assert scalar.counters["analysis_cells"] == 0
+        assert scalar.counters["analysis_cells"] == 1
 
     def test_repeated_layout_config_hits_analysis_memo(self):
         """Two optimizers sharing one analysis (same trace + params)
@@ -216,7 +245,7 @@ class TestAnalysisRouting:
         )
         batched.precompute_layouts(cells, jobs=2)
         assert batched.counters["analysis_passes"] == len(self.LAYOUTS)
-        lazy = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        lazy = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         for cell in cells:
             assert self._same_layout(
                 batched.layout(*cell), lazy.layout(*cell)
@@ -232,10 +261,10 @@ class TestAnalysisRouting:
         assert again.counters["analysis_memo_hits"] == len(self.LAYOUTS)
 
     def test_precompute_layouts_serial_and_scalar_fallbacks(self):
-        """jobs=1 or the scalar path must still build every layout."""
+        """jobs=1 or the scalar tier must still build every layout."""
         serial = Lab(scale=SCALE, noise_sigma=0.0)
         serial.precompute_layouts([("syn-mcf", "function-trg")], jobs=1)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, use_fast_analysis=False)
+        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
         scalar.precompute_layouts(
             [("syn-mcf", "function-trg"), ("syn-mcf", "bb-trg")], jobs=2
         )
@@ -243,9 +272,3 @@ class TestAnalysisRouting:
             serial.layout("syn-mcf", "function-trg"),
             scalar.layout("syn-mcf", "function-trg"),
         )
-
-    def test_spawn_config_carries_use_fast_analysis(self):
-        cfg = Lab(scale=SCALE, use_fast_analysis=False).spawn_config()
-        assert cfg["optimizer_config"].use_fast_analysis is False
-        cfg = Lab(scale=SCALE).spawn_config()
-        assert cfg["optimizer_config"].use_fast_analysis is True

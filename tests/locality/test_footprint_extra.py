@@ -6,18 +6,12 @@ facts they share.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, simulate
-from repro.locality import (
-    COLD,
-    footprint_curve,
-    lru_miss_ratio_curve,
-    miss_ratio,
-    reuse_distances,
-)
+from repro.cache.fastsim import fenwick_histogram
+from repro.locality import footprint_curve, miss_ratio
 
 traces = st.lists(st.integers(0, 9), min_size=2, max_size=150).map(
     lambda xs: np.array(xs, dtype=np.int64)
@@ -68,8 +62,8 @@ def test_fully_associative_simulator_vs_reuse_distance(t):
     cfg = CacheConfig(size_bytes=8 * 64, assoc=8, line_bytes=64)
     lines = t % 64  # all map into existing tag space
     stats = simulate(lines, cfg)
-    d = reuse_distances(lines)
-    expected = int(((d == COLD) | (d > 8)).sum())
+    hist = fenwick_histogram(lines, 1)  # stack distance d = reuse distance - 1
+    expected = hist.cold + int(hist.hist[8:].sum())
     assert stats.misses == expected
 
 

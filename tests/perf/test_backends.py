@@ -198,4 +198,76 @@ def test_lab_threads_backend_through_spawn_config():
     # Requesting an uninstalled tier must not blow up a worker: the lab
     # resolves strict=False and degrades.
     degraded = Lab(scale=0.05, kernel_backend="compiled")
-    assert degraded._backend.name == default_backend() or HAVE_NUMBA
+    assert degraded.backend.name == default_backend() or HAVE_NUMBA
+
+
+class _SubLabBuilt(Exception):
+    """Stops an experiment right after it builds its sub-lab."""
+
+
+@pytest.mark.parametrize("module_name", ["exp_cache_sweep", "exp_staticlint"])
+def test_sub_labs_inherit_the_tier(monkeypatch, module_name):
+    """An experiment's sub-lab runs on the parent lab's kernel tier."""
+    import importlib
+
+    from repro.experiments.pipeline import Lab
+
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    built = []
+
+    class SpyLab(Lab):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+            raise _SubLabBuilt
+
+    monkeypatch.setattr(module, "Lab", SpyLab)
+    with pytest.raises(_SubLabBuilt):
+        module.run(Lab(scale=0.05, kernel_backend="scalar"))
+    (sub,) = built
+    assert sub.kernel_backend == "scalar"
+    assert sub.backend.name == "scalar"
+    assert sub.optimizer_config.kernel_backend == "scalar"
+
+
+def test_ablation_runs_on_the_lab_tier(monkeypatch):
+    """The optimal-gap ablation's histograms and layouts use the lab's tier."""
+    import dataclasses
+
+    from repro.core import optimizers
+    from repro.experiments.ablations import run_optimal_gap
+    from repro.experiments.pipeline import Lab
+
+    lab = Lab(scale=0.05, kernel_backend="numpy")
+    calls = []
+    histogram = lab.backend.histogram
+
+    def counted(lines, n_sets):
+        calls.append(n_sets)
+        return histogram(lines, n_sets)
+
+    lab.backend = dataclasses.replace(lab.backend, histogram=counted)
+    tiers = []
+    resolve = optimizers._backend
+
+    def spy(config):
+        tiers.append(config.kernel_backend)
+        return resolve(config)
+
+    monkeypatch.setattr(optimizers, "_backend", spy)
+    result = run_optimal_gap(lab)
+    # source order + two heuristics + every leaf permutation.
+    assert len(calls) == 3 + 720
+    assert tiers == ["numpy", "numpy"]
+    assert result.summary == run_optimal_gap().summary
+
+
+def test_driver_cell_pool_carries_the_tier():
+    from repro.compiler import Driver
+    from repro.core.optimizers import OptimizerConfig
+
+    driver = Driver(OptimizerConfig(kernel_backend="scalar"), jobs=2)
+    with driver:
+        pool = driver.cell_pool()
+        assert pool._backend_name == "scalar"
+        assert pool._backend.name == "scalar"

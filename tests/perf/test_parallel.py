@@ -18,14 +18,12 @@ from repro.experiments import Lab
 from repro.experiments.runner import run_suite
 from repro.perf import (
     CellPool,
-    ExperimentPool,
     analysis_cells,
     compare_journal_outcomes,
     histogram_cells,
     rebuild_error,
     simulate_cells,
 )
-from repro.perf.parallel import _pool_map
 from repro.robust import ProfileError, RunJournal, SimulationError
 
 FAST = "ablation-optimal-gap"
@@ -134,12 +132,16 @@ class TestSimulateCells:
         cells = [
             (rng.integers(0, 600, 4000), PAPER_L1I, bool(i % 2)) for i in range(5)
         ]
-        parallel = simulate_cells(cells, jobs=2)
+        with CellPool(2) as pool:
+            parallel = simulate_cells(cells, pool=pool)
         serial = [simulate(lines, cfg, prefetch=pf) for lines, cfg, pf in cells]
         assert parallel == serial
+        assert simulate_cells(cells) == serial
 
     def test_empty(self):
-        assert simulate_cells([], jobs=2) == []
+        with CellPool(2) as pool:
+            assert simulate_cells([], pool=pool) == []
+        assert simulate_cells([]) == []
 
 
 class TestHistogramCells:
@@ -148,7 +150,8 @@ class TestHistogramCells:
 
         rng = np.random.default_rng(8)
         cells = [(rng.integers(0, 600, 4000), 1 << (i % 3 + 5)) for i in range(5)]
-        parallel = histogram_cells(cells, jobs=2)
+        with CellPool(2) as pool:
+            parallel = histogram_cells(cells, pool=pool)
         serial = [stack_distance_histogram(lines, n_sets) for lines, n_sets in cells]
         assert parallel == serial
         # One histogram per cell answers every associativity.
@@ -159,7 +162,9 @@ class TestHistogramCells:
         assert parallel[0].stats(4) == simulate(lines, cfg)
 
     def test_empty(self):
-        assert histogram_cells([], jobs=2) == []
+        with CellPool(2) as pool:
+            assert histogram_cells([], pool=pool) == []
+        assert histogram_cells([]) == []
 
 
 class TestAnalysisCells:
@@ -172,8 +177,9 @@ class TestAnalysisCells:
         cells = [("affinity", t, 8, None) for t in traces] + [
             ("trg", t, 64) for t in traces
         ]
-        parallel = analysis_cells(cells, jobs=2)
-        serial = analysis_cells(cells, jobs=1)
+        with CellPool(2) as pool:
+            parallel = analysis_cells(cells, pool=pool)
+        serial = analysis_cells(cells)
         assert parallel == serial
         assert parallel[0] == affinity_coverage(traces[0], w_max=8).to_dict()
         assert parallel[3] == trg_to_payload(
@@ -188,7 +194,7 @@ class TestAnalysisCells:
 
         rng = np.random.default_rng(6)
         trace = rng.integers(0, 30, 2000)
-        (payload,) = analysis_cells([("affinity", trace, 8, None)], jobs=1)
+        (payload,) = analysis_cells([("affinity", trace, 8, None)])
         memo = SimMemo()
         memo.put_analysis(affinity_key(trace, w_max=8), payload)
         assert memo.affinity_coverage(trace, w_max=8) == affinity_coverage(
@@ -197,43 +203,37 @@ class TestAnalysisCells:
         assert (memo.hits, memo.misses) == (1, 0)
 
     def test_empty_and_unknown_kind(self):
-        assert analysis_cells([], jobs=2) == []
+        assert analysis_cells([]) == []
         with pytest.raises(ValueError, match="unknown analysis cell kind"):
-            analysis_cells([("zipf", None)], jobs=1)
+            analysis_cells([("zipf", None)])
 
 
-def _probe_worker_breaker():
-    """Runs inside an ExperimentPool worker: report its breaker config."""
-    from repro.perf import parallel
+class TestWorkerBreaker:
+    """Regression: a configured ``breaker_config`` must reach the worker's
+    SimMemo.
 
-    lab = parallel._WORKER_LAB
-    return (
-        lab.memo.breaker.failure_threshold,
-        lab.memo.breaker.reset_after_s,
-    )
-
-
-class TestExperimentPoolBreaker:
-    """Regression: ExperimentPool must thread breaker_config to workers.
-
-    The initializer accepted ``breaker_config`` all along, but
-    ``ExperimentPool.__init__`` silently dropped it from ``initargs`` —
-    pool workers ran the memo disk tier with a default breaker instead
-    of the configured one.  The probe reads the breaker off the worker's
-    own SimMemo, so this fails on the pre-fix code.
+    Experiment workers (:class:`~repro.robust.supervisor.SupervisedPool`)
+    build their lab through ``_init_experiment_worker``; a breaker
+    dropped on the way would leave the memo disk tier guarded by a
+    default breaker instead of the configured one.  The probe reads the
+    breaker off the worker lab's own SimMemo.
     """
 
-    def test_worker_memo_carries_configured_breaker(self, tmp_path):
-        lab = Lab(scale=0.05, noise_sigma=0.0)
-        with ExperimentPool(
-            1,
+    def test_worker_memo_carries_configured_breaker(self, tmp_path, monkeypatch):
+        from repro.perf import parallel
+
+        monkeypatch.setattr(parallel, "_WORKER_LAB", None)
+        lab = Lab(scale=0.05, noise_sigma=0.0, kernel_backend="scalar")
+        parallel._init_experiment_worker(
             lab.spawn_config(),
-            memo_dir=str(tmp_path / "memo"),
+            str(tmp_path / "memo"),
             breaker_config={"failure_threshold": 7, "reset_after_s": 11.0},
-        ) as pool:
-            assert pool._executor.submit(_probe_worker_breaker).result(
-                timeout=60
-            ) == (7, 11.0)
+        )
+        worker = parallel._WORKER_LAB
+        breaker = worker.memo.breaker
+        assert (breaker.failure_threshold, breaker.reset_after_s) == (7, 11.0)
+        assert worker.jobs == 1
+        assert worker.backend.name == "scalar"
 
 
 def _crashy_cell(cell):
@@ -260,27 +260,10 @@ def _executions(log_path) -> list[int]:
 class TestBrokenPoolRecomputesOnlyLostCells:
     """Regression: a pool broken mid-map must not discard completed work.
 
-    The old fallback recomputed *every* cell serially; with individual
+    The old fallback recomputed *every* cell serially; with per-batch
     futures, results finished before the crash are kept and only the
-    lost tail is recomputed.
+    lost cells are recomputed.
     """
-
-    def test_pool_map_keeps_completed_prefix(self, tmp_path):
-        log = tmp_path / "runs.log"
-        log.touch()
-        kill_idx = 2
-        cells = [(i, str(log), kill_idx, os.getpid()) for i in range(6)]
-        # One worker => deterministic in-order execution: cells 0 and 1
-        # complete, the worker dies on 2, and 2..5 are lost.
-        results = _pool_map(_crashy_cell, cells, jobs=1)
-        assert results == [i * 2 for i in range(6)]
-        runs = _executions(log)
-        # 0 and 1 ran exactly once (kept, NOT recomputed); the killer
-        # cell ran twice (worker + parent retry); the lost tail once.
-        assert runs.count(0) == 1
-        assert runs.count(1) == 1
-        assert runs.count(kill_idx) == 2
-        assert all(runs.count(i) == 1 for i in range(3, 6))
 
     def test_cell_pool_recovers_and_respawns(self, tmp_path):
         log = tmp_path / "runs.log"
@@ -307,7 +290,7 @@ class TestCellPoolReuse:
         with CellPool(2) as pool:
             first = simulate_cells(cells, pool=pool)
             second = simulate_cells(cells, pool=pool)
-        assert first == second == simulate_cells(cells, jobs=1)
+        assert first == second == simulate_cells(cells)
         assert pool.maps == 2
         assert pool.reuses == 1  # second fan-out reused the warm workers
 
@@ -345,7 +328,8 @@ class TestCurveCells:
 
         rng = np.random.default_rng(13)
         cells = [(rng.integers(0, 500, 3000),) for _ in range(5)]
-        parallel = curve_cells(cells, jobs=2)
+        with CellPool(2) as pool:
+            parallel = curve_cells(cells, pool=pool)
         serial = [footprint_curve(lines) for (lines,) in cells]
         assert len(parallel) == len(serial)
         for got, ref in zip(parallel, serial):
@@ -370,7 +354,7 @@ class TestCurveCells:
     def test_shared_pool_and_empty(self):
         from repro.perf.parallel import curve_cells
 
-        assert curve_cells([], jobs=2) == []
+        assert curve_cells([]) == []
         rng = np.random.default_rng(15)
         cells = [(rng.integers(0, 200, 1000),) for _ in range(3)]
         with CellPool(2) as pool:
