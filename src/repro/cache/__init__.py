@@ -5,9 +5,7 @@ from .config import PAPER_L1I, CacheConfig
 from .fastsim import (
     DistanceHistogram,
     fenwick_histogram,
-    simulate_fast,
     stack_distance_histogram,
-    sweep_stats,
 )
 from .hierarchy import (
     PAPER_HIERARCHY,
@@ -39,12 +37,10 @@ __all__ = [
     "fenwick_histogram",
     "make_policy",
     "simulate",
-    "simulate_fast",
     "simulate_hierarchy",
     "simulate_hierarchy_shared",
     "simulate_policy",
     "simulate_shared",
     "stack_distance_histogram",
-    "sweep_stats",
     "warm_cache",
 ]

@@ -40,8 +40,7 @@ The kernel only models what stack distances can express: a **cold**
 cache, **no prefetcher**, true LRU.  Prefetching, warm-start state, and
 co-run interleaving all change set contents in ways a single reuse
 histogram cannot capture — those paths stay on the event-driven
-simulators, and :func:`simulate_fast` refuses them loudly rather than
-silently diverge.
+simulators (:mod:`repro.cache.setassoc`, :mod:`repro.cache.shared`).
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ __all__ = [
     "build_histogram",
     "fenwick_histogram",
     "per_line_misses",
-    "simulate_fast",
     "stack_distance_histogram",
-    "sweep_stats",
 ]
 
 
@@ -411,34 +408,6 @@ def fenwick_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
     return build_histogram(lines, n_sets, _bit_histogram)
 
 
-def simulate_fast(
-    lines: np.ndarray,
-    cfg: CacheConfig,
-    *,
-    prefetch: bool = False,
-    state=None,
-) -> CacheStats:
-    """Drop-in for cold, prefetch-free :func:`repro.cache.setassoc.simulate`.
-
-    Bit-identical to the scalar simulator on its supported domain
-    (enforced by the randomized parity suite in
-    ``tests/cache/test_fastsim.py``).  Prefetch and warm-start runs are
-    outside the stack-distance model and raise :class:`ValueError` —
-    the kernel refuses rather than silently diverge.
-    """
-    if prefetch:
-        raise ValueError(
-            "the stack-distance kernel models a prefetch-free cache; "
-            "use repro.cache.setassoc.simulate for prefetch runs"
-        )
-    if state is not None:
-        raise ValueError(
-            "the stack-distance kernel models a cold cache; "
-            "use repro.cache.setassoc.simulate for warm-start runs"
-        )
-    return stack_distance_histogram(lines, cfg.n_sets).stats(cfg.assoc)
-
-
 def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
     """Exact LRU miss count *per line* under ``cfg`` (cold included).
 
@@ -483,8 +452,3 @@ def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
                 misses[line] = misses.get(line, 0) + 1
     return misses
 
-
-def sweep_stats(lines: np.ndarray, n_sets: int, assocs) -> dict[int, CacheStats]:
-    """Stats for a whole associativity family from one kernel pass."""
-    hist = stack_distance_histogram(lines, n_sets)
-    return {int(a): hist.stats(int(a)) for a in assocs}

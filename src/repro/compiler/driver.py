@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..cache.config import PAPER_L1I, CacheConfig
-from ..cache.setassoc import simulate
 from ..core.optimizers import COMPARATORS, OPTIMIZERS, OptimizerConfig
 from ..engine.fetch import fetch_lines
 from ..engine.instrument import TraceBundle, collect_trace, save_bundle
@@ -137,6 +136,13 @@ class Driver:
         self.memo = memo
         self.store = store
         self._cell_pool = None
+        #: cell transport counters, as in ``Lab.counters``.
+        self.counters: dict[str, float] = {
+            "store_bytes_shipped": 0,
+            "store_bytes_mapped": 0,
+            "pool_fanouts": 0,
+            "pool_reuses": 0,
+        }
         self.profile_source = profile_source
         self.optimizer_names = list(optimizers or OPTIMIZERS)
         for name in self.optimizer_names:
@@ -178,43 +184,20 @@ class Driver:
         resolved first and fresh results are stored back, all yielding
         stats bit-identical to serial un-memoized simulation.  With a
         trace store attached, streams ship as zero-copy refs keyed by
-        the same content digest the memo key consumed.
+        the same content digest the memo key consumed.  This is the
+        Lab's fan-out path too (:func:`repro.perf.parallel.memoized_cells`).
         """
-        if self.memo is None and self.jobs == 1 and self.store is None:
-            return [simulate(stream, self.cache) for stream in streams]
+        from ..perf.parallel import memoized_cells
 
-        from ..perf.memo import memo_key
-        from ..perf.parallel import simulate_cells
-        from ..perf.store import trace_digest
-
-        results: list = [None] * len(streams)
-        pending: list[tuple[int, str]] = []
-        tasks = []
-        for i, stream in enumerate(streams):
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            if self.memo is not None:
-                key = memo_key(keysrc, self.cache, prefetch=False)
-                cached = self.memo.get(key)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-            else:
-                key = ""
-            pending.append((i, key))
-            shipped = (
-                self.store.ref(stream, key=keysrc)
-                if self.store is not None
-                else stream
-            )
-            tasks.append((shipped, self.cache, False))
-        pool = self.cell_pool() if (self.jobs > 1 or self.store is not None) else None
-        for (i, key), stats in zip(
-            pending, simulate_cells(tasks, pool=pool)
-        ):
-            if self.memo is not None:
-                self.memo.put(key, stats)
-            results[i] = stats
-        return results
+        stats, _ = memoized_cells(
+            "stats",
+            [(stream, self.cache, False) for stream in streams],
+            memo=self.memo,
+            store=self.store,
+            pool=self.cell_pool,
+            counters=self.counters,
+        )
+        return stats
 
     def build(
         self,

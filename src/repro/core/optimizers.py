@@ -43,7 +43,6 @@ from .trg_reduce import reduce_trg
 __all__ = [
     "Model",
     "OptimizerConfig",
-    "analysis_cell",
     "optimize",
     "function_affinity",
     "bb_affinity",
@@ -209,34 +208,6 @@ def _trg_analysis(
     return trg
 
 
-def analysis_cell(
-    module: Module,
-    bundle: TraceBundle,
-    layout_name: str,
-    config: OptimizerConfig = OptimizerConfig(),
-) -> Optional[tuple]:
-    """The kernel-analysis work item ``optimize()`` would need for one of
-    the four model-driven optimizers: ``("affinity", trace, w_max,
-    time_horizon)`` or ``("trg", trace, window_blocks)``.
-
-    ``None`` for layouts without a precomputable model analysis.  Used by
-    :meth:`repro.experiments.pipeline.Lab.precompute_layouts` and
-    :func:`repro.perf.parallel.analysis_cells` to fan the expensive model
-    passes across workers before the (serial, memo-hitting) layout
-    builds.
-    """
-    spec = _OPTIMIZER_SPECS.get(layout_name)
-    if spec is None:
-        return None
-    granularity, model = spec
-    trace = _prepare_trace(bundle, granularity, config)
-    if model == Model.AFFINITY:
-        return ("affinity", trace, config.w_max, config.affinity_time_horizon)
-    size = _uniform_size(module, bundle, granularity)
-    window = trg_window_blocks(config.cache, size, config.trg_window_factor)
-    return ("trg", trace, window)
-
-
 def optimize(
     module: Module,
     bundle: TraceBundle,
@@ -351,16 +322,6 @@ OPTIMIZERS: dict[str, Callable[..., LayoutResult]] = {
     "function-trg": function_trg,
     "bb-trg": bb_trg,
 }
-
-#: (granularity, model) behind each of the four optimizers — the basis of
-#: :func:`analysis_cell`'s precomputation contract.
-_OPTIMIZER_SPECS: dict[str, tuple[Granularity, str]] = {
-    "function-affinity": (Granularity.FUNCTION, Model.AFFINITY),
-    "bb-affinity": (Granularity.BASIC_BLOCK, Model.AFFINITY),
-    "function-trg": (Granularity.FUNCTION, Model.TRG),
-    "bb-trg": (Granularity.BASIC_BLOCK, Model.TRG),
-}
-
 
 def _comparator(granularity: Granularity, model: str) -> Callable[..., LayoutResult]:
     def run(

@@ -33,10 +33,10 @@ the full experiment logic at a fraction of the cost.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -200,8 +200,8 @@ class Lab:
         #: The ref-input measurement channel is always a real trace, so
         #: evaluations measure what the static profile actually bought.
         self.profile_source = profile_source
-        # Analysis artifacts always go through a memo so that
-        # precompute_layouts can inject parallel-built payloads; without a
+        # Analysis artifacts always go through a memo, so repeated layout
+        # builds (Lab.optimize sweeps) replay them; without a
         # user-supplied SimMemo it is private and purely in-memory.
         if memo is not None:
             self._analysis_memo = memo
@@ -212,6 +212,8 @@ class Lab:
 
         #: per-stage wall seconds: prepare / optimize / fetch / simulate.
         self.timings: dict[str, float] = {}
+        #: seconds the stages nested in the running one took (see _stage).
+        self._nested_s = 0.0
         #: throughput counters: nominal line accesses simulated + seconds,
         #: split scalar (sim_*) vs. stack-distance kernel (kernel_*);
         #: kernel_passes counts histogram computations, kernel_cells the
@@ -263,21 +265,28 @@ class Lab:
     @contextmanager
     def _stage(
         self, name: str, accesses: int = 0, *, kernel: bool = False
-    ) -> Iterator[None]:
+    ) -> Iterator[SimpleNamespace]:
         """Accumulate the block's monotonic wall time under ``name``.
 
-        ``accesses`` feed the scalar throughput counters, or the
+        Time spent in stages nested inside the block (a fan-out building
+        its streams) counts only under those stages.  ``accesses`` (also
+        settable on the yielded tally, for blocks that learn their work
+        as they go) feed the scalar throughput counters, or the
         ``kernel_*`` pair when the block ran the stack-distance kernel.
         """
+        tally = SimpleNamespace(accesses=accesses)
+        outer_nested, self._nested_s = self._nested_s, 0.0
         start = time.perf_counter()
         try:
-            yield
+            yield tally
         finally:
-            elapsed = time.perf_counter() - start
+            total = time.perf_counter() - start
+            elapsed = total - self._nested_s
+            self._nested_s = outer_nested + total
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
-            if accesses:
+            if tally.accesses:
                 prefix = "kernel" if kernel else "sim"
-                self.counters[f"{prefix}_accesses"] += accesses
+                self.counters[f"{prefix}_accesses"] += tally.accesses
                 self.counters[f"{prefix}_seconds"] += elapsed
 
     def spawn_config(self) -> dict:
@@ -304,7 +313,7 @@ class Lab:
         """The lab's persistent :class:`~repro.perf.parallel.CellPool`.
 
         Spawned lazily on first fan-out and reused by every subsequent
-        one (``precompute_solo``, ``precompute_layouts``, benchmarks) —
+        one (``precompute_solo``, ``precompute_footprints``) —
         the workers and their store attachment survive across calls
         instead of being rebuilt per map.  Rebuilt only when a caller
         asks for a different worker count.
@@ -322,36 +331,39 @@ class Lab:
             self._cell_pool = pool
         return pool
 
-    def _ship_stream(self, stream: np.ndarray, digest: Optional[str] = None):
-        """Prepare one stream for a worker dispatch.
+    def _memoized_cells(
+        self, kind: str, cells: list, params: tuple, jobs: int
+    ) -> tuple[list, int]:
+        """Fan the fetch streams of ``(program, layout, ...)`` cells out
+        through :func:`~repro.perf.parallel.memoized_cells` on the lab's
+        memo, store and pool.  Curves are timed under ``compose``; stats
+        and histograms under ``simulate``, where the streams computed
+        fresh count as scalar or kernel accesses.  Returns the results
+        and how many were computed fresh (memo misses)."""
+        from ..perf.parallel import memoized_cells
 
-        With a store attached: publish the stream once (under ``digest``
-        when the caller already hashed it for a memo key) and ship its
-        ~100-byte :class:`~repro.perf.store.StoreRef`; workers memmap
-        the content instead of unpickling it.  Without a store the array
-        itself ships.  ``store_bytes_shipped`` accounts what actually
-        crosses the process boundary either way, so the telemetry shows
-        exactly what the store bought.
-        """
-        if self.store is not None:
-            ref = self.store.ref(stream, key=digest)
-            self.counters["store_bytes_shipped"] += len(pickle.dumps(ref))
-            self.counters["store_bytes_mapped"] += ref.nbytes
-            return ref
-        self.counters["store_bytes_shipped"] += int(np.asarray(stream).nbytes)
-        return stream
-
-    def _sync_pool_counters(self) -> None:
-        """Mirror the persistent pool's amortization counters."""
-        if self._cell_pool is not None:
-            self.counters["pool_fanouts"] = float(self._cell_pool.maps)
-            self.counters["pool_reuses"] = float(self._cell_pool.reuses)
+        stage = "compose" if kind == "curve" else "simulate"
+        with self._stage(stage, kernel=kind == "histogram") as tally, error_context(
+            stage, program=f"precompute-{kind}"
+        ):
+            results, missed = memoized_cells(
+                kind,
+                # Built one at a time, interleaved with the memo reads,
+                # which keeps the peak memory of a warm run down.
+                ((self.lines(cell[0], cell[1]), *params) for cell in cells),
+                memo=self.memo,
+                store=self.store,
+                pool=lambda: self.cell_pool(jobs),
+                counters=self.counters,
+            )
+            if stage == "simulate":
+                tally.accesses = sum(len(self.lines(*cells[i][:2])) for i in missed)
+        return results, len(missed)
 
     def close(self) -> None:
         """Release the persistent cell pool (idempotent; the lab stays
         usable and respawns workers on the next fan-out)."""
         if self._cell_pool is not None:
-            self._sync_pool_counters()
             self._cell_pool.shutdown()
             self._cell_pool = None
 
@@ -462,81 +474,6 @@ class Lab:
         self._note_analysis(stats)
         return result
 
-    def precompute_layouts(
-        self,
-        cells: Sequence[tuple[str, str]],
-        *,
-        jobs: Optional[int] = None,
-    ) -> None:
-        """Build many ``(program, layout)`` cells' layouts at once.
-
-        The expensive part of a model-driven layout is the analysis pass
-        (affinity coverage or TRG); those passes are independent across
-        cells, so they fan out across ``jobs`` worker processes and land
-        in the analysis memo, after which the (cheap, memo-hitting)
-        layout builds run serially.  Results are **bit-identical** to
-        calling :meth:`layout` cell by cell — the kernels are
-        deterministic and the memo is content-addressed — so this is
-        purely a wall-clock optimization, exactly like
-        :meth:`precompute_solo`.
-        """
-        jobs = self.jobs if jobs is None else jobs
-        todo = [
-            (name, layout_name)
-            for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
-            if (name, layout_name) not in self._layouts
-        ]
-        if jobs > 1 and len(todo) > 1:
-            from ..core.optimizers import analysis_cell
-            from ..perf.memo import affinity_key, trg_key
-            from ..perf.parallel import analysis_cells
-            from ..perf.store import trace_digest
-
-            tasks: list[tuple] = []
-            pending: list[str] = []
-            seen: set[str] = set()
-            task_accesses = 0
-            for name, layout_name in todo:
-                prepared = self.program(name)
-                cell = analysis_cell(
-                    prepared.module,
-                    prepared.test_bundle,
-                    layout_name,
-                    self.optimizer_config,
-                )
-                if cell is None:
-                    continue
-                trace = cell[1]
-                # The content digest keys both the memo entry and the
-                # store entry — hash the trace once, use it twice.
-                keysrc = trace_digest(trace) if self.store is not None else trace
-                if cell[0] == "affinity":
-                    key = affinity_key(keysrc, w_max=cell[2], time_horizon=cell[3])
-                else:
-                    key = trg_key(keysrc, window_blocks=cell[2])
-                if key in seen or self._analysis_memo.has_analysis(key):
-                    continue
-                seen.add(key)
-                shipped = self._ship_stream(
-                    trace, keysrc if isinstance(keysrc, str) else None
-                )
-                tasks.append((cell[0], shipped) + tuple(cell[2:]))
-                pending.append(key)
-                task_accesses += int(np.asarray(trace).shape[0])
-            if tasks:
-                with self._stage("optimize"):
-                    start = time.perf_counter()
-                    payloads = analysis_cells(tasks, pool=self.cell_pool(jobs))
-                    self._sync_pool_counters()
-                    elapsed = time.perf_counter() - start
-                    for key, payload in zip(pending, payloads):
-                        self._analysis_memo.put_analysis(key, payload)
-                    self.counters["analysis_passes"] += len(tasks)
-                    self.counters["analysis_accesses"] += task_accesses
-                    self.counters["analysis_seconds"] += elapsed
-        for name, layout_name in todo:
-            self.layout(name, layout_name)
-
     def supports(self, name: str, layout_name: str) -> bool:
         """False where the paper reported N/A (BB reordering failures)."""
         if layout_name.startswith("bb-"):
@@ -632,7 +569,7 @@ class Lab:
         """Fill the footprint-curve memo for many ``(program, layout)``
         cells at once.
 
-        Mirrors :meth:`precompute_layouts`: streams are built serially
+        Mirrors :meth:`precompute_solo`: streams are built serially
         (memoized, cheap), the independent all-window histogram passes
         fan out across ``jobs`` workers, and the resulting curves land
         in the curve memo.  Bit-identical to calling :meth:`footprint`
@@ -650,38 +587,12 @@ class Lab:
                 self.footprint(name, layout_name)
             return
 
-        from ..perf.memo import curve_key
-        from ..perf.parallel import curve_cells
-        from ..perf.store import trace_digest
-
-        tasks: list[tuple] = []
-        pending: list[tuple[tuple[str, str], str]] = []
-        for cell in todo:
-            name, layout_name = cell
-            stream = self.lines(name, layout_name)
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            digest = keysrc if isinstance(keysrc, str) else None
-            ckey = curve_key(keysrc)
-            cached = self.memo.get_curve(ckey) if self.memo is not None else None
-            if cached is not None:
-                self.counters["curve_memo_hits"] += 1
-                self._curves[cell] = cached
-            else:
-                tasks.append((self._ship_stream(stream, digest),))
-                pending.append((cell, ckey))
-        if tasks:
-            with self._stage("compose"), error_context(
-                "compose", program="precompute-footprints"
-            ):
-                start = time.perf_counter()
-                curves = curve_cells(tasks, pool=self.cell_pool(jobs))
-                self._sync_pool_counters()
-                self.counters["curve_passes"] += len(tasks)
-                self.counters["curve_seconds"] += time.perf_counter() - start
-            for (cell, ckey), curve in zip(pending, curves):
-                if self.memo is not None:
-                    self.memo.put_curve(ckey, curve)
-                self._curves[cell] = curve
+        compose_s = self.timings.get("compose", 0.0)
+        curves, passes = self._memoized_cells("curve", todo, (), jobs)
+        self.counters["curve_passes"] += passes
+        self.counters["curve_memo_hits"] += len(todo) - passes
+        self.counters["curve_seconds"] += self.timings["compose"] - compose_s
+        self._curves.update(zip(todo, curves))
 
     def solo_miss(self, name: str, layout_name: str, channel: str = "hw") -> MissRatios:
         """Solo miss measurement through the given channel ('hw' or 'sim')."""
@@ -745,76 +656,27 @@ class Lab:
                 self.solo_miss(name, layout_name, channel)
             return
 
-        from ..perf.memo import histogram_key, memo_key
-        from ..perf.parallel import histogram_cells, simulate_cells
-        from ..perf.store import trace_digest
-
         n_sets = self.cache_cfg.n_sets
-        kernel_tasks: list[tuple] = []
-        kernel_pending: list[tuple[tuple[str, str, str], str]] = []
-        kernel_accesses = 0
-        tasks: list[tuple] = []
-        pending: list[tuple[tuple[str, str, str], str]] = []
-        task_accesses = 0
+        kernel_todo = [
+            (name, layout_name)
+            for name, layout_name, channel in todo
+            if channel == "sim" and (name, layout_name, n_sets) not in self._hists
+        ]
+        hists, passes = self._memoized_cells("histogram", kernel_todo, (n_sets,), jobs)
+        self.counters["kernel_passes"] += passes
+        for (name, layout_name), hist in zip(kernel_todo, hists):
+            self._hists[(name, layout_name, n_sets)] = hist
+        hw_todo = [cell for cell in todo if cell[2] == "hw"]
+        stats, _ = self._memoized_cells("stats", hw_todo, (self.cache_cfg, True), jobs)
+        hw_stats = dict(zip(hw_todo, stats))
         for cell in todo:
             name, layout_name, channel = cell
-            stream = self.lines(name, layout_name)
-            # With a store, the content digest is computed once here and
-            # keys the memo entry *and* the store entry.
-            keysrc = trace_digest(stream) if self.store is not None else stream
-            digest = keysrc if isinstance(keysrc, str) else None
             if channel == "sim":
-                hkey = histogram_key(keysrc, n_sets)
-                hist = self._hists.get((name, layout_name, n_sets))
-                if hist is None and self.memo is not None:
-                    hist = self.memo.get_histogram(hkey)
-                    if hist is not None:
-                        self._hists[(name, layout_name, n_sets)] = hist
-                if hist is not None:
-                    self.counters["kernel_cells"] += 1
-                    self._finish_solo_cell(cell, hist.stats(self.cache_cfg.assoc))
-                else:
-                    kernel_tasks.append((self._ship_stream(stream, digest), n_sets))
-                    kernel_pending.append((cell, hkey))
-                    kernel_accesses += len(stream)
-                continue
-            key = memo_key(keysrc, self.cache_cfg, prefetch=True)
-            cached = self.memo.get(key) if self.memo is not None else None
-            if cached is not None:
-                self._finish_solo_cell(cell, cached)
-            else:
-                tasks.append(
-                    (self._ship_stream(stream, digest), self.cache_cfg, True)
-                )
-                pending.append((cell, key))
-                task_accesses += len(stream)
-
-        if kernel_tasks:
-            with self._stage(
-                "simulate",
-                accesses=kernel_accesses,
-                kernel=True,
-            ), error_context("simulate", program="precompute-solo"):
-                hists = histogram_cells(kernel_tasks, pool=self.cell_pool(jobs))
-                self._sync_pool_counters()
-                self.counters["kernel_passes"] += len(kernel_tasks)
-            for (cell, hkey), hist in zip(kernel_pending, hists):
-                if self.memo is not None:
-                    self.memo.put_histogram(hkey, hist)
-                name, layout_name, _ = cell
-                self._hists[(name, layout_name, n_sets)] = hist
                 self.counters["kernel_cells"] += 1
+                hist = self._hists[(name, layout_name, n_sets)]
                 self._finish_solo_cell(cell, hist.stats(self.cache_cfg.assoc))
-
-        with self._stage(
-            "simulate", accesses=task_accesses
-        ), error_context("simulate", program="precompute-solo"):
-            results = simulate_cells(tasks, pool=self.cell_pool(jobs))
-            self._sync_pool_counters()
-        for (cell, key), stats in zip(pending, results):
-            if self.memo is not None:
-                self.memo.put(key, stats)
-            self._finish_solo_cell(cell, stats)
+            else:
+                self._finish_solo_cell(cell, hw_stats[cell])
 
     def _finish_solo_cell(self, cell: tuple[str, str, str], stats: CacheStats) -> None:
         """Convert raw cell stats into the memoized MissRatios entry."""

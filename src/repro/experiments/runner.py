@@ -334,7 +334,6 @@ def run_suite(
             policy=policy,
         )
         if telemetry is not None:
-            lab._sync_pool_counters()
             telemetry.merge_stages(lab.timings)
             telemetry.merge_counters(lab.counters)
             if lab.memo is not None:

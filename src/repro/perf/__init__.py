@@ -8,7 +8,9 @@ makes it fast without changing a single result:
   whole experiments (``python -m repro.experiments --jobs N``) and
   independent simulation cells inside a pipeline
   (:func:`~repro.perf.parallel.simulate_cells` on a
-  :class:`~repro.perf.parallel.CellPool`);
+  :class:`~repro.perf.parallel.CellPool`), with
+  :func:`~repro.perf.parallel.memoized_cells` the one memo → ship →
+  dispatch → store path the Lab and the compiler driver share;
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
   cache for cache simulations (:class:`~repro.perf.memo.SimMemo`),
   keyed by hash of (line stream, geometry, prefetch flag, warm state);
@@ -53,8 +55,8 @@ from .memo import (
 )
 from .parallel import (
     CellPool,
-    analysis_cells,
     histogram_cells,
+    memoized_cells,
     rebuild_error,
     simulate_cells,
 )
@@ -71,7 +73,6 @@ __all__ = [
     "Telemetry",
     "TraceStore",
     "affinity_key",
-    "analysis_cells",
     "analysis_key",
     "available_backends",
     "compare_journal_outcomes",
@@ -79,6 +80,7 @@ __all__ = [
     "histogram_cells",
     "histogram_key",
     "memo_key",
+    "memoized_cells",
     "rebuild_error",
     "resolve_backend",
     "simulate_cells",

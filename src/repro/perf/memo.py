@@ -81,7 +81,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -135,6 +135,18 @@ CURVE_SCHEMA = "repro.perf.memo.curve.v1"
 
 #: stats fields persisted per entry, in schema order.
 _STATS_FIELDS = ("accesses", "misses", "prefetches", "prefetch_hits")
+
+
+class _Codec(NamedTuple):
+    """How one entry kind is tagged, stored and handed out."""
+
+    schema: str
+    #: disk payload (schema tag included) -> the value kept in memory.
+    decode: Callable
+    #: value -> disk payload fields (the schema tag is added on write).
+    encode: Callable
+    #: stored value -> what a lookup returns.
+    view: Callable = lambda value: value
 
 
 def state_fingerprint(state: Optional[CacheState]) -> str:
@@ -246,10 +258,9 @@ class SimMemo:
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._mem: dict[str, CacheStats] = {}
-        self._mem_hist: dict[str, DistanceHistogram] = {}
-        self._mem_analysis: dict[str, dict] = {}
-        self._mem_curve: dict[str, FootprintCurve] = {}
+        #: decoded entries of every kind (the keys' schema tags keep the
+        #: kinds' key spaces disjoint).
+        self._mem: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -348,19 +359,24 @@ class SimMemo:
                 pass
             fh.close()
 
-    def get(self, key: str) -> Optional[CacheStats]:
-        """Stored stats for ``key``, counting the lookup as hit or miss."""
-        stats = self._peek(key)
-        if stats is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stats
+    def _peek(self, kind: str, key: str, parse: Optional[Callable] = None):
+        """The one entry reader: memory first, then disk; no counters.
 
-    def _peek(self, key: str) -> Optional[CacheStats]:
-        stats = self._mem.get(key)
-        if stats is not None:
-            return _copy(stats)
+        A disk entry must carry ``kind``'s schema tag and decode through
+        its codec; the decoded value is kept in memory.  The caller sees
+        ``parse(value)`` (default: the codec's view).  Any malformed,
+        stale or parse-rejected entry degrades to a miss and is dropped,
+        never raised.
+        """
+        codec = _CODECS[kind]
+        view = parse or codec.view
+        value = self._mem.get(key)
+        if value is not None:
+            try:
+                return view(value)
+            except (ValueError, TypeError, KeyError):
+                self._mem.pop(key, None)
+                return None
         if self.cache_dir is None:
             return None
         path = self._entry_path(key)
@@ -369,30 +385,65 @@ class SimMemo:
             return None
         try:
             raw = json.loads(text)
-            if raw.get("schema") != SCHEMA:
+            if raw.get("schema") != codec.schema:
                 raise ValueError(f"schema {raw.get('schema')!r}")
-            stats = CacheStats(**{f: int(raw[f]) for f in _STATS_FIELDS})
+            value = codec.decode(raw)
+            out = view(value)
         except (ValueError, TypeError, KeyError):
             # Corrupt or stale entry: a cache degrades to recomputation.
             self._drop_entry(path)
             return None
-        self._mem[key] = stats
-        return _copy(stats)
+        self._mem[key] = value
+        return out
+
+    def _get(self, kind: str, key: str, parse: Optional[Callable] = None):
+        """:meth:`_peek`, counting the lookup as a hit or a miss."""
+        value = self._peek(kind, key, parse)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def _put(self, kind: str, key: str, value) -> None:
+        """The one entry writer: memory, and disk if enabled."""
+        self._mem[key] = value
+        if self.cache_dir is not None:
+            codec = _CODECS[kind]
+            payload = {"schema": codec.schema, **codec.encode(value)}
+            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+
+    def _memoized(self, key: str, get: Callable, put: Callable, compute: Callable):
+        """Replay ``key`` through ``get``, or compute and ``put`` it.
+
+        The compute runs under the key lock.  A waited lock means the
+        previous holder computed this very key, so ``get`` asks again
+        and replays the published entry instead of recomputing; that
+        second lookup adds at most a hit, never a second miss.
+        """
+        value = get(key)
+        if value is None:
+            with self._key_lock(key) as waited:
+                if waited:
+                    value = get(key)
+                    if value is None:
+                        self.misses -= 1
+                if value is None:
+                    value = compute()
+                    put(key, value)
+        return value
+
+    def get(self, key: str) -> Optional[CacheStats]:
+        """Stored stats for ``key``, counting the lookup as hit or miss."""
+        return self._get("stats", key)
 
     def put(self, key: str, stats: CacheStats) -> None:
         """Store ``stats`` under ``key`` (in memory, and on disk if enabled)."""
-        self._mem[key] = _copy(stats)
-        if self.cache_dir is not None:
-            payload = {"schema": SCHEMA}
-            payload.update({f: getattr(stats, f) for f in _STATS_FIELDS})
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+        self._put("stats", key, _copy(stats))
 
     def invalidate(self, key: str) -> bool:
         """Drop ``key`` from memory and disk; True if anything was removed."""
         removed = self._mem.pop(key, None) is not None
-        removed = self._mem_hist.pop(key, None) is not None or removed
-        removed = self._mem_analysis.pop(key, None) is not None or removed
-        removed = self._mem_curve.pop(key, None) is not None or removed
         if self.cache_dir is not None:
             path = self._entry_path(key)
             if path.exists():
@@ -421,58 +472,22 @@ class SimMemo:
         if state is not None:
             self.bypasses += 1
             return simulate(lines, cfg, prefetch=prefetch, state=state)
-        key = memo_key(lines, cfg, prefetch=prefetch)
-        stats = self.get(key)
-        if stats is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    # The lock's previous holder computed this very key;
-                    # replay its published entry instead of repeating
-                    # the simulation.
-                    stats = self._peek(key)
-                    if stats is not None:
-                        self.hits += 1
-                if stats is None:
-                    stats = simulate(lines, cfg, prefetch=prefetch)
-                    self.put(key, stats)
-        return stats
+        return self._memoized(
+            memo_key(lines, cfg, prefetch=prefetch),
+            self.get,
+            self.put,
+            lambda: simulate(lines, cfg, prefetch=prefetch),
+        )
 
     # -- kernel histograms (repro.cache.fastsim) ---------------------------
 
-    def _peek_histogram(self, key: str) -> Optional[DistanceHistogram]:
-        hist = self._mem_hist.get(key)
-        if hist is None and self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != KERNEL_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    hist = DistanceHistogram.from_dict(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                    hist = None
-            if hist is not None:
-                self._mem_hist[key] = hist
-        return hist
-
     def get_histogram(self, key: str) -> Optional[DistanceHistogram]:
         """Stored histogram for ``key``, counted as a hit or miss."""
-        hist = self._peek_histogram(key)
-        if hist is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return hist
+        return self._get("histogram", key)
 
     def put_histogram(self, key: str, hist: DistanceHistogram) -> None:
         """Store ``hist`` under ``key`` (in memory, and on disk if enabled)."""
-        self._mem_hist[key] = hist
-        if self.cache_dir is not None:
-            payload = {"schema": KERNEL_SCHEMA}
-            payload.update(hist.to_dict())
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+        self._put("histogram", key, hist)
 
     def histogram(
         self, lines: np.ndarray, n_sets: int, *, backend=None
@@ -489,47 +504,18 @@ class SimMemo:
         by contract, so entries are shared across backends (pinned by
         the cross-backend memo-hit test).
         """
-        key = histogram_key(lines, n_sets)
-        hist = self.get_histogram(key)
-        if hist is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    hist = self._peek_histogram(key)
-                    if hist is not None:
-                        self.hits += 1
-                if hist is None:
-                    hist = _tier(backend).histogram(lines, n_sets)
-                    self.put_histogram(key, hist)
-        return hist
+        return self._memoized(
+            histogram_key(lines, n_sets),
+            self.get_histogram,
+            self.put_histogram,
+            lambda: _tier(backend).histogram(lines, n_sets),
+        )
 
     # -- footprint curves (repro.locality.footprint) ------------------------
 
-    def _peek_curve(self, key: str) -> Optional[FootprintCurve]:
-        curve = self._mem_curve.get(key)
-        if curve is None and self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != CURVE_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    curve = FootprintCurve.from_dict(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                    curve = None
-            if curve is not None:
-                self._mem_curve[key] = curve
-        return curve
-
     def get_curve(self, key: str) -> Optional[FootprintCurve]:
         """Stored footprint curve for ``key``, counted as a hit or miss."""
-        curve = self._peek_curve(key)
-        if curve is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return curve
+        return self._get("curve", key)
 
     def put_curve(self, key: str, curve: FootprintCurve) -> None:
         """Store ``curve`` under ``key`` (in memory, and on disk if enabled).
@@ -538,11 +524,7 @@ class SimMemo:
         bit-identical to the stored one — composition parity survives
         persistence.
         """
-        self._mem_curve[key] = curve
-        if self.cache_dir is not None:
-            payload = {"schema": CURVE_SCHEMA}
-            payload.update(curve.to_dict())
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+        self._put("curve", key, curve)
 
     def footprint_curve(self, lines: np.ndarray) -> FootprintCurve:
         """Memoized :func:`repro.locality.footprint.footprint_curve`.
@@ -550,78 +532,18 @@ class SimMemo:
         The curve is immutable in practice (readers only index ``fp``),
         so the stored object is returned directly — no per-call copy.
         """
-        key = curve_key(lines)
-        curve = self.get_curve(key)
-        if curve is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    curve = self._peek_curve(key)
-                    if curve is not None:
-                        self.hits += 1
-                if curve is None:
-                    curve = footprint_curve(np.asarray(lines))
-                    self.put_curve(key, curve)
-        return curve
+        return self._memoized(
+            curve_key(lines),
+            self.get_curve,
+            self.put_curve,
+            lambda: footprint_curve(np.asarray(lines)),
+        )
 
     # -- analysis artifacts (repro.core.fastanalysis) -----------------------
 
-    def _peek_analysis(self, key: str, parse):
-        """Load + parse an analysis payload without touching counters.
-
-        ``parse`` raises ``ValueError`` on malformed payloads, which —
-        like any other corruption — degrades to a miss (and an unlink on
-        disk), never to a failure or a silently wrong artifact.
-        """
-        raw = self._mem_analysis.get(key)
-        if raw is not None:
-            try:
-                return parse(raw)
-            except (ValueError, TypeError, KeyError):
-                self._mem_analysis.pop(key, None)
-        if self.cache_dir is not None:
-            path = self._entry_path(key)
-            text = self._disk_read(path)
-            if text is not None:
-                try:
-                    raw = json.loads(text)
-                    if raw.get("schema") != ANALYSIS_SCHEMA:
-                        raise ValueError(f"schema {raw.get('schema')!r}")
-                    obj = parse(raw)
-                except (ValueError, TypeError, KeyError):
-                    self._drop_entry(path)
-                else:
-                    self._mem_analysis[key] = raw
-                    return obj
-        return None
-
-    def _get_analysis(self, key: str, parse):
-        """Load + parse an analysis payload; hit/miss counted."""
-        obj = self._peek_analysis(key, parse)
-        if obj is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return obj
-
-    def has_analysis(self, key: str) -> bool:
-        """True if an entry exists for ``key`` (no counters, no parse).
-
-        A planning probe for batch precomputation: existence does not
-        guarantee validity — a corrupt entry will still degrade to a
-        recomputation at consumption time.
-        """
-        if key in self._mem_analysis:
-            return True
-        return self.cache_dir is not None and self._entry_path(key).exists()
-
     def put_analysis(self, key: str, payload: dict) -> None:
         """Store an analysis payload (in memory, and on disk if enabled)."""
-        payload = {"schema": ANALYSIS_SCHEMA, **payload}
-        self._mem_analysis[key] = payload
-        if self.cache_dir is not None:
-            self._disk_write(
-                self._entry_path(key), json.dumps(payload, sort_keys=True)
-            )
+        self._put("analysis", key, payload)
 
     def affinity_coverage(
         self,
@@ -640,27 +562,20 @@ class SimMemo:
         """
         from ..core.fastanalysis import AffinityCoverage
 
-        key = affinity_key(trace, w_max=w_max, time_horizon=time_horizon)
-
         def parse(raw: dict):
             covg = AffinityCoverage.from_dict(raw)
             if covg.w_max != w_max or covg.time_horizon != time_horizon:
                 raise ValueError("analysis entry parameters do not match key")
             return covg
 
-        covg = self._get_analysis(key, parse)
-        if covg is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    covg = self._peek_analysis(key, parse)
-                    if covg is not None:
-                        self.hits += 1
-                if covg is None:
-                    covg = _tier(backend).affinity(
-                        trace, w_max=w_max, time_horizon=time_horizon
-                    )
-                    self.put_analysis(key, covg.to_dict())
-        return covg
+        return self._memoized(
+            affinity_key(trace, w_max=w_max, time_horizon=time_horizon),
+            lambda key: self._get("analysis", key, parse),
+            lambda key, covg: self.put_analysis(key, covg.to_dict()),
+            lambda: _tier(backend).affinity(
+                trace, w_max=w_max, time_horizon=time_horizon
+            ),
+        )
 
     def trg(
         self,
@@ -677,18 +592,14 @@ class SimMemo:
         """
         from ..core.fastanalysis import trg_from_payload, trg_to_payload
 
-        key = trg_key(trace, window_blocks=window_blocks)
-        trg = self._get_analysis(key, trg_from_payload)
-        if trg is None:
-            with self._key_lock(key) as waited:
-                if waited:
-                    trg = self._peek_analysis(key, trg_from_payload)
-                    if trg is not None:
-                        self.hits += 1
-                if trg is None:
-                    trg = _tier(backend).trg(trace, window_blocks)
-                    self.put_analysis(key, trg_to_payload(trg, window_blocks))
-        return trg
+        return self._memoized(
+            trg_key(trace, window_blocks=window_blocks),
+            lambda key: self._get("analysis", key, trg_from_payload),
+            lambda key, trg: self.put_analysis(
+                key, trg_to_payload(trg, window_blocks)
+            ),
+            lambda: _tier(backend).trg(trace, window_blocks),
+        )
 
     # -- introspection -----------------------------------------------------
 
@@ -723,7 +634,7 @@ class SimMemo:
         if self.cache_dir is None or not self.cache_dir.exists():
             return (0, 0)
         kept = dropped = 0
-        valid = (SCHEMA, KERNEL_SCHEMA, ANALYSIS_SCHEMA, CURVE_SCHEMA)
+        valid = {codec.schema for codec in _CODECS.values()}
         for path in sorted(self.cache_dir.iterdir()):
             if path.suffix in (".lock", ".tmp"):
                 self._drop_entry(path)
@@ -750,6 +661,24 @@ def _copy(stats: CacheStats) -> CacheStats:
         prefetches=stats.prefetches,
         prefetch_hits=stats.prefetch_hits,
     )
+
+
+#: every entry kind's codec.  Analysis payloads stay raw in memory: each
+#: lookup parses them afresh (a TRG must never be aliased), with the
+#: caller's parser standing in for the view.
+_CODECS: dict[str, _Codec] = {
+    "stats": _Codec(
+        SCHEMA,
+        lambda raw: CacheStats(**{f: int(raw[f]) for f in _STATS_FIELDS}),
+        lambda stats: {f: getattr(stats, f) for f in _STATS_FIELDS},
+        _copy,
+    ),
+    "histogram": _Codec(
+        KERNEL_SCHEMA, DistanceHistogram.from_dict, DistanceHistogram.to_dict
+    ),
+    "curve": _Codec(CURVE_SCHEMA, FootprintCurve.from_dict, FootprintCurve.to_dict),
+    "analysis": _Codec(ANALYSIS_SCHEMA, dict, dict),
+}
 
 
 def _tier(backend):

@@ -16,13 +16,16 @@ Two fan-out layers, matching the structure of the evaluation:
 
 * **cell level** — :func:`simulate_cells` fans independent
   (line stream, cache config, prefetch) simulation cells across a
-  :class:`CellPool` (or runs them serially without one);
-  :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`
-  and the :class:`~repro.compiler.driver.Driver` evaluation stage use it
-  for intra-experiment parallelism.  :func:`histogram_cells` is the
-  kernel-path counterpart: independent (line stream, n_sets) cells, each
-  producing a :class:`~repro.cache.fastsim.DistanceHistogram` that
-  answers every associativity of the geometry family at once.
+  :class:`CellPool` (or runs them serially without one).
+  :func:`histogram_cells` is the kernel-path counterpart: independent
+  (line stream, n_sets) cells, each producing a
+  :class:`~repro.cache.fastsim.DistanceHistogram` that answers every
+  associativity of the geometry family at once; :func:`curve_cells`
+  computes footprint curves.  :func:`memoized_cells` puts the memo and
+  the trace store in front of all three: it is the one path
+  :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`,
+  ``Lab.precompute_footprints`` and the
+  :class:`~repro.compiler.driver.Driver` evaluation stage fan out through.
 
 Cell traffic is zero-copy when a :class:`~repro.perf.store.TraceStore`
 is attached: a cell's stream argument may be a
@@ -42,9 +45,10 @@ enforce exactly that.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -58,13 +62,14 @@ from ..robust.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from .store import StoreRef, TraceStore
+from .memo import curve_key, histogram_key, memo_key
+from .store import StoreRef, TraceStore, trace_digest
 
 __all__ = [
     "CellPool",
-    "analysis_cells",
     "curve_cells",
     "histogram_cells",
+    "memoized_cells",
     "rebuild_error",
     "simulate_cells",
 ]
@@ -265,9 +270,10 @@ class CellPool:
 
     The throwaway-pool model paid process startup (and, via ``fork``,
     page-table duplication) on *every* ``simulate_cells`` /
-    ``histogram_cells`` / ``analysis_cells`` call.  A ``CellPool`` is
+    ``histogram_cells`` / ``curve_cells`` call.  A ``CellPool`` is
     owned by its Lab/Driver, spawns workers on first use, keeps them
-    alive across calls (``reuses`` counts the amortized fan-outs), and
+    alive across calls (``maps`` counts non-empty fan-outs, ``reuses``
+    the ones that found warm workers), and
     submits cells in batches of roughly ``2 * jobs`` per map so the IPC
     cost scales with worker count, not cell count.
 
@@ -329,10 +335,10 @@ class CellPool:
         if self._store is not None:
             _CELL_STORE = self._store
         _CELL_BACKEND = self._backend
-        self.maps += 1
         n = len(cells)
         if n == 0:
             return []
+        self.maps += 1
         if self.jobs <= 1 or n == 1:
             return [fn(c) for c in cells]
         executor = self._ensure_executor()
@@ -428,43 +434,6 @@ def simulate_cells(
     ]
 
 
-def _analysis_cell(cell: tuple) -> dict:
-    from ..core.fastanalysis import trg_to_payload
-
-    backend = _cell_backend()
-    kind = cell[0]
-    if kind == "affinity":
-        _, trace, w_max, time_horizon = cell
-        return backend.affinity(
-            _resolve_stream(trace), w_max=w_max, time_horizon=time_horizon
-        ).to_dict()
-    if kind == "trg":
-        _, trace, window_blocks = cell
-        return trg_to_payload(
-            backend.trg(_resolve_stream(trace), window_blocks),
-            window_blocks,
-        )
-    raise ValueError(f"unknown analysis cell kind {kind!r}")
-
-
-def analysis_cells(
-    cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list[dict]:
-    """Compute independent locality-model analysis cells, possibly in
-    parallel.
-
-    Each cell is ``("affinity", trace, w_max, time_horizon)`` or
-    ``("trg", trace, window_blocks)`` — the shape produced by
-    :func:`repro.core.optimizers.analysis_cell`, with ``trace`` either
-    the array or its :class:`~repro.perf.store.StoreRef`.  Results are
-    the artifacts' JSON payloads (picklable, and exactly what
-    :meth:`repro.perf.memo.SimMemo.put_analysis` stores), positionally
-    aligned with ``cells`` and identical to serial kernel runs — the
-    kernels are deterministic, so fan-out cannot change any layout.
-    """
-    return _map_cells(_analysis_cell, cells, pool)
-
-
 def _histogram_cell(cell: tuple) -> dict:
     lines, n_sets = cell
     return _cell_backend().histogram(_resolve_stream(lines), n_sets).to_dict()
@@ -509,3 +478,83 @@ def histogram_cells(
     """
     raw = _map_cells(_histogram_cell, cells, pool)
     return [DistanceHistogram.from_dict(r) for r in raw]
+
+
+#: kind -> (memo key of (stream or its digest, *params), SimMemo getter,
+#: SimMemo putter, fan-out).  Methods and fan-outs are looked up by name
+#: at call time, so a wrapped module attribute or method (the traced
+#: benchmark run times them) is the one that runs.
+_MEMO_KINDS: dict[str, tuple[Callable[..., str], str, str, str]] = {
+    "stats": (
+        lambda src, cfg, prefetch: memo_key(src, cfg, prefetch=prefetch),
+        "get",
+        "put",
+        "simulate_cells",
+    ),
+    "histogram": (histogram_key, "get_histogram", "put_histogram", "histogram_cells"),
+    "curve": (curve_key, "get_curve", "put_curve", "curve_cells"),
+}
+
+
+def memoized_cells(
+    kind: str,
+    cells: Iterable[tuple],
+    *,
+    memo,
+    store: Optional[TraceStore],
+    pool: Callable[[], CellPool],
+    counters: dict,
+) -> tuple[list, list[int]]:
+    """The one memoized fan-out of stream cells: memo, ship, dispatch, store.
+
+    ``kind`` names the cell computation and its cell shape: ``"stats"``
+    (``(lines, cfg, prefetch)``, :func:`simulate_cells`), ``"histogram"``
+    (``(lines, n_sets)``, :func:`histogram_cells`) or ``"curve"``
+    (``(lines,)``, :func:`curve_cells`), with ``lines`` the stream array.
+    ``cells`` may be lazy: each is consumed right before its lookup.
+
+    Each stream is hashed at most once: with a ``store`` its content
+    digest keys both the memo entry and the store entry.  Memo hits are
+    answered in place.  Each miss ships its stream as a
+    :class:`~repro.perf.store.StoreRef` (with a store) or the array,
+    counting ``store_bytes_shipped`` / ``store_bytes_mapped`` in
+    ``counters``.  Only when some cell missed does ``pool()`` get called
+    and the misses fan out in one dispatch (counted in ``pool_fanouts``
+    and ``pool_reuses``); their results go back into ``memo``.
+
+    Returns the results, aligned with ``cells`` and bit-identical to
+    serial un-memoized computation, and the indices of the cells that
+    were computed fresh.
+    """
+    key_of, getter, putter, fanout = _MEMO_KINDS[kind]
+    results: list = []
+    missed: list[int] = []
+    keys: list[Optional[str]] = []
+    tasks: list[tuple] = []
+    for i, (stream, *params) in enumerate(cells):
+        src = trace_digest(stream) if store is not None else stream
+        key = key_of(src, *params) if memo is not None else None
+        results.append(None if key is None else getattr(memo, getter)(key))
+        if results[-1] is not None:
+            continue
+        if store is not None:
+            shipped = store.ref(stream, key=src)
+            counters["store_bytes_shipped"] += len(pickle.dumps(shipped))
+            counters["store_bytes_mapped"] += shipped.nbytes
+        else:
+            shipped = stream
+            counters["store_bytes_shipped"] += int(np.asarray(stream).nbytes)
+        tasks.append((shipped, *params))
+        missed.append(i)
+        keys.append(key)
+    if tasks:
+        cell_pool = pool()
+        reuses = cell_pool.reuses
+        fresh = globals()[fanout](tasks, pool=cell_pool)
+        counters["pool_fanouts"] += 1
+        counters["pool_reuses"] += cell_pool.reuses - reuses
+        for i, key, value in zip(missed, keys, fresh):
+            if memo is not None:
+                getattr(memo, putter)(key, value)
+            results[i] = value
+    return results, missed

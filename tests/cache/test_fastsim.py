@@ -5,7 +5,8 @@ The contract under test: on its supported domain — cold cache, no
 prefetch, true LRU — the kernel is **bit-identical** to the event-driven
 simulator for every (n_sets, assoc) geometry, from one histogram per
 n_sets.  Outside that domain it must refuse loudly, never silently
-diverge.
+diverge: prefetch, warm-start and co-run runs stay on the event-driven
+simulators.
 """
 
 import numpy as np
@@ -16,10 +17,7 @@ from repro.cache import (
     DistanceHistogram,
     fenwick_histogram,
     simulate,
-    simulate_fast,
     stack_distance_histogram,
-    sweep_stats,
-    warm_cache,
 )
 
 N_SETS = (1, 2, 64, 128)
@@ -81,7 +79,8 @@ def test_single_set_degenerate_geometry():
     for assoc in (1, 2, 4, 8):
         cfg = CacheConfig(size_bytes=assoc * 64, assoc=assoc, line_bytes=64)
         assert cfg.n_sets == 1
-        assert simulate_fast(lines, cfg) == simulate(lines, cfg)
+        hist = stack_distance_histogram(lines, cfg.n_sets)
+        assert hist.stats(cfg.assoc) == simulate(lines, cfg)
 
 
 @pytest.mark.parametrize("stream_name", sorted(_streams()))
@@ -150,29 +149,15 @@ def test_empty_stream():
     hist = stack_distance_histogram(np.array([], dtype=np.int64), 64)
     assert hist.accesses == 0 and hist.cold == 0
     assert hist.misses(4) == 0
-    assert simulate_fast(np.array([], dtype=np.int64), cfg_for(64, 4)) == simulate(
-        np.array([], dtype=np.int64), cfg_for(64, 4)
-    )
+    assert hist.stats(4) == simulate(np.array([], dtype=np.int64), cfg_for(64, 4))
 
 
 def test_sweep_stats_matches_scalar_sweep():
     rng = np.random.default_rng(11)
     lines = rng.integers(0, 2000, 4000)
-    stats = sweep_stats(lines, 128, (1, 2, 4, 8, 16))
-    for assoc, st in stats.items():
-        assert st == simulate(lines, cfg_for(128, assoc))
-
-
-def test_refuses_prefetch():
-    with pytest.raises(ValueError, match="prefetch"):
-        simulate_fast(np.arange(10), cfg_for(64, 4), prefetch=True)
-
-
-def test_refuses_warm_state():
-    cfg = cfg_for(64, 4)
-    state = warm_cache(np.arange(100), cfg)
-    with pytest.raises(ValueError, match="cold"):
-        simulate_fast(np.arange(10), cfg, state=state)
+    hist = stack_distance_histogram(lines, 128)
+    for assoc in (1, 2, 4, 8, 16):
+        assert hist.stats(assoc) == simulate(lines, cfg_for(128, assoc))
 
 
 def test_rejects_bad_geometry_and_method():

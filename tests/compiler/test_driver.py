@@ -134,3 +134,36 @@ def test_cli_rejects_unknown_optimizer(capsys):
 
     with pytest.raises(SystemExit):
         main(["syn-mcf", "--optimizers", "nonsense"])
+
+
+def test_memoized_driver_replays_every_evaluation(tiny_module, tmp_path):
+    """A second memoized build replays each layout's evaluation cell from
+    the memo, dispatches nothing, and measures what a plain driver does."""
+    from repro.core.optimizers import OPTIMIZERS
+    from repro.perf import SimMemo, TraceStore
+
+    inputs = (
+        InputSpec("test", seed=1, max_blocks=3000),
+        InputSpec("ref", seed=2, max_blocks=4000),
+    )
+    plain = Driver().build(tiny_module, *inputs)
+
+    def memoized():
+        return Driver(
+            memo=SimMemo(tmp_path / "memo"),
+            jobs=2,
+            store=TraceStore(tmp_path / "store"),
+        )
+
+    with memoized() as cold:
+        cold.build(tiny_module, *inputs)
+    assert cold.counters["pool_fanouts"] == 1
+    with memoized() as warm:
+        result = warm.build(tiny_module, *inputs)
+    # Every lookup hits: one analysis per model-driven optimizer and one
+    # evaluation cell per layout.
+    assert warm.memo.misses == 0
+    assert warm.memo.hits == len(OPTIMIZERS) + len(result.layouts)
+    assert warm.counters["pool_fanouts"] == 0
+    assert warm._cell_pool is None
+    assert result.miss_ratios == plain.miss_ratios

@@ -170,8 +170,8 @@ class TestKernelRouting:
 
 
 class TestAnalysisRouting:
-    """Locality-model kernel routing: bit-identical layouts, counter
-    accounting, and the batch precompute path."""
+    """Locality-model kernel routing: bit-identical layouts and counter
+    accounting."""
 
     LAYOUTS = ("function-affinity", "function-trg", "bb-affinity", "bb-trg")
 
@@ -235,40 +235,3 @@ class TestAnalysisRouting:
         lab.optimize("syn-mcf", Granularity.FUNCTION, Model.AFFINITY, cfg)
         assert lab.counters["analysis_memo_hits"] == 1
         assert lab.counters["analysis_passes"] == 1  # only the first ran
-
-    def test_precompute_layouts_parity_and_memo(self, tmp_path):
-        from repro.perf import SimMemo
-
-        cells = [("syn-mcf", layout_name) for layout_name in self.LAYOUTS]
-        batched = Lab(
-            scale=SCALE, noise_sigma=0.0, memo=SimMemo(tmp_path / "memo")
-        )
-        batched.precompute_layouts(cells, jobs=2)
-        assert batched.counters["analysis_passes"] == len(self.LAYOUTS)
-        lazy = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
-        for cell in cells:
-            assert self._same_layout(
-                batched.layout(*cell), lazy.layout(*cell)
-            ), cell
-        # Consumption replayed every batch-built artifact from the memo.
-        assert batched.counters["analysis_memo_hits"] == len(self.LAYOUTS)
-        # A fresh lab on the same memo dir replays without any pass.
-        again = Lab(
-            scale=SCALE, noise_sigma=0.0, memo=SimMemo(tmp_path / "memo")
-        )
-        again.precompute_layouts(cells, jobs=2)
-        assert again.counters["analysis_passes"] == 0
-        assert again.counters["analysis_memo_hits"] == len(self.LAYOUTS)
-
-    def test_precompute_layouts_serial_and_scalar_fallbacks(self):
-        """jobs=1 or the scalar tier must still build every layout."""
-        serial = Lab(scale=SCALE, noise_sigma=0.0)
-        serial.precompute_layouts([("syn-mcf", "function-trg")], jobs=1)
-        scalar = Lab(scale=SCALE, noise_sigma=0.0, kernel_backend="scalar")
-        scalar.precompute_layouts(
-            [("syn-mcf", "function-trg"), ("syn-mcf", "bb-trg")], jobs=2
-        )
-        assert self._same_layout(
-            serial.layout("syn-mcf", "function-trg"),
-            scalar.layout("syn-mcf", "function-trg"),
-        )

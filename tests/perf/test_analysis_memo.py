@@ -165,24 +165,14 @@ class TestTrgMemo:
 
 
 class TestHasAnalysis:
-    def test_peek_without_counters(self, tmp_path, trace):
-        memo = SimMemo(tmp_path)
-        key = affinity_key(trace, w_max=12)
-        assert not memo.has_analysis(key)
-        memo.affinity_coverage(trace, w_max=12)
-        assert memo.has_analysis(key)
-        # a fresh instance sees the disk entry; counters stay untouched.
-        reread = SimMemo(tmp_path)
-        assert reread.has_analysis(key)
-        assert (reread.hits, reread.misses) == (0, 0)
+    """Entries injected from outside the memoizing methods."""
 
     def test_put_analysis_feeds_later_consumption(self, trace):
-        """The precompute path: a payload computed elsewhere (a worker)
-        is injected and later consumed as a hit."""
+        """A payload computed elsewhere (a worker) is injected and later
+        consumed as a hit."""
         memo = SimMemo()
         key = affinity_key(trace, w_max=12)
         memo.put_analysis(key, affinity_coverage(trace, w_max=12).to_dict())
-        assert memo.has_analysis(key)
         served = memo.affinity_coverage(trace, w_max=12)
         assert served == affinity_coverage(trace, w_max=12)
         assert (memo.hits, memo.misses) == (1, 0)

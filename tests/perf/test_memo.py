@@ -193,7 +193,7 @@ class TestHistogramMemo:
         assert key != memo_key(lines, PAPER_L1I)
 
     def test_histogram_hit_and_simulate_fast(self, lines):
-        from repro.cache import simulate_fast, stack_distance_histogram
+        from repro.cache import stack_distance_histogram
 
         memo = SimMemo()
         fresh = stack_distance_histogram(lines, PAPER_L1I.n_sets)
@@ -208,7 +208,8 @@ class TestHistogramMemo:
                 line_bytes=64,
             )
             stats = memo.histogram(lines, cfg.n_sets).stats(assoc)
-            assert stats == simulate_fast(lines, cfg) == simulate(lines, cfg)
+            oracle = stack_distance_histogram(lines, cfg.n_sets).stats(assoc)
+            assert stats == oracle == simulate(lines, cfg)
         assert memo.misses == 1  # no further kernel passes were needed
 
     def test_histogram_disk_persistence(self, tmp_path, lines):

@@ -18,9 +18,11 @@ from repro.experiments import Lab
 from repro.experiments.runner import run_suite
 from repro.perf import (
     CellPool,
-    analysis_cells,
+    SimMemo,
+    TraceStore,
     compare_journal_outcomes,
     histogram_cells,
+    memoized_cells,
     rebuild_error,
     simulate_cells,
 )
@@ -126,6 +128,103 @@ class TestPrecomputeSolo:
             Lab(scale=0.05).precompute_solo([("syn-gcc", "baseline", "spectre")])
 
 
+class TestMemoizedCells:
+    """The one memoized fan-out path (memo -> ship -> dispatch -> store)
+    that the Lab precomputes and the compiler driver share."""
+
+    @staticmethod
+    def _oracle(kind, lines):
+        from repro.cache import stack_distance_histogram
+        from repro.locality.footprint import footprint_curve
+
+        if kind == "stats":
+            return (lines, PAPER_L1I, True), simulate(lines, PAPER_L1I, prefetch=True)
+        if kind == "histogram":
+            n_sets = PAPER_L1I.n_sets
+            return (lines, n_sets), stack_distance_histogram(lines, n_sets)
+        return (lines,), footprint_curve(lines)
+
+    @staticmethod
+    def _same(kind, got, want):
+        if kind == "curve":
+            return (got.n, got.m) == (want.n, want.m) and (got.fp == want.fp).all()
+        return got == want
+
+    @pytest.mark.parametrize("kind", ["stats", "histogram", "curve"])
+    def test_matches_serial_then_replays_without_dispatch(self, kind, tmp_path):
+        rng = np.random.default_rng(21)
+        streams = [rng.integers(0, 700, 3000) for _ in range(4)]
+        cells, oracle = zip(*(self._oracle(kind, s) for s in streams))
+        store = TraceStore(tmp_path / "store")
+        counters = dict.fromkeys(
+            ("store_bytes_shipped", "store_bytes_mapped", "pool_fanouts", "pool_reuses"),
+            0,
+        )
+        with CellPool(2, store=store) as pool:
+            memo = SimMemo(tmp_path / "memo")
+            first, missed = memoized_cells(
+                kind, list(cells), memo=memo, store=store,
+                pool=lambda: pool, counters=counters,
+            )
+            assert missed == [0, 1, 2, 3]
+            assert (memo.hits, memo.misses) == (0, 4)
+            assert pool.maps == counters["pool_fanouts"] == 1
+            # Refs crossed the process boundary, not the streams.
+            assert 0 < counters["store_bytes_shipped"] < counters["store_bytes_mapped"]
+
+            def no_pool():
+                raise AssertionError("an all-hit call must not dispatch")
+
+            replay = SimMemo(tmp_path / "memo")
+            second, missed = memoized_cells(
+                kind, list(cells), memo=replay, store=store,
+                pool=no_pool, counters=counters,
+            )
+            assert missed == []
+            assert (replay.hits, replay.misses) == (4, 0)
+            assert pool.maps == counters["pool_fanouts"] == 1
+        for results in (first, second):
+            for got, want in zip(results, oracle):
+                assert self._same(kind, got, want)
+
+    def test_empty_map_counts_no_fanout(self):
+        with CellPool(2) as pool:
+            assert pool.map(len, []) == []
+            assert pool.maps == 0 and pool._executor is None
+
+    def test_all_hit_precompute_builds_no_pool(self, tmp_path):
+        """Regression: a warm precompute whose every cell hits the memo
+        must neither spawn a pool nor count a fan-out."""
+        cells = [("syn-gcc", "baseline", "hw"), ("syn-mcf", "baseline", "hw")]
+        with Lab(scale=0.05, jobs=2, memo=SimMemo(tmp_path)) as cold:
+            cold.precompute_solo(cells)
+        assert cold.counters["pool_fanouts"] == 1
+        warm = Lab(scale=0.05, jobs=2, memo=SimMemo(tmp_path))
+        warm.precompute_solo(cells)
+        assert (warm.memo.hits, warm.memo.misses) == (2, 0)
+        assert warm.counters["pool_fanouts"] == 0
+        assert warm._cell_pool is None
+        for cell in cells:
+            assert warm.solo_miss(*cell) == cold.solo_miss(*cell)
+
+    def test_lab_layouts_replay_the_analysis_memo(self, tmp_path):
+        """A second lab on the same memo dir replays every model analysis
+        into the same layouts, and the ``analysis_*`` counts stay exact
+        through ``Lab.layout``."""
+        layouts = ("function-affinity", "function-trg", "bb-affinity", "bb-trg")
+        first = Lab(scale=0.05, noise_sigma=0.0, memo=SimMemo(tmp_path))
+        again = Lab(scale=0.05, noise_sigma=0.0, memo=SimMemo(tmp_path))
+        for name in layouts:
+            a = first.layout("syn-mcf", name).address_map
+            b = again.layout("syn-mcf", name).address_map
+            assert a.order == b.order and np.array_equal(a.starts, b.starts), name
+        assert first.counters["analysis_passes"] == len(layouts)
+        assert again.counters["analysis_passes"] == 0
+        assert again.counters["analysis_memo_hits"] == len(layouts)
+        for lab in (first, again):
+            assert lab.counters["analysis_cells"] == len(layouts)
+
+
 class TestSimulateCells:
     def test_results_identical_to_serial(self):
         rng = np.random.default_rng(3)
@@ -165,47 +264,6 @@ class TestHistogramCells:
         with CellPool(2) as pool:
             assert histogram_cells([], pool=pool) == []
         assert histogram_cells([]) == []
-
-
-class TestAnalysisCells:
-    def test_results_identical_to_serial(self):
-        from repro.core import affinity_coverage, build_trg_fast
-        from repro.core.fastanalysis import trg_to_payload
-
-        rng = np.random.default_rng(5)
-        traces = [rng.integers(0, 30, 2000) for _ in range(3)]
-        cells = [("affinity", t, 8, None) for t in traces] + [
-            ("trg", t, 64) for t in traces
-        ]
-        with CellPool(2) as pool:
-            parallel = analysis_cells(cells, pool=pool)
-        serial = analysis_cells(cells)
-        assert parallel == serial
-        assert parallel[0] == affinity_coverage(traces[0], w_max=8).to_dict()
-        assert parallel[3] == trg_to_payload(
-            build_trg_fast(traces[0], window_blocks=64), 64
-        )
-
-    def test_payloads_feed_the_memo(self):
-        """The precompute handshake: worker payloads injected via
-        put_analysis replay as artifacts identical to direct kernel runs."""
-        from repro.core import affinity_coverage
-        from repro.perf import SimMemo, affinity_key
-
-        rng = np.random.default_rng(6)
-        trace = rng.integers(0, 30, 2000)
-        (payload,) = analysis_cells([("affinity", trace, 8, None)])
-        memo = SimMemo()
-        memo.put_analysis(affinity_key(trace, w_max=8), payload)
-        assert memo.affinity_coverage(trace, w_max=8) == affinity_coverage(
-            trace, w_max=8
-        )
-        assert (memo.hits, memo.misses) == (1, 0)
-
-    def test_empty_and_unknown_kind(self):
-        assert analysis_cells([]) == []
-        with pytest.raises(ValueError, match="unknown analysis cell kind"):
-            analysis_cells([("zipf", None)])
 
 
 class TestWorkerBreaker:
