@@ -24,6 +24,7 @@ ref-input trace, so the comparison isolates the profile source.
 
 from __future__ import annotations
 
+from ..perf.telemetry import add_into
 from ..staticlint.certify import certify_program
 from ..workloads.suite import STUDY_PROGRAMS
 from .pipeline import BASELINE, Lab
@@ -86,10 +87,8 @@ def run(lab: Lab) -> ExperimentResult:
 
     # Fold the static lab's telemetry into the shared lab so a bench
     # report covers both channels.
-    for key, value in static_lab.counters.items():
-        lab.counters[key] = lab.counters.get(key, 0) + value
-    for stage, seconds in static_lab.timings.items():
-        lab.timings[stage] = lab.timings.get(stage, 0.0) + seconds
+    add_into(lab.counters, static_lab.counters)
+    add_into(lab.timings, static_lab.timings)
 
     return ExperimentResult(
         exp_id="staticlint-certify",

@@ -59,6 +59,7 @@ from ..locality.footprint import FootprintCurve, footprint_curve
 from ..machine.counters import measure_corun, measure_solo, reading_from_stats
 from ..machine.smt import CoRunTiming, corun_pair
 from ..machine.timing import ThreadCost, TimingParams, thread_cost
+from ..perf.telemetry import add_into
 from ..robust.errors import ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
 from ..workloads.suite import SuiteProgram
@@ -146,7 +147,8 @@ class Lab:
 
     The lab doubles as the telemetry source: :attr:`timings` accumulates
     per-stage wall-clock seconds (monotonic clock) and :attr:`counters`
-    tracks simulated line accesses, feeding ``BENCH_perf.json``.
+    tracks simulated line accesses; :meth:`snapshot` bundles both with
+    the memo/store counters and the backend tier for ``BENCH_perf.json``.
     """
 
     def __init__(
@@ -289,6 +291,18 @@ class Lab:
                 self.counters[f"{prefix}_accesses"] += tally.accesses
                 self.counters[f"{prefix}_seconds"] += elapsed
 
+    def snapshot(self) -> dict:
+        """The lab's telemetry as one record (copied, so a snapshot taken
+        before some work can be diffed against one taken after with
+        :func:`repro.perf.telemetry.delta`)."""
+        return {
+            "stages": dict(self.timings),
+            "counters": dict(self.counters),
+            "memo": self.memo.counters() if self.memo is not None else {},
+            "store": self.store.counters() if self.store is not None else {},
+            "kernel_backend": self.backend.name,
+        }
+
     def spawn_config(self) -> dict:
         """Picklable constructor kwargs reproducing this lab's behavior.
 
@@ -414,8 +428,7 @@ class Lab:
 
     def _note_analysis(self, stats: dict) -> None:
         """Fold an optimizer's ``analysis_*`` counters into the lab's."""
-        for key, value in stats.items():
-            self.counters[key] = self.counters.get(key, 0) + value
+        add_into(self.counters, stats)
 
     def layout(self, name: str, layout_name: str) -> LayoutResult:
         """Baseline or one of the four optimizers' layouts (memoized).

@@ -43,10 +43,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TextIO
 
+from ..perf.telemetry import delta
 from ..robust.errors import ReproError, SimulationError
 from ..robust.journal import RunJournal
 from ..robust.supervisor import RetryPolicy
@@ -229,12 +230,13 @@ def attempt_experiment(
             )
             policy.sleep_before_retry(exp_id, attempt)
     outcome.elapsed_s = time.perf_counter() - start
-    outcome.timings = {
-        stage: total - timings_before.get(stage, 0.0)
-        for stage, total in lab.timings.items()
-        if total - timings_before.get(stage, 0.0) > 0.0
-    }
+    outcome.timings = _grown(delta(lab.timings, timings_before))
     return outcome, notes
+
+
+def _grown(stages: dict) -> dict:
+    """The stages of a per-experiment delta that took any time."""
+    return {stage: seconds for stage, seconds in stages.items() if seconds > 0.0}
 
 
 def _emit_outcome(
@@ -334,12 +336,7 @@ def run_suite(
             policy=policy,
         )
         if telemetry is not None:
-            telemetry.merge_stages(lab.timings)
-            telemetry.merge_counters(lab.counters)
-            if lab.memo is not None:
-                telemetry.merge_memo(lab.memo.counters())
-            if lab.store is not None:
-                telemetry.merge_store(lab.store.counters())
+            telemetry.merge(lab.snapshot())
     else:
         outcomes = _run_suite_parallel(
             lab,
@@ -483,7 +480,7 @@ def _run_suite_parallel(
                 attempts=payload["attempts"],
                 result=payload["result"],
                 error=rebuild_error(error_payload) if error_payload else None,
-                timings=payload["timings"],
+                timings=_grown(payload["telemetry"].get("stages", {})),
             )
             _emit_outcome(
                 outcome,
@@ -493,18 +490,16 @@ def _run_suite_parallel(
                 out=out,
             )
             if telemetry is not None:
-                telemetry.merge_stages(payload["timings"])
-                telemetry.merge_counters(payload["counters"])
-                telemetry.merge_memo(payload["memo"])
-                telemetry.merge_store(payload.get("store"))
+                telemetry.merge(payload["telemetry"])
             outcomes.append(outcome)
             if outcome.status == "failed" and not keep_going:
                 break
     if telemetry is not None:
-        stats = pool.stats.to_dict()
-        stats["breaker_trips"] = telemetry.memo.get("breaker_trips", 0)
-        stats["breaker_recoveries"] = telemetry.memo.get("breaker_recoveries", 0)
-        telemetry.merge_resilience(stats)
+        stats = asdict(pool.stats)
+        memo = telemetry.totals.get("memo", {})
+        stats["breaker_trips"] = memo.get("breaker_trips", 0)
+        stats["breaker_recoveries"] = memo.get("breaker_recoveries", 0)
+        telemetry.merge({"resilience": stats})
     return outcomes
 
 
@@ -722,14 +717,9 @@ def main(argv: list[str] | None = None) -> int:
 
     telemetry = None
     if args.bench_out is not None:
-        from ..perf.backends import resolve_backend
         from ..perf.telemetry import Telemetry
 
-        telemetry = Telemetry(
-            jobs=args.jobs,
-            scale=args.scale,
-            kernel_backend=resolve_backend(args.kernel_backend, strict=False).name,
-        )
+        telemetry = Telemetry(jobs=args.jobs, scale=args.scale)
 
     # With several experiments, parallelize across them; with exactly
     # one, spend the workers inside the pipeline (simulation cells)

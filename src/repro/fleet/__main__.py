@@ -155,7 +155,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from ..perf.telemetry import BENCH_SCHEMA, Telemetry
+    from ..perf.telemetry import Telemetry, merge_bench_section
     from ..robust.atomic import atomic_write_text
 
     failures = _parity_gate(args.seed, args.parity_trials)
@@ -172,12 +172,7 @@ def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
     lab, result = _run_fleet(args)
     telemetry = Telemetry(jobs=args.jobs, scale=args.scale)
-    telemetry.merge_stages(lab.timings)
-    telemetry.merge_counters(lab.counters)
-    if lab.memo is not None:
-        telemetry.merge_memo(lab.memo.counters())
-    if lab.store is not None:
-        telemetry.merge_store(lab.store.counters())
+    telemetry.merge(lab.snapshot())
     telemetry.wall_s = time.perf_counter() - t0
     report = telemetry.to_dict()
     _print_result(result)
@@ -234,13 +229,7 @@ def _cmd_bench(args) -> int:
         atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
         print(f"fleet bench report written to {args.out}")
     if args.bench is not None:
-        try:
-            with open(args.bench) as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {"schema": BENCH_SCHEMA}
-        bench["fleet_bench"] = section
-        atomic_write_text(args.bench, json.dumps(bench, indent=2, sort_keys=True))
+        merge_bench_section(args.bench, "fleet_bench", section)
         print(f"fleet_bench section merged into {args.bench}")
     return 0
 

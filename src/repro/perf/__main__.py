@@ -68,7 +68,7 @@ import json
 import sys
 import time
 
-from .telemetry import BENCH_SCHEMA, COMPAT_SCHEMAS, compare_journal_outcomes
+from .telemetry import BENCH_SCHEMA, compare_journal_outcomes, merge_bench_section
 
 
 def _load_journal(path: str) -> list[dict]:
@@ -256,13 +256,7 @@ def _run_kernel_bench(args) -> int:
         "speedup": speedup,
     }
     if args.bench is not None:
-        try:
-            with open(args.bench) as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {"schema": BENCH_SCHEMA}
-        bench["kernel_bench"] = section
-        atomic_write_text(args.bench, json.dumps(bench, indent=2, sort_keys=True))
+        merge_bench_section(args.bench, "kernel_bench", section)
         print(f"kernel_bench section written to {args.bench}")
     if args.out is not None:
         report = {"schema": KERNEL_BENCH_SCHEMA, "scale": args.scale, **section}
@@ -415,13 +409,7 @@ def _run_analysis_bench(args) -> int:
         "speedup": speedup,
     }
     if args.bench is not None:
-        try:
-            with open(args.bench) as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {"schema": BENCH_SCHEMA}
-        bench["analysis_bench"] = section
-        atomic_write_text(args.bench, json.dumps(bench, indent=2, sort_keys=True))
+        merge_bench_section(args.bench, "analysis_bench", section)
         print(f"analysis_bench section written to {args.bench}")
     if args.out is not None:
         report = {"schema": ANALYSIS_BENCH_SCHEMA, "scale": args.scale, **section}
@@ -435,7 +423,6 @@ def _run_store_bench(args) -> int:
     import tempfile
 
     from ..experiments.pipeline import BASELINE, Lab
-    from ..robust.atomic import atomic_write_text
     from .parallel import CellPool, histogram_cells
     from .store import TraceStore
 
@@ -495,12 +482,7 @@ def _run_store_bench(args) -> int:
         return 1
 
     if args.bench is not None:
-        try:
-            with open(args.bench) as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {"schema": BENCH_SCHEMA}
-        bench["store_bench"] = {
+        section = {
             "programs": programs,
             "n_sets": n_sets,
             "jobs": args.jobs,
@@ -512,7 +494,7 @@ def _run_store_bench(args) -> int:
             "store_seconds": round(ref_s, 4),
             "store_counters": store.counters(),
         }
-        atomic_write_text(args.bench, json.dumps(bench, indent=2, sort_keys=True))
+        merge_bench_section(args.bench, "store_bench", section)
         print(f"store_bench section written to {args.bench}")
     return 0
 
@@ -747,8 +729,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "show-bench":
         with open(args.bench_path) as fh:
             bench = json.load(fh)
-        # Older reports (no "analysis"/"staticlint" section) remain readable.
-        if bench.get("schema") not in (BENCH_SCHEMA, *COMPAT_SCHEMAS):
+        if bench.get("schema") != BENCH_SCHEMA:
             print(f"error: not a {BENCH_SCHEMA} report", file=sys.stderr)
             return 2
         sim = bench.get("simulator", {})
@@ -756,7 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         kernel_bench = bench.get("kernel_bench") or {}
         analysis = bench.get("analysis") or {}
         analysis_bench = bench.get("analysis_bench") or {}
-        staticlint = bench.get("staticlint") or {}
         memo = bench.get("memo") or {}
         print(
             f"jobs={bench.get('jobs', '?')} scale={bench.get('scale', '?')} "
@@ -816,14 +796,19 @@ def main(argv: list[str] | None = None) -> int:
                     f"{row.get('affinity_speedup', 0)}x, "
                     f"trg {row.get('trg_speedup', 0)}x)"
                 )
-        if staticlint.get("diagnostics") or staticlint.get("certified"):
-            print(
-                f"staticlint: {staticlint.get('diagnostics', 0)} diagnostics in "
-                f"{staticlint.get('seconds', 0)}s "
-                f"({staticlint.get('diagnostics_per_s', 0)}/s), "
-                f"{staticlint.get('certified', 0)} program(s) certified"
-            )
-            for row in staticlint.get("certify", []):
+        # The suite's counters and the certify gate's section share a line.
+        for key in ("staticlint", "staticlint_bench"):
+            section = bench.get(key) or {}
+            if section.get("diagnostics") or section.get("certified"):
+                print(
+                    f"{key.replace('_', '-')}: "
+                    f"{section.get('diagnostics', 0)} diagnostics in "
+                    f"{section.get('seconds', 0)}s "
+                    f"({section.get('diagnostics_per_s', 0)}/s), "
+                    f"{section.get('certified', 0)} program(s) certified"
+                    + ("" if section.get("ok", True) else ", FAILED")
+                )
+            for row in section.get("certify", []):
                 print(
                     f"  certify {row.get('program', '?')}/{row.get('layout', '?')}: "
                     f"conflict_rho={row.get('conflict_rho', '?')} "

@@ -10,7 +10,7 @@ Two fan-out layers, matching the structure of the evaluation:
   shareable), executes the same per-experiment attempt loop as the
   serial runner, and ships back a picklable payload: the
   :class:`~repro.experiments.report.ExperimentResult`, the typed error
-  as a dict, retry notes, and the lab's stage timings/counters.  The
+  as a dict, retry notes, and the lab's telemetry delta.  The
   parent consumes payloads **in submission order**, so output, journal,
   and outcomes are identical to a serial run (modulo wall-clock fields).
 
@@ -64,6 +64,7 @@ from ..robust.errors import (
 )
 from .memo import curve_key, histogram_key, memo_key
 from .store import StoreRef, TraceStore, trace_digest
+from .telemetry import delta
 
 __all__ = [
     "CellPool",
@@ -144,29 +145,13 @@ def _experiment_task(
 
     lab = _WORKER_LAB
     assert lab is not None, "worker pool used without initializer"
-    # A worker lab lives across tasks; ship per-task *deltas* so the
-    # parent can sum payloads without double counting.
-    counters_before = dict(lab.counters)
-    memo_before = lab.memo.counters() if lab.memo is not None else None
-    store_before = lab.store.counters() if lab.store is not None else None
+    # A worker lab lives across tasks; ship the per-task telemetry *delta*
+    # so the parent can sum payloads without double counting.
+    before = lab.snapshot()
     outcome, notes = attempt_experiment(
         lab, exp_id, retries=retries, inject_fault=inject_fault, policy=policy
     )
     error = outcome.error
-    memo_delta = None
-    if lab.memo is not None:
-        after = lab.memo.counters()
-        memo_delta = {
-            k: after[k] - (memo_before or {}).get(k, 0)
-            for k in after
-            if k != "hit_rate"
-        }
-    store_delta = None
-    if lab.store is not None:
-        after = lab.store.counters()
-        store_delta = {
-            k: after[k] - (store_before or {}).get(k, 0) for k in after
-        }
     return {
         "exp_id": outcome.exp_id,
         "status": outcome.status,
@@ -181,12 +166,7 @@ def _experiment_task(
             "rendered": str(error),
         },
         "notes": notes,
-        "timings": outcome.timings,
-        "counters": {
-            k: lab.counters[k] - counters_before.get(k, 0) for k in lab.counters
-        },
-        "memo": memo_delta,
-        "store": store_delta,
+        "telemetry": delta(lab.snapshot(), before),
     }
 
 
@@ -381,15 +361,6 @@ class CellPool:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "maps": self.maps,
-            "reuses": self.reuses,
-            "batches": self.batches,
-            "broken_pools": self.broken_pools,
-            "recomputed": self.recomputed,
-        }
 
     def __enter__(self) -> "CellPool":
         return self

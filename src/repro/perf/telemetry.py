@@ -1,12 +1,11 @@
 """Timing telemetry for the experiment pipeline: ``BENCH_perf.json``.
 
-:class:`Telemetry` aggregates the per-stage wall-clock seconds that
-:class:`~repro.compiler.driver.Driver` and
-:class:`~repro.experiments.pipeline.Lab` already collect, adds simulator
-throughput (line accesses per second) and memo-cache counters, and
-renders one machine-readable benchmark report.  The schema
-(:data:`BENCH_SCHEMA`) is documented in ``docs/performance.md`` and
-consumed by the CI benchmark smoke job.
+A lab's telemetry is one nested record
+(:meth:`~repro.experiments.pipeline.Lab.snapshot`).  :func:`add_into` is
+the one rule that combines records and :func:`delta` its inverse;
+:class:`Telemetry` sums the records of a suite run and renders the
+report (:data:`BENCH_SCHEMA`, documented in ``docs/performance.md``).
+The CI gates add their own sections via :func:`merge_bench_section`.
 
 All durations come from the monotonic clock (``time.perf_counter``);
 only the single ``generated_at`` stamp is epoch time.
@@ -16,188 +15,106 @@ from __future__ import annotations
 
 import json
 import time
+from numbers import Number
 from pathlib import Path
 from typing import Any, Optional
 
 from ..robust.atomic import atomic_write_text
 
-__all__ = ["BENCH_SCHEMA", "COMPAT_SCHEMAS", "Telemetry", "compare_journal_outcomes"]
+__all__ = [
+    "BENCH_SCHEMA", "Telemetry", "add_into", "compare_journal_outcomes",
+    "delta", "merge_bench_section", "rate",
+]
 
-#: schema tag of BENCH_perf.json; bump on breaking layout changes.
-#: v2: adds the "kernel" section (stack-distance kernel throughput) next
-#: to the scalar "simulator" section.
-#: v3: adds the "analysis" section (locality-model kernel throughput and
-#: analysis-memo hit counters from the optimize stage).
-#: v4: adds the "staticlint" section (profile-free analysis throughput
-#: and certification counters; see repro.staticlint).
-#: v5: adds the "resilience" section (supervised-pool fault accounting
-#: and memo circuit-breaker state; see repro.robust.supervisor) and the
-#: extended memo counters that ride along with it.
-#: v6: adds the "store" section (zero-copy trace-store transport:
-#: bytes shipped across process boundaries vs. bytes memmapped, store
-#: hit/put counters, persistent cell-pool reuse; see repro.perf.store).
-#: v7: adds the "fleet" section (footprint-curve composition: curve
-#: passes vs. memo replays vs. the co-run matrix cells they answered;
-#: see repro.fleet).
-#: v8: adds the kernel backend tier (repro.perf.backends) — the
-#: top-level "kernel_backend" field plus a "backend" entry inside the
-#: "kernel" and "analysis" sections, so a report says which tier
-#: (scalar/numpy/compiled) produced its accesses/s figures.
+#: schema tag of BENCH_perf.json; bump on breaking layout changes.  The
+#: v8 layout (docs/performance.md) has the "stages", "simulator",
+#: "kernel", "analysis" and "staticlint" sections, "memo", "resilience"
+#: (supervised runs), "store" (trace-store transport), "fleet"
+#: (footprint-curve composition), and the "kernel_backend" tier that
+#: also tags the "kernel" and "analysis" sections.
 BENCH_SCHEMA = "repro.perf/bench.v8"
-
-#: older schema tags show-bench and other readers still accept.
-COMPAT_SCHEMAS = (
-    "repro.perf/bench.v2",
-    "repro.perf/bench.v3",
-    "repro.perf/bench.v4",
-    "repro.perf/bench.v5",
-    "repro.perf/bench.v6",
-    "repro.perf/bench.v7",
-)
 
 #: journal-entry fields that legitimately differ between two runs of the
 #: same suite (wall-clock measurements); everything else must match.
 TIMING_FIELDS = ("elapsed_s", "finished_at", "timings")
 
+#: the one derived field a snapshot carries (``SimMemo.counters``); it
+#: is recomputed from the summed hits/misses, never summed or diffed.
+_DERIVED = "hit_rate"
+
+
+def add_into(total: dict, part: Optional[dict]) -> dict:
+    """Fold the telemetry record ``part`` into ``total`` in place.
+
+    The one combine rule for every telemetry number: numbers sum, bools
+    OR (``partial`` stays true if *any* contributing pool gave up early;
+    ``bool`` is checked first because it is an ``int`` subclass),
+    nested dicts recurse, anything else (the backend tier name) is
+    last-writer-wins.  ``None`` values and the derived ``hit_rate`` are
+    skipped.  Returns ``total``.
+    """
+    for key, value in (part or {}).items():
+        if key == _DERIVED or value is None:
+            continue
+        if isinstance(value, dict):
+            add_into(total.setdefault(key, {}), value)
+        elif isinstance(value, bool):
+            total[key] = bool(total.get(key)) or value
+        elif isinstance(value, Number):
+            total[key] = total.get(key, 0) + value
+        else:
+            total[key] = value
+    return total
+
+
+def delta(after: dict, before: dict) -> dict:
+    """What the record ``after`` grew by since ``before``.
+
+    The inverse of :func:`add_into`: ``add_into(before, delta(after,
+    before))`` sums back to ``after``.  Numbers subtract; bools and
+    strings are taken from ``after``; nested dicts recurse.  A
+    long-lived worker lab ships these per task so the parent can sum
+    them without double counting.
+    """
+    out: dict = {}
+    for key, value in after.items():
+        if key == _DERIVED or value is None:
+            continue
+        if isinstance(value, dict):
+            out[key] = delta(value, before.get(key) or {})
+        elif isinstance(value, Number) and not isinstance(value, bool):
+            out[key] = value - before.get(key, 0)
+        else:
+            out[key] = value
+    return out
+
+
+def rate(amount: float, seconds: float) -> float:
+    """``amount / seconds``, or 0.0 when nothing was timed."""
+    return amount / seconds if seconds > 0 else 0.0
+
 
 class Telemetry:
-    """Aggregated timing/throughput counters for one suite run."""
+    """Aggregated timing/throughput counters for one suite run.
 
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        scale: float = 1.0,
-        kernel_backend: Optional[str] = None,
-    ):
+    Every lab or worker contributes one snapshot (or snapshot delta) of
+    the shape :meth:`repro.experiments.pipeline.Lab.snapshot` returns —
+    ``stages``, ``counters``, ``memo``, ``store``, ``kernel_backend`` —
+    plus the supervisor's ``resilience`` stats; :meth:`merge` folds them
+    into :attr:`totals` and :meth:`to_dict` renders the bench.v8 report.
+    """
+
+    def __init__(self, *, jobs: int = 1, scale: float = 1.0):
         self.jobs = jobs
         self.scale = scale
-        #: resolved kernel tier name (bench.v8); not summed across
-        #: workers — every worker of a run resolves the same request.
-        self.kernel_backend = kernel_backend
-        #: per-stage wall seconds, summed across experiments and workers.
-        self.stages: dict[str, float] = {}
+        #: every merged snapshot, combined by :func:`add_into`.
+        self.totals: dict[str, Any] = {}
         #: per-experiment outcome summaries, in completion order.
         self.experiments: dict[str, dict[str, Any]] = {}
-        self.sim_accesses = 0
-        self.sim_seconds = 0.0
-        self.kernel_accesses = 0
-        self.kernel_seconds = 0.0
-        self.kernel_passes = 0
-        self.kernel_cells = 0
-        self.analysis_accesses = 0
-        self.analysis_seconds = 0.0
-        self.analysis_passes = 0
-        self.analysis_cells = 0
-        self.analysis_memo_hits = 0
-        self.staticlint_diags = 0
-        self.staticlint_seconds = 0.0
-        self.staticlint_certified = 0
-        self.memo: dict[str, float] = {}
-        #: supervised-pool fault accounting + breaker state (bench.v5).
-        self.resilience: dict[str, Any] = {}
-        #: cell-dispatch transport accounting (bench.v6): what crossed
-        #: the process boundary pickled vs. attached by memmap, plus the
-        #: TraceStore's own counters and persistent-pool amortization.
-        self.store_bytes_shipped = 0
-        self.store_bytes_mapped = 0
-        self.pool_fanouts = 0
-        self.pool_reuses = 0
-        self.store: dict[str, float] = {}
-        #: footprint-curve composition accounting (bench.v7): fresh
-        #: curve passes vs. memo replays, and the co-run matrix cells
-        #: those curves answered (cells >> passes is the fleet gate).
-        self.curve_passes = 0
-        self.curve_seconds = 0.0
-        self.curve_memo_hits = 0
-        self.fleet_cells = 0
-        self.fleet_seconds = 0.0
         self.wall_s = 0.0
 
-    # -- accumulation ------------------------------------------------------
-
-    def merge_stages(self, timings: dict[str, float]) -> None:
-        for name, seconds in timings.items():
-            self.stages[name] = self.stages.get(name, 0.0) + float(seconds)
-
-    def merge_counters(self, counters: dict[str, float]) -> None:
-        self.sim_accesses += int(counters.get("sim_accesses", 0))
-        self.sim_seconds += float(counters.get("sim_seconds", 0.0))
-        self.kernel_accesses += int(counters.get("kernel_accesses", 0))
-        self.kernel_seconds += float(counters.get("kernel_seconds", 0.0))
-        self.kernel_passes += int(counters.get("kernel_passes", 0))
-        self.kernel_cells += int(counters.get("kernel_cells", 0))
-        self.analysis_accesses += int(counters.get("analysis_accesses", 0))
-        self.analysis_seconds += float(counters.get("analysis_seconds", 0.0))
-        self.analysis_passes += int(counters.get("analysis_passes", 0))
-        self.analysis_cells += int(counters.get("analysis_cells", 0))
-        self.analysis_memo_hits += int(counters.get("analysis_memo_hits", 0))
-        self.staticlint_diags += int(counters.get("staticlint_diags", 0))
-        self.staticlint_seconds += float(counters.get("staticlint_seconds", 0.0))
-        self.staticlint_certified += int(counters.get("staticlint_certified", 0))
-        self.store_bytes_shipped += int(counters.get("store_bytes_shipped", 0))
-        self.store_bytes_mapped += int(counters.get("store_bytes_mapped", 0))
-        self.pool_fanouts += int(counters.get("pool_fanouts", 0))
-        self.pool_reuses += int(counters.get("pool_reuses", 0))
-        self.curve_passes += int(counters.get("curve_passes", 0))
-        self.curve_seconds += float(counters.get("curve_seconds", 0.0))
-        self.curve_memo_hits += int(counters.get("curve_memo_hits", 0))
-        self.fleet_cells += int(counters.get("fleet_cells", 0))
-        self.fleet_seconds += float(counters.get("fleet_seconds", 0.0))
-
-    def merge_memo(self, counters: Optional[dict[str, float]]) -> None:
-        """Sum memo counters from one lab/worker into the aggregate.
-
-        Every numeric counter is summed — the exact key set is owned by
-        :meth:`repro.perf.memo.SimMemo.counters` and has grown over time
-        (breaker trips, lock waits, …); only the derived ``hit_rate`` is
-        recomputed here instead of summed.
-        """
-        if not counters:
-            return
-        for field, value in counters.items():
-            if field == "hit_rate" or isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                self.memo[field] = self.memo.get(field, 0) + int(value)
-        keyed = self.memo.get("hits", 0) + self.memo.get("misses", 0)
-        self.memo["hit_rate"] = (
-            round(self.memo.get("hits", 0) / keyed, 4) if keyed else 0.0
-        )
-
-    def merge_resilience(self, stats: Optional[dict[str, Any]]) -> None:
-        """Fold supervisor/chaos fault accounting into the report.
-
-        Numeric fields are summed, boolean fields are OR-ed (``partial``
-        stays true if *any* contributing pool gave up early); everything
-        else is last-writer-wins.  Note ``bool`` is checked before the
-        numeric branch — it is an ``int`` subclass and must not be
-        summed.
-        """
-        if not stats:
-            return
-        for field, value in stats.items():
-            if isinstance(value, bool):
-                self.resilience[field] = bool(self.resilience.get(field)) or value
-            elif isinstance(value, (int, float)):
-                self.resilience[field] = self.resilience.get(field, 0) + value
-            else:
-                self.resilience[field] = value
-
-    def merge_store(self, counters: Optional[dict[str, float]]) -> None:
-        """Sum TraceStore counters from one lab/worker into the aggregate.
-
-        Same contract as :meth:`merge_memo`: the key set is owned by
-        :meth:`repro.perf.store.TraceStore.counters` and every numeric
-        counter is summed.
-        """
-        if not counters:
-            return
-        for field, value in counters.items():
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                self.store[field] = self.store.get(field, 0) + int(value)
+    def merge(self, snapshot: Optional[dict]) -> None:
+        add_into(self.totals, snapshot)
 
     def record_experiment(
         self, exp_id: str, status: str, elapsed_s: float, attempts: int
@@ -210,124 +127,128 @@ class Telemetry:
 
     # -- rendering ---------------------------------------------------------
 
-    @property
-    def accesses_per_second(self) -> float:
-        return self.sim_accesses / self.sim_seconds if self.sim_seconds > 0 else 0.0
-
-    @property
-    def kernel_accesses_per_second(self) -> float:
-        if self.kernel_seconds <= 0:
-            return 0.0
-        return self.kernel_accesses / self.kernel_seconds
-
-    @property
-    def analysis_accesses_per_second(self) -> float:
-        if self.analysis_seconds <= 0:
-            return 0.0
-        return self.analysis_accesses / self.analysis_seconds
-
-    @property
-    def staticlint_diags_per_second(self) -> float:
-        if self.staticlint_seconds <= 0:
-            return 0.0
-        return self.staticlint_diags / self.staticlint_seconds
-
     def to_dict(self) -> dict[str, Any]:
+        totals = self.totals
+        counters = totals.get("counters", {})
+
+        def count(key: str) -> int:
+            return int(counters.get(key, 0))
+
+        def throughput(prefix: str, unit: str = "accesses", name: str = "") -> dict:
+            name = name or unit
+            amount = count(f"{prefix}_{unit}")
+            seconds = float(counters.get(f"{prefix}_seconds", 0.0))
+            return {
+                name: amount,
+                "seconds": round(seconds, 4),
+                f"{name}_per_s": round(rate(amount, seconds), 1),
+            }
+
+        backend = totals.get("kernel_backend")
+        memo = {k: int(v) for k, v in totals.get("memo", {}).items()}
+        if memo:
+            keyed = memo.get("hits", 0) + memo.get("misses", 0)
+            memo[_DERIVED] = round(memo.get("hits", 0) / keyed, 4) if keyed else 0.0
+
+        # bench.v6 transport section, rendered once anything shipped. The
+        # TraceStore's own counters nest under "backend": its bytes_mapped
+        # (bytes attached via get()) is a different metric from the
+        # transport-level bytes_mapped (bytes the shipped refs describe).
+        store: Optional[dict[str, Any]] = {
+            "bytes_shipped": count("store_bytes_shipped"),
+            "bytes_mapped": count("store_bytes_mapped"),
+            "pool_fanouts": count("pool_fanouts"),
+            "pool_reuses": count("pool_reuses"),
+        }
+        backend_store = totals.get("store", {})
+        if backend_store:
+            store["backend"] = {k: int(v) for k, v in sorted(backend_store.items())}
+        elif not (
+            store["bytes_shipped"] or store["bytes_mapped"] or store["pool_fanouts"]
+        ):
+            store = None
+
+        # bench.v7 composition section, rendered once any curve ran.
+        passes, hits = count("curve_passes"), count("curve_memo_hits")
+        fleet: Optional[dict[str, Any]] = None
+        if passes or hits or count("fleet_cells"):
+            fleet = {
+                **throughput("fleet", "cells"),
+                "curve_passes": passes,
+                "curve_memo_hits": hits,
+                "curve_seconds": round(float(counters.get("curve_seconds", 0.0)), 4),
+                "cells_per_curve": round(rate(count("fleet_cells"), passes + hits), 1),
+            }
+
         return {
             "schema": BENCH_SCHEMA,
             "generated_at": time.time(),
             "jobs": self.jobs,
             "scale": self.scale,
-            "kernel_backend": self.kernel_backend,
+            "kernel_backend": backend,
             "wall_s": round(self.wall_s, 3),
             "experiments": self.experiments,
-            "stages": {k: round(v, 4) for k, v in sorted(self.stages.items())},
-            "simulator": {
-                "accesses": self.sim_accesses,
-                "seconds": round(self.sim_seconds, 4),
-                "accesses_per_s": round(self.accesses_per_second, 1),
+            "stages": {
+                k: round(v, 4) for k, v in sorted(totals.get("stages", {}).items())
             },
+            "simulator": throughput("sim"),
             "kernel": {
-                "backend": self.kernel_backend,
-                "accesses": self.kernel_accesses,
-                "seconds": round(self.kernel_seconds, 4),
-                "accesses_per_s": round(self.kernel_accesses_per_second, 1),
-                "passes": self.kernel_passes,
-                "cells": self.kernel_cells,
+                "backend": backend,
+                **throughput("kernel"),
+                "passes": count("kernel_passes"),
+                "cells": count("kernel_cells"),
                 "cells_per_pass": round(
-                    self.kernel_cells / self.kernel_passes, 2
-                )
-                if self.kernel_passes
-                else 0.0,
+                    rate(count("kernel_cells"), count("kernel_passes")), 2
+                ),
             },
             "analysis": {
-                "backend": self.kernel_backend,
-                "accesses": self.analysis_accesses,
-                "seconds": round(self.analysis_seconds, 4),
-                "accesses_per_s": round(self.analysis_accesses_per_second, 1),
-                "passes": self.analysis_passes,
-                "cells": self.analysis_cells,
-                "memo_hits": self.analysis_memo_hits,
+                "backend": backend,
+                **throughput("analysis"),
+                "passes": count("analysis_passes"),
+                "cells": count("analysis_cells"),
+                "memo_hits": count("analysis_memo_hits"),
             },
             "staticlint": {
-                "diagnostics": self.staticlint_diags,
-                "seconds": round(self.staticlint_seconds, 4),
-                "diagnostics_per_s": round(self.staticlint_diags_per_second, 1),
-                "certified": self.staticlint_certified,
+                **throughput("staticlint", "diags", "diagnostics"),
+                "certified": count("staticlint_certified"),
             },
-            "memo": self.memo or None,
-            "resilience": self.resilience or None,
-            "store": self._store_section(),
-            "fleet": self._fleet_section(),
+            "memo": memo or None,
+            "resilience": totals.get("resilience") or None,
+            "store": store,
+            "fleet": fleet,
         }
-
-    def _fleet_section(self) -> Optional[dict[str, Any]]:
-        """The bench.v7 composition section, or None when no curves ran."""
-        if not (self.curve_passes or self.curve_memo_hits or self.fleet_cells):
-            return None
-        curves = self.curve_passes + self.curve_memo_hits
-        return {
-            "cells": self.fleet_cells,
-            "seconds": round(self.fleet_seconds, 4),
-            "cells_per_s": round(self.fleet_cells / self.fleet_seconds, 1)
-            if self.fleet_seconds > 0
-            else 0.0,
-            "curve_passes": self.curve_passes,
-            "curve_memo_hits": self.curve_memo_hits,
-            "curve_seconds": round(self.curve_seconds, 4),
-            "cells_per_curve": round(self.fleet_cells / curves, 1) if curves else 0.0,
-        }
-
-    def _store_section(self) -> Optional[dict[str, Any]]:
-        """The bench.v6 transport section, or None when nothing shipped."""
-        if not (
-            self.store_bytes_shipped
-            or self.store_bytes_mapped
-            or self.pool_fanouts
-            or self.store
-        ):
-            return None
-        section: dict[str, Any] = {
-            "bytes_shipped": self.store_bytes_shipped,
-            "bytes_mapped": self.store_bytes_mapped,
-            "pool_fanouts": self.pool_fanouts,
-            "pool_reuses": self.pool_reuses,
-        }
-        # The TraceStore's own counters nest under "backend": its
-        # bytes_mapped (bytes attached via get()) is a different metric
-        # from the transport-level bytes_mapped above (bytes the shipped
-        # refs describe) and must not shadow it.
-        if self.store:
-            section["backend"] = {
-                k: int(v) for k, v in sorted(self.store.items())
-            }
-        return section
 
     def write(self, path: str | Path) -> Path:
         """Atomically write the report; returns the path."""
         path = Path(path)
         atomic_write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True))
         return path
+
+
+def merge_bench_section(path: str | Path, name: str, section: Any) -> Path:
+    """Set one gate's ``name`` section of the report at ``path``.
+
+    Loads the report (or starts ``{"schema": BENCH_SCHEMA}`` when it is
+    missing or unreadable), sets the section, and writes atomically.
+    The sections :meth:`Telemetry.to_dict` renders belong to the suite
+    run; a gate writing one of them would clobber the suite's numbers,
+    so those names raise :class:`ValueError`.
+    """
+    if name in Telemetry().to_dict():
+        raise ValueError(
+            f"{name!r} is a suite section of {BENCH_SCHEMA}; "
+            "a gate writes its own *_bench section"
+        )
+    path = Path(path)
+    try:
+        bench = json.loads(path.read_text())
+    except (OSError, ValueError):
+        bench = None
+    if not isinstance(bench, dict):
+        bench = {"schema": BENCH_SCHEMA}
+    bench[name] = section
+    atomic_write_text(path, json.dumps(bench, indent=2, sort_keys=True))
+    return path
 
 
 def compare_journal_outcomes(

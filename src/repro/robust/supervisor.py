@@ -51,7 +51,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import (
     TRANSIENT,
@@ -216,9 +216,6 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self._consecutive = 0
 
-    def counters(self) -> dict[str, Any]:
-        return {"state": self.state, "trips": self.trips, "recoveries": self.recoveries}
-
 
 # -- the supervised pool ------------------------------------------------------
 
@@ -234,16 +231,6 @@ class SupervisorStats:
     #: True once the respawn budget ran out and remaining work was
     #: resolved as failed (the graceful partial-result exit).
     partial: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workers_spawned": self.workers_spawned,
-            "workers_replaced": self.workers_replaced,
-            "worker_crashes": self.worker_crashes,
-            "worker_hangs": self.worker_hangs,
-            "redispatches": self.redispatches,
-            "partial": self.partial,
-        }
 
 
 class _Task:
@@ -339,10 +326,7 @@ def _failure_payload(exp_id: str, err: ReproError, *, attempts: int = 1) -> dict
             "rendered": str(err),
         },
         "notes": [],
-        "timings": {},
-        "counters": {},
-        "memo": None,
-        "store": None,
+        "telemetry": {},
     }
 
 

@@ -158,27 +158,21 @@ def _run_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             )
 
     if args.bench is not None:
-        from ..perf.telemetry import BENCH_SCHEMA
-        from ..robust.atomic import atomic_write_text
+        from ..perf.telemetry import merge_bench_section, rate
 
-        try:
-            with open(args.bench) as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {"schema": BENCH_SCHEMA}
         seconds = sum(r.static_seconds for r in results)
         diags = sum(r.diagnostics for r in results)
-        bench["staticlint"] = {
+        section = {
             "certify": [r.to_dict() for r in results],
             "min_conflict_rho": args.min_conflict_rho,
             "ok": not failures,
             "certified": len(results),
             "diagnostics": diags,
             "seconds": round(seconds, 4),
-            "diagnostics_per_s": round(diags / max(1e-9, seconds), 1),
+            "diagnostics_per_s": round(rate(diags, seconds), 1),
         }
-        atomic_write_text(args.bench, json.dumps(bench, indent=2, sort_keys=True))
-        print(f"staticlint section written to {args.bench}")
+        merge_bench_section(args.bench, "staticlint_bench", section)
+        print(f"staticlint_bench section written to {args.bench}")
 
     return 1 if failures else 0
 

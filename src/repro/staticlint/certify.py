@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from ..cache.fastsim import per_line_misses
+from ..perf.telemetry import add_into
 from .conflict import StaticLintContext
 from .frequency import estimate_frequencies
 from .rulepack import StaticLintConfig, run_static_lint
@@ -175,14 +176,13 @@ def certify_program(
     ).astype(np.float64)
     hotness_rho = spearman(profile.block_freq, exec_counts)
 
-    lab.counters["staticlint_diags"] = (
-        lab.counters.get("staticlint_diags", 0) + len(report.diagnostics)
-    )
-    lab.counters["staticlint_seconds"] = (
-        lab.counters.get("staticlint_seconds", 0.0) + static_seconds
-    )
-    lab.counters["staticlint_certified"] = (
-        lab.counters.get("staticlint_certified", 0) + 1
+    add_into(
+        lab.counters,
+        {
+            "staticlint_diags": len(report.diagnostics),
+            "staticlint_seconds": static_seconds,
+            "staticlint_certified": 1,
+        },
     )
 
     return CertifyResult(

@@ -54,12 +54,13 @@ def test_bench_gate_end_to_end(tmp_path, capsys):
     """The real fleet-bench gate at reduced trace scale: parity clean,
     cells/passes thresholds hold, aware beats oblivious, and the
     BENCH_fleet.json report carries the fleet + fleet_bench sections."""
+    from repro.experiments import Lab
     from repro.perf import BENCH_SCHEMA
 
     out = tmp_path / "BENCH_fleet.json"
     merge = tmp_path / "BENCH_perf.json"
-    # A previous-version merge target must still be accepted (COMPAT).
-    merge.write_text(json.dumps({"schema": "repro.perf/bench.v7", "keep": 1}))
+    # Merging a section keeps whatever else the target report holds.
+    merge.write_text(json.dumps({"schema": BENCH_SCHEMA, "keep": 1}))
     rc = main(["bench", *FULL_BENCH_ARGS, "--memo-dir", str(tmp_path / "memo"),
                "--out", str(out), "--bench", str(merge)])
     captured = capsys.readouterr()
@@ -69,6 +70,10 @@ def test_bench_gate_end_to_end(tmp_path, capsys):
 
     report = json.loads(out.read_text())
     assert report["schema"] == BENCH_SCHEMA
+    # The lab snapshot carries the resolved kernel tier into the report.
+    assert report["kernel_backend"] == Lab().backend.name
+    assert report["kernel"]["backend"] == report["analysis"]["backend"]
+    assert report["kernel"]["backend"] == report["kernel_backend"]
     fleet = report["fleet"]
     assert fleet["cells"] >= 5000
     assert fleet["curve_passes"] <= 29

@@ -10,16 +10,191 @@ from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import run_suite
 from repro.perf import BENCH_SCHEMA, Telemetry, compare_journal_outcomes
 from repro.perf.__main__ import main as perf_main
+from repro.perf.telemetry import add_into, delta, merge_bench_section
+
+
+#: a fixed set of telemetry records covering every section: zero-valued
+#: store counters, a bool ``partial``, a derived ``hit_rate`` that must
+#: be recomputed rather than summed, extended memo counters only one
+#: part carries, and an empty trailing part (a serial path that shipped
+#: no memo/store/resilience).
+GOLDEN_PARTS = [
+    {
+        "stages": {"simulate": 1.0, "optimize": 0.5},
+        "counters": {
+            "sim_accesses": 1000, "sim_seconds": 0.5,
+            "kernel_accesses": 4000, "kernel_seconds": 0.5,
+            "kernel_passes": 2, "kernel_cells": 10,
+            "analysis_accesses": 2000, "analysis_seconds": 0.5,
+            "analysis_passes": 2, "analysis_cells": 4, "analysis_memo_hits": 2,
+            "staticlint_diags": 64, "staticlint_seconds": 0.125,
+            "staticlint_certified": 1,
+            "store_bytes_shipped": 0, "store_bytes_mapped": 4096,
+            "pool_fanouts": 1, "pool_reuses": 0,
+            "curve_passes": 20, "curve_seconds": 1.5, "curve_memo_hits": 9,
+            "fleet_cells": 111360, "fleet_seconds": 2.0,
+        },
+        "memo": {"hits": 1, "misses": 1, "disk_failures": 2,
+                 "breaker_trips": 1, "hit_rate": 0.5},
+        "store": {"puts": 0, "dup_puts": 0, "hits": 2, "misses": 0,
+                  "bytes_written": 0, "bytes_mapped": 8192,
+                  "corrupt_dropped": 0},
+        "resilience": {"workers_spawned": 2, "worker_crashes": 1,
+                       "partial": False},
+        "kernel_backend": "numpy",
+    },
+    {
+        "stages": {"simulate": 0.25, "prepare": 0.125},
+        "counters": {
+            "sim_accesses": 500, "sim_seconds": 0.25,
+            "kernel_accesses": 500, "kernel_seconds": 0.25,
+            "analysis_accesses": 1000, "analysis_seconds": 0.5,
+            "staticlint_diags": 400, "staticlint_certified": 7,
+            "store_bytes_shipped": 128, "pool_reuses": 3,
+            "curve_passes": 9, "fleet_cells": 640,
+        },
+        "memo": {"hits": 1, "misses": 0, "lock_waits": 3, "hit_rate": 1.0},
+        "store": {"puts": 0, "hits": 1},
+        "resilience": {"workers_spawned": 3, "worker_crashes": 0,
+                       "partial": True},
+        "kernel_backend": "numpy",
+    },
+    {"memo": None, "store": None, "resilience": None},
+]
+
+#: ``to_dict()`` of GOLDEN_PARTS (minus ``generated_at``), recorded from
+#: the per-section merge implementation this layout was defined by.
+GOLDEN_RENDER = {
+    "analysis": {
+        "accesses": 3000, "accesses_per_s": 3000.0, "backend": "numpy",
+        "cells": 4, "memo_hits": 2, "passes": 2, "seconds": 1.0,
+    },
+    "experiments": {
+        "fig4": {"attempts": 1, "elapsed_s": 1.234, "status": "ok"},
+        "table1": {"attempts": 3, "elapsed_s": 0.5, "status": "failed"},
+    },
+    "fleet": {
+        "cells": 112000, "cells_per_curve": 2947.4, "cells_per_s": 56000.0,
+        "curve_memo_hits": 9, "curve_passes": 29, "curve_seconds": 1.5,
+        "seconds": 2.0,
+    },
+    "jobs": 2,
+    "kernel": {
+        "accesses": 4500, "accesses_per_s": 6000.0, "backend": "numpy",
+        "cells": 10, "cells_per_pass": 5.0, "passes": 2, "seconds": 0.75,
+    },
+    "kernel_backend": "numpy",
+    "memo": {
+        "breaker_trips": 1, "disk_failures": 2, "hit_rate": 0.6667,
+        "hits": 2, "lock_waits": 3, "misses": 1,
+    },
+    "resilience": {"partial": True, "worker_crashes": 1, "workers_spawned": 5},
+    "scale": 0.05,
+    "schema": "repro.perf/bench.v8",
+    "simulator": {"accesses": 1500, "accesses_per_s": 2000.0, "seconds": 0.75},
+    "stages": {"optimize": 0.5, "prepare": 0.125, "simulate": 1.25},
+    "staticlint": {
+        "certified": 8, "diagnostics": 464, "diagnostics_per_s": 3712.0,
+        "seconds": 0.125,
+    },
+    "store": {
+        "backend": {
+            "bytes_mapped": 8192, "bytes_written": 0, "corrupt_dropped": 0,
+            "dup_puts": 0, "hits": 3, "misses": 0, "puts": 0,
+        },
+        "bytes_mapped": 4096, "bytes_shipped": 128, "pool_fanouts": 1,
+        "pool_reuses": 3,
+    },
+    "wall_s": 3.142,
+}
+
+#: ``to_dict()`` of a Telemetry nothing was merged into.
+EMPTY_RENDER = {
+    "analysis": {
+        "accesses": 0, "accesses_per_s": 0.0, "backend": None, "cells": 0,
+        "memo_hits": 0, "passes": 0, "seconds": 0.0,
+    },
+    "experiments": {},
+    "fleet": None,
+    "jobs": 1,
+    "kernel": {
+        "accesses": 0, "accesses_per_s": 0.0, "backend": None, "cells": 0,
+        "cells_per_pass": 0.0, "passes": 0, "seconds": 0.0,
+    },
+    "kernel_backend": None,
+    "memo": None,
+    "resilience": None,
+    "scale": 1.0,
+    "schema": "repro.perf/bench.v8",
+    "simulator": {"accesses": 0, "accesses_per_s": 0.0, "seconds": 0.0},
+    "stages": {},
+    "staticlint": {
+        "certified": 0, "diagnostics": 0, "diagnostics_per_s": 0.0,
+        "seconds": 0.0,
+    },
+    "store": None,
+    "wall_s": 0.0,
+}
+
+
+def _rendered(t: Telemetry) -> str:
+    """The report as written, minus its one epoch-time stamp."""
+    d = t.to_dict()
+    del d["generated_at"]
+    return json.dumps(d, indent=2, sort_keys=True)
+
+
+def _flat_keys(d: dict, prefix: str = "") -> set[str]:
+    keys: set[str] = set()
+    for k, v in d.items():
+        if isinstance(v, dict) and v:
+            keys |= _flat_keys(v, f"{prefix}{k}.")
+        else:
+            keys.add(f"{prefix}{k}")
+    return keys
 
 
 class TestTelemetry:
+    def test_golden_render_is_bench_v8(self):
+        """Golden lock on the bench.v8 layout: memo counters only some
+        parts carry are summed, hit_rate is recomputed (2/3), zero-valued
+        store counters survive, numbers sum and ``partial`` ORs."""
+        t = Telemetry(jobs=2, scale=0.05)
+        for part in GOLDEN_PARTS:
+            t.merge(part)
+        t.record_experiment("fig4", "ok", 1.2345, 1)
+        t.record_experiment("table1", "failed", 0.5, 3)
+        t.wall_s = 3.14159
+        assert _rendered(t) == json.dumps(GOLDEN_RENDER, indent=2, sort_keys=True)
+        assert _rendered(Telemetry()) == json.dumps(
+            EMPTY_RENDER, indent=2, sort_keys=True
+        )
+
+    def test_add_into_and_delta_are_inverse(self):
+        before = GOLDEN_PARTS[0]
+        after = add_into(add_into({}, before), GOLDEN_PARTS[1])
+        grown = delta(after, before)
+        assert grown["counters"]["sim_accesses"] == 500
+        assert grown["counters"]["kernel_passes"] == 0
+        assert grown["resilience"]["partial"] is True
+        assert grown["kernel_backend"] == "numpy"
+        assert "hit_rate" not in grown["memo"]
+        assert add_into(add_into({}, before), grown) == after
+
+    def test_add_into_never_aliases_the_part(self):
+        part = {"stages": {"simulate": 1.0}}
+        total = add_into({}, part)
+        add_into(total, part)
+        assert part == {"stages": {"simulate": 1.0}}
+        assert total == {"stages": {"simulate": 2.0}}
+
     def test_merging_and_schema(self):
         t = Telemetry(jobs=2, scale=0.1)
-        t.merge_stages({"simulate": 1.0, "optimize": 0.5})
-        t.merge_stages({"simulate": 0.25})
-        t.merge_counters({"sim_accesses": 1000, "sim_seconds": 0.5})
-        t.merge_counters({"sim_accesses": 500, "sim_seconds": 0.25})
-        t.merge_memo({"hits": 3, "misses": 1, "bypasses": 2})
+        t.merge({"stages": {"simulate": 1.0, "optimize": 0.5}})
+        t.merge({"stages": {"simulate": 0.25}})
+        t.merge({"counters": {"sim_accesses": 1000, "sim_seconds": 0.5}})
+        t.merge({"counters": {"sim_accesses": 500, "sim_seconds": 0.25}})
+        t.merge({"memo": {"hits": 3, "misses": 1, "bypasses": 2}})
         t.record_experiment("fig4", "ok", 1.234, 1)
         t.wall_s = 2.0
         d = t.to_dict()
@@ -40,12 +215,47 @@ class TestTelemetry:
 
     def test_memo_merge_accumulates_across_workers(self):
         t = Telemetry()
-        t.merge_memo({"hits": 1, "misses": 1})
-        t.merge_memo({"hits": 3, "misses": 0})
-        assert t.memo["hits"] == 4
-        assert t.memo["hit_rate"] == 0.8
-        t.merge_memo(None)  # workers without a memo ship None
-        assert t.memo["hits"] == 4
+        t.merge({"memo": {"hits": 1, "misses": 1}})
+        t.merge({"memo": {"hits": 3, "misses": 0}})
+        assert t.totals["memo"]["hits"] == 4
+        assert t.to_dict()["memo"]["hit_rate"] == 0.8
+        t.merge({"memo": None})  # workers without a memo ship None
+        assert t.totals["memo"]["hits"] == 4
+
+    def test_memo_merge_sums_every_numeric_counter(self):
+        """The memo counter key set is owned by SimMemo and has grown
+        (breaker, locks); merge must not hardcode it."""
+        t = Telemetry()
+        t.merge(
+            {"memo": {"hits": 1, "misses": 1, "disk_failures": 2,
+                      "breaker_trips": 1, "hit_rate": 0.5}}
+        )
+        t.merge({"memo": {"hits": 1, "misses": 0, "lock_waits": 3,
+                          "hit_rate": 1.0}})
+        memo = t.to_dict()["memo"]
+        assert memo["disk_failures"] == 2
+        assert memo["breaker_trips"] == 1
+        assert memo["lock_waits"] == 3
+        # hit_rate is recomputed from the sums, never summed.
+        assert memo["hit_rate"] == round(2 / 3, 4)
+
+    def test_resilience_merge_sums_numbers_and_ors_bools(self):
+        t = Telemetry()
+        t.merge(
+            {"resilience": {"workers_spawned": 2, "worker_crashes": 1,
+                            "partial": False}}
+        )
+        t.merge(
+            {"resilience": {"workers_spawned": 3, "worker_crashes": 0,
+                            "partial": True}}
+        )
+        t.merge({"resilience": None})  # serial paths ship nothing
+        assert t.to_dict()["resilience"] == {
+            "workers_spawned": 5,
+            "worker_crashes": 1,
+            "partial": True,
+        }
+        assert Telemetry().to_dict()["resilience"] is None
 
     def test_empty_telemetry_renders(self):
         d = Telemetry().to_dict()
@@ -63,14 +273,17 @@ class TestTelemetry:
         lab = Lab(scale=0.05, noise_sigma=0.0)
         t = Telemetry(jobs=1, scale=0.05)
         run_suite(lab, ["ablation-pruning"], out=io.StringIO(), telemetry=t)
-        assert t.experiments["ablation-pruning"]["status"] == "ok"
+        d = t.to_dict()
+        assert d["experiments"]["ablation-pruning"]["status"] == "ok"
         assert t.wall_s > 0
-        assert t.kernel_accesses > 0
-        assert t.kernel_seconds > 0
-        assert t.kernel_passes > 0
-        assert t.kernel_cells > 0
-        assert t.sim_accesses == 0
-        assert "simulate" in t.stages
+        assert d["kernel"]["accesses"] > 0
+        assert d["kernel"]["seconds"] > 0
+        assert d["kernel"]["passes"] > 0
+        assert d["kernel"]["cells"] > 0
+        assert d["simulator"]["accesses"] == 0
+        assert "simulate" in d["stages"]
+        # The snapshot carries the lab's resolved tier into the report.
+        assert d["kernel_backend"] == d["kernel"]["backend"] == lab.backend.name
 
     def test_run_suite_scalar_counters_without_kernel(self):
         # fig4 measures through the hw channel and co-runs only: the
@@ -78,21 +291,25 @@ class TestTelemetry:
         lab = Lab(scale=0.05, noise_sigma=0.0, kernel_backend="scalar")
         t = Telemetry(jobs=1, scale=0.05)
         run_suite(lab, ["fig4"], out=io.StringIO(), telemetry=t)
-        assert t.sim_accesses > 0
-        assert t.sim_seconds > 0
-        assert t.kernel_accesses == 0
+        d = t.to_dict()
+        assert d["simulator"]["accesses"] > 0
+        assert d["simulator"]["seconds"] > 0
+        assert d["kernel"]["accesses"] == 0
+        assert d["kernel_backend"] == "scalar"
 
     def test_kernel_counter_merge_and_rendering(self):
         t = Telemetry()
-        t.merge_counters(
+        t.merge(
             {
-                "kernel_accesses": 1000,
-                "kernel_seconds": 0.5,
-                "kernel_passes": 2,
-                "kernel_cells": 10,
+                "counters": {
+                    "kernel_accesses": 1000,
+                    "kernel_seconds": 0.5,
+                    "kernel_passes": 2,
+                    "kernel_cells": 10,
+                }
             }
         )
-        t.merge_counters({"kernel_accesses": 500, "kernel_seconds": 0.25})
+        t.merge({"counters": {"kernel_accesses": 500, "kernel_seconds": 0.25}})
         d = t.to_dict()["kernel"]
         assert d["accesses"] == 1500
         assert d["seconds"] == 0.75
@@ -106,16 +323,18 @@ class TestTelemetry:
         """bench.v3: the analysis section aggregates the optimize-stage
         locality-model kernel counters across experiments and workers."""
         t = Telemetry()
-        t.merge_counters(
+        t.merge(
             {
-                "analysis_accesses": 2000,
-                "analysis_seconds": 0.5,
-                "analysis_passes": 2,
-                "analysis_cells": 4,
-                "analysis_memo_hits": 2,
+                "counters": {
+                    "analysis_accesses": 2000,
+                    "analysis_seconds": 0.5,
+                    "analysis_passes": 2,
+                    "analysis_cells": 4,
+                    "analysis_memo_hits": 2,
+                }
             }
         )
-        t.merge_counters({"analysis_accesses": 1000, "analysis_seconds": 0.5})
+        t.merge({"counters": {"analysis_accesses": 1000, "analysis_seconds": 0.5}})
         d = t.to_dict()["analysis"]
         assert d["accesses"] == 3000
         assert d["seconds"] == 1.0
@@ -129,45 +348,69 @@ class TestTelemetry:
         lab = Lab(scale=0.05, noise_sigma=0.0)
         t = Telemetry(jobs=1, scale=0.05)
         run_suite(lab, ["ablation-pruning"], out=io.StringIO(), telemetry=t)
-        assert t.analysis_cells > 0
-        assert t.analysis_passes > 0
-        assert t.analysis_accesses > 0
-        assert t.analysis_seconds > 0
         d = t.to_dict()["analysis"]
-        assert d["cells"] == t.analysis_cells
+        assert d["cells"] > 0
+        assert d["passes"] > 0
+        assert d["accesses"] > 0
+        assert d["seconds"] > 0
+        assert d["cells"] == lab.counters["analysis_cells"]
         assert d["accesses_per_s"] > 0
 
-    def test_memo_merge_sums_every_numeric_counter(self):
-        """bench.v5: the memo counter key set is owned by SimMemo and has
-        grown (breaker, locks); merge must not hardcode it."""
-        t = Telemetry()
-        t.merge_memo(
-            {"hits": 1, "misses": 1, "disk_failures": 2, "breaker_trips": 1,
-             "hit_rate": 0.5}
-        )
-        t.merge_memo({"hits": 1, "misses": 0, "lock_waits": 3, "hit_rate": 1.0})
-        assert t.memo["disk_failures"] == 2
-        assert t.memo["breaker_trips"] == 1
-        assert t.memo["lock_waits"] == 3
-        # hit_rate is recomputed from the sums, never summed.
-        assert t.memo["hit_rate"] == round(2 / 3, 4)
+    def test_serial_and_parallel_reports_share_one_layout(self, tmp_path):
+        """The serial path merges the lab snapshot, the parallel path the
+        workers' deltas; both render the same report keys, except the
+        supervisor's resilience section only a pool has."""
+        reports = {}
+        for jobs in (1, 2):
+            t = Telemetry(jobs=jobs, scale=0.05)
+            run_suite(
+                Lab(scale=0.05, noise_sigma=0.0),
+                ["table1"],
+                out=io.StringIO(),
+                jobs=jobs,
+                telemetry=t,
+            )
+            path = t.write(tmp_path / f"BENCH_perf_{jobs}.json")
+            reports[jobs] = json.loads(path.read_text())
 
-    def test_resilience_merge_sums_numbers_and_ors_bools(self):
-        t = Telemetry()
-        t.merge_resilience(
-            {"workers_spawned": 2, "worker_crashes": 1, "partial": False}
-        )
-        t.merge_resilience(
-            {"workers_spawned": 3, "worker_crashes": 0, "partial": True}
-        )
-        t.merge_resilience(None)  # serial paths ship nothing
-        assert t.resilience == {
-            "workers_spawned": 5,
-            "worker_crashes": 1,
-            "partial": True,
+        def keys(report):
+            return {k for k in _flat_keys(report) if not k.startswith("resilience")}
+
+        assert keys(reports[1]) == keys(reports[2])
+        assert reports[1]["resilience"] is None
+        assert reports[2]["resilience"]["workers_spawned"] >= 1
+        assert reports[1]["kernel_backend"] == reports[2]["kernel_backend"]
+        assert reports[1]["kernel_backend"] is not None
+
+
+class TestMergeBenchSection:
+    def test_sets_section_and_keeps_the_rest(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps({"schema": BENCH_SCHEMA, "staticlint": {"x": 1}}))
+        merge_bench_section(path, "kernel_bench", {"speedup": 2.0})
+        assert json.loads(path.read_text()) == {
+            "schema": BENCH_SCHEMA,
+            "staticlint": {"x": 1},
+            "kernel_bench": {"speedup": 2.0},
         }
-        assert t.to_dict()["resilience"]["partial"] is True
-        assert Telemetry().to_dict()["resilience"] is None
+
+    @pytest.mark.parametrize("content", [None, "not json", "[1, 2]"])
+    def test_missing_or_unreadable_report_starts_fresh(self, tmp_path, content):
+        path = tmp_path / "BENCH_perf.json"
+        if content is not None:
+            path.write_text(content)
+        merge_bench_section(path, "store_bench", {"ratio": 10.0})
+        assert json.loads(path.read_text()) == {
+            "schema": BENCH_SCHEMA,
+            "store_bench": {"ratio": 10.0},
+        }
+
+    @pytest.mark.parametrize("name", ["staticlint", "kernel", "stages", "schema"])
+    def test_suite_sections_are_refused(self, tmp_path, name):
+        path = tmp_path / "BENCH_perf.json"
+        with pytest.raises(ValueError, match="suite section"):
+            merge_bench_section(path, name, {})
+        assert not path.exists()
 
 
 class TestCompareJournalOutcomes:
@@ -247,8 +490,10 @@ class TestPerfCli:
 
     def test_show_bench_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "something.else"}))
-        assert perf_main(["show-bench", str(path)]) == 2
+        # Only the current layout is read; older bench tags are foreign.
+        for schema in ("something.else", "repro.perf/bench.v7"):
+            path.write_text(json.dumps({"schema": schema}))
+            assert perf_main(["show-bench", str(path)]) == 2
 
     def test_kernel_bench_parity_gate(self, tmp_path, capsys):
         bench = tmp_path / "BENCH_perf.json"
@@ -316,19 +561,6 @@ class TestPerfCli:
         assert code == 1
         assert "below required" in capsys.readouterr().err
 
-    def test_show_bench_accepts_v2_reports(self, tmp_path, capsys):
-        path = tmp_path / "old.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro.perf/bench.v2",
-                    "simulator": {"accesses": 1, "seconds": 0.1},
-                }
-            )
-        )
-        assert perf_main(["show-bench", str(path)]) == 0
-        assert "simulator:" in capsys.readouterr().out
-
     def test_no_fast_analysis_journal_parity(self, tmp_path, capsys):
         """The full pipeline output is byte-identical on the default tier
         and on the scalar oracle tier (modulo timing fields) — the
@@ -365,21 +597,8 @@ class TestPerfCli:
         ) == 0
         assert "journals agree" in capsys.readouterr().out
 
-    def test_show_bench_accepts_v4_reports_and_shows_resilience(
-        self, tmp_path, capsys
-    ):
-        old = tmp_path / "v4.json"
-        old.write_text(
-            json.dumps(
-                {
-                    "schema": "repro.perf/bench.v4",
-                    "simulator": {"accesses": 1, "seconds": 0.1},
-                }
-            )
-        )
-        assert perf_main(["show-bench", str(old)]) == 0
-        capsys.readouterr()
-        new = tmp_path / "v5.json"
+    def test_show_bench_shows_resilience(self, tmp_path, capsys):
+        new = tmp_path / "v8.json"
         new.write_text(
             json.dumps(
                 {
@@ -468,29 +687,24 @@ def test_telemetry_tolerates_any_jobs_value(bad):
 class TestFleetSection:
     """bench.v7: the footprint-curve composition ("fleet") section."""
 
-    def test_schema_is_v8_with_compat_chain(self):
-        from repro.perf.telemetry import COMPAT_SCHEMAS
-
-        assert BENCH_SCHEMA == "repro.perf/bench.v8"
-        assert "repro.perf/bench.v7" in COMPAT_SCHEMAS
-        assert "repro.perf/bench.v6" in COMPAT_SCHEMAS
-
     def test_section_absent_without_curve_work(self):
         t = Telemetry(jobs=1, scale=0.1)
         assert t.to_dict()["fleet"] is None
 
     def test_section_aggregates_curve_counters(self):
         t = Telemetry(jobs=2, scale=0.1)
-        t.merge_counters(
+        t.merge(
             {
-                "curve_passes": 20,
-                "curve_memo_hits": 9,
-                "curve_seconds": 1.5,
-                "fleet_cells": 111360,
-                "fleet_seconds": 2.0,
+                "counters": {
+                    "curve_passes": 20,
+                    "curve_memo_hits": 9,
+                    "curve_seconds": 1.5,
+                    "fleet_cells": 111360,
+                    "fleet_seconds": 2.0,
+                }
             }
         )
-        t.merge_counters({"curve_passes": 9, "fleet_cells": 640})
+        t.merge({"counters": {"curve_passes": 9, "fleet_cells": 640}})
         fleet = t.to_dict()["fleet"]
         assert fleet["cells"] == 112000
         assert fleet["curve_passes"] == 29
@@ -502,7 +716,9 @@ class TestFleetSection:
 
     def test_section_survives_json(self):
         t = Telemetry(jobs=1, scale=1.0)
-        t.merge_counters({"curve_passes": 1, "fleet_cells": 10, "fleet_seconds": 0.0})
+        t.merge(
+            {"counters": {"curve_passes": 1, "fleet_cells": 10, "fleet_seconds": 0.0}}
+        )
         raw = json.loads(json.dumps(t.to_dict()))
         assert raw["schema"] == BENCH_SCHEMA
         assert raw["fleet"]["cells"] == 10

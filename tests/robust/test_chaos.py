@@ -193,9 +193,9 @@ class TestChaosSoak:
         )
         assert all(o.status == "ok" for o in outcomes)
         # At least one worker was killed and one hang detected.
-        assert telemetry.resilience["worker_crashes"] >= 1
-        assert telemetry.resilience["worker_hangs"] >= 1
-        assert telemetry.resilience["partial"] is False
+        assert telemetry.totals["resilience"]["worker_crashes"] >= 1
+        assert telemetry.totals["resilience"]["worker_hangs"] >= 1
+        assert telemetry.totals["resilience"]["partial"] is False
         diffs = compare_journal_outcomes(
             [vars(e) for e in clean.entries()],
             [vars(e) for e in chaotic.entries()],

@@ -99,11 +99,47 @@ def test_certify_json_and_bench_merge(capsys, certify_json):
     assert result["n_lines"] > 0
 
     bench = json.loads(certify_json.read_text())
-    section = bench["staticlint"]
+    section = bench["staticlint_bench"]
     assert section["ok"] is True
     assert section["certified"] == 1
     assert section["certify"][0]["program"] == "syn-mcf"
     assert {"diagnostics", "seconds", "diagnostics_per_s"} <= set(section)
+
+
+def test_certify_bench_keeps_the_suite_staticlint_section(capsys, tmp_path):
+    """Regression: ``certify --bench`` used to overwrite the suite's
+    ``staticlint`` counters with its own numbers; it now writes its own
+    ``staticlint_bench`` section next to them."""
+    from repro.perf import Telemetry
+    from repro.perf.__main__ import main as perf_main
+
+    suite = Telemetry(jobs=2, scale=0.05)
+    suite.merge({"counters": {"staticlint_certified": 8, "staticlint_diags": 464}})
+    bench = suite.write(tmp_path / "BENCH_perf.json")
+    before = json.loads(bench.read_text())["staticlint"]
+
+    rc, out = run(
+        capsys,
+        "certify",
+        "--programs", "syn-mcf",
+        "--scale", "0.05",
+        "--min-conflict-rho", "-1",
+        "--bench", str(bench),
+    )
+    assert rc == 0
+    assert "staticlint_bench section written" in out
+    merged = json.loads(bench.read_text())
+    assert merged["staticlint"] == before
+    assert merged["staticlint"]["certified"] == 8
+    assert "certify" not in merged["staticlint"]
+    assert merged["staticlint_bench"]["certified"] == 1
+
+    assert perf_main(["show-bench", str(bench)]) == 0
+    shown = capsys.readouterr().out
+    assert "staticlint: 464 diagnostics" in shown
+    (gate_line,) = [ln for ln in shown.splitlines() if ln.startswith("staticlint-bench:")]
+    assert gate_line.endswith("1 program(s) certified")
+    assert "certify syn-mcf/baseline" in shown
 
 
 def test_certify_threshold_failure_exits_1(capsys):
