@@ -308,6 +308,8 @@ class AffinityAnalysis:
 
     def covered(self, x: int, y: int, w: int) -> int:
         """Occurrences of ``x`` whose minimal window footprint to ``y`` <= w."""
+        if w < 1:
+            raise ValueError(f"w={w} must be >= 1")
         hist = self._cov.get((x, y))
         if hist is None:
             return 0
@@ -316,8 +318,8 @@ class AffinityAnalysis:
 
     def is_affine(self, x: int, y: int, w: int) -> bool:
         """w-window affinity per Definition 3 (with the coverage threshold)."""
-        if w > self.w_max:
-            raise ValueError(f"w={w} exceeds analysed w_max={self.w_max}")
+        if not 1 <= w <= self.w_max:
+            raise ValueError(f"w={w} is outside the analysed 1..{self.w_max}")
         if x == y:
             return True
         need_x = self.coverage * self._n_occ.get(x, 0)
@@ -325,6 +327,36 @@ class AffinityAnalysis:
         if need_x == 0 or need_y == 0:
             return False
         return self.covered(x, y, w) >= need_x and self.covered(y, x, w) >= need_y
+
+    def onset_matrix(self) -> np.ndarray:
+        """Every pair's affinity onset, over :attr:`symbols` order.
+
+        ``D[i, j]`` is the smallest w at which symbols i and j are
+        w-affine, or ``w_max + 1`` if they never are, so for ``1 <= w <=
+        w_max`` :meth:`is_affine` is exactly ``w >= D[i, j]`` (the diagonal
+        is 0).  That holds because :meth:`covered` is a prefix sum of a
+        non-negative histogram, hence monotone in w: each direction
+        crosses its threshold once, at the first cumulative count that
+        reaches it.
+        """
+        symbols = self.symbols
+        never = self.w_max + 1
+        directed = np.full(
+            (len(symbols), len(symbols)), never, dtype=np.min_scalar_type(never)
+        )
+        if self._cov:
+            index = {s: i for i, s in enumerate(symbols)}
+            rows, cols = np.array([(index[x], index[y]) for x, y in self._cov]).T
+            occ = np.array([self._n_occ[s] for s in symbols])
+            need = self.coverage * occ[rows]
+            covered = np.array(list(self._cov.values()))
+            reached = np.cumsum(covered, axis=1, out=covered) >= need[:, None]
+            directed[rows, cols] = np.where(
+                reached.any(axis=1) & (need > 0), reached.argmax(axis=1), never
+            )
+        onsets = np.maximum(directed, directed.T)
+        np.fill_diagonal(onsets, 0)
+        return onsets
 
     def affine_pairs(self, w: int) -> set[tuple[int, int]]:
         """All unordered affine pairs at window size ``w``."""

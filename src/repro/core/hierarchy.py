@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .affinity import AffinityAnalysis
 
 __all__ = ["AffinityNode", "build_hierarchy", "layout_order", "hierarchy_levels"]
@@ -65,7 +67,8 @@ def build_hierarchy(
 
     ``w_values`` defaults to ``2 .. analysis.w_max`` (w=1 never groups
     anything in a trimmed trace: two blocks in a window of footprint 1 is
-    impossible).  Values must be ascending.
+    impossible).  Values must be strictly ascending, ``>= 1`` and at most
+    ``analysis.w_max``.
 
     Greedy unit merging with lower-level precedence: at each w, existing
     units (initially singleton leaves, ordered by first occurrence) are
@@ -73,6 +76,16 @@ def build_hierarchy(
     every member block is pairwise w-affine with every block of the unit,
     or starts a new group.  Groups with a single unit are dissolved back to
     the unit (no spurious unary nodes).
+
+    Every pairwise test is read off :meth:`AffinityAnalysis.onset_matrix`:
+    two blocks are w-affine iff ``w >= onset``.  The unit onset matrix
+    holds the max block onset over each pair of units, and an open
+    group's row is the elementwise max over its units' rows, so "the unit
+    fits the group" is one comparison, made for all open groups at once.
+    Levels at which no two units are affine are skipped, and units with
+    no affine partner stay singletons without being scanned.  The forest
+    is node for node the one the pair-by-pair reading builds (the test
+    oracle).
     """
     if w_values is None:
         w_values = range(2, analysis.w_max + 1)
@@ -81,46 +94,74 @@ def build_hierarchy(
         raise ValueError("w_values must be strictly ascending")
     if w_list and w_list[-1] > analysis.w_max:
         raise ValueError("w_values exceed the analysed w_max")
+    if w_list and w_list[0] < 1:
+        raise ValueError("w_values must be >= 1")
 
     units: list[AffinityNode] = [
         AffinityNode(w=0, symbol=s, first_occ=analysis.first_occurrence(s))
         for s in analysis.symbols
     ]
+    never = analysis.w_max + 1
+    onsets = analysis.onset_matrix()
+    np.fill_diagonal(onsets, never)
+    nearest = onsets.min(axis=1, initial=never)
 
     for w in w_list:
-        if len(units) <= 1:
-            break
-        groups: list[list[AffinityNode]] = []
-        for unit in units:
-            unit_members = unit.members()
-            placed = False
-            for group in groups:
-                if all(
-                    analysis.is_affine(a, b, w)
-                    for node in group
-                    for a in node.members()
-                    for b in unit_members
-                ):
-                    group.append(unit)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([unit])
-        new_units: list[AffinityNode] = []
-        for group in groups:
-            if len(group) == 1:
-                new_units.append(group[0])
-            else:
-                group.sort(key=lambda node: node.first_occ)
-                new_units.append(
-                    AffinityNode(
-                        w=w, children=group, first_occ=group[0].first_occ
-                    )
-                )
+        active = np.flatnonzero(nearest <= w)
+        if active.size == 0:
+            continue
+        groups = [
+            active[g].tolist()
+            for g in _first_fit(onsets[np.ix_(active, active)], w)
+            if len(g) > 1
+        ]
+        grouped = {g[0]: g for g in groups}
+        followers = {u for g in groups for u in g[1:]}
+        # Next-level units in group-creation order: each group sits at its
+        # first unit's place, and every other unit carries over.
+        leaders = [u for u in range(len(units)) if u not in followers]
+        merged = [(i, grouped[u]) for i, u in enumerate(leaders) if u in grouped]
+        new_units = [units[u] for u in leaders]
+        for i, group in merged:
+            children = sorted((units[u] for u in group), key=lambda n: n.first_occ)
+            new_units[i] = AffinityNode(
+                w=w, children=children, first_occ=children[0].first_occ
+            )
         units = new_units
+
+        # A merged unit's onset row and column are the max over its members'.
+        rows = onsets[leaders]
+        for i, group in merged:
+            rows[i] = onsets[group].max(axis=0)
+        onsets = rows[:, leaders]
+        for i, group in merged:
+            onsets[:, i] = rows[:, group].max(axis=1)
+        np.fill_diagonal(onsets, never)
+        nearest = onsets.min(axis=1, initial=never)
 
     units.sort(key=lambda node: node.first_occ)
     return units
+
+
+def _first_fit(onsets: np.ndarray, w: int) -> list[list[int]]:
+    """First-fit grouping of units (rows of ``onsets``) at window size w.
+
+    Returns the groups in creation order, each listing its units in
+    joining order.  ``rows[g]`` is the max onset from any unit of group g,
+    so unit u fits group g iff ``rows[g, u] <= w``.
+    """
+    rows = np.empty_like(onsets)
+    groups: list[list[int]] = []
+    for u in range(len(onsets)):
+        fits = np.flatnonzero(rows[: len(groups), u] <= w)
+        if fits.size:
+            g = int(fits[0])
+            groups[g].append(u)
+            np.maximum(rows[g], onsets[u], out=rows[g])
+        else:
+            rows[len(groups)] = onsets[u]
+            groups.append([u])
+    return groups
 
 
 def layout_order(forest: Iterable[AffinityNode]) -> list[int]:

@@ -95,6 +95,12 @@ class OptimizerConfig:
     #: ``numpy`` with bit-identical results.
     kernel_backend: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.w_min <= self.w_max:
+            raise ValueError(
+                f"need 1 <= w_min <= w_max, got w_min={self.w_min}, w_max={self.w_max}"
+            )
+
     def w_values(self) -> range:
         return range(self.w_min, self.w_max + 1)
 

@@ -62,7 +62,7 @@ from ..machine.timing import ThreadCost, TimingParams, thread_cost
 from ..perf.telemetry import add_into
 from ..robust.errors import ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
-from ..workloads.suite import SuiteProgram
+from ..workloads.suite import SuiteProgram, get_program
 from ..workloads.suite import build as build_suite_program
 
 __all__ = ["BASELINE", "THREAD_STRIDE", "Lab", "MissRatios", "PreparedProgram"]
@@ -401,8 +401,7 @@ class Lab:
             with self._stage("prepare"), error_context(
                 "prepare", program=name, reraise=ProfileError
             ):
-                prog, module = build_suite_program(name)
-                spec = prog.spec
+                spec = get_program(name).spec
                 ref_blocks = max(10_000, int(spec.ref_blocks * self.scale))
                 test_blocks = max(5_000, int(spec.test_blocks * self.scale))
                 prog, module = build_suite_program(

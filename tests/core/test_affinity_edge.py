@@ -18,6 +18,17 @@ def test_forward_coverage_through_intervening_occurrence():
     assert analysis.covered(2, 3, 3) == 2
 
 
+@pytest.mark.parametrize("w", [0, -3])
+def test_window_below_one_is_rejected(w):
+    """A negative w used to slice the histogram from its far end, so
+    ``covered(1, 4, -3)`` counted footprints up to w_max - 3."""
+    analysis = AffinityAnalysis(np.array([1, 4, 2, 4, 2, 3, 5, 1, 4]), w_max=6)
+    with pytest.raises(ValueError):
+        analysis.covered(1, 4, w)
+    with pytest.raises(ValueError):
+        analysis.is_affine(1, 4, w)
+
+
 def test_two_symbol_alternation():
     t = np.tile([7, 9], 50)
     analysis = AffinityAnalysis(t, w_max=4)

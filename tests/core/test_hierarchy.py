@@ -73,6 +73,10 @@ def test_w_values_validation():
         build_hierarchy(analysis, w_values=[3, 3])
     with pytest.raises(ValueError):
         build_hierarchy(analysis, w_values=[2, 10])
+    with pytest.raises(ValueError):
+        build_hierarchy(analysis, w_values=[-3])
+    with pytest.raises(ValueError):
+        build_hierarchy(analysis, w_values=[0, 2])
 
 
 def test_single_symbol_trace():

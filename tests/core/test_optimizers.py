@@ -123,3 +123,9 @@ def test_config_w_values():
     cfg = OptimizerConfig(w_min=3, w_max=5)
     assert list(cfg.w_values()) == [3, 4, 5]
     assert cfg.cache == PAPER_L1I
+
+
+@pytest.mark.parametrize("w_min, w_max", [(0, 20), (-3, 20), (6, 5)])
+def test_config_rejects_bad_window_range(w_min, w_max):
+    with pytest.raises(ValueError):
+        OptimizerConfig(w_min=w_min, w_max=w_max)

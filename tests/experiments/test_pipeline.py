@@ -31,6 +31,23 @@ def test_program_memoized(lab):
     assert p1.instr_count > 0
 
 
+def test_program_builds_each_module_once(monkeypatch):
+    from repro.workloads import suite
+
+    calls = []
+    real = suite.build_program
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(suite, "build_program", counting)
+    fresh = Lab(scale=SCALE, noise_sigma=0.0)
+    fresh.program("syn-mcf")
+    fresh.program("syn-mcf")
+    assert len(calls) == 1
+
+
 def test_scale_shrinks_budgets(lab):
     p = lab.program("syn-mcf")
     from repro.workloads import SUITE
