@@ -1,9 +1,9 @@
 """Profile one kernel pass per backend tier: where does the time go?
 
 Runs cProfile over a single stack-distance histogram pass, a single
-affinity coverage sweep, and a single TRG build on each registered
-backend tier (``scalar``/``numpy``/``compiled``), and writes the top-N
-cumulative-time tables to ``artifacts/profile_kernels_<tier>.txt``.
+affinity coverage sweep, and a single TRG build on each backend tier
+(``numpy``/``scalar``), and writes the top-N cumulative-time tables to
+``artifacts/profile_kernels_<tier>.txt``.
 This is the drill-down companion to ``python -m repro.perf
 kernel-bench``: the bench says *how much* faster a tier is, the profile
 says *which* inner pass the time moved to.
@@ -11,7 +11,7 @@ says *which* inner pass the time moved to.
 Usage::
 
     python benchmarks/profile_kernels.py [--scale 0.25] [--top 25]
-        [--backend numpy,compiled] [--out-dir artifacts]
+        [--backend numpy,scalar] [--out-dir artifacts]
 
 Purely observational — no gates, no parity checks (those live in the
 bench and in tests/perf/test_backends.py).
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         metavar="TIERS",
-        help="comma-separated tiers to profile (default: every available)",
+        help="comma-separated tiers to profile (default: both)",
     )
     parser.add_argument(
         "--out-dir",
@@ -94,11 +94,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        backend = resolve_backend(name)  # strict: typos fail loudly
-        if name == "compiled":  # JIT outside the profile
-            backend.histogram(stream, args.n_sets)
-            backend.affinity(trace, w_max=args.w_max)
-            backend.trg(trace, args.window_blocks)
+        backend = resolve_backend(name)  # typos fail loudly
         report = (
             f"# kernel profile: tier={name} program={args.program} "
             f"scale={args.scale}\n\n"

@@ -52,7 +52,6 @@ from .stats import CacheStats
 
 __all__ = [
     "DistanceHistogram",
-    "build_histogram",
     "fenwick_histogram",
     "per_line_misses",
     "stack_distance_histogram",
@@ -378,7 +377,7 @@ def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndar
     return cold, _trim(hist)
 
 
-def build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHistogram:
+def _build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHistogram:
     """Exact per-set LRU stack-distance histogram of ``lines``.
 
     ``n_sets`` must be a power of two (set index is ``line & (n_sets-1)``,
@@ -400,12 +399,12 @@ def build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHis
 
 def stack_distance_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
     """The histogram by the batch sweep (the ``numpy`` tier)."""
-    return build_histogram(lines, n_sets, _sweep_histogram)
+    return _build_histogram(lines, n_sets, _sweep_histogram)
 
 
 def fenwick_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
     """The histogram by the per-access Fenwick tree (the ``scalar`` tier)."""
-    return build_histogram(lines, n_sets, _bit_histogram)
+    return _build_histogram(lines, n_sets, _bit_histogram)
 
 
 def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:

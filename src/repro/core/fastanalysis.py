@@ -241,20 +241,10 @@ def _recency_records(
     return partners, counts, positions
 
 
-def _recency_records_numpy(
-    inv: np.ndarray, n_syms: int, K: int, with_pos: bool
-) -> tuple["array", "array", "array"]:
-    """Default (CPython) record pass: adapt :func:`_recency_records` to
-    the array-in contract shared with the compiled tier."""
-    return _recency_records(inv.tolist(), n_syms, K, with_pos)
-
-
 def affinity_coverage(
     trace: np.ndarray,
     w_max: int = 20,
     time_horizon: Optional[int] = None,
-    *,
-    records_fn=None,
 ) -> AffinityCoverage:
     """Two batched passes computing the full 2..w_max coverage sweep.
 
@@ -274,14 +264,6 @@ def affinity_coverage(
     ``time_horizon + 1`` steps after the occurrence — a vectorized filter
     here.  The per-(occurrence, partner) minimum and the per-pair
     histogram fold are NumPy sort/unique passes.
-
-    ``records_fn`` swaps the event-pass implementation (the
-    ``compiled`` tier of :mod:`repro.perf.backends` injects its JIT'd
-    pass here): it takes ``(inv, n_syms, K, with_pos)`` with ``inv`` a
-    compact-id array and returns the same three flat int32 buffers as
-    :func:`_recency_records`.  The NumPy join/aggregation below is
-    shared by every tier, so tiers differ only in how the records are
-    produced — which is what keeps them structurally bit-identical.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -297,9 +279,9 @@ def affinity_coverage(
     first_occ = {int(s): int(i) for s, i in zip(syms, first_idx)}
 
     K = w_max - 1
-    records = records_fn if records_fn is not None else _recency_records_numpy
-    bwd = records(inv, n_syms, K, False)
-    fwd = records(inv[::-1], n_syms, K, time_horizon is not None)
+    seq = inv.tolist()
+    bwd = _recency_records(seq, n_syms, K, False)
+    fwd = _recency_records(seq[::-1], n_syms, K, time_horizon is not None)
     if len(bwd[0]) == 0 and len(fwd[0]) == 0:
         return AffinityCoverage(w_max, time_horizon, n_occ, first_occ, {})
 
@@ -433,8 +415,6 @@ def _trg_records(
 def build_trg_fast(
     trace: np.ndarray,
     window_blocks: Optional[int] = None,
-    *,
-    records_fn=None,
 ) -> TRG:
     """Vectorized TRG construction, bit-identical to
     :func:`~repro.core.trg.build_trg`.
@@ -445,10 +425,6 @@ def build_trg_fast(
     depth d appends its d-1 interleaved ids to a flat pair log.  Edge
     weights fall out of one ``np.unique`` over the encoded (min, max)
     pairs — no per-conflict dict updates.
-
-    ``records_fn`` swaps the event pass (same contract as
-    :func:`_trg_records`; the ``compiled`` backend tier injects its
-    JIT'd pass) while the weight aggregation below stays shared.
     """
     if window_blocks is not None and window_blocks <= 0:
         raise ValueError("capacity must be positive or None")
@@ -461,8 +437,7 @@ def build_trg_fast(
     n_syms = int(syms.shape[0])
     trg.nodes = [int(syms[i]) for i in np.argsort(first_idx, kind="stable")]
 
-    records = records_fn if records_fn is not None else _trg_records
-    e_x, e_cnt, e_y = records(inv, n_syms, window_blocks)
+    e_x, e_cnt, e_y = _trg_records(inv, n_syms, window_blocks)
 
     if len(e_y):
         xs = np.repeat(

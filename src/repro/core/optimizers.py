@@ -88,11 +88,9 @@ class OptimizerConfig:
     cache: CacheConfig = field(default=PAPER_L1I)
     #: TRG examines a window of ``trg_window_factor * cache size``.
     trg_window_factor: float = 2.0
-    #: kernel backend tier the locality models run on (``scalar`` /
-    #: ``numpy`` / ``compiled``; see :mod:`repro.perf.backends`).  None
-    #: resolves to the fastest tier available *where the analysis runs*
-    #: — a worker without numba degrades a ``compiled`` request to
-    #: ``numpy`` with bit-identical results.
+    #: kernel backend tier the locality models run on (``numpy`` /
+    #: ``scalar``; see :mod:`repro.perf.backends`).  None resolves to
+    #: the default ``numpy`` tier.
     kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -100,6 +98,14 @@ class OptimizerConfig:
             raise ValueError(
                 f"need 1 <= w_min <= w_max, got w_min={self.w_min}, w_max={self.w_max}"
             )
+        if self.kernel_backend is not None:
+            from ..perf.backends import TIERS
+
+            if self.kernel_backend not in TIERS:
+                raise ValueError(
+                    f"unknown kernel backend {self.kernel_backend!r}; "
+                    f"known: {', '.join(TIERS)}"
+                )
 
     def w_values(self) -> range:
         return range(self.w_min, self.w_max + 1)
@@ -155,10 +161,10 @@ def _note_analysis(
 
 
 def _backend(config: OptimizerConfig):
-    """The configured kernel tier, resolved where the analysis runs."""
+    """The configured kernel tier."""
     from ..perf import backends
 
-    return backends.resolve_backend(config.kernel_backend, strict=False)
+    return backends.resolve_backend(config.kernel_backend)
 
 
 def _affinity_analysis(

@@ -132,12 +132,9 @@ class Lab:
         histogram and the locality models (see
         :mod:`repro.perf.backends`) — the lab's only choice of kernel
         implementation; ``"scalar"`` runs the oracles.  ``None`` (default)
-        resolves to the fastest available tier; an explicit name is
-        resolved with ``strict=False`` so a lab reconstructed inside a
-        worker without numba degrades ``compiled -> numpy`` with
-        bit-identical results.  Also mirrored into
-        ``optimizer_config.kernel_backend`` so the analysis kernels the
-        optimizers run inherit the same tier.
+        resolves to ``numpy``; an unknown name raises ``ValueError``.
+        Also mirrored into ``optimizer_config.kernel_backend`` so the
+        analysis kernels the optimizers run inherit the same tier.
     store: optional :class:`repro.perf.store.TraceStore`.  When set, the
         cell fan-outs publish each fetch stream once and ship ~100-byte
         :class:`~repro.perf.store.StoreRef` descriptors to workers, which
@@ -178,7 +175,7 @@ class Lab:
         self.scale = scale
         self.optimizer_config = optimizer_config or OptimizerConfig(cache=cache_cfg)
         #: requested kernel tier (travels through spawn_config; workers
-        #: re-resolve it against their own environment).
+        #: resolve the same name).
         self.kernel_backend = kernel_backend
         if kernel_backend is not None:
             self.optimizer_config = dataclasses.replace(
@@ -187,7 +184,7 @@ class Lab:
         from ..perf.backends import resolve_backend
 
         #: the resolved tier every histogram of this lab runs on.
-        self.backend = resolve_backend(kernel_backend, strict=False)
+        self.backend = resolve_backend(kernel_backend)
         self.quantum = quantum
         self.noise_sigma = noise_sigma
         self.timing = timing

@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TextIO
 
+from ..perf.backends import TIERS
 from ..perf.telemetry import delta
 from ..robust.errors import ReproError, SimulationError
 from ..robust.journal import RunJournal
@@ -603,11 +604,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel-backend",
         default=None,
-        choices=("scalar", "numpy", "compiled"),
+        choices=TIERS,
         metavar="TIER",
-        help="force one kernel tier (scalar|numpy|compiled) for the "
+        help=f"force one kernel tier ({'|'.join(TIERS)}) for the "
         "stack-distance histogram and the locality models instead of the "
-        "fastest available; all tiers are parity-gated bit-identical, and "
+        f"default {TIERS[0]}; the tiers are parity-gated bit-identical, and "
         "scalar is the oracle run (see docs/performance.md)",
     )
     parser.add_argument(
@@ -667,16 +668,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.hang_timeout is not None and args.hang_timeout <= 0:
         print("error: --hang-timeout must be > 0", file=sys.stderr)
         return 2
-    if args.kernel_backend is not None:
-        from ..perf.backends import resolve_backend
-
-        try:
-            # Strict here: a user forcing an uninstalled tier gets a loud
-            # error up front.  Workers still resolve with strict=False.
-            resolve_backend(args.kernel_backend)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     chaos = None
     if args.chaos is not None:

@@ -42,10 +42,6 @@ Subcommands:
     the numbers under ``analysis_bench``; ``--out PATH`` writes a
     standalone ``BENCH_analysis.json``.
 
-Both benches accept ``--require-compiled-wins`` (used by the CI
-``[compiled]`` job) to additionally assert that the ``compiled`` tier,
-when measured, is at least as fast as ``numpy``.
-
 ``store-bench``
     Transport gate for the zero-copy trace store
     (:mod:`repro.perf.store`): fans the L1I-family histogram cells of
@@ -85,9 +81,9 @@ KERNEL_BENCH_SCHEMA = "repro.perf/kernel-bench.v1"
 def _select_backends(spec, *, include_scalar: bool = True) -> list[str]:
     """Resolve a ``--backend`` spec to a validated tier-name list.
 
-    ``None``/``"all"`` means every available tier (fastest first);
-    an explicit comma-separated list is resolved strictly, so asking
-    for an uninstalled tier fails loudly.  Raises ValueError.
+    ``None``/``"all"`` means every tier (the default first); an
+    explicit comma-separated list must name known tiers.  Raises
+    ValueError.
     """
     from .backends import available_backends, resolve_backend
 
@@ -100,22 +96,8 @@ def _select_backends(spec, *, include_scalar: bool = True) -> list[str]:
     if not names:
         raise ValueError("--backend selects no tiers")
     for name in names:
-        resolve_backend(name)  # strict: unknown/unavailable raises
+        resolve_backend(name)  # unknown names raise
     return names
-
-
-def _check_compiled_wins(rows: dict, require: bool) -> list[str]:
-    """The tier-order gate: ``compiled`` must not lose to ``numpy``."""
-    if "compiled" not in rows or "numpy" not in rows:
-        return []
-    c, n = rows["compiled"]["seconds"], rows["numpy"]["seconds"]
-    if c <= n:
-        return []
-    msg = f"compiled tier slower than numpy ({c:.4f}s vs {n:.4f}s)"
-    if require:
-        return [msg]
-    print(f"warning: {msg}", file=sys.stderr)
-    return []
 
 
 def _run_kernel_bench(args) -> int:
@@ -166,8 +148,6 @@ def _run_kernel_bench(args) -> int:
     mismatches: list[str] = []
     for name in names:
         backend = resolve_backend(name)
-        if name == "compiled":
-            backend.histogram(kernel_input, n_sets)  # JIT warm-up
         best, hist = float("inf"), None
         for _ in range(reps):
             t0 = time.perf_counter()
@@ -217,7 +197,6 @@ def _run_kernel_bench(args) -> int:
             f"fastest tier ({fastest}) speedup {speedup:.1f}x below "
             f"required {args.min_speedup:.1f}x"
         )
-    failures += _check_compiled_wins(rows, args.require_compiled_wins)
     if args.baseline is not None:
         try:
             with open(args.baseline) as fh:
@@ -283,7 +262,7 @@ def _run_analysis_bench(args) -> int:
 
     try:
         # Scalar is the timed reference below; the tier loop covers the
-        # faster backends (numpy always, compiled when installed).
+        # faster numpy backend.
         names = _select_backends(args.backend, include_scalar=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -326,9 +305,6 @@ def _run_analysis_bench(args) -> int:
     mismatches: list[str] = []
     for name in names:
         backend = resolve_backend(name)
-        if name == "compiled":  # JIT warm-up outside the timed reps
-            backend.affinity(kernel_trace, w_max=w_max)
-            backend.trg(kernel_trace, window)
         aff_s, covg = timed(lambda: backend.affinity(kernel_trace, w_max=w_max))
         trg_s, trg = timed(lambda: backend.trg(kernel_trace, window))
         if scalar_covg != covg:
@@ -385,7 +361,6 @@ def _run_analysis_bench(args) -> int:
             f"fastest tier ({fastest}) speedup {speedup:.2f}x below "
             f"required {args.min_speedup:.1f}x"
         )
-    failures += _check_compiled_wins(rows, args.require_compiled_wins)
     if failures:
         for f in failures:
             print(f"error: {f}", file=sys.stderr)
@@ -541,8 +516,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default=None,
         metavar="TIERS",
-        help="comma-separated kernel tiers to measure (scalar, numpy, "
-        "compiled), or 'all'; default: every available tier",
+        help="comma-separated kernel tiers to measure (numpy, scalar), "
+        "or 'all'; default: both tiers",
     )
     kb_p.add_argument(
         "--reps",
@@ -569,12 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.5,
         help="fraction of the baseline speedup each tier must reach "
         "(default 0.5 — catches collapses, tolerates CI timing noise)",
-    )
-    kb_p.add_argument(
-        "--require-compiled-wins",
-        action="store_true",
-        help="fail (exit 1) if the compiled tier was measured and lost "
-        "to numpy (otherwise a warning)",
     )
     kb_p.add_argument(
         "--bench",
@@ -633,14 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="TIERS",
         help="comma-separated kernel tiers to measure against the scalar "
-        "oracles (numpy, compiled), or 'all'; default: every available "
-        "non-scalar tier",
-    )
-    ab_p.add_argument(
-        "--require-compiled-wins",
-        action="store_true",
-        help="fail (exit 1) if the compiled tier was measured and lost "
-        "to numpy (otherwise a warning)",
+        "oracles (numpy), or 'all'; default: every non-scalar tier",
     )
     ab_p.add_argument(
         "--min-speedup",

@@ -85,16 +85,14 @@ _WORKER_LAB = None
 _CELL_STORE: Optional[TraceStore] = None
 
 #: the per-process KernelBackend cell kernels run on.  Set by the
-#: cell-worker initializer from the *requested* tier name with
-#: ``strict=False`` — each worker resolves against its own environment,
-#: so a ``compiled`` parent mixed with a numba-less worker degrades to
-#: ``numpy`` with bit-identical results.  ``None`` means "not resolved
-#: yet"; :func:`_cell_backend` then picks the fastest available tier.
+#: cell-worker initializer from the parent's requested tier name, so
+#: workers run the tier the pool was asked for.  ``None`` means "not
+#: resolved yet"; :func:`_cell_backend` then picks the default tier.
 _CELL_BACKEND = None
 
 
 def _cell_backend():
-    """This process's resolved kernel backend (fastest tier by default)."""
+    """This process's resolved kernel backend (the default tier if unset)."""
     global _CELL_BACKEND
     if _CELL_BACKEND is None:
         from .backends import resolve_backend
@@ -214,7 +212,7 @@ def _init_cell_worker(
 
     global _CELL_STORE, _CELL_BACKEND
     _CELL_STORE = TraceStore(store_dir) if store_dir is not None else None
-    _CELL_BACKEND = resolve_backend(backend_name, strict=False)
+    _CELL_BACKEND = resolve_backend(backend_name)
 
 
 def _resolve_stream(trace) -> np.ndarray:
@@ -281,7 +279,7 @@ class CellPool:
         #: requested tier name (ships to worker initializers verbatim).
         self._backend_name = kernel_backend
         #: parent-side resolution, for the serial/recompute paths.
-        self._backend = resolve_backend(kernel_backend, strict=False)
+        self._backend = resolve_backend(kernel_backend)
         self._executor: Optional[ProcessPoolExecutor] = None
         self.maps = 0
         self.reuses = 0

@@ -129,3 +129,12 @@ def test_config_w_values():
 def test_config_rejects_bad_window_range(w_min, w_max):
     with pytest.raises(ValueError):
         OptimizerConfig(w_min=w_min, w_max=w_max)
+
+
+def test_config_rejects_unknown_kernel_backend():
+    # Rejected at construction, not at the first analysis (which may run
+    # inside a worker process).
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        OptimizerConfig(kernel_backend="magic")
+    for name in (None, "numpy", "scalar"):
+        assert OptimizerConfig(kernel_backend=name).kernel_backend == name

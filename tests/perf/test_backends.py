@@ -1,32 +1,23 @@
 """Kernel-backend registry tests (repro.perf.backends).
 
-The contract under test: every registered tier — ``scalar``, ``numpy``,
-and (when numba is installed) ``compiled`` — produces **bit-identical**
-histograms, affinity coverage tables, and TRGs; resolution degrades
-``compiled -> numpy -> scalar`` under ``strict=False``; and backend
-choice never enters memo keys, so a memo populated by one tier is a
-cache hit for every other.
-
-The ``compiled`` tier's *logic* is pinned here on every machine: its
-kernel bodies are plain Python until numba decorates them, so the
-parity matrix runs them undecorated even where the tier itself is not
-registered.  The CI ``[compiled]`` job proves the same functions JIT.
+The contract under test: both tiers — ``numpy`` and the ``scalar``
+oracle — produce **bit-identical** histograms, affinity coverage
+tables, and TRGs; resolution is a plain lookup that rejects unknown
+names; and backend choice never enters memo keys, so a memo populated
+by one tier is a cache hit for the other.
 """
 
 import numpy as np
 import pytest
 
-from repro.perf._numba_kernels import HAVE_NUMBA
+from repro.perf import parallel
 from repro.perf.backends import (
-    _COMPILED,
     _SCALAR,
-    RESOLUTION_ORDER,
+    TIERS,
     available_backends,
     default_backend,
     resolve_backend,
 )
-
-ALL_TIERS = ("scalar", "numpy", "compiled")
 
 
 def _random_trace(rng, n_syms_hi=60, n_hi=900):
@@ -37,60 +28,48 @@ def _random_trace(rng, n_syms_hi=60, n_hi=900):
 
 
 def test_registry_contents():
-    names = available_backends()
-    assert "numpy" in names and "scalar" in names
-    assert names.index("numpy") < names.index("scalar")  # fastest first
-    assert ("compiled" in names) == HAVE_NUMBA
-    assert tuple(names) == tuple(n for n in RESOLUTION_ORDER if n in names)
+    assert TIERS == ("numpy", "scalar")  # the default first
+    assert available_backends() == TIERS
 
 
 def test_default_is_fastest_available():
-    assert default_backend() == available_backends()[0]
+    assert default_backend() == "numpy"
     assert resolve_backend(None).name == default_backend()
-    assert resolve_backend(None, strict=False).name == default_backend()
 
 
 def test_unknown_backend_always_raises():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("magic")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("magic", strict=False)
+    for name in ("magic", "compiled"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend(name)
 
 
 def test_known_names_resolve_to_themselves_when_available():
-    for name in available_backends():
+    for name in TIERS:
         assert resolve_backend(name).name == name
-        assert resolve_backend(name, strict=False).name == name
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="compiled tier is installed here")
-def test_unavailable_compiled_strict_vs_degrade():
-    with pytest.raises(ValueError, match="not available"):
-        resolve_backend("compiled")
-    # strict=False walks down the resolution order instead — the worker
-    # inheritance path (compiled parent, numba-less worker).
-    assert resolve_backend("compiled", strict=False).name == "numpy"
+def test_strict_keyword_is_inert():
+    """Wrappers of ``resolve_backend`` forward ``strict=``; it must keep
+    being accepted and must not change the answer."""
+    assert resolve_backend("numpy", strict=True).name == "numpy"
+    assert resolve_backend("numpy", strict=False).name == "numpy"
+
+
+def test_runner_rejects_unknown_tier(capsys):
+    from repro.experiments.runner import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--kernel-backend", "compiled"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # -- cross-backend parity matrix ----------------------------------------------
 
-def _backend_under_test(name):
-    """The tier to exercise, or a skip for a genuinely absent one.
 
-    ``compiled`` is special-cased: when numba is missing its kernel
-    bodies still run as plain Python, so its logic is tested everywhere
-    via the unregistered ``_COMPILED`` backend object.
-    """
-    if name in available_backends():
-        return resolve_backend(name)
-    if name == "compiled":
-        return _COMPILED
-    pytest.skip(f"backend {name!r} unavailable")  # pragma: no cover
-
-
-@pytest.mark.parametrize("name", ALL_TIERS)
+@pytest.mark.parametrize("name", ("scalar", "numpy"))
 def test_histogram_parity_matrix(name):
-    backend = _backend_under_test(name)
+    backend = resolve_backend(name)
     rng = np.random.default_rng(2014_0731)
     for trial in range(8):
         n_sets = int(rng.choice([1, 2, 8, 128]))
@@ -100,9 +79,9 @@ def test_histogram_parity_matrix(name):
         ), (name, trial, n_sets)
 
 
-@pytest.mark.parametrize("name", ALL_TIERS)
+@pytest.mark.parametrize("name", ("scalar", "numpy"))
 def test_affinity_parity_matrix(name):
-    backend = _backend_under_test(name)
+    backend = resolve_backend(name)
     rng = np.random.default_rng(51)
     for trial in range(6):
         trace = _random_trace(rng)
@@ -113,9 +92,9 @@ def test_affinity_parity_matrix(name):
         assert got == want, (name, trial, w_max, horizon)
 
 
-@pytest.mark.parametrize("name", ALL_TIERS)
+@pytest.mark.parametrize("name", ("scalar", "numpy"))
 def test_trg_parity_matrix(name):
-    backend = _backend_under_test(name)
+    backend = resolve_backend(name)
     rng = np.random.default_rng(77)
     for trial in range(6):
         trace = _random_trace(rng)
@@ -130,7 +109,7 @@ def test_trg_parity_matrix(name):
 
 
 def test_cross_backend_memo_hits(tmp_path):
-    """A memo populated by one tier replays for every other tier.
+    """A memo populated by one tier replays for the other tier.
 
     This pins the design decision that backend choice does NOT enter
     memo keys: results are bit-identical by contract, so keying on the
@@ -150,32 +129,38 @@ def test_cross_backend_memo_hits(tmp_path):
     trg = writer.trg(trace, window_blocks=16, backend=resolve_backend("numpy"))
     assert writer.misses == 3
 
-    # A different tier against the same directory: all hits, no kernels
+    # The other tier against the same directory: all hits, no kernels
     # run (the scalar oracle would be the one to notice).
-    for other in (_SCALAR, _COMPILED):
-        reader = SimMemo(tmp_path)
-        assert reader.histogram(stream, 128, backend=other) == hist
-        assert reader.affinity_coverage(trace, w_max=4, backend=other) == covg
-        replay = reader.trg(trace, window_blocks=16, backend=other)
-        assert replay.weights == trg.weights and replay.nodes == trg.nodes
-        assert reader.misses == 0 and reader.hits == 3
+    reader = SimMemo(tmp_path)
+    assert reader.histogram(stream, 128, backend=_SCALAR) == hist
+    assert reader.affinity_coverage(trace, w_max=4, backend=_SCALAR) == covg
+    replay = reader.trg(trace, window_blocks=16, backend=_SCALAR)
+    assert replay.weights == trg.weights and replay.nodes == trg.nodes
+    assert reader.misses == 0 and reader.hits == 3
 
 
 # -- worker inheritance -------------------------------------------------------
 
 
-def test_cell_pool_degrades_requested_tier(tmp_path):
-    """A pool asked for ``compiled`` on a numba-less machine degrades its
-    workers to ``numpy`` and still matches the scalar oracle."""
-    from repro.perf.parallel import CellPool, histogram_cells
+def _worker_tier(_cell):
+    import os
 
-    rng = np.random.default_rng(5)
-    streams = [rng.integers(0, 900, 2000) for _ in range(4)]
-    cells = [(s, 128) for s in streams]
-    with CellPool(2, kernel_backend="compiled") as pool:
-        hists = histogram_cells(cells, pool=pool)
-    for stream, hist in zip(streams, hists):
-        assert hist == _SCALAR.histogram(stream, 128)
+    return os.getpid(), parallel._cell_backend().name
+
+
+def test_cell_pool_workers_resolve_requested_tier(monkeypatch):
+    """Workers of a ``scalar`` pool run the ``scalar`` tier."""
+    import os
+
+    monkeypatch.setattr(parallel, "_CELL_BACKEND", None)
+    monkeypatch.setattr(parallel, "_CELL_STORE", parallel._CELL_STORE)
+    with parallel.CellPool(2, kernel_backend="scalar") as pool:
+        out = pool.map(_worker_tier, list(range(8)))
+    assert {name for _pid, name in out} == {"scalar"}
+    assert any(pid != os.getpid() for pid, _name in out)
+    # The worker initializer alone resolves the requested name.
+    parallel._init_cell_worker(None, "scalar")
+    assert parallel._cell_backend().name == "scalar"
 
 
 def test_lab_threads_backend_through_spawn_config():
@@ -188,10 +173,7 @@ def test_lab_threads_backend_through_spawn_config():
     # A worker reconstructs an identical lab from the picklable config.
     clone = Lab(**cfg)
     assert clone.kernel_backend == "scalar"
-    # Requesting an uninstalled tier must not blow up a worker: the lab
-    # resolves strict=False and degrades.
-    degraded = Lab(scale=0.05, kernel_backend="compiled")
-    assert degraded.backend.name == default_backend() or HAVE_NUMBA
+    assert clone.backend.name == "scalar"
 
 
 class _SubLabBuilt(Exception):
