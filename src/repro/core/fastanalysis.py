@@ -471,13 +471,26 @@ def trg_to_payload(trg: TRG, window_blocks: Optional[int] = None) -> dict:
 
 
 def trg_from_payload(raw: dict) -> TRG:
-    """Inverse of :func:`trg_to_payload`; always a fresh ``TRG`` (callers
-    may hand it to mutating consumers).  Raises ``ValueError`` on
-    malformed payloads so memo corruption degrades to recomputation."""
+    """Inverse of :func:`trg_to_payload`; always a fresh ``TRG`` that
+    shares nothing with ``raw``.  Raises ``ValueError`` on malformed
+    payloads (a key not ``"x,y"`` with ``x < y``, a weight not positive,
+    an endpoint or node repeated or missing) so memo corruption degrades
+    to recomputation."""
     if raw.get("kind") != "trg":
         raise ValueError(f"not a TRG payload: kind={raw.get('kind')!r}")
+    nodes = [int(x) for x in raw["nodes"]]
+    known = set(nodes)
+    if len(known) != len(nodes):
+        raise ValueError("TRG payload repeats a node")
+    entries = raw["weights"]
+    if not isinstance(entries, dict):
+        raise ValueError(f"TRG weights must be a mapping, got {type(entries).__name__}")
     weights: dict[tuple[int, int], int] = {}
-    for key, w in raw["weights"].items():
-        x, y = key.split(",")
-        weights[(int(x), int(y))] = int(w)
-    return TRG(weights=weights, nodes=[int(x) for x in raw["nodes"]])
+    for key, w in entries.items():
+        x, y = (int(v) for v in key.split(","))
+        w = int(w)
+        if not x < y or (x, y) in weights or w <= 0 or not known >= {x, y}:
+            raise ValueError(f"TRG edge {key!r}: {w} is not a new x < y edge "
+                             "of positive weight between listed nodes")
+        weights[(x, y)] = w
+    return TRG(weights=weights, nodes=nodes)

@@ -54,13 +54,6 @@ class TRG:
         key = (x, y) if x < y else (y, x)
         self.weights[key] = self.weights.get(key, 0) + amount
 
-    def edges_by_weight(self) -> list[tuple[int, int, int]]:
-        """(x, y, weight) sorted heaviest first; ties by node pair ascending."""
-        return sorted(
-            ((x, y, w) for (x, y), w in self.weights.items()),
-            key=lambda e: (-e[2], e[0], e[1]),
-        )
-
     @property
     def n_edges(self) -> int:
         return len(self.weights)

@@ -4,30 +4,39 @@ The paper adapts Gloy & Smith's placement into a pure *reordering*: the
 cache is viewed as K code slots (:func:`repro.core.trg.uniform_block_slots`)
 and blocks are assigned to slots heaviest-conflict-edge first:
 
-1. repeatedly take the heaviest edge <A, B> whose endpoint(s) are unplaced;
+1. take the edges once each in a fixed order, heaviest first with ties on
+   the ascending node pair; an edge places whichever endpoints are still
+   unplaced, x before y, so a block is placed by its first edge in that
+   order and the pass ends once every block with an edge is placed;
 2. an unplaced endpoint picks the first *empty* slot if one exists,
-   otherwise the slot whose (merged) resident node has the **least**
-   recorded conflict weight with it — slots with *no recorded edge* are not
+   otherwise the slot whose merged residents have the **least** summed
+   conflict weight with it — slots with *no recorded edge* are not
    candidates (no temporal relation means no information; this matches the
    paper's worked example, Fig. 2, where C joins E's slot despite their
    30-weight edge because C has no edges to the other slots);
-3. the placed block merges with the slot's resident supernode: their edges
-   combine (weights to common neighbours add), and the block's edges to
-   *other* slot supernodes are removed (different slot = no conflict);
-4. when no actionable edge remains, blocks that never gained an edge are
-   appended to the emptiest slots in trace order;
+3. the placed block merges into its slot: the slot's weight to every
+   other block grows by the block's edge weight to it.  The paper also
+   removes the edges between different slots (different slot = no
+   conflict); those weights are never read again — only slot-to-unplaced
+   weights choose a slot — so nothing is removed here;
+4. blocks that never gained an edge are appended to the emptiest slots in
+   trace order;
 5. the output sequence round-robins over the slot lists, popping one head
    per non-empty slot per round — for the paper's Fig. 2 instance this
    yields exactly ``A B E F C``.
 
-Determinism: heaviest-edge ties break on the ascending node pair; "first
-empty slot" follows slot index order.
+The fixed order of step 1 is the paper's "heaviest remaining edge": a
+slot's merged weight to an unplaced block includes the current edge's
+own weight, so re-weighing the edge after earlier merges can only raise
+it above every edge not yet taken, and it would be taken next anyway.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .trg import TRG
 
@@ -46,138 +55,54 @@ class ReductionResult:
     unconstrained: list[int] = field(default_factory=list)
 
 
-class _SuperNodes:
-    """Union-find over blocks with per-representative adjacency maps."""
-
-    def __init__(self, nodes: list[int], trg: TRG):
-        self.parent: dict[int, int] = {n: n for n in nodes}
-        self.adj: dict[int, dict[int, int]] = {n: {} for n in nodes}
-        for (x, y), w in trg.weights.items():
-            self.adj[x][y] = w
-            self.adj[y][x] = w
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def weight(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        return self.adj[ra].get(rb, 0)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        return rb in self.adj[ra]
-
-    def remove_edge(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        self.adj[ra].pop(rb, None)
-        self.adj[rb].pop(ra, None)
-
-    def merge(self, a: int, b: int) -> int:
-        """Merge b's supernode into a's; edge weights to common peers add."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        self.parent[rb] = ra
-        adj_a = self.adj[ra]
-        for peer, w in self.adj.pop(rb).items():
-            if peer == ra:
-                continue
-            peer_adj = self.adj[self.find(peer)]
-            peer_adj.pop(rb, None)
-            new_w = adj_a.get(peer, 0) + w
-            adj_a[peer] = new_w
-            peer_adj[ra] = new_w
-        adj_a.pop(rb, None)
-        return ra
-
-
 def reduce_trg(trg: TRG, n_slots: int) -> ReductionResult:
     """Run Algorithm 2 on ``trg`` with ``n_slots`` code slots."""
     if n_slots < 1:
         raise ValueError("need at least one slot")
 
     nodes = list(trg.nodes)
-    sn = _SuperNodes(nodes, trg)
+    n, n_edges = len(nodes), len(trg.weights)
+    ids = np.asarray(nodes, dtype=np.int64)
+    pairs = np.fromiter(chain.from_iterable(trg.weights), np.int64, 2 * n_edges)
+    pairs = pairs.reshape(n_edges, 2)
+    weights = np.fromiter(trg.weights.values(), np.int64, n_edges)
+    # Step 1's order as x0, y0, x1, y1, ..., then node ids -> positions in ``nodes``.
+    heaviest_first = np.lexsort((pairs[:, 1], pairs[:, 0], -weights))
+    ends = pairs[heaviest_first].ravel()
+    if not np.isin(ends, ids).all():
+        raise ValueError("TRG edge endpoint missing from trg.nodes")
+    by_id = np.argsort(ids)
+    ends = by_id[np.searchsorted(ids, ends, sorter=by_id)]
+    weights = np.repeat(weights[heaviest_first], 2)  # edge of ends[i] and ends[i ^ 1]
+    _, first = np.unique(ends, return_index=True)
+    placement = ends[np.sort(first)].tolist()
+    # CSR adjacency: block b's neighbours and weights sit at indptr[b]:indptr[b+1].
+    by_block = np.argsort(ends, kind="stable")
+    neighbours = ends[by_block ^ 1]
+    nbr_weights = weights[by_block]
+    indptr = np.searchsorted(ends[by_block], np.arange(n + 1)).tolist()
+
+    slot_w = np.zeros((n_slots, n), dtype=np.int64)
+    fill = np.zeros(n_slots, dtype=np.int64)
     slots: list[list[int]] = [[] for _ in range(n_slots)]
-    #: representative supernode of each slot (None while empty).
-    slot_rep: list[int | None] = [None] * n_slots
-    placed: set[int] = set()
+    no_edge = np.iinfo(np.int64).max
+    for b in placement:
+        target = int(np.argmin(fill))  # the first empty slot, if any
+        if fill[target]:
+            col = slot_w[:, b]
+            if col.any():
+                target = int(np.argmin(np.where(col > 0, col, no_edge)))
+            # else: no slot has conflict information; keep the emptiest.
+        lo, hi = indptr[b], indptr[b + 1]
+        slot_w[target, neighbours[lo:hi]] += nbr_weights[lo:hi]
+        fill[target] += 1
+        slots[target].append(nodes[b])
 
-    # Lazy max-heap of candidate edges; entries are revalidated on pop
-    # against the current supernode adjacency.
-    heap: list[tuple[int, int, int]] = [
-        (-w, x, y) for (x, y), w in trg.weights.items()
-    ]
-    heapq.heapify(heap)
-
-    def place(block: int) -> None:
-        """Steps 4-22 of Algorithm 2 for one unplaced endpoint."""
-        target = None
-        for k in range(n_slots):
-            if slot_rep[k] is None:
-                target = k
-                break
-        if target is None:
-            best_w = None
-            for k in range(n_slots):
-                rep = slot_rep[k]
-                assert rep is not None
-                if not sn.has_edge(block, rep):
-                    continue  # no temporal relation -> not a candidate
-                w = sn.weight(block, rep)
-                if best_w is None or w < best_w:
-                    best_w = w
-                    target = k
-            if target is None:
-                # No slot has conflict information; fall back to the
-                # emptiest slot (stable under ties).
-                target = min(range(n_slots), key=lambda k: len(slots[k]))
-
-        slots[target].append(block)
-        placed.add(block)
-        rep = slot_rep[target]
-        if rep is None:
-            slot_rep[target] = sn.find(block)
-        else:
-            new_rep = sn.merge(rep, block)
-            slot_rep[target] = new_rep
-            for k in range(n_slots):
-                if k != target and slot_rep[k] is not None:
-                    if sn.find(slot_rep[k]) != new_rep:
-                        slot_rep[k] = sn.find(slot_rep[k])
-        # Remove edges between this block's slot node and the other slots.
-        for k in range(n_slots):
-            if k == target:
-                continue
-            other = slot_rep[k]
-            if other is not None:
-                sn.remove_edge(block, other)
-
-    while heap:
-        neg_w, x, y = heapq.heappop(heap)
-        # Revalidate: the edge is actionable only if an endpoint is
-        # unplaced and the weight is current.
-        if x in placed and y in placed:
-            continue
-        current = sn.weight(x, y) if sn.find(x) != sn.find(y) else 0
-        if current != -neg_w:
-            if current > 0 and (x not in placed or y not in placed):
-                heapq.heappush(heap, (-current, x, y))
-            continue
-        if x not in placed:
-            place(x)
-        if y not in placed:
-            place(y)
-
-    unconstrained = [n for n in nodes if n not in placed]
+    placed = set(placement)
+    unconstrained = [node for i, node in enumerate(nodes) if i not in placed]
     for block in unconstrained:
-        target = min(range(n_slots), key=lambda k: len(slots[k]))
+        target = int(np.argmin(fill))
+        fill[target] += 1
         slots[target].append(block)
 
     # Round-robin emission (steps 25-29, repeated until all lists drain).

@@ -586,9 +586,10 @@ class SimMemo:
     ):
         """Memoized TRG build (:mod:`repro.core.fastanalysis`).
 
-        Always returns a *fresh* :class:`~repro.core.trg.TRG` — callers
-        may hand the graph to mutating consumers.  ``backend`` picks the
-        kernel tier used on a miss and never enters the key.
+        Always returns a *fresh* :class:`~repro.core.trg.TRG`, so a
+        caller that edits its graph cannot change a later replay.
+        ``backend`` picks the kernel tier used on a miss and never enters
+        the key.
         """
         from ..core.fastanalysis import trg_from_payload, trg_to_payload
 

@@ -49,18 +49,6 @@ def test_nodes_in_first_occurrence_order():
     assert trg.nodes == [5, 2, 9]
 
 
-def test_edges_by_weight_deterministic_order():
-    trg = TRG()
-    trg.add_conflict(1, 2, 5)
-    trg.add_conflict(3, 4, 5)
-    trg.add_conflict(1, 3, 9)
-    edges = trg.edges_by_weight()
-    assert edges[0] == (1, 3, 9)
-    assert edges[1] == (1, 2, 5)  # tie broken by node pair
-    assert edges[2] == (3, 4, 5)
-    assert trg.n_edges == 3
-
-
 def test_window_blocks_and_slots_paper_config():
     # uniform block size 256B: window = 2*32768/256 = 256 blocks.
     assert trg_window_blocks(PAPER_L1I, 256) == 256
@@ -89,33 +77,3 @@ def test_add_conflict_rejects_nonpositive_amount():
     trg.add_conflict(1, 2, 2)
     assert trg.weight(1, 2) == 2
 
-
-def test_edges_by_weight_insertion_order_invariant():
-    """The reduction's tie-break contract: edges_by_weight depends only on
-    the edge *set*, never on the order conflicts were recorded."""
-    import itertools
-    import random
-
-    from repro.core.trg_reduce import reduce_trg
-
-    conflicts = [(1, 2, 5), (3, 4, 5), (1, 3, 9), (2, 4, 5), (1, 4, 1)]
-    baseline = None
-    reduced_baseline = None
-    rng = random.Random(42)
-    orders = list(itertools.permutations(conflicts))
-    rng.shuffle(orders)
-    for perm in orders[:24]:
-        trg = TRG(nodes=[1, 2, 3, 4])
-        for x, y, w in perm:
-            # split the weight across calls to vary accumulation order too
-            trg.add_conflict(x, y, max(1, w - 1))
-            if w > 1:
-                trg.add_conflict(y, x, 1)
-        edges = trg.edges_by_weight()
-        reduced = reduce_trg(trg, 2)
-        if baseline is None:
-            baseline = edges
-            reduced_baseline = (reduced.order, reduced.slots)
-        else:
-            assert edges == baseline
-            assert (reduced.order, reduced.slots) == reduced_baseline

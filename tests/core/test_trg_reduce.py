@@ -7,6 +7,9 @@ first, then <E,F> with E taking the empty third slot and F merging with A
 ``A B E F C`` with slots [A,F], [B], [E,C].
 """
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +62,39 @@ def test_empty_graph():
     res = reduce_trg(trg, 3)
     assert sorted(res.order) == [7, 8]
     assert set(res.unconstrained) == {7, 8}
+
+
+def test_tie_on_node_pair_decides_first_empty_slot():
+    """Equal-weight edges are taken by ascending node pair: <1,2> comes
+    before <3,4>, so 2 takes the last empty slot and 4 joins 3."""
+    trg = TRG(nodes=[1, 2, 3, 4])
+    trg.add_conflict(1, 2, 5)
+    trg.add_conflict(3, 4, 5)
+    trg.add_conflict(1, 3, 9)
+    assert trg.n_edges == 3
+    res = reduce_trg(trg, 3)
+    assert res.slots == [[1], [3, 4], [2]]
+    assert res.order == [1, 3, 2, 4]
+
+
+def test_reduction_insertion_order_invariant():
+    """The result depends only on the edge *set*, never on the order
+    conflicts were recorded."""
+    conflicts = [(1, 2, 5), (3, 4, 5), (1, 3, 9), (2, 4, 5), (1, 4, 1)]
+    results = set()
+    rng = random.Random(42)
+    orders = list(itertools.permutations(conflicts))
+    rng.shuffle(orders)
+    for perm in orders[:24]:
+        trg = TRG(nodes=[1, 2, 3, 4])
+        for x, y, w in perm:
+            # split the weight across calls to vary accumulation order too
+            trg.add_conflict(x, y, max(1, w - 1))
+            if w > 1:
+                trg.add_conflict(y, x, 1)
+        res = reduce_trg(trg, 2)
+        results.add((tuple(res.order), tuple(map(tuple, res.slots))))
+    assert len(results) == 1
 
 
 def test_slot_validation():

@@ -149,8 +149,8 @@ class TestTrgMemo:
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_hit_result_is_not_aliased(self, trace):
-        """Callers mutate TRGs (reduce_trg consumes them) — every replay
-        must hand out a fresh graph."""
+        """A caller may edit the graph it gets (``TRG.add_conflict``);
+        every replay must still hand out a fresh graph."""
         memo = SimMemo()
         a = memo.trg(trace, window_blocks=64)
         a.weights.clear()
@@ -162,6 +162,41 @@ class TestTrgMemo:
         reread = SimMemo(tmp_path)
         assert reread.trg(trace, window_blocks=64).weights == oracle.weights
         assert (reread.hits, reread.misses) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: {**raw, "weights": []},
+            lambda raw: {**raw, "weights": {**raw["weights"], "1,99": 2}},
+            lambda raw: {**raw, "weights": {**raw["weights"], "1,2": 0}},
+            lambda raw: {**raw, "weights": {**raw["weights"], "1,2": -3}},
+            lambda raw: {**raw, "weights": {**raw["weights"], "2,1": 4}},
+            lambda raw: {**raw, "weights": {**raw["weights"], "3,3": 4}},
+            lambda raw: {**raw, "weights": {**raw["weights"], "1, 2": 4}},
+            lambda raw: {**raw, "nodes": raw["nodes"] + raw["nodes"][:1]},
+        ],
+        ids=[
+            "weights-list",
+            "missing-endpoint",
+            "zero-weight",
+            "negative-weight",
+            "unordered-key",
+            "self-edge",
+            "repeated-key",
+            "repeated-node",
+        ],
+    )
+    def test_malformed_entry_recomputed(self, tmp_path, trace, corrupt):
+        """A corrupt TRG entry degrades to a miss and a fresh build; it
+        never crashes the lookup or reaches the reduction."""
+        SimMemo(tmp_path).trg(trace, window_blocks=64)
+        path = tmp_path / f"{trg_key(trace, window_blocks=64)}.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        reread = SimMemo(tmp_path)
+        got = reread.trg(trace, window_blocks=64)
+        oracle = build_trg(trace, window_blocks=64)
+        assert (got.weights, got.nodes) == (oracle.weights, oracle.nodes)
+        assert (reread.hits, reread.misses) == (0, 1)
 
 
 class TestHasAnalysis:
