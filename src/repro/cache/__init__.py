@@ -15,9 +15,9 @@ from .hierarchy import (
     simulate_hierarchy_shared,
 )
 from .policies import POLICIES, FIFOSet, LRUSet, RandomSet, TreePLRUSet, make_policy
-from .setassoc import CacheState, simulate, simulate_policy, warm_cache
-from .shared import SharedCacheStats, simulate_shared
-from .stats import CacheStats
+from .setassoc import simulate, simulate_policy
+from .shared import simulate_shared
+from .stats import CacheStats, SharedCacheStats
 
 __all__ = [
     "DistanceHistogram",
@@ -29,7 +29,6 @@ __all__ = [
     "PAPER_L1I",
     "POLICIES",
     "CacheConfig",
-    "CacheState",
     "CacheStats",
     "RandomSet",
     "SharedCacheStats",
@@ -42,5 +41,4 @@ __all__ = [
     "simulate_policy",
     "simulate_shared",
     "stack_distance_histogram",
-    "warm_cache",
 ]

@@ -37,10 +37,10 @@ picks its own:
   sum.  Slow under CPython, obviously correct.
 
 The kernel only models what stack distances can express: a **cold**
-cache, **no prefetcher**, true LRU.  Prefetching, warm-start state, and
-co-run interleaving all change set contents in ways a single reuse
-histogram cannot capture — those paths stay on the event-driven
-simulators (:mod:`repro.cache.setassoc`, :mod:`repro.cache.shared`).
+cache, **no prefetcher**, true LRU.  Prefetching and co-run
+interleaving change set contents in ways a single reuse histogram
+cannot capture — those paths stay on the event-driven simulator
+(:func:`repro.cache.setassoc.run_lru`).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CacheConfig
+from .shared import issue_order
 from .stats import CacheStats
 
 __all__ = [
@@ -133,44 +134,18 @@ def simulate_hierarchy_shared(
     """SMT co-run through one shared hierarchy (L1I, L1D and L2 are all
     per-core and therefore shared by the hyper-threads).
 
-    Streams wrap until every thread has completed at least one pass, as in
+    Threads issue in :func:`repro.cache.shared.issue_order`, as in
     :func:`repro.cache.shared.simulate_shared`; per-thread stats cover all
     issued accesses.
     """
-    n_threads = len(streams)
-    if n_threads == 0:
-        return []
-    if quantum < 1:
-        raise ValueError("quantum must be >= 1")
-    data = [
-        (lines.tolist(), is_data.tolist()) for lines, is_data in streams
-    ]
-    lengths = [len(d[0]) for d in data]
-    stats = [HierarchyStats() for _ in range(n_threads)]
-    done = [n == 0 for n in lengths]
-    cursors = [0] * n_threads
-
+    data = []
+    for lines, is_data in streams:
+        if lines.shape != is_data.shape:
+            raise ValueError("lines and is_data must align")
+        data.append((lines.tolist(), is_data.tolist()))
+    stats = [HierarchyStats() for _ in data]
     l1i, l1d, l2 = _Cache(cfg.l1i), _Cache(cfg.l1d), _Cache(cfg.l2)
-
-    while not all(done):
-        progressed = False
-        for t in range(n_threads):
-            n = lengths[t]
-            if n == 0:
-                continue
-            pos = cursors[t]
-            end = min(pos + quantum, n)
-            lines_t, is_data_t = data[t]
-            _run(lines_t[pos:end], is_data_t[pos:end], l1i, l1d, l2, stats[t])
-            progressed = progressed or end > pos
-            if end >= n:
-                done[t] = True
-                if all(done):
-                    cursors[t] = n
-                else:
-                    cursors[t] = 0
-            else:
-                cursors[t] = end
-        if not progressed:  # pragma: no cover - guards infinite loops
-            break
+    for t, start, end in issue_order([len(d[0]) for d in data], quantum):
+        lines_t, is_data_t = data[t]
+        _run(lines_t[start:end], is_data_t[start:end], l1i, l1d, l2, stats[t])
     return stats

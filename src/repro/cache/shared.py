@@ -6,15 +6,17 @@ streams into one shared set-associative LRU cache and reports per-thread
 statistics — the reproduction of the paper's "CMP L1 instruction cache"
 Pin extension.
 
-Interleaving policy: round-robin quanta of ``quantum`` line accesses per
-thread, modeling the alternating fetch slots of SMT front-ends.  A thread
-whose stream ends is restarted from the beginning (``wrap=True``, the
-standard co-run methodology: the probe program is re-run until the measured
-program completes), or drops out (``wrap=False``).  The simulation stops
-once every thread has completed at least one full pass of its stream.
+Interleaving policy (:func:`issue_order`): round-robin quanta of
+``quantum`` line accesses per thread, modeling the alternating fetch slots
+of SMT front-ends.  A thread whose stream ends is restarted from the
+beginning (the standard co-run methodology: the probe program is re-run
+until the measured program completes).  The simulation stops after the
+round in which every thread has completed at least one full pass of its
+stream.
 
 Per-thread stats cover all accesses the thread actually issued (including
-wrapped passes), so miss ratios remain well-defined for both threads.
+wrapped passes), so miss ratios remain well-defined for both threads;
+:func:`pass_scale` normalizes them to one pass.
 
 Prefetch attribution: the shared next-line prefetcher is one hardware
 resource, so a line prefetched on thread A's miss can be consumed by
@@ -28,33 +30,48 @@ peer-help received).  ``prefetch_hits`` remains the consumer-side total,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .config import CacheConfig
-from .stats import CacheStats
+from .setassoc import run_lru
+from .stats import SharedCacheStats
 
-__all__ = ["SharedCacheStats", "simulate_shared"]
+__all__ = ["SharedCacheStats", "issue_order", "pass_scale", "simulate_shared"]
 
 
-@dataclass
-class SharedCacheStats(CacheStats):
-    """One thread's view of a shared-cache co-run.
+def issue_order(lengths: Sequence[int], quantum: int) -> Iterator[tuple[int, int, int]]:
+    """Round-robin SMT issue order over streams of ``lengths``.
 
-    Extends :class:`CacheStats` with the issuer-aware prefetch split:
-    ``prefetches`` counts prefetches this thread *issued* (its demand
-    misses triggered them); ``prefetch_hits`` counts prefetched lines
-    this thread *consumed*, split into ``prefetch_hits_self`` (it issued
-    the prefetch itself) and ``prefetch_hits_cross`` (a co-running peer
-    issued it).  Invariant: ``prefetch_hits == prefetch_hits_self +
-    prefetch_hits_cross``, pinned by the test suite.
+    Yields ``(thread, start, end)`` chunks of at most ``quantum``
+    accesses.  Each round visits every non-empty thread once, in thread
+    order; a thread that reaches its end restarts at 0.  The order ends
+    with the round in which the last thread completes its first pass.
     """
+    if quantum < 1:
+        raise ValueError("quantum must be >= 1")
+    active = [t for t, n in enumerate(lengths) if n > 0]
+    cursors = [0] * len(lengths)
+    unfinished = set(active)
+    while unfinished:
+        for t in active:
+            start = cursors[t]
+            end = min(start + quantum, lengths[t])
+            yield t, start, end
+            if end == lengths[t]:
+                unfinished.discard(t)
+                end = 0
+            cursors[t] = end
 
-    #: consumed prefetched lines this thread also issued (self-help).
-    prefetch_hits_self: int = 0
-    #: consumed prefetched lines a peer thread issued (peer-help received).
-    prefetch_hits_cross: int = 0
+
+def pass_scale(stream_len: int, accesses: int) -> float:
+    """Factor normalizing a thread's co-run counts to one pass of its stream.
+
+    ``accesses`` is what the thread issued, wrapped passes included; an
+    empty stream issues nothing and scales to 0.0.
+    """
+    return stream_len / accesses if accesses else 0.0
 
 
 def simulate_shared(
@@ -62,7 +79,6 @@ def simulate_shared(
     cfg: CacheConfig,
     *,
     quantum: int = 8,
-    wrap: bool = True,
     prefetch: bool = False,
 ) -> list[SharedCacheStats]:
     """Co-run ``streams`` in one shared cache; returns per-thread stats.
@@ -74,89 +90,5 @@ def simulate_shared(
     remembers its issuing thread so consumption is attributed self vs.
     cross (see :class:`SharedCacheStats`).
     """
-    n_threads = len(streams)
-    if n_threads == 0:
-        return []
-    if quantum < 1:
-        raise ValueError("quantum must be >= 1")
-
-    lists = [
-        s.tolist() if isinstance(s, np.ndarray) else list(s) for s in streams
-    ]
-    lengths = [len(s) for s in lists]
-    stats = [SharedCacheStats() for _ in range(n_threads)]
-    # Threads with empty streams are complete from the start.
-    done = [n == 0 for n in lengths]
-    cursors = [0] * n_threads
-
-    sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
-    #: pending prefetched line -> thread that issued the prefetch.
-    prefetched: dict[int, int] = {}
-    mask = cfg.n_sets - 1
-    assoc = cfg.assoc
-
-    active = [t for t in range(n_threads) if lengths[t] > 0]
-    while not all(done):
-        progressed = False
-        for t in active:
-            stream = lists[t]
-            n = lengths[t]
-            if n == 0:
-                continue
-            st = stats[t]
-            pos = cursors[t]
-            end = min(pos + quantum, n)
-            accesses = 0
-            misses = 0
-            for k in range(pos, end):
-                line = stream[k]
-                accesses += 1
-                s = sets[line & mask]
-                try:
-                    i = s.index(line)
-                except ValueError:
-                    misses += 1
-                    s.insert(0, line)
-                    if len(s) > assoc:
-                        prefetched.pop(s.pop(), None)
-                    if prefetch:
-                        nxt = line + 1
-                        ns = sets[nxt & mask]
-                        # Never let the prefetch evict its own demand
-                        # line (single-set, single-way geometry); same
-                        # guard as the solo simulator.
-                        if nxt not in ns and not (
-                            len(ns) >= assoc and ns[-1] == line
-                        ):
-                            st.prefetches += 1
-                            prefetched[nxt] = t
-                            ns.insert(0, nxt)
-                            if len(ns) > assoc:
-                                prefetched.pop(ns.pop(), None)
-                    continue
-                if i:
-                    s.insert(0, s.pop(i))
-                if prefetch and line in prefetched:
-                    issuer = prefetched.pop(line)
-                    st.prefetch_hits += 1
-                    if issuer == t:
-                        st.prefetch_hits_self += 1
-                    else:
-                        st.prefetch_hits_cross += 1
-            st.accesses += accesses
-            st.misses += misses
-            progressed = progressed or accesses > 0
-            if end >= n:
-                done[t] = True
-                if wrap and not all(done):
-                    cursors[t] = 0
-                else:
-                    cursors[t] = n
-                    if not wrap:
-                        # Thread leaves the core; stop issuing for it.
-                        lengths[t] = 0
-            else:
-                cursors[t] = end
-        if not progressed:  # pragma: no cover - guards infinite loops
-            break
-    return stats
+    chunks = issue_order([len(s) for s in streams], quantum)
+    return run_lru(streams, chunks, cfg, prefetch)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CacheStats"]
+__all__ = ["CacheStats", "SharedCacheStats"]
 
 
 @dataclass
@@ -39,3 +39,22 @@ class CacheStats:
             prefetches=self.prefetches + other.prefetches,
             prefetch_hits=self.prefetch_hits + other.prefetch_hits,
         )
+
+
+@dataclass
+class SharedCacheStats(CacheStats):
+    """One thread's view of a shared-cache co-run.
+
+    Extends :class:`CacheStats` with the issuer-aware prefetch split:
+    ``prefetches`` counts prefetches this thread *issued* (its demand
+    misses triggered them); ``prefetch_hits`` counts prefetched lines
+    this thread *consumed*, split into ``prefetch_hits_self`` (it issued
+    the prefetch itself) and ``prefetch_hits_cross`` (a co-running peer
+    issued it).  Invariant: ``prefetch_hits == prefetch_hits_self +
+    prefetch_hits_cross``, pinned by the test suite.
+    """
+
+    #: consumed prefetched lines this thread also issued (self-help).
+    prefetch_hits_self: int = 0
+    #: consumed prefetched lines a peer thread issued (peer-help received).
+    prefetch_hits_cross: int = 0

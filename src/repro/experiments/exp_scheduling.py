@@ -20,25 +20,31 @@ combination still wins overall — layout and scheduling compose.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..machine.scheduler import all_pairings, best_pairing, greedy_pairing
 from ..workloads.suite import STUDY_PROGRAMS
 from .pipeline import BASELINE, Lab
 from .report import ExperimentResult, pct, ratio
 
-__all__ = ["run"]
+__all__ = ["pair_cost", "run"]
+
+
+def pair_cost(lab: Lab, layout_name: str, a: str, b: str) -> float:
+    """Co-run makespan of programs ``a`` and ``b``, both in ``layout_name``.
+
+    The co-run simulation is not symmetric (thread order and address
+    offset differ), while the pairing searches assume a symmetric cost,
+    so the pair is always measured in sorted order.
+    """
+    a, b = sorted((a, b))
+    return lab.corun_timing((a, layout_name), (b, layout_name)).makespan
 
 
 def run(lab: Lab) -> ExperimentResult:
     programs = list(STUDY_PROGRAMS)
-
-    def cost(layout_name: str):
-        def pair_cost(a: str, b: str) -> float:
-            return lab.corun_timing((a, layout_name), (b, layout_name)).makespan
-
-        return pair_cost
-
-    base_cost = cost(BASELINE)
-    opt_cost = cost("function-affinity")
+    base_cost = partial(pair_cost, lab, BASELINE)
+    opt_cost = partial(pair_cost, lab, "function-affinity")
 
     base_best = best_pairing(programs, base_cost)
     base_greedy = greedy_pairing(programs, base_cost)

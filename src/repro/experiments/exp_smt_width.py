@@ -22,7 +22,7 @@ optimizing *them* too recovers the cache.
 
 from __future__ import annotations
 
-from ..cache.shared import simulate_shared
+from ..cache.shared import pass_scale, simulate_shared
 from ..core.goals import relative_reduction
 from .pipeline import BASELINE, Lab, THREAD_STRIDE
 from .report import ExperimentResult, pct
@@ -35,15 +35,9 @@ X4_OPTIMIZER = "bb-affinity"
 
 
 def _miss_ratio_of_thread0(lab: Lab, streams) -> float:
-    prepared = lab.program(X4_PROGRAM)
-    if len(streams) == 1:
-        from ..cache.setassoc import simulate
-
-        stats = simulate(streams[0], lab.cache_cfg)
-        return stats.misses / prepared.instr_count
-    stats = simulate_shared(streams, lab.cache_cfg, quantum=lab.quantum)
-    scale = len(streams[0]) / stats[0].accesses if stats[0].accesses else 0.0
-    return stats[0].misses * scale / prepared.instr_count
+    st = simulate_shared(streams, lab.cache_cfg, quantum=lab.quantum)[0]
+    scale = pass_scale(len(streams[0]), st.accesses)
+    return st.misses * scale / lab.program(X4_PROGRAM).instr_count
 
 
 def run(lab: Lab) -> ExperimentResult:

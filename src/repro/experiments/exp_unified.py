@@ -20,6 +20,7 @@ hyper-threads) and reports, per study program and layout:
 from __future__ import annotations
 
 from ..cache.hierarchy import PAPER_HIERARCHY, simulate_hierarchy, simulate_hierarchy_shared
+from ..cache.shared import pass_scale
 from ..core.goals import relative_reduction
 from ..engine.datastream import merged_stream
 from .pipeline import BASELINE, Lab, THREAD_STRIDE
@@ -69,12 +70,8 @@ def run(lab: Lab) -> ExperimentResult:
             )
             self_st, peer_st = shared[0], shared[1]
             # normalize wrapped passes to one pass each.
-            self_scale = lines.shape[0] / max(
-                1, self_st.l1i.accesses + self_st.l1d.accesses
-            )
-            peer_scale = probe_lines.shape[0] / max(
-                1, peer_st.l1i.accesses + peer_st.l1d.accesses
-            )
+            self_scale = pass_scale(len(lines), self_st.l1i.accesses + self_st.l1d.accesses)
+            peer_scale = pass_scale(len(probe_lines), peer_st.l1i.accesses + peer_st.l1d.accesses)
             solo_l2 = solo.l2.misses / instr
             corun_self_l2 = self_st.l2.misses * self_scale / instr
             peer_instr = lab.program(_PROBE).instr_count

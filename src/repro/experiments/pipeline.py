@@ -47,7 +47,7 @@ from ..cache.fastsim import DistanceHistogram
 # importable from this module because the traced benchmark run
 # (perfbench/spans.py) wraps it where the pipeline looks it up.
 from ..cache.setassoc import simulate  # noqa: F401
-from ..cache.shared import simulate_shared
+from ..cache.shared import pass_scale, simulate_shared
 from ..cache.stats import CacheStats
 from ..core.optimizers import OPTIMIZERS, OptimizerConfig
 from ..core.optimizers import optimize as optimize_layout
@@ -721,12 +721,6 @@ class Lab:
         result = self._corun.get(key)
         if result is not None:
             return result
-        # Symmetric cache: reuse the swapped measurement if present.
-        swapped = self._corun.get((b, a, channel))
-        if swapped is not None:
-            result = (swapped[1], swapped[0])
-            self._corun[key] = result
-            return result
 
         pa, pb = self.program(a[0]), self.program(b[0])
         sa, sb = self.lines(*a), self.lines(*b) + THREAD_STRIDE
@@ -737,9 +731,10 @@ class Lab:
                 stats = simulate_shared(
                     [sa, sb], self.cache_cfg, quantum=self.quantum, prefetch=False
                 )
+                st_a, st_b = stats
                 result = (
-                    _per_pass(stats[0], len(sa), pa.instr_count),
-                    _per_pass(stats[1], len(sb), pb.instr_count),
+                    MissRatios(st_a.misses * pass_scale(len(sa), st_a.accesses), pa.instr_count),
+                    MissRatios(st_b.misses * pass_scale(len(sb), st_b.accesses), pb.instr_count),
                 )
             else:
                 readings = measure_corun(
@@ -791,8 +786,3 @@ class Lab:
         opt = self.corun_timing((target, layout_name), (probe, BASELINE))
         return base.corun_cycles[0] / opt.corun_cycles[0]
 
-
-def _per_pass(stats: CacheStats, stream_len: int, instructions: int) -> MissRatios:
-    """Normalize wrapped co-run stats to one pass of the stream."""
-    scale = stream_len / stats.accesses if stats.accesses else 0.0
-    return MissRatios(stats.misses * scale, instructions)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..cache.config import CacheConfig
 from ..cache.setassoc import simulate
-from ..cache.shared import simulate_shared
+from ..cache.shared import pass_scale, simulate_shared
 
 __all__ = ["CounterReading", "measure_solo", "measure_corun", "reading_from_stats"]
 
@@ -39,7 +39,7 @@ class CounterReading:
     """One hardware-counter measurement.
 
     Co-run readings also carry the prefetch-help split from
-    :class:`repro.cache.shared.SharedCacheStats` (per-pass scaled, no
+    :class:`repro.cache.stats.SharedCacheStats` (per-pass scaled, no
     noise — these are diagnostic attributions, not noisy counters):
     ``prefetch_help_self`` counts consumed prefetches this thread issued
     itself, ``prefetch_help_cross`` those a co-running peer issued.
@@ -136,8 +136,7 @@ def measure_corun(
     stats = simulate_shared(streams, cfg, quantum=quantum, prefetch=True)
     readings = []
     for t, (st, instr) in enumerate(zip(stats, instructions)):
-        n_stream = len(streams[t])
-        scale = n_stream / st.accesses if st.accesses else 0.0
+        scale = pass_scale(len(streams[t]), st.accesses)
         misses_per_pass = st.misses * scale
         factor = _noise_factor(noise_sigma, "corun", measurement_id, t, instr, cfg)
         readings.append(

@@ -13,7 +13,7 @@ makes it fast without changing a single result:
   dispatch → store path the Lab and the compiler driver share;
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
   cache for cache simulations (:class:`~repro.perf.memo.SimMemo`),
-  keyed by hash of (line stream, geometry, prefetch flag, warm state);
+  keyed by hash of (line stream, geometry, prefetch flag);
   stack-distance histograms get their own coarser keys
   (:func:`~repro.perf.memo.histogram_key`: stream + ``n_sets`` only),
   so one entry answers a whole associativity family; locality-model
@@ -50,7 +50,6 @@ from .memo import (
     analysis_key,
     histogram_key,
     memo_key,
-    state_fingerprint,
     trg_key,
 )
 from .parallel import (
@@ -84,7 +83,6 @@ __all__ = [
     "rebuild_error",
     "resolve_backend",
     "simulate_cells",
-    "state_fingerprint",
     "trace_digest",
     "trg_key",
 ]

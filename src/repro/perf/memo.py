@@ -17,8 +17,6 @@ The key is the SHA-256 of, in order:
   stale caches can never leak across versions);
 * the cache geometry (``size_bytes``/``assoc``/``line_bytes``);
 * the prefetch flag;
-* the warm-state fingerprint — ``cold`` for a fresh cache, otherwise a
-  digest of the exact set contents and pending prefetch tags;
 * the stream's content digest (:func:`repro.perf.store.trace_digest`:
   SHA-256 over the stream canonicalized to little-endian ``int64``).
 
@@ -30,11 +28,6 @@ a stream derives all of its memo keys without rehashing the bytes.
 
 Two calls share a key iff :func:`repro.cache.setassoc.simulate` would
 return identical stats for them.
-
-Warm-state **mutating** calls (``state=`` given) are *keyed* but never
-*replayed*: a memo hit cannot reproduce the in-place state mutation the
-caller asked for, so those calls pass through to the simulator and are
-counted in :attr:`SimMemo.bypasses`.
 
 Persistence is one JSON file per key under ``cache_dir``, written with
 the crash-safe :func:`repro.robust.atomic.atomic_write_text` protocol —
@@ -92,7 +85,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..cache.config import CacheConfig
 from ..cache.fastsim import DistanceHistogram
-from ..cache.setassoc import CacheState, simulate
+from ..cache.setassoc import simulate
 from ..cache.stats import CacheStats
 from ..locality.footprint import FootprintCurve, footprint_curve
 from ..robust.atomic import atomic_write_text
@@ -107,14 +100,13 @@ __all__ = [
     "curve_key",
     "histogram_key",
     "memo_key",
-    "state_fingerprint",
     "trg_key",
 ]
 
 #: bumped whenever simulate()'s semantics change; invalidates old caches.
 #: v3: keys hash the stream's content digest (store-key unification)
-#: instead of the raw bytes.
-SCHEMA = "repro.perf.memo.v3"
+#: instead of the raw bytes.  v4: keys drop the warm-state field.
+SCHEMA = "repro.perf.memo.v4"
 
 #: separate tag for stack-distance histogram entries (repro.cache.fastsim);
 #: bumped whenever the kernel's semantics change (v2: digest-based keys).
@@ -149,25 +141,7 @@ class _Codec(NamedTuple):
     view: Callable = lambda value: value
 
 
-def state_fingerprint(state: Optional[CacheState]) -> str:
-    """Digest of a warm cache state (``"cold"`` for a fresh cache)."""
-    if state is None:
-        return "cold"
-    h = hashlib.sha256()
-    for s in state.sets:
-        h.update(np.asarray(s, dtype="<i8").tobytes())
-        h.update(b"/")
-    h.update(np.asarray(sorted(state.prefetched), dtype="<i8").tobytes())
-    return h.hexdigest()
-
-
-def memo_key(
-    lines,
-    cfg: CacheConfig,
-    *,
-    prefetch: bool = False,
-    state: Optional[CacheState] = None,
-) -> str:
+def memo_key(lines, cfg: CacheConfig, *, prefetch: bool = False) -> str:
     """Content hash identifying one simulation's full input.
 
     ``lines`` may be the stream itself or its precomputed
@@ -175,7 +149,7 @@ def memo_key(
     """
     return hashlib.sha256(
         f"{SCHEMA}|{cfg.size_bytes}/{cfg.assoc}/{cfg.line_bytes}"
-        f"|pf={int(prefetch)}|st={state_fingerprint(state)}"
+        f"|pf={int(prefetch)}"
         f"|{trace_digest(lines)}".encode()
     ).hexdigest()
 
@@ -244,8 +218,7 @@ class SimMemo:
         the memo keeps answering from memory and recomputation while
         ``degraded`` counts the skipped disk operations.
 
-    Counters: ``hits`` / ``misses`` split lookups; ``bypasses`` counts
-    warm-state mutating calls that skipped the memo entirely;
+    Counters: ``hits`` / ``misses`` split lookups;
     ``disk_failures`` / ``degraded`` / ``lock_waits`` track the disk
     tier's health (see the module docstring).
     """
@@ -263,7 +236,6 @@ class SimMemo:
         self._mem: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
-        self.bypasses = 0
         self.disk_failures = 0
         self.degraded = 0
         self.lock_waits = 0
@@ -457,21 +429,9 @@ class SimMemo:
     # -- the memoizing simulator ------------------------------------------
 
     def simulate(
-        self,
-        lines: np.ndarray,
-        cfg: CacheConfig,
-        *,
-        prefetch: bool = False,
-        state: Optional[CacheState] = None,
+        self, lines: np.ndarray, cfg: CacheConfig, *, prefetch: bool = False
     ) -> CacheStats:
-        """Drop-in for :func:`repro.cache.setassoc.simulate`, memoized.
-
-        Warm-state calls mutate ``state`` in place, which a replay cannot
-        reproduce — they bypass the memo (counted in ``bypasses``).
-        """
-        if state is not None:
-            self.bypasses += 1
-            return simulate(lines, cfg, prefetch=prefetch, state=state)
+        """Drop-in for :func:`repro.cache.setassoc.simulate`, memoized."""
         return self._memoized(
             memo_key(lines, cfg, prefetch=prefetch),
             self.get,
@@ -606,7 +566,7 @@ class SimMemo:
 
     @property
     def hit_rate(self) -> float:
-        """Hits over keyed lookups (bypasses excluded); 0.0 when unused."""
+        """Hits over keyed lookups; 0.0 when unused."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -614,7 +574,6 @@ class SimMemo:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "bypasses": self.bypasses,
             "disk_failures": self.disk_failures,
             "degraded": self.degraded,
             "lock_waits": self.lock_waits,

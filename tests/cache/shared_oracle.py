@@ -1,0 +1,181 @@
+"""Reference co-run simulators: the two hand-rolled round-robin loops
+that :func:`repro.cache.shared.simulate_shared` and
+:func:`repro.cache.hierarchy.simulate_hierarchy_shared` replaced with one
+set loop (:func:`repro.cache.setassoc.run_lru`) and one issue order
+(:func:`repro.cache.shared.issue_order`).
+
+Kept verbatim so the property tests can pin the production simulators to
+them, counter for counter.  ``wrap=False`` is the oracle's own knob; the
+production simulators always wrap.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.cache.config import CacheConfig
+from repro.cache.hierarchy import (
+    PAPER_HIERARCHY,
+    HierarchyConfig,
+    HierarchyStats,
+    _Cache,
+    _run,
+)
+from repro.cache.stats import SharedCacheStats
+
+
+def simulate_shared(
+    streams: list[np.ndarray],
+    cfg: CacheConfig,
+    *,
+    quantum: int = 8,
+    wrap: bool = True,
+    prefetch: bool = False,
+) -> list[SharedCacheStats]:
+    """Co-run ``streams`` in one shared cache; returns per-thread stats.
+
+    ``quantum`` is the number of consecutive line accesses a thread issues
+    before yielding (SMT fetch granularity).  With ``prefetch`` the shared
+    next-line prefetcher runs for all threads (as on real SMT cores, where
+    the L1I prefetcher is a shared resource); each pending prefetched line
+    remembers its issuing thread so consumption is attributed self vs.
+    cross (see :class:`SharedCacheStats`).
+    """
+    n_threads = len(streams)
+    if n_threads == 0:
+        return []
+    if quantum < 1:
+        raise ValueError("quantum must be >= 1")
+
+    lists = [
+        s.tolist() if isinstance(s, np.ndarray) else list(s) for s in streams
+    ]
+    lengths = [len(s) for s in lists]
+    stats = [SharedCacheStats() for _ in range(n_threads)]
+    # Threads with empty streams are complete from the start.
+    done = [n == 0 for n in lengths]
+    cursors = [0] * n_threads
+
+    sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
+    #: pending prefetched line -> thread that issued the prefetch.
+    prefetched: dict[int, int] = {}
+    mask = cfg.n_sets - 1
+    assoc = cfg.assoc
+
+    active = [t for t in range(n_threads) if lengths[t] > 0]
+    while not all(done):
+        progressed = False
+        for t in active:
+            stream = lists[t]
+            n = lengths[t]
+            if n == 0:
+                continue
+            st = stats[t]
+            pos = cursors[t]
+            end = min(pos + quantum, n)
+            accesses = 0
+            misses = 0
+            for k in range(pos, end):
+                line = stream[k]
+                accesses += 1
+                s = sets[line & mask]
+                try:
+                    i = s.index(line)
+                except ValueError:
+                    misses += 1
+                    s.insert(0, line)
+                    if len(s) > assoc:
+                        prefetched.pop(s.pop(), None)
+                    if prefetch:
+                        nxt = line + 1
+                        ns = sets[nxt & mask]
+                        # Never let the prefetch evict its own demand
+                        # line (single-set, single-way geometry); same
+                        # guard as the solo simulator.
+                        if nxt not in ns and not (
+                            len(ns) >= assoc and ns[-1] == line
+                        ):
+                            st.prefetches += 1
+                            prefetched[nxt] = t
+                            ns.insert(0, nxt)
+                            if len(ns) > assoc:
+                                prefetched.pop(ns.pop(), None)
+                    continue
+                if i:
+                    s.insert(0, s.pop(i))
+                if prefetch and line in prefetched:
+                    issuer = prefetched.pop(line)
+                    st.prefetch_hits += 1
+                    if issuer == t:
+                        st.prefetch_hits_self += 1
+                    else:
+                        st.prefetch_hits_cross += 1
+            st.accesses += accesses
+            st.misses += misses
+            progressed = progressed or accesses > 0
+            if end >= n:
+                done[t] = True
+                if wrap and not all(done):
+                    cursors[t] = 0
+                else:
+                    cursors[t] = n
+                    if not wrap:
+                        # Thread leaves the core; stop issuing for it.
+                        lengths[t] = 0
+            else:
+                cursors[t] = end
+        if not progressed:  # pragma: no cover - guards infinite loops
+            break
+    return stats
+
+
+def simulate_hierarchy_shared(
+    streams: list[tuple[np.ndarray, np.ndarray]],
+    cfg: HierarchyConfig = PAPER_HIERARCHY,
+    *,
+    quantum: int = 8,
+) -> list[HierarchyStats]:
+    """SMT co-run through one shared hierarchy (L1I, L1D and L2 are all
+    per-core and therefore shared by the hyper-threads).
+
+    Streams wrap until every thread has completed at least one pass, as in
+    :func:`repro.cache.shared.simulate_shared`; per-thread stats cover all
+    issued accesses.
+    """
+    n_threads = len(streams)
+    if n_threads == 0:
+        return []
+    if quantum < 1:
+        raise ValueError("quantum must be >= 1")
+    data = [
+        (lines.tolist(), is_data.tolist()) for lines, is_data in streams
+    ]
+    lengths = [len(d[0]) for d in data]
+    stats = [HierarchyStats() for _ in range(n_threads)]
+    done = [n == 0 for n in lengths]
+    cursors = [0] * n_threads
+
+    l1i, l1d, l2 = _Cache(cfg.l1i), _Cache(cfg.l1d), _Cache(cfg.l2)
+
+    while not all(done):
+        progressed = False
+        for t in range(n_threads):
+            n = lengths[t]
+            if n == 0:
+                continue
+            pos = cursors[t]
+            end = min(pos + quantum, n)
+            lines_t, is_data_t = data[t]
+            _run(lines_t[pos:end], is_data_t[pos:end], l1i, l1d, l2, stats[t])
+            progressed = progressed or end > pos
+            if end >= n:
+                done[t] = True
+                if all(done):
+                    cursors[t] = n
+                else:
+                    cursors[t] = 0
+            else:
+                cursors[t] = end
+        if not progressed:  # pragma: no cover - guards infinite loops
+            break
+    return stats

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from repro.cache import (
     CacheConfig,
-    CacheState,
     PAPER_L1I,
     simulate,
     simulate_policy,
     simulate_shared,
-    warm_cache,
 )
 from repro.cache.fastsim import fenwick_histogram
 
@@ -102,41 +100,10 @@ class TestDegeneratePrefetchGeometry:
         assert st_.prefetches == 0
 
 
-class TestSimulatePolicyUnsupportedOptions:
-    """PR 3 bugfix pin: simulate_policy used to silently ignore prefetch
-    and warm-start state; both now raise instead of simulating the wrong
-    thing."""
-
-    def test_lru_policy_still_matches_simulate(self):
-        rng = np.random.default_rng(11)
-        lines = rng.integers(0, 48, 1500)
-        assert simulate_policy(lines, PAPER_L1I).misses == simulate(
-            lines, PAPER_L1I
-        ).misses
-
-    def test_prefetch_rejected(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            simulate_policy(np.array([0, 1]), PAPER_L1I, prefetch=True)
-
-    def test_warm_state_rejected(self):
-        state = CacheState(PAPER_L1I)
-        with pytest.raises(ValueError, match="state"):
-            simulate_policy(np.array([0, 1]), PAPER_L1I, state=state)
-
-
-def test_warm_start_state():
-    lines = np.arange(16)
-    state = warm_cache(lines, PAPER_L1I)
-    again = simulate(lines, PAPER_L1I, state=state)
-    assert again.misses == 0  # everything resident
-    assert state.resident_lines() >= set(range(16))
-
-
-def test_state_config_mismatch_rejected():
-    state = CacheState(PAPER_L1I)
-    other = CacheConfig(size_bytes=16 * 1024, assoc=4, line_bytes=64)
-    with pytest.raises(ValueError):
-        simulate(np.array([1]), other, state=state)
+def test_lru_policy_still_matches_simulate():
+    rng = np.random.default_rng(11)
+    lines = rng.integers(0, 48, 1500)
+    assert simulate_policy(lines, PAPER_L1I).misses == simulate(lines, PAPER_L1I).misses
 
 
 @settings(max_examples=40, deadline=None)

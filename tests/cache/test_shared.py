@@ -10,6 +10,13 @@ from repro.cache import (
     simulate,
     simulate_shared,
 )
+from repro.cache.shared import issue_order
+
+
+def issued_stream(streams, quantum=8):
+    """The streams concatenated in issue order (what the shared cache sees)."""
+    chunks = issue_order([len(s) for s in streams], quantum)
+    return np.concatenate([streams[t][start:end] for t, start, end in chunks])
 
 
 def test_single_thread_equals_solo():
@@ -39,46 +46,57 @@ def test_corun_increases_misses_under_contention():
     a = np.tile(np.arange(0, 400), 20)
     b = np.tile(np.arange(1000, 1400), 20)
     solo_a = simulate(a, PAPER_L1I).misses
-    shared = simulate_shared([a, b], PAPER_L1I, wrap=False)
-    # normalize to one pass.
+    shared = simulate_shared([a, b], PAPER_L1I)
+    # equal lengths: one pass each, no wrap.
+    assert shared[0].accesses == a.shape[0]
     assert shared[0].misses > solo_a
 
 
 def test_wrap_restarts_shorter_stream():
     a = np.arange(0, 100)           # short
     b = np.arange(1000, 1000 + 4000)  # long
-    shared = simulate_shared([a, b], PAPER_L1I, wrap=True)
+    shared = simulate_shared([a, b], PAPER_L1I)
     # thread 0 must have issued more than one pass.
     assert shared[0].accesses > a.shape[0]
     # thread 1 completes exactly one pass.
     assert shared[1].accesses == b.shape[0]
 
 
-def test_no_wrap_lets_thread_exit():
+def test_issue_order_round_robin_with_wrap():
+    """Quanta alternate in thread order, empty streams never issue, a
+    finished thread restarts at 0, and the round in which the last
+    thread completes its first pass is the last."""
+    assert list(issue_order([5, 0, 2], 2)) == [
+        (0, 0, 2), (2, 0, 2),
+        (0, 2, 4), (2, 0, 2),
+        (0, 4, 5), (2, 0, 2),
+    ]
+    assert list(issue_order([], 4)) == []
+    assert list(issue_order([0, 0], 4)) == []
+
+
+def test_wrapped_totals_match_issue_order_stream():
     a = np.arange(0, 64)
     b = np.arange(1000, 1000 + 2048)
-    shared = simulate_shared([a, b], PAPER_L1I, wrap=False)
-    assert shared[0].accesses == a.shape[0]
+    shared = simulate_shared([a, b], PAPER_L1I)
+    assert shared[0].accesses > a.shape[0]
     assert shared[1].accesses == b.shape[0]
+    solo = simulate(issued_stream([a, b]), PAPER_L1I)
+    assert sum(s.accesses for s in shared) == solo.accesses
+    assert sum(s.misses for s in shared) == solo.misses
 
 
 def test_total_conservation_against_merged_reference():
-    """With quantum q and no wrap, the shared sim must equal a solo sim of
-    the explicitly interleaved stream."""
+    """With quantum q, the shared sim must equal a solo sim of the
+    interleaved stream the issue order produces, wrapped passes included."""
     rng = np.random.default_rng(3)
     a = rng.integers(0, 300, 1000)
-    b = rng.integers(500, 800, 1000)
+    b = rng.integers(500, 800, 700)
     q = 8
-    shared = simulate_shared([a, b], PAPER_L1I, quantum=q, wrap=False)
-    merged = []
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        merged.extend(a[ia : ia + q])
-        ia += q
-        merged.extend(b[ib : ib + q])
-        ib += q
-    solo = simulate(np.array(merged), PAPER_L1I)
+    shared = simulate_shared([a, b], PAPER_L1I, quantum=q)
+    solo = simulate(issued_stream([a, b], q), PAPER_L1I)
     assert shared[0].misses + shared[1].misses == solo.misses
+    assert shared[0].accesses + shared[1].accesses == solo.accesses
 
 
 def test_deterministic():

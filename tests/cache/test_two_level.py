@@ -91,6 +91,9 @@ def test_shared_empty_and_validation():
     assert simulate_hierarchy_shared([], SMALL) == []
     with pytest.raises(ValueError):
         simulate_hierarchy_shared([make_stream([1], [])], SMALL, quantum=0)
+    lines = np.arange(10, dtype=np.int64)
+    with pytest.raises(ValueError, match="align"):
+        simulate_hierarchy_shared([make_stream([1], []), (lines, np.zeros(5, dtype=bool))], SMALL)
 
 
 def test_l2_miss_ratio_per_access():

@@ -84,13 +84,23 @@ def test_solo_miss_channels(lab):
         lab.solo_miss("syn-mcf", BASELINE, channel="bogus")
 
 
-def test_corun_symmetric_cache(lab):
-    a = ("syn-mcf", BASELINE)
-    b = ("syn-sjeng", BASELINE)
-    r1 = lab.corun_miss(a, b)
-    r2 = lab.corun_miss(b, a)
-    assert r1[0] == r2[1]
-    assert r1[1] == r2[0]
+def test_corun_independent_of_request_order():
+    """The co-run simulation is not symmetric (thread order, address
+    offset), so a pair's result must not be derived from its swap: (a, b)
+    answers the same whether or not (b, a) was asked first."""
+    a = ("syn-gcc", BASELINE)
+    b = ("syn-perlbench", BASELINE)
+    fresh = Lab(scale=SCALE).corun_timing(a, b).makespan
+    after_swap = Lab(scale=SCALE)
+    after_swap.corun_timing(b, a)
+    assert after_swap.corun_timing(a, b).makespan == fresh
+
+
+def test_scheduling_pair_cost_is_symmetric():
+    from repro.experiments.exp_scheduling import pair_cost
+
+    ab = pair_cost(Lab(scale=SCALE), BASELINE, "syn-gcc", "syn-perlbench")
+    assert pair_cost(Lab(scale=SCALE), BASELINE, "syn-perlbench", "syn-gcc") == ab
 
 
 def test_corun_contention_visible(lab):

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, PAPER_L1I, simulate, warm_cache
-from repro.perf import SimMemo, memo_key, state_fingerprint
+from repro.cache import CacheConfig, PAPER_L1I, simulate
+from repro.perf import SimMemo, memo_key
 
 
 @pytest.fixture
@@ -45,12 +45,6 @@ class TestMemoKey:
         }
         assert len(keys) == 3
 
-    def test_sensitive_to_warm_state(self, lines):
-        warm = warm_cache(np.arange(64), PAPER_L1I)
-        assert memo_key(lines, PAPER_L1I) != memo_key(lines, PAPER_L1I, state=warm)
-        assert state_fingerprint(None) == "cold"
-        assert state_fingerprint(warm) != state_fingerprint(None)
-
 
 class TestSimMemo:
     def test_hit_returns_identical_stats(self, lines):
@@ -68,18 +62,6 @@ class TestSimMemo:
         a = memo.simulate(lines, PAPER_L1I)
         a.misses = -1  # caller mutates its copy
         assert memo.simulate(lines, PAPER_L1I).misses != -1
-
-    def test_warm_state_calls_bypass_and_still_mutate(self, lines):
-        """A replay cannot reproduce the in-place mutation, so warm-state
-        calls must reach the real simulator every time."""
-        memo = SimMemo()
-        ref = warm_cache(lines, PAPER_L1I)
-        state = warm_cache(np.array([], dtype=np.int64), PAPER_L1I)
-        stats = memo.simulate(lines, PAPER_L1I, state=state)
-        assert memo.bypasses == 1
-        assert (memo.hits, memo.misses) == (0, 0)
-        assert state.resident_lines() == ref.resident_lines()
-        assert stats == simulate(lines, PAPER_L1I)
 
     def test_disk_persistence_across_instances(self, tmp_path, lines):
         fresh = simulate(lines, PAPER_L1I)
@@ -166,7 +148,6 @@ class TestSimMemo:
         assert memo.counters() == {
             "hits": 1,
             "misses": 1,
-            "bypasses": 0,
             "disk_failures": 0,
             "degraded": 0,
             "lock_waits": 0,
