@@ -111,21 +111,31 @@ class DistanceHistogram:
 
     # -- persistence (see repro.perf.memo) ---------------------------------
 
-    def to_dict(self) -> dict:
+    #: what :meth:`to_arrays` emits: name -> (dtype kind, shape), with
+    #: ``None`` for an axis of any length.
+    ARRAYS = {
+        "n_sets": ("i", ()),
+        "accesses": ("i", ()),
+        "cold": ("i", ()),
+        "hist": ("i", (None,)),
+    }
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays: ``hist`` plus the three scalars."""
         return {
-            "n_sets": self.n_sets,
-            "accesses": self.accesses,
-            "cold": self.cold,
-            "hist": [int(c) for c in self.hist],
+            "n_sets": np.array(self.n_sets, dtype=np.int64),
+            "accesses": np.array(self.accesses, dtype=np.int64),
+            "cold": np.array(self.cold, dtype=np.int64),
+            "hist": self.hist,
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "DistanceHistogram":
+    def from_arrays(cls, raw: dict) -> "DistanceHistogram":
         return cls(
             n_sets=int(raw["n_sets"]),
             accesses=int(raw["accesses"]),
             cold=int(raw["cold"]),
-            hist=np.asarray(raw["hist"], dtype=np.int64),
+            hist=raw["hist"],
         )
 
 

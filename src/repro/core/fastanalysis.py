@@ -46,6 +46,7 @@ from .affinity import AffinityAnalysis
 from .trg import TRG
 
 __all__ = [
+    "TRG_ARRAYS",
     "AffinityCoverage",
     "affinity_coverage",
     "analysis_from_coverage",
@@ -90,41 +91,74 @@ class AffinityCoverage:
             and all(np.array_equal(h, other.cov[k]) for k, h in self.cov.items())
         )
 
-    def to_dict(self) -> dict:
-        """JSON-able form (memo entries, process boundaries)."""
+    #: what :meth:`to_arrays` emits: name -> (dtype kind, shape), with
+    #: ``None`` for an axis of any length.
+    ARRAYS = {
+        "kind": ("U", ()),
+        "w_max": ("i", ()),
+        "time_horizon": ("i", (None,)),
+        "pairs": ("i", (None, 2)),
+        "cov": ("i", (None, None)),
+        "n_occ": ("i", (None, 2)),
+        "first_occ": ("i", (None, 2)),
+    }
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays (memo entries): the ``(P, 2)`` pairs and their
+        histograms as one ``(P, w_max + 1)`` matrix, the occurrence
+        tables as ``(K, 2)`` symbol/value rows — all in dict order — and
+        ``time_horizon`` as a length-0 (``None``) or length-1 array."""
+        horizon = [] if self.time_horizon is None else [self.time_horizon]
         return {
-            "kind": "affinity",
-            "w_max": int(self.w_max),
-            "time_horizon": self.time_horizon,
-            "n_occ": {str(k): int(v) for k, v in self.n_occ.items()},
-            "first_occ": {str(k): int(v) for k, v in self.first_occ.items()},
-            "cov": {
-                f"{x},{y}": hist.tolist() for (x, y), hist in self.cov.items()
-            },
+            "kind": np.array("affinity"),
+            "w_max": np.array(self.w_max, dtype=np.int64),
+            "time_horizon": np.array(horizon, dtype=np.int64),
+            "pairs": np.array(list(self.cov), dtype=np.int64).reshape(-1, 2),
+            "cov": np.array(list(self.cov.values()), dtype=np.int64).reshape(
+                -1, self.w_max + 1
+            ),
+            "n_occ": _rows(self.n_occ),
+            "first_occ": _rows(self.first_occ),
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "AffinityCoverage":
-        """Inverse of :meth:`to_dict`; raises ``ValueError`` on malformed
-        payloads so memo corruption degrades to recomputation."""
-        if raw.get("kind") != "affinity":
-            raise ValueError(f"not an affinity payload: kind={raw.get('kind')!r}")
+    def from_arrays(cls, raw: dict) -> "AffinityCoverage":
+        """Inverse of :meth:`to_arrays`; raises ``ValueError`` on malformed
+        payloads so memo corruption degrades to recomputation.  The
+        histograms are rows of a fresh copy, shared with nothing."""
+        if str(raw["kind"]) != "affinity":
+            raise ValueError(f"not an affinity payload: kind={str(raw['kind'])!r}")
         w_max = int(raw["w_max"])
-        horizon = raw["time_horizon"]
-        cov: dict[tuple[int, int], np.ndarray] = {}
-        for key, hist in raw["cov"].items():
-            x, y = key.split(",")
-            arr = np.asarray(hist, dtype=np.int64)
-            if arr.shape != (w_max + 1,):
-                raise ValueError(f"histogram shape {arr.shape} != ({w_max + 1},)")
-            cov[(int(x), int(y))] = arr
+        horizon = raw["time_horizon"].tolist()
+        pairs = raw["pairs"]
+        hists = np.array(raw["cov"], dtype=np.int64)
+        if len(horizon) > 1:
+            raise ValueError(f"time_horizon has {len(horizon)} values")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pairs shape {pairs.shape} is not (P, 2)")
+        if hists.shape != (pairs.shape[0], w_max + 1):
+            raise ValueError(
+                f"histogram shape {hists.shape} != ({pairs.shape[0]}, {w_max + 1})"
+            )
         return cls(
             w_max=w_max,
-            time_horizon=None if horizon is None else int(horizon),
-            n_occ={int(k): int(v) for k, v in raw["n_occ"].items()},
-            first_occ={int(k): int(v) for k, v in raw["first_occ"].items()},
-            cov=cov,
+            time_horizon=horizon[0] if horizon else None,
+            n_occ=_mapping(raw["n_occ"]),
+            first_occ=_mapping(raw["first_occ"]),
+            cov=dict(zip(map(tuple, pairs.tolist()), hists)),
         )
+
+
+def _rows(table: dict[int, int]) -> np.ndarray:
+    """A symbol -> int table as ``(K, 2)`` rows, in dict order."""
+    return np.array(list(table.items()), dtype=np.int64).reshape(-1, 2)
+
+
+def _mapping(rows: np.ndarray) -> dict[int, int]:
+    """Inverse of :func:`_rows`."""
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"table shape {rows.shape} is not (K, 2)")
+    return dict(rows.tolist())
 
 
 def coverage_from_analysis(
@@ -460,37 +494,47 @@ def build_trg_fast(
     return trg
 
 
-def trg_to_payload(trg: TRG, window_blocks: Optional[int] = None) -> dict:
-    """JSON-able form of a TRG (memo entries, process boundaries)."""
+#: what :func:`trg_to_payload` emits: name -> (dtype kind, shape), with
+#: ``None`` for an axis of any length.
+TRG_ARRAYS = {
+    "kind": ("U", ()),
+    "nodes": ("i", (None,)),
+    "edges": ("i", (None, 2)),
+    "weights": ("i", (None,)),
+}
+
+
+def trg_to_payload(trg: TRG) -> dict[str, np.ndarray]:
+    """A TRG as named arrays (memo entries): ``nodes``, the ``(E, 2)``
+    ``edges`` and their ``weights``, in dict order."""
     return {
-        "kind": "trg",
-        "window_blocks": window_blocks,
-        "nodes": [int(x) for x in trg.nodes],
-        "weights": {f"{x},{y}": int(w) for (x, y), w in trg.weights.items()},
+        "kind": np.array("trg"),
+        "nodes": np.array(trg.nodes, dtype=np.int64),
+        "edges": np.array(list(trg.weights), dtype=np.int64).reshape(-1, 2),
+        "weights": np.array(list(trg.weights.values()), dtype=np.int64),
     }
 
 
 def trg_from_payload(raw: dict) -> TRG:
     """Inverse of :func:`trg_to_payload`; always a fresh ``TRG`` that
     shares nothing with ``raw``.  Raises ``ValueError`` on malformed
-    payloads (a key not ``"x,y"`` with ``x < y``, a weight not positive,
-    an endpoint or node repeated or missing) so memo corruption degrades
-    to recomputation."""
-    if raw.get("kind") != "trg":
-        raise ValueError(f"not a TRG payload: kind={raw.get('kind')!r}")
-    nodes = [int(x) for x in raw["nodes"]]
-    known = set(nodes)
-    if len(known) != len(nodes):
+    payloads (an edge not ``x < y``, a weight not positive, an edge or
+    node repeated, an endpoint not listed, edges and weights of unequal
+    length) so memo corruption degrades to recomputation."""
+    if str(raw["kind"]) != "trg":
+        raise ValueError(f"not a TRG payload: kind={str(raw['kind'])!r}")
+    nodes = raw["nodes"].tolist()
+    if len(set(nodes)) != len(nodes):
         raise ValueError("TRG payload repeats a node")
-    entries = raw["weights"]
-    if not isinstance(entries, dict):
-        raise ValueError(f"TRG weights must be a mapping, got {type(entries).__name__}")
-    weights: dict[tuple[int, int], int] = {}
-    for key, w in entries.items():
-        x, y = (int(v) for v in key.split(","))
-        w = int(w)
-        if not x < y or (x, y) in weights or w <= 0 or not known >= {x, y}:
-            raise ValueError(f"TRG edge {key!r}: {w} is not a new x < y edge "
-                             "of positive weight between listed nodes")
-        weights[(x, y)] = w
+    edges, w = raw["edges"], raw["weights"]
+    if edges.ndim != 2 or edges.shape[1] != 2 or w.shape != (edges.shape[0],):
+        raise ValueError(
+            f"TRG edges {edges.shape} and weights {w.shape} are not (E, 2) and (E,)"
+        )
+    xs, ys = edges[:, 0], edges[:, 1]
+    bad = (xs >= ys) | (w <= 0) | ~np.isin(xs, raw["nodes"]) | ~np.isin(ys, raw["nodes"])
+    weights = dict(zip(map(tuple, edges.tolist()), w.tolist()))
+    if bad.any() or len(weights) != len(w):
+        raise ValueError("TRG payload has an edge that is not a new x < y edge "
+                         "of positive weight between listed nodes")
     return TRG(weights=weights, nodes=nodes)

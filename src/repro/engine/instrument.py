@@ -13,10 +13,23 @@ instrumented run; this module packages its output in the same shape:
 
 Traces can be saved to / loaded from ``.npz`` files, standing in for the
 paper's on-disk trace files.
+
+The paper instruments each program once and reuses its trace files;
+the Lab does the same through a :class:`~repro.perf.store.TraceStore`.
+:func:`bundle_key` names an instrumented run by its *recipe* — the
+workload spec after budget scaling, the input spec, and a salt hashing
+the source of the IR, engine and workload packages (so any change to
+program generation or interpretation invalidates every entry on its
+own).  :func:`bundle_entry` flattens a run to one ``int64`` array (a
+small header plus the block trace), and :func:`bundle_from_entry`
+validates such an array against the freshly built module and rebuilds
+the rest of the bundle from it — without running the interpreter.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -30,7 +43,24 @@ from ..robust.errors import ArtifactError
 from .interpreter import RunResult, run
 from .state import InputSpec
 
-__all__ = ["TraceBundle", "collect_trace", "save_bundle", "load_bundle"]
+__all__ = [
+    "TraceBundle",
+    "bundle_entry",
+    "bundle_from_entry",
+    "bundle_key",
+    "collect_trace",
+    "load_bundle",
+    "save_bundle",
+]
+
+#: bumped whenever the recipe-keyed entry layout changes.
+BUNDLE_SCHEMA = "repro.engine.bundle.v1"
+
+#: entry header: ``instr_count``, ``natural_exit``, ``n_blocks``.
+_HEADER = 3
+
+#: packages whose source decides what an instrumented run records.
+_SALTED_PACKAGES = ("ir", "engine", "workloads")
 
 #: arrays a serialized bundle must carry.
 _BUNDLE_KEYS = (
@@ -75,9 +105,14 @@ class TraceBundle:
         return len(self.block_names)
 
 
-def collect_trace(module: Module, spec: InputSpec) -> TraceBundle:
-    """Run ``module`` under ``spec`` and package the instrumented output."""
-    result: RunResult = run(module, spec)
+def _package(
+    module: Module,
+    spec: InputSpec,
+    bb_trace: np.ndarray,
+    instr_count: int,
+    natural_exit: bool,
+) -> TraceBundle:
+    """A run's block trace plus everything derived from the module."""
     function_names = [f.name for f in module.functions]
     func_index = {name: i for i, name in enumerate(function_names)}
     func_of_gid = np.array(
@@ -89,14 +124,82 @@ def collect_trace(module: Module, spec: InputSpec) -> TraceBundle:
     return TraceBundle(
         program=module.name,
         input_name=spec.name,
-        bb_trace=result.bb_trace,
-        func_trace=func_of_gid[result.bb_trace],
+        bb_trace=bb_trace,
+        func_trace=func_of_gid[bb_trace],
         block_names=block_names,
         function_names=function_names,
         func_of_gid=func_of_gid,
-        instr_count=result.instr_count,
-        natural_exit=result.natural_exit,
+        instr_count=instr_count,
+        natural_exit=natural_exit,
     )
+
+
+def collect_trace(module: Module, spec: InputSpec) -> TraceBundle:
+    """Run ``module`` under ``spec`` and package the instrumented output."""
+    result: RunResult = run(module, spec)
+    return _package(module, spec, result.bb_trace, result.instr_count, result.natural_exit)
+
+
+@functools.cache
+def code_salt() -> str:
+    """SHA-256 over the source of every module under ``repro.ir``,
+    ``repro.engine`` and ``repro.workloads`` (computed once per process)."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for package in _SALTED_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def bundle_key(workload, spec: InputSpec) -> str:
+    """Recipe hash of one instrumented run.
+
+    ``workload`` is the program's generator spec after budget scaling
+    (``SuiteProgram.spec``); it and ``spec`` enter through their
+    dataclass ``repr``, which is deterministic across processes.
+    """
+    recipe = f"{BUNDLE_SCHEMA}|{workload!r}|{spec!r}|{code_salt()}"
+    return hashlib.sha256(recipe.encode()).hexdigest()
+
+
+def bundle_entry(bundle: TraceBundle) -> np.ndarray:
+    """One ``int64`` array: ``instr_count``, ``natural_exit``,
+    ``n_blocks``, then the block trace."""
+    header = np.array(
+        [bundle.instr_count, int(bundle.natural_exit), bundle.n_static_blocks],
+        dtype=np.int64,
+    )
+    return np.concatenate([header, bundle.bb_trace])
+
+
+def bundle_from_entry(module: Module, spec: InputSpec, entry: np.ndarray) -> TraceBundle:
+    """Rebuild the bundle :func:`bundle_entry` flattened, for ``module``
+    run under ``spec``; bit-identical to :func:`collect_trace`.
+
+    Raises :class:`~repro.robust.errors.ArtifactError` when the header is
+    malformed, the entry was recorded for a module with a different
+    block count, or a gid falls outside ``[0, n_blocks)``.
+    """
+    if entry.ndim != 1 or entry.shape[0] < _HEADER:
+        raise ArtifactError("trace entry has no header", defect="short entry")
+    instr_count, natural_exit, n_blocks = (int(v) for v in entry[:_HEADER])
+    if instr_count < 0 or natural_exit not in (0, 1):
+        raise ArtifactError("trace entry header is malformed", defect="bad header")
+    if n_blocks != module.n_blocks:
+        raise ArtifactError(
+            f"trace entry has {n_blocks} blocks, module {module.name} has {module.n_blocks}",
+            defect="block count mismatch",
+        )
+    trace = entry[_HEADER:]
+    if trace.size and (int(trace.min()) < 0 or int(trace.max()) >= n_blocks):
+        raise ArtifactError(
+            f"trace entry references gids outside [0, {n_blocks})",
+            defect="trace gid out of range",
+        )
+    # The interpreter emits int32 gids; keep the dtype a fresh run has.
+    return _package(module, spec, trace.astype(np.int32), instr_count, bool(natural_exit))
 
 
 def save_bundle(bundle: TraceBundle, path: str | Path) -> None:

@@ -52,7 +52,14 @@ from ..cache.stats import CacheStats
 from ..core.optimizers import OPTIMIZERS, OptimizerConfig
 from ..core.optimizers import optimize as optimize_layout
 from ..engine.fetch import fetch_lines
-from ..engine.instrument import TraceBundle, collect_trace
+from ..engine.instrument import (
+    TraceBundle,
+    bundle_entry,
+    bundle_from_entry,
+    bundle_key,
+    collect_trace,
+)
+from ..engine.state import InputSpec
 from ..ir.module import Module
 from ..ir.transforms import LayoutResult, baseline_layout
 from ..locality.footprint import FootprintCurve, footprint_curve
@@ -60,7 +67,7 @@ from ..machine.counters import measure_corun, measure_solo, reading_from_stats
 from ..machine.smt import CoRunTiming, corun_pair
 from ..machine.timing import ThreadCost, TimingParams, thread_cost
 from ..perf.telemetry import add_into
-from ..robust.errors import ProfileError, error_context
+from ..robust.errors import ArtifactError, ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
 from ..workloads.suite import SuiteProgram, get_program
 from ..workloads.suite import build as build_suite_program
@@ -140,7 +147,10 @@ class Lab:
         :class:`~repro.perf.store.StoreRef` descriptors to workers, which
         attach with zero-copy memmap reads; the stream's content digest
         doubles as the memo-key ingredient, so nothing is hashed twice.
-        Purely a transport optimization — results are bit-identical.
+        The store also keeps each instrumented run's trace under its
+        recipe (:func:`repro.engine.instrument.bundle_key`), so a warm
+        :meth:`program` builds the module but skips the interpreter.
+        Purely a speed optimization — results are bit-identical.
 
     The lab doubles as the telemetry source: :attr:`timings` accumulates
     per-stage wall-clock seconds (monotonic clock) and :attr:`counters`
@@ -412,15 +422,34 @@ class Lab:
                         seed=test_input.seed,
                     )
                 else:
-                    test_bundle = collect_trace(module, test_input)
+                    test_bundle = self._instrument(prog, module, test_input)
                 prepared = PreparedProgram(
                     prog=prog,
                     module=module,
                     test_bundle=test_bundle,
-                    ref_bundle=collect_trace(module, prog.spec.ref_input()),
+                    ref_bundle=self._instrument(prog, module, prog.spec.ref_input()),
                 )
             self._programs[name] = prepared
         return prepared
+
+    def _instrument(
+        self, prog: SuiteProgram, module: Module, spec: InputSpec
+    ) -> TraceBundle:
+        """:func:`collect_trace`, replayed from the store when it holds
+        this run's recipe-keyed trace.  A fresh run is published; an
+        invalid entry is dropped (``corrupt_dropped``) and re-run."""
+        if self.store is None:
+            return collect_trace(module, spec)
+        key = f"bundles/{bundle_key(prog.spec, spec)}"
+        entry = self.store.read(key)
+        if entry is not None:
+            try:
+                return bundle_from_entry(module, spec, entry)
+            except ArtifactError:
+                self.store.discard(key)
+        bundle = collect_trace(module, spec)
+        self.store.put(bundle_entry(bundle), key=key)
+        return bundle
 
     def _note_analysis(self, stats: dict) -> None:
         """Fold an optimizer's ``analysis_*`` counters into the lab's."""

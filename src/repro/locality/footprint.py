@@ -98,18 +98,23 @@ class FootprintCurve:
         w = max(w, 0)
         return float(self.fp[w + 1] - self.fp[w])
 
-    def to_dict(self) -> dict:
-        """JSON-ready payload (memo entries, worker transport).
+    #: what :meth:`to_arrays` emits: name -> (dtype kind, shape), with
+    #: ``None`` for an axis of any length.
+    ARRAYS = {"fp": ("f", (None,)), "n": ("i", ()), "m": ("i", ())}
 
-        ``json`` round-trips Python floats through ``repr`` (shortest
-        exact form), so a reloaded curve is bit-identical to the
-        original — the composition parity gates rely on that.
-        """
-        return {"fp": [float(x) for x in self.fp], "n": int(self.n), "m": int(self.m)}
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays (memo entries): ``fp`` as raw ``float64`` plus
+        ``n`` and ``m``, so a reloaded curve is bit-identical to the
+        original — the composition parity gates rely on that."""
+        return {
+            "fp": self.fp,
+            "n": np.array(self.n, dtype=np.int64),
+            "m": np.array(self.m, dtype=np.int64),
+        }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "FootprintCurve":
-        """Rebuild a curve from :meth:`to_dict`; malformed payloads raise
+    def from_arrays(cls, raw: dict) -> "FootprintCurve":
+        """Rebuild a curve from :meth:`to_arrays`; malformed payloads raise
         ``ValueError`` so caches degrade to recomputation."""
         fp = np.asarray(raw["fp"], dtype=np.float64)
         n = int(raw["n"])

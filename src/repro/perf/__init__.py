@@ -12,7 +12,8 @@ makes it fast without changing a single result:
   :func:`~repro.perf.parallel.memoized_cells` the one memo → ship →
   dispatch → store path the Lab and the compiler driver share;
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
-  cache for cache simulations (:class:`~repro.perf.memo.SimMemo`),
+  cache for cache simulations (:class:`~repro.perf.memo.SimMemo`; one
+  binary ``.npz`` entry per key),
   keyed by hash of (line stream, geometry, prefetch flag);
   stack-distance histograms get their own coarser keys
   (:func:`~repro.perf.memo.histogram_key`: stream + ``n_sets`` only),
@@ -26,7 +27,9 @@ makes it fast without changing a single result:
   mmap-backed ``.npy`` entries keyed by :func:`~repro.perf.store.trace_digest`
   (the same digest every memo key consumes), so cell dispatches ship
   ~100-byte :class:`~repro.perf.store.StoreRef` descriptors instead of
-  pickled arrays and workers attach with ``np.memmap`` reads;
+  pickled arrays and workers attach with ``np.memmap`` reads; the Lab
+  also keeps each interpreter run's trace there under its recipe, so a
+  warm run never re-interprets a program;
 - :mod:`repro.perf.telemetry` — per-stage wall time, simulator
   throughput, and memo hit rates aggregated into ``BENCH_perf.json``
   (:class:`~repro.perf.telemetry.Telemetry`), plus the journal-parity

@@ -144,7 +144,7 @@ def _run_kernel_bench(args) -> int:
 
     # One histogram pass per tier answers the whole family.
     rows: dict[str, dict] = {}
-    ref_dict = None
+    ref_hist = None
     mismatches: list[str] = []
     for name in names:
         backend = resolve_backend(name)
@@ -159,9 +159,9 @@ def _run_kernel_bench(args) -> int:
                 mismatches.append(
                     f"{name}: assoc={a}: scalar {scalar_misses[a]} != {got}"
                 )
-        if ref_dict is None:
-            ref_dict = hist.to_dict()
-        elif hist.to_dict() != ref_dict:
+        if ref_hist is None:
+            ref_hist = hist
+        elif hist != ref_hist:
             mismatches.append(f"{name}: histogram diverges from {names[0]} tier")
         rows[name] = {
             "seconds": round(best, 4),
@@ -428,7 +428,7 @@ def _run_store_bench(args) -> int:
     mismatches = [
         programs[i]
         for i, (a, b) in enumerate(zip(pickled_hists, ref_hists))
-        if a.to_dict() != b.to_dict()
+        if a != b
     ]
     if mismatches:
         print(

@@ -29,10 +29,18 @@ a stream derives all of its memo keys without rehashing the bytes.
 Two calls share a key iff :func:`repro.cache.setassoc.simulate` would
 return identical stats for them.
 
-Persistence is one JSON file per key under ``cache_dir``, written with
-the crash-safe :func:`repro.robust.atomic.atomic_write_text` protocol —
-a killed run leaves complete entries or none.  Unreadable or
-schema-mismatched entries are treated as misses and dropped, never
+Persistence is one uncompressed ``.npz`` archive per key under
+``cache_dir``: the entry kind's named arrays plus a 0-d ``schema``
+string, written with the crash-safe :func:`repro.robust.atomic.atomic_write`
+protocol — a killed run leaves complete entries or none.  Every kind
+encodes to arrays (stats: four ints; histograms: ``hist`` plus scalars;
+curves: ``fp``, ``n``, ``m``; TRGs: ``nodes``, ``(E, 2)`` edges and
+their weights; affinity coverage: ``(P, 2)`` pairs, a ``(P, w_max+1)``
+histogram matrix and ``(K, 2)`` occurrence tables), so an entry reads
+back bit-identical with no text parsing.  Entries load with
+``allow_pickle=False``, and every array is checked against its kind's
+declared dtype and shape before it is decoded.  Unreadable, malformed
+or schema-mismatched entries are treated as misses and dropped, never
 raised: a cache must degrade to recomputation, not to failure.
 
 Degradation and concurrency
@@ -71,7 +79,8 @@ single :class:`CacheStats`.
 from __future__ import annotations
 
 import hashlib
-import json
+import io
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -87,8 +96,14 @@ from ..cache.config import CacheConfig
 from ..cache.fastsim import DistanceHistogram
 from ..cache.setassoc import simulate
 from ..cache.stats import CacheStats
+from ..core.fastanalysis import (
+    TRG_ARRAYS,
+    AffinityCoverage,
+    trg_from_payload,
+    trg_to_payload,
+)
 from ..locality.footprint import FootprintCurve, footprint_curve
-from ..robust.atomic import atomic_write_text
+from ..robust.atomic import atomic_write
 from ..robust.faults import MEMO_READ, MEMO_WRITE, maybe_io_fault
 from ..robust.supervisor import CircuitBreaker
 from .store import trace_digest
@@ -106,36 +121,56 @@ __all__ = [
 #: bumped whenever simulate()'s semantics change; invalidates old caches.
 #: v3: keys hash the stream's content digest (store-key unification)
 #: instead of the raw bytes.  v4: keys drop the warm-state field.
-SCHEMA = "repro.perf.memo.v4"
+#: v5: binary ``.npz`` entries.
+SCHEMA = "repro.perf.memo.v5"
 
 #: separate tag for stack-distance histogram entries (repro.cache.fastsim);
-#: bumped whenever the kernel's semantics change (v2: digest-based keys).
-KERNEL_SCHEMA = "repro.perf.memo.kernel.v2"
+#: bumped whenever the kernel's semantics change (v2: digest-based keys;
+#: v3: binary entries).
+KERNEL_SCHEMA = "repro.perf.memo.kernel.v3"
 
 #: tag for locality-model analysis artifacts (repro.core.fastanalysis):
 #: affinity coverage histograms and TRG payloads, keyed on the prepared
 #: block trace + model parameters.  Bumped whenever either model's
-#: semantics change (v2: digest-based keys).
-ANALYSIS_SCHEMA = "repro.perf.memo.analysis.v2"
+#: semantics change (v2: digest-based keys; v3: binary entries).
+ANALYSIS_SCHEMA = "repro.perf.memo.analysis.v3"
 
 #: tag for all-window footprint curves (repro.locality.footprint).  The
 #: curve depends only on the line stream, so one entry answers every
 #: capacity, every peer group, and every co-run cell that program
 #: appears in — the unit of reuse the fleet composition matrix counts
-#: against (repro.fleet).
-CURVE_SCHEMA = "repro.perf.memo.curve.v1"
+#: against (repro.fleet).  v2: binary entries.
+CURVE_SCHEMA = "repro.perf.memo.curve.v2"
 
 #: stats fields persisted per entry, in schema order.
 _STATS_FIELDS = ("accesses", "misses", "prefetches", "prefetch_hits")
+
+
+#: what reading an entry's bytes can raise when they are not a
+#: well-formed entry (bad zip, truncated member, pickled or misshapen
+#: array, missing name): each degrades to a dropped entry.
+_MALFORMED = (
+    ValueError,
+    TypeError,
+    KeyError,
+    IndexError,
+    EOFError,
+    OSError,
+    zipfile.BadZipFile,
+)
 
 
 class _Codec(NamedTuple):
     """How one entry kind is tagged, stored and handed out."""
 
     schema: str
-    #: disk payload (schema tag included) -> the value kept in memory.
+    #: array name -> (dtype kind, shape with ``None`` for any length):
+    #: what a disk entry must hold before ``decode`` sees it (the
+    #: encoder's declaration, e.g. ``FootprintCurve.ARRAYS``).
+    fields: dict
+    #: checked arrays -> the value kept in memory.
     decode: Callable
-    #: value -> disk payload fields (the schema tag is added on write).
+    #: value -> named arrays (the schema tag is added on write).
     encode: Callable
     #: stored value -> what a lookup returns.
     view: Callable = lambda value: value
@@ -244,12 +279,12 @@ class SimMemo:
 
     def _entry_path(self, key: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.json"
+        return self.cache_dir / f"{key}.npz"
 
-    def _disk_read(self, path: Path) -> Optional[str]:
+    def _disk_read(self, path: Path) -> Optional[bytes]:
         """Read an entry file through the circuit breaker.
 
-        Returns the text, or None when the file is absent (a healthy
+        Returns the bytes, or None when the file is absent (a healthy
         miss — the tier answered, no strike), the tier is degraded
         (breaker open), or the read itself failed (one strike).
         """
@@ -258,7 +293,7 @@ class SimMemo:
             return None
         try:
             maybe_io_fault(MEMO_READ, str(path))
-            text = path.read_text()
+            data = path.read_bytes()
         except FileNotFoundError:
             self.breaker.record_success()
             return None
@@ -267,9 +302,9 @@ class SimMemo:
             self.breaker.record_failure()
             return None
         self.breaker.record_success()
-        return text
+        return data
 
-    def _disk_write(self, path: Path, text: str) -> bool:
+    def _disk_write(self, path: Path, arrays: dict) -> bool:
         """Persist an entry through the circuit breaker; False if the
         write was skipped (degraded) or failed.  The in-memory tier has
         the entry either way, so callers never need the outcome."""
@@ -280,7 +315,8 @@ class SimMemo:
         try:
             maybe_io_fault(MEMO_WRITE, str(path))
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, text)
+            with atomic_write(path, binary=True) as fh:
+                np.savez(fh, **arrays)
         except OSError:
             self.disk_failures += 1
             self.breaker.record_failure()
@@ -334,11 +370,11 @@ class SimMemo:
     def _peek(self, kind: str, key: str, parse: Optional[Callable] = None):
         """The one entry reader: memory first, then disk; no counters.
 
-        A disk entry must carry ``kind``'s schema tag and decode through
-        its codec; the decoded value is kept in memory.  The caller sees
-        ``parse(value)`` (default: the codec's view).  Any malformed,
-        stale or parse-rejected entry degrades to a miss and is dropped,
-        never raised.
+        A disk entry must carry ``kind``'s schema tag and arrays and
+        decode through its codec; the decoded value is kept in memory.
+        The caller sees ``parse(value)`` (default: the codec's view).  Any
+        malformed, stale or parse-rejected entry degrades to a miss and
+        is dropped, never raised.
         """
         codec = _CODECS[kind]
         view = parse or codec.view
@@ -346,22 +382,19 @@ class SimMemo:
         if value is not None:
             try:
                 return view(value)
-            except (ValueError, TypeError, KeyError):
+            except _MALFORMED:
                 self._mem.pop(key, None)
                 return None
         if self.cache_dir is None:
             return None
         path = self._entry_path(key)
-        text = self._disk_read(path)
-        if text is None:
+        data = self._disk_read(path)
+        if data is None:
             return None
         try:
-            raw = json.loads(text)
-            if raw.get("schema") != codec.schema:
-                raise ValueError(f"schema {raw.get('schema')!r}")
-            value = codec.decode(raw)
+            value = codec.decode(_checked(_load_entry(data), codec))
             out = view(value)
-        except (ValueError, TypeError, KeyError):
+        except _MALFORMED:
             # Corrupt or stale entry: a cache degrades to recomputation.
             self._drop_entry(path)
             return None
@@ -382,8 +415,8 @@ class SimMemo:
         self._mem[key] = value
         if self.cache_dir is not None:
             codec = _CODECS[kind]
-            payload = {"schema": codec.schema, **codec.encode(value)}
-            self._disk_write(self._entry_path(key), json.dumps(payload, sort_keys=True))
+            arrays = {"schema": np.array(codec.schema), **codec.encode(value)}
+            self._disk_write(self._entry_path(key), arrays)
 
     def _memoized(self, key: str, get: Callable, put: Callable, compute: Callable):
         """Replay ``key`` through ``get``, or compute and ``put`` it.
@@ -480,7 +513,7 @@ class SimMemo:
     def put_curve(self, key: str, curve: FootprintCurve) -> None:
         """Store ``curve`` under ``key`` (in memory, and on disk if enabled).
 
-        JSON round-trips floats through ``repr``, so a reloaded curve is
+        The entry holds ``fp`` as raw ``float64``, so a reloaded curve is
         bit-identical to the stored one — composition parity survives
         persistence.
         """
@@ -502,8 +535,11 @@ class SimMemo:
     # -- analysis artifacts (repro.core.fastanalysis) -----------------------
 
     def put_analysis(self, key: str, payload: dict) -> None:
-        """Store an analysis payload (in memory, and on disk if enabled)."""
-        self._put("analysis", key, payload)
+        """Store an analysis payload — the named arrays of
+        :meth:`AffinityCoverage.to_arrays <repro.core.fastanalysis.AffinityCoverage.to_arrays>`
+        or :func:`~repro.core.fastanalysis.trg_to_payload` — in memory,
+        and on disk if enabled."""
+        self._put(str(payload["kind"]), key, payload)
 
     def affinity_coverage(
         self,
@@ -520,18 +556,16 @@ class SimMemo:
         picks the kernel tier used on a miss and never enters the key
         (tiers are bit-identical by contract).
         """
-        from ..core.fastanalysis import AffinityCoverage
-
         def parse(raw: dict):
-            covg = AffinityCoverage.from_dict(raw)
+            covg = AffinityCoverage.from_arrays(raw)
             if covg.w_max != w_max or covg.time_horizon != time_horizon:
                 raise ValueError("analysis entry parameters do not match key")
             return covg
 
         return self._memoized(
             affinity_key(trace, w_max=w_max, time_horizon=time_horizon),
-            lambda key: self._get("analysis", key, parse),
-            lambda key, covg: self.put_analysis(key, covg.to_dict()),
+            lambda key: self._get("affinity", key, parse),
+            lambda key, covg: self.put_analysis(key, covg.to_arrays()),
             lambda: _tier(backend).affinity(
                 trace, w_max=w_max, time_horizon=time_horizon
             ),
@@ -551,14 +585,10 @@ class SimMemo:
         ``backend`` picks the kernel tier used on a miss and never enters
         the key.
         """
-        from ..core.fastanalysis import trg_from_payload, trg_to_payload
-
         return self._memoized(
             trg_key(trace, window_blocks=window_blocks),
-            lambda key: self._get("analysis", key, trg_from_payload),
-            lambda key, trg: self.put_analysis(
-                key, trg_to_payload(trg, window_blocks)
-            ),
+            lambda key: self._get("trg", key, trg_from_payload),
+            lambda key, trg: self.put_analysis(key, trg_to_payload(trg)),
             lambda: _tier(backend).trg(trace, window_blocks),
         )
 
@@ -585,25 +615,26 @@ class SimMemo:
     def scrub(self) -> tuple[int, int]:
         """Validate every on-disk entry; returns ``(kept, dropped)``.
 
-        Drops entries that are unreadable, non-JSON, or carry an unknown
-        schema tag, plus stray ``.lock`` and ``.tmp`` files (lock files
-        from finished dedups, temp files from killed atomic writes).
-        Run after a chaos soak — or any hard kill — to guarantee the
-        cache directory holds only complete, valid artifacts.
+        Drops entries that are unreadable, not an ``.npz`` archive, or do
+        not hold the schema tag and arrays of some entry kind, plus stray
+        ``.lock`` and ``.tmp`` files (lock files from finished dedups,
+        temp files from killed atomic writes).  Run after a chaos soak —
+        or any hard kill — to guarantee the cache directory holds only
+        complete, valid artifacts.
         """
         if self.cache_dir is None or not self.cache_dir.exists():
             return (0, 0)
         kept = dropped = 0
-        valid = {codec.schema for codec in _CODECS.values()}
         for path in sorted(self.cache_dir.iterdir()):
             if path.suffix in (".lock", ".tmp"):
                 self._drop_entry(path)
                 continue
-            if path.suffix != ".json":
+            if path.suffix != ".npz":
                 continue
             try:
-                ok = json.loads(path.read_text()).get("schema") in valid
-            except (OSError, ValueError):
+                arrays = _load_entry(path.read_bytes())
+                ok = any(_conforms(arrays, codec) for codec in _CODECS.values())
+            except _MALFORMED:
                 ok = False
             if ok:
                 kept += 1
@@ -623,21 +654,67 @@ def _copy(stats: CacheStats) -> CacheStats:
     )
 
 
-#: every entry kind's codec.  Analysis payloads stay raw in memory: each
-#: lookup parses them afresh (a TRG must never be aliased), with the
-#: caller's parser standing in for the view.
+def _load_entry(data: bytes) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` entry, read without unpickling."""
+    npz = np.load(io.BytesIO(data), allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError("memo entry is not an .npz archive")
+    with npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _checked(arrays: dict[str, np.ndarray], codec: _Codec) -> dict[str, np.ndarray]:
+    """``arrays`` if they carry ``codec``'s schema tag and declared
+    arrays, else ``ValueError``."""
+    schema = arrays.get("schema")
+    if schema is None or schema.dtype.kind != "U" or schema.shape != ():
+        raise ValueError("memo entry has no schema tag")
+    if str(schema) != codec.schema:
+        raise ValueError(f"schema {str(schema)!r}")
+    for name, (kind, shape) in codec.fields.items():
+        arr = arrays[name]
+        if (
+            arr.dtype.kind != kind
+            or arr.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+        ):
+            raise ValueError(f"memo entry array {name!r} is {arr.dtype}{arr.shape}")
+    return arrays
+
+
+def _conforms(arrays: dict[str, np.ndarray], codec: _Codec) -> bool:
+    try:
+        _checked(arrays, codec)
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
+#: every entry kind's codec.  Analysis payloads (affinity coverage and
+#: TRGs, under one schema tag) stay as arrays in memory: each lookup
+#: parses them afresh (a TRG must never be aliased), with the caller's
+#: parser standing in for the view.
 _CODECS: dict[str, _Codec] = {
     "stats": _Codec(
         SCHEMA,
-        lambda raw: CacheStats(**{f: int(raw[f]) for f in _STATS_FIELDS}),
-        lambda stats: {f: getattr(stats, f) for f in _STATS_FIELDS},
+        {"stats": ("i", (len(_STATS_FIELDS),))},
+        lambda raw: CacheStats(**dict(zip(_STATS_FIELDS, raw["stats"].tolist()))),
+        lambda stats: {
+            "stats": np.array([getattr(stats, f) for f in _STATS_FIELDS], dtype=np.int64)
+        },
         _copy,
     ),
     "histogram": _Codec(
-        KERNEL_SCHEMA, DistanceHistogram.from_dict, DistanceHistogram.to_dict
+        KERNEL_SCHEMA,
+        DistanceHistogram.ARRAYS,
+        DistanceHistogram.from_arrays,
+        DistanceHistogram.to_arrays,
     ),
-    "curve": _Codec(CURVE_SCHEMA, FootprintCurve.from_dict, FootprintCurve.to_dict),
-    "analysis": _Codec(ANALYSIS_SCHEMA, dict, dict),
+    "curve": _Codec(
+        CURVE_SCHEMA, FootprintCurve.ARRAYS, FootprintCurve.from_arrays, FootprintCurve.to_arrays
+    ),
+    "affinity": _Codec(ANALYSIS_SCHEMA, AffinityCoverage.ARRAYS, dict, dict),
+    "trg": _Codec(ANALYSIS_SCHEMA, TRG_ARRAYS, dict, dict),
 }
 
 

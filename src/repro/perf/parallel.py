@@ -54,6 +54,7 @@ import numpy as np
 
 from ..cache.fastsim import DistanceHistogram
 from ..cache.stats import CacheStats
+from ..locality.footprint import FootprintCurve
 from ..robust.errors import (
     ArtifactError,
     ProfileError,
@@ -403,34 +404,31 @@ def simulate_cells(
     ]
 
 
-def _histogram_cell(cell: tuple) -> dict:
+def _histogram_cell(cell: tuple) -> DistanceHistogram:
     lines, n_sets = cell
-    return _cell_backend().histogram(_resolve_stream(lines), n_sets).to_dict()
+    return _cell_backend().histogram(_resolve_stream(lines), n_sets)
 
 
-def _curve_cell(cell: tuple) -> dict:
+def _curve_cell(cell: tuple) -> FootprintCurve:
     from ..locality.footprint import footprint_curve
 
     (lines,) = cell
-    return footprint_curve(_resolve_stream(lines)).to_dict()
+    return footprint_curve(_resolve_stream(lines))
 
 
 def curve_cells(
     cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list["FootprintCurve"]:
+) -> list[FootprintCurve]:
     """Compute independent all-window footprint curves, possibly in parallel.
 
     Each cell is ``(lines,)`` with ``lines`` the stream or its
     :class:`~repro.perf.store.StoreRef`.  Curves cross the process
-    boundary as their dict form — JSON-exact floats, so a fanned-out
-    curve is bit-identical to a serial
+    boundary pickled, raw ``float64`` included, so a fanned-out curve is
+    bit-identical to a serial
     :func:`repro.locality.footprint.footprint_curve` call (the fleet
     composition parity gate depends on it).
     """
-    from ..locality.footprint import FootprintCurve
-
-    raw = _map_cells(_curve_cell, cells, pool)
-    return [FootprintCurve.from_dict(r) for r in raw]
+    return _map_cells(_curve_cell, cells, pool)
 
 
 def histogram_cells(
@@ -441,12 +439,10 @@ def histogram_cells(
     The kernel-path analogue of :func:`simulate_cells`: results are
     positionally aligned with ``cells`` and identical to serial
     :func:`repro.cache.fastsim.stack_distance_histogram` calls.
-    Histograms cross the process boundary as their dict form (plain ints,
-    cheap relative to the streams — which, with a store attached, do not
-    cross at all).
+    Histograms cross the process boundary pickled (cheap relative to the
+    streams — which, with a store attached, do not cross at all).
     """
-    raw = _map_cells(_histogram_cell, cells, pool)
-    return [DistanceHistogram.from_dict(r) for r in raw]
+    return _map_cells(_histogram_cell, cells, pool)
 
 
 #: kind -> (memo key of (stream or its digest, *params), SimMemo getter,

@@ -40,6 +40,19 @@ one key share a single open memmap instead of churning file
 descriptors.  The maps are read-only; consumers that need to mutate
 must copy, which keeps one worker's bug from corrupting every other
 worker's input.
+
+Recipe-keyed entries
+--------------------
+
+A key of the form ``namespace/name`` is *not* a content hash: it names
+an entry by the recipe that produced it.  The Lab keeps each
+instrumented run's trace under ``bundles/<recipe hash>``
+(:func:`repro.engine.instrument.bundle_key`), so a warm run reads the
+trace back instead of re-running the interpreter.  Such entries live in
+their own subdirectory; :meth:`TraceStore.read` loads them into an owned
+array (never a cached map — one read per run, no memmap kept alive), and
+:meth:`TraceStore.scrub` validates them structurally only, since no
+content hash exists to check them against.
 """
 
 from __future__ import annotations
@@ -112,6 +125,8 @@ class TraceStore:
         self.corrupt_dropped = 0
 
     def _path(self, key: str) -> Path:
+        """Entry file of ``key``; a ``namespace/name`` key lands in the
+        namespace's subdirectory."""
         return self.root / f"{key}.npy"
 
     # -- publish ------------------------------------------------------------
@@ -133,7 +148,7 @@ class TraceStore:
         if key in self._maps or path.exists():
             self.dup_puts += 1
             return key
-        self.root.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(path, binary=True) as fh:
             np.lib.format.write_array(fh, arr, allow_pickle=False)
         self.puts += 1
@@ -166,10 +181,30 @@ class TraceStore:
         self.bytes_mapped += arr.nbytes
         return arr
 
-    def _load(self, key: str) -> Optional[np.ndarray]:
+    def read(self, key: str) -> Optional[np.ndarray]:
+        """The entry as an owned, writable array, or None; nothing is
+        kept mapped.  Misses and corrupt entries behave as in :meth:`get`.
+
+        For one-shot reads of recipe-keyed entries: a run reads each of
+        them once, so a cached memmap would only hold pages alive.
+        """
+        arr = self._load(key, mmap_mode=None)
+        if arr is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return arr
+
+    def discard(self, key: str) -> None:
+        """Unlink an entry its consumer found invalid (counted in
+        ``corrupt_dropped``)."""
+        self._maps.pop(key, None)
+        self._drop(self._path(key))
+
+    def _load(self, key: str, mmap_mode: Optional[str] = "r") -> Optional[np.ndarray]:
         path = self._path(key)
         try:
-            arr = np.load(path, mmap_mode="r", allow_pickle=False)
+            arr = np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
         except FileNotFoundError:
             return None
         except (OSError, ValueError, EOFError):
@@ -221,23 +256,29 @@ class TraceStore:
         return True
 
     def scrub(self) -> tuple[int, int]:
-        """Content-verify every entry; returns ``(kept, dropped)``.
+        """Validate every entry; returns ``(kept, dropped)``.
 
-        Also removes stray ``.tmp`` files from killed atomic writes.
+        Content-addressed entries are content-verified; recipe-keyed
+        ones (``namespace/name``) are checked structurally, as a read
+        would.  Also removes stray ``.tmp`` files from killed atomic
+        writes.
         """
         if not self.root.exists():
             return (0, 0)
         kept = dropped = 0
-        for path in sorted(self.root.iterdir()):
+        for path in sorted(self.root.glob("*/*")) + sorted(self.root.iterdir()):
             if path.suffix == ".tmp":
                 path.unlink(missing_ok=True)
                 continue
             if path.suffix != ".npy":
                 continue
-            if self.verify(path.stem):
-                kept += 1
+            key = path.relative_to(self.root).with_suffix("").as_posix()
+            if "/" in key:
+                ok = self._load(key) is not None
             else:
-                dropped += 1
+                ok = self.verify(key)
+            kept += ok
+            dropped += not ok
         return (kept, dropped)
 
     # -- introspection ------------------------------------------------------

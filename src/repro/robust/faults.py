@@ -235,17 +235,17 @@ def chaos_corrupt_memo(cache_dir: str | Path, seed: int) -> Optional[Path]:
     """Corrupt one deterministic memo entry in ``cache_dir`` mid-run.
 
     Returns the victim path (None if the cache holds no entries yet).
-    The entry becomes syntactically invalid JSON, so the next reader
+    The entry becomes a truncated ``.npz`` archive, so the next reader
     degrades to recomputation and drops it — silent wrong answers are
     impossible by construction.
     """
-    entries = sorted(Path(cache_dir).glob("*.json"))
+    entries = sorted(Path(cache_dir).glob("*.npz"))
     if not entries:
         return None
     rng = random.Random(f"repro.chaos.corrupt|{seed}")
     victim = entries[rng.randrange(len(entries))]
-    data = victim.read_text()
-    victim.write_text(data[: max(1, len(data) // 2)] + "\x00CHAOS")
+    data = victim.read_bytes()
+    victim.write_bytes(data[: max(1, len(data) // 2)] + b"\x00CHAOS")
     return victim
 
 

@@ -179,7 +179,7 @@ def test_histogram_round_trip_and_equality():
     rng = np.random.default_rng(3)
     lines = rng.integers(0, 300, 2000)
     hist = stack_distance_histogram(lines, 64)
-    clone = DistanceHistogram.from_dict(hist.to_dict())
+    clone = DistanceHistogram.from_arrays(hist.to_arrays())
     assert clone == hist
     assert clone.misses(4) == hist.misses(4)
     other = stack_distance_histogram(lines[:-1], 64)

@@ -144,19 +144,25 @@ class TestAffinityParity:
     def test_roundtrip_payload(self):
         t = random_trace(3, 200, 9)
         covg = affinity_coverage(t, w_max=7, time_horizon=25)
-        back = AffinityCoverage.from_dict(covg.to_dict())
+        back = AffinityCoverage.from_arrays(covg.to_arrays())
         assert back == covg
+        assert list(back.cov) == list(covg.cov)  # dict order survives
+        assert list(back.n_occ) == list(covg.n_occ)
+        untimed = affinity_coverage(t, w_max=7)
+        assert AffinityCoverage.from_arrays(untimed.to_arrays()).time_horizon is None
         # corruption raises, never silently misparses
-        bad = covg.to_dict()
-        bad["kind"] = "trg"
+        bad = covg.to_arrays()
+        bad["kind"] = np.array("trg")
         with pytest.raises(ValueError):
-            AffinityCoverage.from_dict(bad)
-        short = covg.to_dict()
-        for key in short["cov"]:
-            short["cov"][key] = short["cov"][key][:-1]
-        if short["cov"]:
-            with pytest.raises(ValueError):
-                AffinityCoverage.from_dict(short)
+            AffinityCoverage.from_arrays(bad)
+        short = covg.to_arrays()
+        short["cov"] = short["cov"][:, :-1]
+        with pytest.raises(ValueError):
+            AffinityCoverage.from_arrays(short)
+        unpaired = covg.to_arrays()
+        unpaired["pairs"] = unpaired["pairs"][:-1]
+        with pytest.raises(ValueError):
+            AffinityCoverage.from_arrays(unpaired)
 
 
 class TestTRGParity:
@@ -205,9 +211,10 @@ class TestTRGParity:
     def test_payload_roundtrip(self):
         t = random_trace(11, 200, 12)
         trg = build_trg_fast(t, window_blocks=8)
-        back = trg_from_payload(trg_to_payload(trg, 8))
+        back = trg_from_payload(trg_to_payload(trg))
         assert back.weights == trg.weights
+        assert list(back.weights) == list(trg.weights)
         assert back.nodes == trg.nodes
         assert back is not trg and back.weights is not trg.weights
         with pytest.raises(ValueError):
-            trg_from_payload({"kind": "affinity"})
+            trg_from_payload(dict(trg_to_payload(trg), kind=np.array("affinity")))

@@ -126,18 +126,21 @@ def test_fill_time_nonpositive_capacity_is_zero():
 
 
 def test_curve_dict_round_trip_bit_identical():
-    """to_dict/from_dict is the curve-memo wire format: every fp value,
-    n, and m must survive JSON exactly (float64 repr is shortest-exact,
-    so the round trip preserves bits)."""
-    import json
+    """to_arrays/from_arrays is the curve-memo wire format: every fp
+    value, n, and m must survive an ``.npz`` round trip exactly."""
+    import io
 
     from repro.locality.footprint import FootprintCurve
 
     rng = np.random.default_rng(23)
     t = rng.integers(0, 40, 500)
     c = footprint_curve(t)
-    raw = json.loads(json.dumps(c.to_dict()))
-    back = FootprintCurve.from_dict(raw)
+    buf = io.BytesIO()
+    np.savez(buf, **c.to_arrays())
+    buf.seek(0)
+    with np.load(buf, allow_pickle=False) as npz:
+        raw = {name: npz[name] for name in npz.files}
+    back = FootprintCurve.from_arrays(raw)
     assert back.n == c.n
     assert back.m == c.m
     assert (back.fp == c.fp).all()  # exact, no tolerance
@@ -148,9 +151,9 @@ def test_curve_from_dict_rejects_malformed():
     from repro.locality.footprint import FootprintCurve
 
     c = footprint_curve(np.array([1, 2, 3]))
-    raw = c.to_dict()
+    raw = c.to_arrays()
     short = dict(raw, fp=raw["fp"][:-1])  # length no longer n + 1
     with pytest.raises(ValueError):
-        FootprintCurve.from_dict(short)
+        FootprintCurve.from_arrays(short)
     with pytest.raises((KeyError, TypeError, ValueError)):
-        FootprintCurve.from_dict({"fp": raw["fp"]})
+        FootprintCurve.from_arrays({"fp": raw["fp"]})

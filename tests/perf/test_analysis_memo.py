@@ -1,4 +1,4 @@
-"""Analysis-artifact memo entries (repro.perf.memo, analysis.v1 schema).
+"""Analysis-artifact memo entries (repro.perf.memo, analysis schema).
 
 The contract under test: a memoized locality-model analysis returns an
 artifact identical to a fresh kernel run; keys are sensitive to every
@@ -6,8 +6,6 @@ result-relevant parameter (and only those); disk entries survive process
 turnover, tolerate corruption — including *targeted* corruption where a
 valid payload lands under the wrong key — and can be invalidated.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -23,6 +21,8 @@ from repro.perf import (
     memo_key,
     trg_key,
 )
+
+from .memo_entries import read_entry, schema_of, write_entry
 
 
 @pytest.fixture
@@ -89,36 +89,35 @@ class TestAffinityMemo:
         memo = SimMemo(tmp_path)
         key = affinity_key(trace, w_max=12)
         fresh = memo.affinity_coverage(trace, w_max=12)
-        (tmp_path / f"{key}.json").write_text("{ truncated")
+        (tmp_path / f"{key}.npz").write_bytes(b"{ truncated")
         reread = SimMemo(tmp_path)
         assert reread.affinity_coverage(trace, w_max=12) == fresh
         assert (reread.hits, reread.misses) == (0, 1)
         # the corrupt file was replaced by a valid recomputed entry.
-        raw = json.loads((tmp_path / f"{key}.json").read_text())
-        assert raw["schema"] == ANALYSIS_SCHEMA
+        assert schema_of(tmp_path / f"{key}.npz") == ANALYSIS_SCHEMA
 
     def test_stale_schema_entry_dropped(self, tmp_path, trace):
         memo = SimMemo(tmp_path)
         key = affinity_key(trace, w_max=12)
         memo.affinity_coverage(trace, w_max=12)
-        path = tmp_path / f"{key}.json"
-        raw = json.loads(path.read_text())
-        raw["schema"] = "repro.perf.memo.analysis.v0"
-        path.write_text(json.dumps(raw))
+        path = tmp_path / f"{key}.npz"
+        raw = read_entry(path)
+        raw["schema"] = np.array("repro.perf.memo.analysis.v0")
+        write_entry(path, raw)
         reread = SimMemo(tmp_path)
         reread.affinity_coverage(trace, w_max=12)
         assert reread.misses == 1
-        assert json.loads(path.read_text())["schema"] == ANALYSIS_SCHEMA
+        assert schema_of(path) == ANALYSIS_SCHEMA
 
     def test_wrong_parameters_under_right_key_rejected(self, tmp_path, trace):
         """Targeted corruption: a *valid* payload computed for different
         parameters sitting under this key must not be served."""
         memo = SimMemo(tmp_path)
         memo.affinity_coverage(trace, w_max=12)
-        wrong = affinity_coverage(trace, w_max=8).to_dict()
+        wrong = affinity_coverage(trace, w_max=8).to_arrays()
         key = affinity_key(trace, w_max=12)
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"schema": ANALYSIS_SCHEMA, **wrong})
+        write_entry(
+            tmp_path / f"{key}.npz", {"schema": np.array(ANALYSIS_SCHEMA), **wrong}
         )
         reread = SimMemo(tmp_path)
         served = reread.affinity_coverage(trace, w_max=12)
@@ -132,9 +131,25 @@ class TestAffinityMemo:
         memo.affinity_coverage(trace, w_max=12)
         assert memo.invalidate(key)
         assert not memo.invalidate(key)
-        assert not (tmp_path / f"{key}.json").exists()
+        assert not (tmp_path / f"{key}.npz").exists()
         memo.affinity_coverage(trace, w_max=12)
         assert memo.misses == 2  # recomputed after invalidation
+
+
+def _with_edge(raw: dict, x: int, y: int, w: int) -> dict:
+    """A TRG entry with one more ``(x, y)`` edge of weight ``w``."""
+    return {
+        **raw,
+        "edges": np.vstack([raw["edges"], [[x, y]]]),
+        "weights": np.append(raw["weights"], w),
+    }
+
+
+def _reweighted(raw: dict, w: int) -> dict:
+    """A TRG entry whose first edge weighs ``w``."""
+    weights = raw["weights"].copy()
+    weights[0] = w
+    return {**raw, "weights": weights}
 
 
 class TestTrgMemo:
@@ -166,14 +181,14 @@ class TestTrgMemo:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda raw: {**raw, "weights": []},
-            lambda raw: {**raw, "weights": {**raw["weights"], "1,99": 2}},
-            lambda raw: {**raw, "weights": {**raw["weights"], "1,2": 0}},
-            lambda raw: {**raw, "weights": {**raw["weights"], "1,2": -3}},
-            lambda raw: {**raw, "weights": {**raw["weights"], "2,1": 4}},
-            lambda raw: {**raw, "weights": {**raw["weights"], "3,3": 4}},
-            lambda raw: {**raw, "weights": {**raw["weights"], "1, 2": 4}},
-            lambda raw: {**raw, "nodes": raw["nodes"] + raw["nodes"][:1]},
+            lambda raw: {**raw, "weights": raw["weights"].reshape(-1, 1)},
+            lambda raw: _with_edge(raw, 1, 99, 2),
+            lambda raw: _reweighted(raw, 0),
+            lambda raw: _reweighted(raw, -3),
+            lambda raw: _with_edge(raw, 2, 1, 4),
+            lambda raw: _with_edge(raw, 3, 3, 4),
+            lambda raw: _with_edge(raw, *raw["edges"][0], 4),
+            lambda raw: {**raw, "nodes": np.append(raw["nodes"], raw["nodes"][:1])},
         ],
         ids=[
             "weights-list",
@@ -190,8 +205,8 @@ class TestTrgMemo:
         """A corrupt TRG entry degrades to a miss and a fresh build; it
         never crashes the lookup or reaches the reduction."""
         SimMemo(tmp_path).trg(trace, window_blocks=64)
-        path = tmp_path / f"{trg_key(trace, window_blocks=64)}.json"
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        path = tmp_path / f"{trg_key(trace, window_blocks=64)}.npz"
+        write_entry(path, corrupt(read_entry(path)))
         reread = SimMemo(tmp_path)
         got = reread.trg(trace, window_blocks=64)
         oracle = build_trg(trace, window_blocks=64)
@@ -207,7 +222,7 @@ class TestHasAnalysis:
         consumed as a hit."""
         memo = SimMemo()
         key = affinity_key(trace, w_max=12)
-        memo.put_analysis(key, affinity_coverage(trace, w_max=12).to_dict())
+        memo.put_analysis(key, affinity_coverage(trace, w_max=12).to_arrays())
         served = memo.affinity_coverage(trace, w_max=12)
         assert served == affinity_coverage(trace, w_max=12)
         assert (memo.hits, memo.misses) == (1, 0)

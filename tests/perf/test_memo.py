@@ -6,13 +6,13 @@ entries survive process turnover, tolerate corruption, and can be
 invalidated.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, PAPER_L1I, simulate
 from repro.perf import SimMemo, memo_key
+
+from .memo_entries import read_entry, schema_of, write_entry
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ class TestSimMemo:
         memo = SimMemo(tmp_path)
         key = memo_key(lines, PAPER_L1I)
         fresh = memo.simulate(lines, PAPER_L1I)
-        (tmp_path / f"{key}.json").write_text("{ truncated")
+        (tmp_path / f"{key}.npz").write_bytes(b"{ truncated")
         reread = SimMemo(tmp_path)
         assert reread.simulate(lines, PAPER_L1I) == fresh
         assert reread.misses == 1  # corrupt file never served
@@ -93,15 +93,15 @@ class TestSimMemo:
         memo = SimMemo(tmp_path)
         key = memo_key(lines, PAPER_L1I)
         memo.simulate(lines, PAPER_L1I)
-        path = tmp_path / f"{key}.json"
-        raw = json.loads(path.read_text())
-        raw["schema"] = "repro.perf.memo.v0"
-        path.write_text(json.dumps(raw))
+        path = tmp_path / f"{key}.npz"
+        raw = read_entry(path)
+        raw["schema"] = np.array("repro.perf.memo.v0")
+        write_entry(path, raw)
         reread = SimMemo(tmp_path)
         reread.simulate(lines, PAPER_L1I)
         assert reread.misses == 1
         # the stale file was replaced with a current-schema entry.
-        assert json.loads(path.read_text())["schema"] != "repro.perf.memo.v0"
+        assert schema_of(path) != "repro.perf.memo.v0"
 
     def test_concurrent_writers_dedup_via_key_lock(self, tmp_path, lines, monkeypatch):
         """Two writers racing on the same key must run ONE simulation:
@@ -208,7 +208,7 @@ class TestHistogramMemo:
         memo = SimMemo(tmp_path)
         key = histogram_key(lines, 128)
         fresh = memo.histogram(lines, 128)
-        (tmp_path / f"{key}.json").write_text("{ nope")
+        (tmp_path / f"{key}.npz").write_bytes(b"{ nope")
         reread = SimMemo(tmp_path)
         assert reread.histogram(lines, 128) == fresh
         assert reread.misses == 1
@@ -219,19 +219,19 @@ class TestHistogramMemo:
         memo = SimMemo(tmp_path)
         key = histogram_key(lines, 128)
         memo.histogram(lines, 128)
-        path = tmp_path / f"{key}.json"
-        raw = json.loads(path.read_text())
-        raw["schema"] = "repro.perf.memo.kernel.v0"
-        path.write_text(json.dumps(raw))
+        path = tmp_path / f"{key}.npz"
+        raw = read_entry(path)
+        raw["schema"] = np.array("repro.perf.memo.kernel.v0")
+        write_entry(path, raw)
         reread = SimMemo(tmp_path)
         reread.histogram(lines, 128)
         assert reread.misses == 1
-        assert json.loads(path.read_text())["schema"] != "repro.perf.memo.kernel.v0"
+        assert schema_of(path) != "repro.perf.memo.kernel.v0"
 
 
 class TestCurveMemo:
     """Footprint-curve tier: coarsest keys (stream only), bit-identical
-    replay through the JSON wire format."""
+    replay through the binary entry format."""
 
     def test_key_depends_on_stream_only(self, lines):
         from repro.perf.memo import curve_key, trace_digest
@@ -265,14 +265,14 @@ class TestCurveMemo:
         reread = SimMemo(tmp_path)
         got = reread.footprint_curve(lines)
         assert (reread.hits, reread.misses) == (1, 0)
-        assert (got.fp == fresh.fp).all()  # JSON round trip is exact
+        assert (got.fp == fresh.fp).all()  # the .npz round trip is exact
 
     def test_corrupt_curve_entry_recomputed(self, tmp_path, lines):
         from repro.perf.memo import curve_key
 
         memo = SimMemo(tmp_path)
         memo.footprint_curve(lines)
-        (tmp_path / f"{curve_key(lines)}.json").write_text("{ bad")
+        (tmp_path / f"{curve_key(lines)}.npz").write_bytes(b"{ bad")
         reread = SimMemo(tmp_path)
         reread.footprint_curve(lines)
         assert reread.misses == 1
@@ -288,18 +288,15 @@ class TestCurveMemo:
         assert memo.misses == 2
 
     def test_scrub_keeps_current_curve_schema(self, tmp_path, lines):
-        import json as _json
-
         from repro.perf.memo import CURVE_SCHEMA, curve_key
 
         memo = SimMemo(tmp_path)
         key = curve_key(lines)
         memo.footprint_curve(lines)
         # Plant a stale-schema sibling; scrub must drop it, keep ours.
-        stale = tmp_path / ("0" * 64 + ".json")
-        stale.write_text(_json.dumps({"schema": "repro.perf.memo.curve.v0"}))
+        stale = tmp_path / ("0" * 64 + ".npz")
+        write_entry(stale, {"schema": np.array("repro.perf.memo.curve.v0")})
         kept_n, dropped = memo.scrub()
         assert kept_n >= 1 and dropped >= 1
         assert not stale.exists()
-        kept = _json.loads((tmp_path / f"{key}.json").read_text())
-        assert kept["schema"] == CURVE_SCHEMA
+        assert schema_of(tmp_path / f"{key}.npz") == CURVE_SCHEMA

@@ -6,9 +6,10 @@ gate: a chaos run's journal outcomes must match a clean serial run.
 """
 
 import io
-import json
 import multiprocessing
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.experiments import Lab
@@ -91,8 +92,6 @@ class TestIoFaultBudget:
 
 class TestMemoUnderFaults:
     def test_read_faults_strike_the_breaker_and_degrade(self, tmp_path):
-        import numpy as np
-
         lines = np.arange(4000, dtype=np.int64) % 600
         from repro.cache import PAPER_L1I
 
@@ -107,12 +106,12 @@ class TestMemoUnderFaults:
         assert reread.breaker.trips == 0  # each memo owns its breaker
 
     def test_chaos_corrupt_memo_garbles_one_entry(self, tmp_path):
-        (tmp_path / "aa.json").write_text(json.dumps({"schema": "x"}))
-        (tmp_path / "bb.json").write_text(json.dumps({"schema": "y"}))
+        np.savez(tmp_path / "aa.npz", schema=np.array("x"))
+        np.savez(tmp_path / "bb.npz", schema=np.array("y"))
         victim = chaos_corrupt_memo(tmp_path, seed=3)
         assert victim is not None and victim.exists()
-        with pytest.raises(ValueError):
-            json.loads(victim.read_text())
+        with pytest.raises((ValueError, OSError, zipfile.BadZipFile)):
+            np.load(victim, allow_pickle=False)["schema"]
         # Deterministic victim choice per seed.
         assert victim.name == chaos_corrupt_memo(tmp_path, seed=3).name
 
@@ -121,8 +120,6 @@ class TestMemoUnderFaults:
         assert chaos_corrupt_memo(tmp_path / "absent", seed=1) is None
 
     def test_scrub_drops_the_corrupted_entry(self, tmp_path):
-        import numpy as np
-
         from repro.cache import PAPER_L1I
 
         lines = np.arange(4000, dtype=np.int64) % 600
@@ -133,7 +130,8 @@ class TestMemoUnderFaults:
         kept, dropped = SimMemo(tmp_path).scrub()
         assert (kept, dropped) == (1, 1)
         for path in tmp_path.iterdir():
-            json.loads(path.read_text())  # everything left is valid
+            with np.load(path, allow_pickle=False) as npz:  # everything left is valid
+                assert str(npz["schema"]).startswith("repro.perf.memo.")
 
 
 def _toy_a(lab):
