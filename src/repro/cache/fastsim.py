@@ -37,9 +37,13 @@ picks its own:
   sum.  Slow under CPython, obviously correct.
 
 The kernel only models what stack distances can express: a **cold**
-cache, **no prefetcher**, true LRU.  Prefetching and co-run
-interleaving change set contents in ways a single reuse histogram
-cannot capture — those paths stay on the event-driven simulator
+cache, **no prefetcher**, true LRU.  A prefetch-free SMT co-run is in
+that domain — the shared cache sees one interleaved stream, and
+inclusion holds whoever issued an access — so :func:`thread_misses`
+runs the same sweep over the thread-labelled stream of
+:func:`repro.cache.shared.interleave` and splits the misses by thread.
+Prefetching changes set contents in ways a reuse histogram cannot
+capture; that path stays on the event-driven simulator
 (:func:`repro.cache.setassoc.run_lru`).
 """
 
@@ -55,6 +59,7 @@ __all__ = [
     "fenwick_histogram",
     "per_line_misses",
     "stack_distance_histogram",
+    "thread_misses",
 ]
 
 
@@ -146,14 +151,18 @@ def _canonical_stream(lines: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _partition(arr: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
+def _partition(
+    arr: np.ndarray, n_sets: int, labels: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Stable set partition: per-set subsequences in time order.
 
     Returns the partitioned stream (sets contiguous, each set's accesses
-    in original order) and the per-set access counts.
+    in original order), the per-set access counts, and ``labels`` (one
+    per access, e.g. the issuing thread) carried through the same
+    permutation (``None`` when not given).
     """
     if n_sets == 1:
-        return arr, np.array([arr.shape[0]], dtype=np.int64)
+        return arr, np.array([arr.shape[0]], dtype=np.int64), labels
     sets = arr & (n_sets - 1)
     # Narrow the sort key: the stable argsort is a radix sort whose pass
     # count tracks the key width, and set indices fit one or two bytes.
@@ -164,19 +173,22 @@ def _partition(arr: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         key = sets
     order = np.argsort(key, kind="stable")
-    return arr[order], np.bincount(sets, minlength=n_sets)
+    if labels is not None:
+        labels = labels[order]
+    return arr[order], np.bincount(sets, minlength=n_sets), labels
 
 
 def _strip_d0(
-    part: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+    part: np.ndarray, counts: np.ndarray, labels: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Drop distance-0 accesses (immediate same-line repeats) up front.
 
     A same-line repeat across a set boundary is impossible (a line maps
     to one set), so one adjacent-equality scan over the partitioned
     stream finds every distance-0 access.  They never change a stack;
     callers count them straight into ``hist[0]``.  Returns the stripped
-    stream, the shrunken per-set counts, and the repeat count.
+    stream, the shrunken per-set counts, the repeat count, and
+    ``labels`` under the same mask.
     """
     n = part.shape[0]
     dup = np.empty(n, dtype=bool)
@@ -189,8 +201,11 @@ def _strip_d0(
             counts = counts - np.bincount(part[dup] & (n_sets - 1), minlength=n_sets)
         else:
             counts = counts - n_d0
-        part = part[~dup]
-    return part, counts, n_d0
+        keep = ~dup
+        part = part[keep]
+        if labels is not None:
+            labels = labels[keep]
+    return part, counts, n_d0, labels
 
 
 def _set_bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,24 +346,24 @@ def _left_rank_permutation(vrank: np.ndarray) -> np.ndarray:
     return c
 
 
-def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
-    """Batch offline sweep: whole-histogram distances with no access loop.
+def _sweep_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack distance of every access of a d0-stripped partitioned stream.
 
-    On the d0-stripped partitioned stream, an access ``i`` with previous
-    same-line occurrence at global position ``p_i`` has stack distance
-    ``d_i = #{k in (p_i, i) : prev[k] <= p_i}`` — the lines touched
-    since ``p_i`` whose own previous occurrence precedes ``p_i``
-    (distinct, same set — earlier-set positions cancel out of the
-    subtraction).  Cold accesses get the sentinel ``base_of_set - 1`` so
-    they threshold like everyone else.  Splitting the left-rank count
-    into a cold-prefix cumsum plus a pure-permutation rank (the non-cold
-    thresholds are distinct) hands the hard part to
-    :func:`_left_rank_permutation`.
+    Returns ``(reuse, d)``: ``reuse`` masks the accesses that are not
+    first touches and ``d`` holds their distances, in stream order.  An
+    access ``i`` with previous same-line occurrence at global position
+    ``p_i`` has stack distance ``d_i = #{k in (p_i, i) : prev[k] <= p_i}``
+    — the lines touched since ``p_i`` whose own previous occurrence
+    precedes ``p_i`` (distinct, same set — earlier-set positions cancel
+    out of the subtraction).  Cold accesses get the sentinel
+    ``base_of_set - 1`` so they threshold like everyone else.  Splitting
+    the left-rank count into a cold-prefix cumsum plus a
+    pure-permutation rank (the non-cold thresholds are distinct) hands
+    the hard part to :func:`_left_rank_permutation`.
     """
-    part, counts, n_d0 = _strip_d0(part, counts)
     m = part.shape[0]
     if m == 0:
-        return 0, _trim([n_d0])
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     n_sets = counts.shape[0]
     order = np.argsort(part, kind="stable")
     sorted_part = part[order]
@@ -359,19 +374,18 @@ def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndar
     if m > 1:
         prevg[order[1:]] = order[:-1]
     cold_pos = order[first]
-    cold = int(cold_pos.shape[0])
-    if cold == m:
-        return cold, _trim([n_d0])
+    reuse = np.ones(m, dtype=bool)
+    reuse[cold_pos] = False
+    if cold_pos.shape[0] == m:
+        return reuse, np.zeros(0, dtype=np.int64)
     if n_sets > 1:
         base = np.zeros(n_sets, dtype=np.int64)
         np.cumsum(counts[:-1], out=base[1:])
         prevg[cold_pos] = base[part[cold_pos] & (n_sets - 1)] - 1
     else:
         prevg[cold_pos] = -1
-    noncold = np.ones(m, dtype=bool)
-    noncold[cold_pos] = False
-    p = prevg[noncold]
-    cold_before = np.cumsum(~noncold)
+    p = prevg[reuse]
+    cold_before = np.cumsum(~reuse)
     # Non-cold thresholds are exactly the positions with a *next* same-line
     # occurrence, so their value rank follows from one boolean cumsum —
     # no extra argsort.
@@ -379,12 +393,19 @@ def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndar
     is_prev[p] = True
     vrank = (np.cumsum(is_prev) - 1)[p]
     d = _left_rank_permutation(vrank)
-    d += cold_before[noncold]
+    d += cold_before[reuse]
     d -= p
     d -= 1
+    return reuse, d
+
+
+def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """Batch offline sweep: whole-histogram distances with no access loop."""
+    part, counts, n_d0, _ = _strip_d0(part, counts)
+    _, d = _sweep_distances(part, counts)
     hist = np.bincount(d, minlength=1)
     hist[0] += n_d0
-    return cold, _trim(hist)
+    return part.shape[0] - d.shape[0], _trim(hist)
 
 
 def _build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHistogram:
@@ -402,7 +423,7 @@ def _build_histogram(lines: np.ndarray, n_sets: int, construction) -> DistanceHi
     n = arr.shape[0]
     if n == 0:
         return DistanceHistogram(n_sets, 0, 0, np.zeros(0, dtype=np.int64))
-    part, counts = _partition(arr, n_sets)
+    part, counts, _ = _partition(arr, n_sets)
     cold, hist = construction(part, counts)
     return DistanceHistogram(n_sets=n_sets, accesses=n, cold=cold, hist=hist)
 
@@ -415,6 +436,38 @@ def stack_distance_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogra
 def fenwick_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
     """The histogram by the per-access Fenwick tree (the ``scalar`` tier)."""
     return _build_histogram(lines, n_sets, _bit_histogram)
+
+
+def thread_misses(
+    lines: np.ndarray, threads: np.ndarray, n_threads: int, n_sets: int, assoc: int
+) -> np.ndarray:
+    """Exact per-thread LRU misses of one thread-labelled stream.
+
+    ``threads[i]`` is the thread that issued ``lines[i]`` (in
+    ``[0, n_threads)``).  Without a prefetcher a shared LRU cache keeps
+    the inclusion property whoever issues an access, so the access
+    misses iff it is a first touch or its stack distance in the merged
+    stream is ``>= assoc``; the batch sweep gives every distance at once
+    and the labels, carried through the set partition and the d0 strip,
+    attribute each miss to its thread.  Returns an ``(n_threads,)``
+    int64 array of miss counts.
+    """
+    if n_sets < 1 or n_sets & (n_sets - 1):
+        raise ValueError("n_sets must be a positive power of two")
+    if assoc < 1:
+        raise ValueError("assoc must be >= 1")
+    arr = _canonical_stream(lines)
+    labels = np.asarray(threads)
+    if labels.shape != arr.shape:
+        raise ValueError("lines and threads must align")
+    if arr.shape[0] == 0:
+        return np.zeros(n_threads, dtype=np.int64)
+    part, counts, labels = _partition(arr, n_sets, labels)
+    part, counts, _, labels = _strip_d0(part, counts, labels)
+    reuse, d = _sweep_distances(part, counts)
+    missed = ~reuse
+    missed[reuse] = d >= assoc
+    return np.bincount(labels[missed], minlength=n_threads)
 
 
 def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
@@ -437,11 +490,11 @@ def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
         return misses
     n_sets = cfg.n_sets
     assoc = cfg.assoc
-    part, counts = _partition(arr, n_sets)
+    part, counts, _ = _partition(arr, n_sets)
     # Immediate same-line repeats (stack distance 0) always hit at any
     # associativity >= 1 and never change a stack — strip them exactly as
     # the histogram kernels do.
-    part, counts, _ = _strip_d0(part, counts)
+    part, counts, _, _ = _strip_d0(part, counts)
     stream = part.tolist()
     starts, ends, _ = _set_bounds(counts)
     for pos, end in zip(starts.tolist(), ends.tolist()):

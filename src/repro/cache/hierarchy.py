@@ -145,7 +145,7 @@ def simulate_hierarchy_shared(
         data.append((lines.tolist(), is_data.tolist()))
     stats = [HierarchyStats() for _ in data]
     l1i, l1d, l2 = _Cache(cfg.l1i), _Cache(cfg.l1d), _Cache(cfg.l2)
-    for t, start, end in issue_order([len(d[0]) for d in data], quantum):
+    for t, start, end in issue_order([len(d[0]) for d in data], quantum).tolist():
         lines_t, is_data_t = data[t]
         _run(lines_t[start:end], is_data_t[start:end], l1i, l1d, l2, stats[t])
     return stats

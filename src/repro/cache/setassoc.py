@@ -11,20 +11,29 @@ line ``L``, line ``L+1`` is installed as well (tagged prefetch).  The clean
 simulator channel runs with ``prefetch=False``; the hardware-counter channel
 (:mod:`repro.machine.counters`) runs with ``prefetch=True``.
 
-:func:`run_lru` is the one set loop: a solo run (:func:`simulate`) is a
-single chunk of one stream, a co-run (:func:`repro.cache.shared.simulate_shared`)
-is the SMT issue order over several.
+:func:`run_lru` is the one set loop.  It makes one flat pass over a
+stream of lines labelled with the thread that issued each one: a solo run
+(:func:`simulate`) is a single unlabelled stream, a co-run
+(:func:`repro.cache.shared.simulate_shared`) the SMT issue order of
+several, expanded by :func:`repro.cache.shared.interleave`.
 
-Implementation note: LRU is not vectorizable, so this is a deliberately
-tight Python loop — per-set Python lists with C-speed ``list.index`` /
-``insert`` / ``pop``, stream pre-converted via ``tolist()``.  Profiled at
-roughly 2M accesses/second, which keeps the full benchmark matrix in
-minutes (HPC guide: measure first; optimize the measured bottleneck).
+Implementation note: LRU with a prefetcher is not vectorizable, so this
+is a deliberately tight Python loop — per-set Python lists with C-speed
+``list.index`` / ``insert`` / ``pop``, stream pre-converted via
+``tolist()``.  Consecutive repeats of a line are hits at MRU that change
+nothing once the first access is done, so with more than one set they are
+counted and dropped before the loop (``docs/algorithms.md`` has the
+argument, and why it fails for a single set).  Measured on a 2-core
+Linux VM at about 4.5M issued accesses/second solo and 2.9M on a
+prefetching co-run (``syn-gcc`` with ``syn-gamess``, scale 0.25);
+prefetch-free questions go to the stack-distance kernel
+(:mod:`repro.cache.fastsim`) instead (HPC guide: measure first; optimize
+the measured bottleneck).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -35,67 +44,90 @@ __all__ = ["run_lru", "simulate", "simulate_policy"]
 
 
 def run_lru(
-    streams: Sequence[np.ndarray],
-    chunks: Iterable[tuple[int, int, int]],
+    lines: np.ndarray,
     cfg: CacheConfig,
     prefetch: bool,
+    threads: np.ndarray | None = None,
+    n_threads: int = 1,
 ) -> list[SharedCacheStats]:
-    """Issue ``chunks`` of ``streams`` through one LRU cache, cold at start.
+    """Issue ``lines`` through one LRU cache, cold at start.
 
-    Each chunk ``(t, start, end)`` runs ``streams[t][start:end]`` as
-    thread ``t``; returns one :class:`SharedCacheStats` per stream.  With
-    ``prefetch`` the next-line prefetcher is one resource shared by all
-    threads: each pending prefetched line remembers its issuing thread,
-    so a consumed prefetch counts as self or cross help.
+    ``threads[i]`` names the thread (in ``[0, n_threads)``) that issued
+    ``lines[i]``; without ``threads`` every access is thread 0's.
+    Returns one :class:`SharedCacheStats` per thread.  With ``prefetch``
+    the next-line prefetcher is one resource shared by all threads: each
+    pending prefetched line remembers its issuing thread, so a consumed
+    prefetch counts as self or cross help.
     """
-    lists = [s.tolist() if isinstance(s, np.ndarray) else list(s) for s in streams]
-    stats = [SharedCacheStats() for _ in lists]
+    lines = np.asarray(lines)
+    if threads is None:
+        accesses = [lines.shape[0]]
+    else:
+        accesses = np.bincount(threads, minlength=n_threads).tolist()
+    if cfg.n_sets > 1 and lines.shape[0] > 1:
+        # A repeat of the line just issued hits at MRU: the previous
+        # access consumed any prefetch tag on it, and its next-line
+        # prefetch went to another set.  It only counts as an access.
+        fresh = np.empty(lines.shape[0], dtype=bool)
+        fresh[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=fresh[1:])
+        lines = lines[fresh]
+        if threads is not None:
+            threads = threads[fresh]
+    labels = repeat(0) if threads is None else threads.tolist()
+    misses = [0] * n_threads
+    prefetches = [0] * n_threads
+    hits_self = [0] * n_threads
+    hits_cross = [0] * n_threads
     sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
     #: pending prefetched line -> thread that issued the prefetch.
     prefetched: dict[int, int] = {}
     mask = cfg.n_sets - 1
     assoc = cfg.assoc
 
-    for t, start, end in chunks:
-        st = stats[t]
-        misses = 0
-        for line in lists[t][start:end]:
-            s = sets[line & mask]
-            try:
-                i = s.index(line)
-            except ValueError:
-                misses += 1
-                s.insert(0, line)
-                if len(s) > assoc:
-                    prefetched.pop(s.pop(), None)
-                if prefetch:
-                    nxt = line + 1
-                    ns = sets[nxt & mask]
-                    # A tagged prefetch must never evict the demand line
-                    # that triggered it.  That is only possible when L and
-                    # L+1 map to the same set (n_sets == 1) and L sits in
-                    # the victim way (assoc == 1) — degenerate geometry,
-                    # but silently re-missing the demand line corrupted
-                    # miss counts there.
-                    if nxt not in ns and not (len(ns) >= assoc and ns[-1] == line):
-                        st.prefetches += 1
-                        prefetched[nxt] = t
-                        ns.insert(0, nxt)
-                        if len(ns) > assoc:
-                            prefetched.pop(ns.pop(), None)
-                continue
-            if i:
-                s.insert(0, s.pop(i))
-            if prefetch and line in prefetched:
-                issuer = prefetched.pop(line)
-                st.prefetch_hits += 1
-                if issuer == t:
-                    st.prefetch_hits_self += 1
-                else:
-                    st.prefetch_hits_cross += 1
-        st.accesses += end - start
-        st.misses += misses
-    return stats
+    for line, t in zip(lines.tolist(), labels):
+        s = sets[line & mask]
+        try:
+            i = s.index(line)
+        except ValueError:
+            misses[t] += 1
+            s.insert(0, line)
+            if len(s) > assoc:
+                prefetched.pop(s.pop(), None)
+            if prefetch:
+                nxt = line + 1
+                ns = sets[nxt & mask]
+                # A tagged prefetch must never evict the demand line
+                # that triggered it.  That is only possible when L and
+                # L+1 map to the same set (n_sets == 1) and L sits in
+                # the victim way (assoc == 1) — degenerate geometry,
+                # but silently re-missing the demand line corrupted
+                # miss counts there.
+                if nxt not in ns and not (len(ns) >= assoc and ns[-1] == line):
+                    prefetches[t] += 1
+                    prefetched[nxt] = t
+                    ns.insert(0, nxt)
+                    if len(ns) > assoc:
+                        prefetched.pop(ns.pop(), None)
+            continue
+        if i:
+            s.insert(0, s.pop(i))
+        if prefetch and line in prefetched:
+            if prefetched.pop(line) == t:
+                hits_self[t] += 1
+            else:
+                hits_cross[t] += 1
+    return [
+        SharedCacheStats(
+            accesses=accesses[t],
+            misses=misses[t],
+            prefetches=prefetches[t],
+            prefetch_hits=hits_self[t] + hits_cross[t],
+            prefetch_hits_self=hits_self[t],
+            prefetch_hits_cross=hits_cross[t],
+        )
+        for t in range(n_threads)
+    ]
 
 
 def simulate(lines: np.ndarray, cfg: CacheConfig, *, prefetch: bool = False) -> CacheStats:
@@ -107,7 +139,7 @@ def simulate(lines: np.ndarray, cfg: CacheConfig, *, prefetch: bool = False) -> 
     cfg: cache geometry.
     prefetch: enable the next-line prefetcher.
     """
-    [st] = run_lru([lines], [(0, 0, len(lines))], cfg, prefetch)
+    [st] = run_lru(lines, cfg, prefetch)
     return CacheStats(st.accesses, st.misses, st.prefetches, st.prefetch_hits)
 
 

@@ -18,7 +18,6 @@ co-occurrence modeling — the paper's actual contribution.
 
 from __future__ import annotations
 
-from ..cache.setassoc import simulate
 from ..core.goals import relative_reduction
 from ..core.optimizers import COMPARATORS, OPTIMIZERS
 from ..engine.fetch import fetch_lines
@@ -67,7 +66,9 @@ def run(lab: Lab) -> ExperimentResult:
                 layout.address_map,
                 lab.cache_cfg.line_bytes,
             )
-            mr = simulate(stream, lab.cache_cfg).misses / prepared.instr_count
+            cfg = lab.cache_cfg
+            misses = lab.backend.histogram(stream, cfg.n_sets).misses(cfg.assoc)
+            mr = misses / prepared.instr_count
             red = relative_reduction(base, mr)
             row.append(pct(red, digits=1))
             summary[f"{name}/{layout_name}"] = red

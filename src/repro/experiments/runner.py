@@ -259,6 +259,8 @@ def _emit_outcome(
             attempts=outcome.attempts,
             error=error_dict,
             timings=outcome.timings or None,
+            summary=outcome.result.summary if outcome.result else None,
+            rows=outcome.result.rows if outcome.result else None,
         )
     if outcome.status == "ok":
         print(outcome.result.to_text(), file=out)

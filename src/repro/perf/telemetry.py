@@ -251,13 +251,43 @@ def merge_bench_section(path: str | Path, name: str, section: Any) -> Path:
     return path
 
 
+def _canonical(value: Any) -> str:
+    """Exact, NaN-equal comparison key of a journal field value.
+
+    ``json.dumps`` renders every float by its shortest round-tripping
+    repr and NaN as ``NaN``, so two values compare equal exactly when
+    they are bit-identical (NaN equal to NaN, ``0.0`` unequal to
+    ``-0.0``).
+    """
+    return json.dumps(value, sort_keys=True)
+
+
+def _field_diff(name: str, va: Any, vb: Any) -> str:
+    """Describe how one journal field differs (the first few keys/rows)."""
+    if isinstance(va, dict) and isinstance(vb, dict):
+        keys = sorted(set(va) | set(vb))
+        bad = [
+            k for k in keys
+            if k not in va or k not in vb or _canonical(va[k]) != _canonical(vb[k])
+        ]
+        shown = ", ".join(f"{k}: {va.get(k)!r} vs {vb.get(k)!r}" for k in bad[:3])
+        more = f" (+{len(bad) - 3} more)" if len(bad) > 3 else ""
+        return f"{name} differs at {shown}{more}"
+    if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
+        row = next(i for i, (ra, rb) in enumerate(zip(va, vb)) if _canonical(ra) != _canonical(rb))
+        return f"{name} differ at row {row}: {va[row]!r} vs {vb[row]!r}"
+    return f"{name} differs: {va!r} vs {vb!r}"
+
+
 def compare_journal_outcomes(
     a: list[dict], b: list[dict], *, ignore: tuple[str, ...] = ()
 ) -> list[str]:
     """Differences between two run journals, ignoring timing fields.
 
-    Parity oracle for parallel-vs-serial runs: the entries must agree in
-    count, order, and every non-timing field.  The on-disk ``check``
+    Parity oracle for parallel-vs-serial runs and for a golden journal:
+    the entries must agree in count, order, and every non-timing field,
+    outcomes included (each entry's ``summary`` numbers and ``rows``,
+    compared exactly, NaN equal to NaN).  The on-disk ``check``
     checksum is always ignored (it is a storage artifact, not an
     outcome); callers may ignore further fields via ``ignore`` — the
     chaos soak gate passes ``("attempts",)`` because infrastructure
@@ -270,8 +300,8 @@ def compare_journal_outcomes(
     if len(a) != len(b):
         diffs.append(f"entry count differs: {len(a)} vs {len(b)}")
     for i, (ea, eb) in enumerate(zip(a, b)):
-        ka = {k: v for k, v in ea.items() if k not in skip}
-        kb = {k: v for k, v in eb.items() if k not in skip}
-        if ka != kb:
-            diffs.append(f"entry {i} differs: {ka!r} vs {kb!r}")
+        for name in sorted((set(ea) | set(eb)) - skip):
+            va, vb = ea.get(name), eb.get(name)
+            if (name in ea) != (name in eb) or _canonical(va) != _canonical(vb):
+                diffs.append(f"entry {i} ({ea.get('exp_id')}): {_field_diff(name, va, vb)}")
     return diffs

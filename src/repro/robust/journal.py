@@ -3,7 +3,13 @@
 One line per finished experiment attempt::
 
     {"exp_id": "fig5", "status": "ok", "elapsed_s": 12.3, "attempts": 1,
-     "finished_at": 1754460000.0, "error": null, "check": "1f2e3d..."}
+     "finished_at": 1754460000.0, "error": null,
+     "summary": {"avg_reduction": 0.0812}, "rows": [["syn-gcc", "8.1%"]],
+     "check": "1f2e3d..."}
+
+``summary`` and ``rows`` are the experiment's outcome (its headline
+numbers and rendered table), so two journals of the same suite can be
+compared result for result, not just status for status.
 
 The journal is the source of truth for ``--resume``: a later run reads it
 back and skips every experiment already recorded with ``status == "ok"``.
@@ -74,6 +80,10 @@ class JournalEntry:
     error: Optional[dict] = None
     #: per-stage wall seconds for this experiment (telemetry; optional).
     timings: Optional[dict] = None
+    #: the experiment's headline numbers (``ExperimentResult.summary``).
+    summary: Optional[dict] = None
+    #: the experiment's rendered table rows (``ExperimentResult.rows``).
+    rows: Optional[list] = None
 
     def to_json(self) -> str:
         payload = {
@@ -86,6 +96,10 @@ class JournalEntry:
         }
         if self.timings is not None:
             payload["timings"] = {k: round(v, 4) for k, v in self.timings.items()}
+        if self.summary is not None:
+            payload["summary"] = self.summary
+        if self.rows is not None:
+            payload["rows"] = self.rows
         return json.dumps(payload, sort_keys=True)
 
 
@@ -125,13 +139,17 @@ class RunJournal:
         attempts: int = 1,
         error: Optional[dict] = None,
         timings: Optional[dict] = None,
+        summary: Optional[dict] = None,
+        rows: Optional[list] = None,
     ) -> JournalEntry:
         """Append one checksummed entry, flushed and fsynced before
         returning.
 
         ``elapsed_s`` and ``timings`` are monotonic-clock durations;
         ``finished_at`` is deliberately epoch time (a human-readable
-        completion stamp, not used for arithmetic).
+        completion stamp, not used for arithmetic).  ``summary`` values
+        are stored as floats and ``rows`` cells as strings, so the entry
+        reads back equal to what was recorded.
         """
         if status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
@@ -143,6 +161,8 @@ class RunJournal:
             finished_at=time.time(),
             error=error,
             timings=timings,
+            summary=None if summary is None else {k: float(v) for k, v in summary.items()},
+            rows=None if rows is None else [[str(c) for c in row] for row in rows],
         )
         payload = json.loads(entry.to_json())
         payload["check"] = _checksum(payload)
@@ -189,6 +209,8 @@ class RunJournal:
                     finished_at=float(raw.get("finished_at", 0.0)),
                     error=raw.get("error"),
                     timings=raw.get("timings"),
+                    summary=raw.get("summary"),
+                    rows=raw.get("rows"),
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
                 if lineno == len(lines):

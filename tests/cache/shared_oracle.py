@@ -1,8 +1,10 @@
 """Reference co-run simulators: the two hand-rolled round-robin loops
 that :func:`repro.cache.shared.simulate_shared` and
 :func:`repro.cache.hierarchy.simulate_hierarchy_shared` replaced with one
-set loop (:func:`repro.cache.setassoc.run_lru`) and one issue order
-(:func:`repro.cache.shared.issue_order`).
+set loop (:func:`repro.cache.setassoc.run_lru`), one stack-distance sweep
+(:func:`repro.cache.fastsim.thread_misses`) and one closed-form issue
+order (:func:`repro.cache.shared.issue_order`), plus the round-robin
+generator that closed form replaced (:func:`issue_order`).
 
 Kept verbatim so the property tests can pin the production simulators to
 them, counter for counter.  ``wrap=False`` is the oracle's own knob; the
@@ -10,6 +12,8 @@ production simulators always wrap.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +26,30 @@ from repro.cache.hierarchy import (
     _run,
 )
 from repro.cache.stats import SharedCacheStats
+
+
+def issue_order(lengths: Sequence[int], quantum: int) -> Iterator[tuple[int, int, int]]:
+    """Round-robin SMT issue order over streams of ``lengths``.
+
+    Yields ``(thread, start, end)`` chunks of at most ``quantum``
+    accesses.  Each round visits every non-empty thread once, in thread
+    order; a thread that reaches its end restarts at 0.  The order ends
+    with the round in which the last thread completes its first pass.
+    """
+    if quantum < 1:
+        raise ValueError("quantum must be >= 1")
+    active = [t for t, n in enumerate(lengths) if n > 0]
+    cursors = [0] * len(lengths)
+    unfinished = set(active)
+    while unfinished:
+        for t in active:
+            start = cursors[t]
+            end = min(start + quantum, lengths[t])
+            yield t, start, end
+            if end == lengths[t]:
+                unfinished.discard(t)
+                end = 0
+            cursors[t] = end
 
 
 def simulate_shared(

@@ -5,8 +5,9 @@ The contract under test: on its supported domain — cold cache, no
 prefetch, true LRU — the kernel is **bit-identical** to the event-driven
 simulator for every (n_sets, assoc) geometry, from one histogram per
 n_sets.  Outside that domain it must refuse loudly, never silently
-diverge: prefetch, warm-start and co-run runs stay on the event-driven
-simulators.
+diverge: prefetch and warm-start runs stay on the event-driven
+simulator.  The labelled entry point (:func:`thread_misses`) splits the
+same sweep's misses by issuing thread.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.cache import (
     simulate,
     stack_distance_histogram,
 )
+from repro.cache.fastsim import thread_misses
 
 N_SETS = (1, 2, 64, 128)
 ASSOCS = (1, 2, 4, 8)
@@ -58,6 +60,30 @@ def test_parity_with_scalar_simulator(stream_name, n_sets):
             n_sets,
             assoc,
         )
+
+
+@pytest.mark.parametrize("stream_name", sorted(_streams()))
+@pytest.mark.parametrize("n_sets", N_SETS + (512,))
+def test_unlabelled_thread_misses_equal_histogram_misses(stream_name, n_sets):
+    """With every access labelled thread 0, the labelled sweep is the
+    histogram's miss count at each associativity; an empty thread 1
+    gets none."""
+    lines = _streams()[stream_name]
+    hist = stack_distance_histogram(lines, n_sets)
+    zeros = np.zeros(lines.shape[0], dtype=np.int64)
+    for assoc in ASSOCS:
+        got = thread_misses(lines, zeros, 2, n_sets, assoc)
+        assert got.tolist() == [hist.misses(assoc), 0], (stream_name, n_sets, assoc)
+
+
+def test_thread_misses_rejects_bad_input():
+    lines = np.arange(4)
+    with pytest.raises(ValueError, match="power of two"):
+        thread_misses(lines, np.zeros(4, dtype=np.int64), 1, 3, 2)
+    with pytest.raises(ValueError, match="assoc"):
+        thread_misses(lines, np.zeros(4, dtype=np.int64), 1, 4, 0)
+    with pytest.raises(ValueError, match="align"):
+        thread_misses(lines, np.zeros(3, dtype=np.int64), 1, 4, 2)
 
 
 @pytest.mark.parametrize("n_sets", N_SETS)

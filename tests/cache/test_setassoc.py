@@ -92,6 +92,17 @@ class TestDegeneratePrefetchGeometry:
         assert pref.prefetch_hits > 0
         assert pref.misses < plain.misses
 
+    def test_repeats_are_not_skipped_with_one_set(self):
+        """With one set the next-line prefetch lands in the demand line's
+        own set, so a repeat of the line just issued moves it back to MRU
+        and changes what the next miss evicts: [1, 1, 0] in a 1-set,
+        2-way cache issues one prefetch, two if the repeat were dropped."""
+        cfg = CacheConfig(size_bytes=128, assoc=2, line_bytes=64)
+        st_ = simulate(np.array([1, 1, 0]), cfg, prefetch=True)
+        assert (st_.accesses, st_.misses, st_.prefetches) == (3, 2, 1)
+        [shared] = simulate_shared([np.array([1, 1, 0])], cfg, prefetch=True)
+        assert (shared.accesses, shared.misses, shared.prefetches) == (3, 2, 1)
+
     def test_shared_simulator_has_the_same_guard(self):
         [st_] = simulate_shared(
             [np.array([0, 0])], self.ONE_SET_DIRECT, prefetch=True

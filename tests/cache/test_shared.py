@@ -10,13 +10,12 @@ from repro.cache import (
     simulate,
     simulate_shared,
 )
-from repro.cache.shared import issue_order
+from repro.cache.shared import interleave, issue_order
 
 
 def issued_stream(streams, quantum=8):
     """The streams concatenated in issue order (what the shared cache sees)."""
-    chunks = issue_order([len(s) for s in streams], quantum)
-    return np.concatenate([streams[t][start:end] for t, start, end in chunks])
+    return interleave(streams, quantum)[0]
 
 
 def test_single_thread_equals_solo():
@@ -66,13 +65,23 @@ def test_issue_order_round_robin_with_wrap():
     """Quanta alternate in thread order, empty streams never issue, a
     finished thread restarts at 0, and the round in which the last
     thread completes its first pass is the last."""
-    assert list(issue_order([5, 0, 2], 2)) == [
-        (0, 0, 2), (2, 0, 2),
-        (0, 2, 4), (2, 0, 2),
-        (0, 4, 5), (2, 0, 2),
+    assert issue_order([5, 0, 2], 2).tolist() == [
+        [0, 0, 2], [2, 0, 2],
+        [0, 2, 4], [2, 0, 2],
+        [0, 4, 5], [2, 0, 2],
     ]
-    assert list(issue_order([], 4)) == []
-    assert list(issue_order([0, 0], 4)) == []
+    assert issue_order([], 4).shape == (0, 3)
+    assert issue_order([0, 0], 4).shape == (0, 3)
+
+
+def test_interleave_labels_each_access_with_its_thread():
+    lines, threads = interleave([np.arange(5), np.arange(0), np.arange(100, 102)], 2)
+    assert lines.tolist() == [0, 1, 100, 101, 2, 3, 100, 101, 4, 100, 101]
+    assert threads.tolist() == [0, 0, 2, 2, 0, 0, 2, 2, 0, 2, 2]
+    lines, threads = interleave([], 3)
+    assert lines.shape == threads.shape == (0,)
+    with pytest.raises(ValueError):
+        interleave([np.arange(3)], 0)
 
 
 def test_wrapped_totals_match_issue_order_stream():

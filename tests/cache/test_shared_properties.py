@@ -1,11 +1,15 @@
-"""The one set loop and the one issue order against the round-robin
-loops they replaced (``tests/cache/shared_oracle.py``).
+"""The one set loop, the labelled sweep and the closed-form issue order
+against the round-robin loops and generator they replaced
+(``tests/cache/shared_oracle.py``).
 
 Every per-thread counter of :func:`repro.cache.shared.simulate_shared`
-and every level of :func:`repro.cache.hierarchy.simulate_hierarchy_shared`
-must equal the oracle's, for 0-4 threads (empty streams included), any
-quantum, prefetch on and off, and degenerate geometries (one set, one
-way).  A single thread is also a solo run: :func:`simulate` must agree.
+must equal the oracle's for 0-8 threads (empty streams and lines shared
+across threads included), any quantum, prefetch on (the set loop) and
+off (the labelled sweep), and geometries from one set and one way up to
+512 sets, past the one-byte set-partition key.  Every level of
+:func:`repro.cache.hierarchy.simulate_hierarchy_shared` must equal the
+oracle's for 0-4 threads.  A single thread is also a solo run:
+:func:`simulate` must agree.
 """
 
 import dataclasses
@@ -16,7 +20,9 @@ from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, HierarchyConfig, simulate, simulate_shared
 from repro.cache.hierarchy import simulate_hierarchy_shared
+from repro.cache.shared import issue_order
 
+from .shared_oracle import issue_order as oracle_issue_order
 from .shared_oracle import simulate_hierarchy_shared as oracle_hierarchy_shared
 from .shared_oracle import simulate_shared as oracle_shared
 
@@ -28,6 +34,17 @@ geometries = st.builds(
 threads = st.lists(
     st.lists(st.integers(0, 40), min_size=0, max_size=60), min_size=0, max_size=4
 )
+#: every thread draws from one line pool, so threads share lines: a few
+#: hot lines (reuse in any geometry) and a wide range (every set of 512).
+shared_lines = st.one_of(st.integers(0, 40), st.integers(0, 1100))
+wide_threads = st.lists(
+    st.lists(shared_lines, min_size=0, max_size=60), min_size=0, max_size=8
+)
+wide_geometries = st.builds(
+    lambda n_sets, assoc: CacheConfig(n_sets * assoc * 64, assoc, 64),
+    n_sets=st.sampled_from([1, 2, 4, 64, 256, 512]),
+    assoc=st.sampled_from([1, 2, 4]),
+)
 
 
 def _counters(stats):
@@ -36,10 +53,21 @@ def _counters(stats):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    streams=threads,
+    lengths=st.lists(st.integers(0, 40), min_size=0, max_size=8),
+    quantum=st.integers(1, 16),
+)
+def test_issue_order_matches_oracle_generator(lengths, quantum):
+    got = issue_order(lengths, quantum)
+    assert got.dtype == np.int64 and got.shape[1:] == (3,)
+    assert got.tolist() == [list(row) for row in oracle_issue_order(lengths, quantum)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    streams=wide_threads,
     quantum=st.integers(1, 16),
     prefetch=st.booleans(),
-    cfg=geometries,
+    cfg=wide_geometries,
 )
 def test_simulate_shared_matches_oracle(streams, quantum, prefetch, cfg):
     arrays = [np.array(s, dtype=np.int64) for s in streams]

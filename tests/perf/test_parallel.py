@@ -59,6 +59,10 @@ class TestSuiteParity:
         assert compare_journal_outcomes(
             [vars(e) for e in js.entries()], [vars(e) for e in jp.entries()]
         ) == []
+        # Both paths journal the outcome itself, not just the status.
+        for entries in (js.entries(), jp.entries()):
+            assert [e.rows for e in entries] == [o.result.rows for o in serial]
+            assert all(e.summary is not None for e in entries)
 
     def test_parallel_failure_parity(self, tmp_path):
         serial, js, text_s = _run(tmp_path, "serial", jobs=1, inject_fault=FAST)

@@ -432,6 +432,23 @@ class TestCompareJournalOutcomes:
         b = dict(self.A, check="deadbeefdeadbeef")
         assert compare_journal_outcomes([self.A], [b]) == []
 
+    def test_summary_values_compared_exactly(self):
+        """Two runs that differ in one headline number are not at parity."""
+        a = dict(self.A, summary={"avg": 0.1, "gap": float("nan")}, rows=[["x", "1%"]])
+        b = dict(a, summary={"avg": 0.1 + 1e-12, "gap": float("nan")})
+        [diff] = compare_journal_outcomes([a], [b])
+        assert "summary" in diff and "avg" in diff
+        assert compare_journal_outcomes([a], [dict(a)]) == []
+
+    def test_rows_compared(self):
+        a = dict(self.A, rows=[["x", "1%"], ["y", "2%"]])
+        b = dict(self.A, rows=[["x", "1%"], ["y", "3%"]])
+        [diff] = compare_journal_outcomes([a], [b])
+        assert "row 1" in diff
+
+    def test_outcome_present_on_one_side_only_differs(self):
+        assert compare_journal_outcomes([dict(self.A, summary={})], [self.A]) != []
+
     def test_ignore_param_tolerates_named_fields(self):
         b = dict(self.A, attempts=3)
         a = dict(self.A, attempts=1)
@@ -579,6 +596,16 @@ class TestPerfCli:
     def test_runner_rejects_bad_jobs(self, capsys):
         assert runner_main(["--jobs", "0", "--only", "fig4"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_compare_journals_sees_a_changed_summary_value(self, tmp_path, capsys):
+        from repro.robust import RunJournal
+
+        a = RunJournal(tmp_path / "a.jsonl")
+        b = RunJournal(tmp_path / "b.jsonl")
+        a.record("fig4", "ok", summary={"avg": 0.0116}, rows=[["syn-gcc", "1.16%"]])
+        b.record("fig4", "ok", summary={"avg": 0.0119}, rows=[["syn-gcc", "1.16%"]])
+        assert perf_main(["compare-journals", str(a.path), str(b.path)]) == 1
+        assert "avg" in capsys.readouterr().out
 
     def test_compare_journals_ignore_attempts_flag(self, tmp_path, capsys):
         import json as _json

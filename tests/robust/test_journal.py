@@ -128,3 +128,31 @@ def test_checkless_records_from_older_versions_still_read(tmp_path):
     journal = RunJournal(path)
     journal.record("fig6", "ok")
     assert [e.exp_id for e in journal.entries()] == ["fig5", "fig6"]
+
+
+def test_outcomes_round_trip_inside_the_checksum(tmp_path):
+    """``summary`` and ``rows`` are recorded, read back equal, and a
+    silent edit of a summary value is a checksum failure."""
+    path = tmp_path / "run.jsonl"
+    journal = RunJournal(path)
+    journal.record(
+        "fig4", "ok", summary={"avg": 0.25, "gap": float("nan")}, rows=[["syn-gcc", 1.5]]
+    )
+    journal.record("fig6", "ok")
+    first, second = journal.entries()
+    assert first.summary["avg"] == 0.25 and first.summary["gap"] != first.summary["gap"]
+    assert first.rows == [["syn-gcc", "1.5"]]
+    assert second.summary is None and second.rows is None
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("0.25", "0.26")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArtifactError, match="line 1"):
+        journal.entries()
+
+
+def test_entries_without_outcomes_still_read(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(json.dumps({"exp_id": "fig5", "status": "ok", "error": None}) + "\n")
+    [entry] = RunJournal(path).entries()
+    assert entry.summary is None and entry.rows is None
+    assert "summary" not in json.loads(entry.to_json())
