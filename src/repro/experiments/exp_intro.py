@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..workloads.suite import ALL_PROGRAMS, PROBE_PROGRAMS
 from .pipeline import BASELINE, Lab
-from .report import ExperimentResult, pct, ratio
+from .report import ExperimentResult, pct
 
 __all__ = ["run", "NONTRIVIAL_MISS_THRESHOLD"]
 

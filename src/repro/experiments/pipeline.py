@@ -66,9 +66,11 @@ from ..locality.footprint import FootprintCurve, footprint_curve
 from ..machine.counters import measure_corun, measure_solo, reading_from_stats
 from ..machine.smt import CoRunTiming, corun_pair
 from ..machine.timing import ThreadCost, TimingParams, thread_cost
+from ..perf.memo import curve_key, recipe_curve_key
 from ..perf.telemetry import add_into
 from ..robust.errors import ArtifactError, ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
+from ..workloads.generator import WorkloadSpec
 from ..workloads.suite import SuiteProgram, get_program
 from ..workloads.suite import build as build_suite_program
 
@@ -76,6 +78,11 @@ __all__ = ["BASELINE", "THREAD_STRIDE", "Lab", "MissRatios", "PreparedProgram"]
 
 #: layout name of the unoptimized (declaration-order) layout.
 BASELINE = "baseline"
+
+#: dtype of every fetch stream the lab hands out.  The cast to it is
+#: the one step between the salted packages' fetch and a baseline
+#: curve, so recipe curve keys carry it (see Lab._curve_lookup).
+LINE_DTYPE = np.int32
 
 #: Line-index offset applied to the second co-run thread.  Co-running
 #: processes occupy disjoint physical pages, so their fetch streams must
@@ -134,7 +141,11 @@ class Lab:
     jobs: worker processes for :meth:`precompute_solo` cell fan-out
         (1 = fully serial; never changes results, only wall-clock time).
     memo: optional :class:`repro.perf.memo.SimMemo` replaying identical
-        solo simulations instead of re-running them.
+        solo simulations instead of re-running them.  It also keeps the
+        footprint curves: baseline curves under their *recipe* (the ref
+        run's bundle key, layout, line size and stream dtype), so a warm
+        :meth:`footprint` builds no module; optimized layouts' curves
+        under their stream's content (see :meth:`_curve_lookup`).
     kernel_backend: requested kernel tier name for the stack-distance
         histogram and the locality models (see
         :mod:`repro.perf.backends`) — the lab's only choice of kernel
@@ -364,6 +375,8 @@ class Lab:
         from ..perf.parallel import memoized_cells
 
         stage = "compose" if kind == "curve" else "simulate"
+        # Curves are looked up and stored by the lab (_curve_lookup): the
+        # fan-out only computes the ones that missed.
         with self._stage(stage, kernel=kind == "histogram") as tally, error_context(
             stage, program=f"precompute-{kind}"
         ):
@@ -372,7 +385,7 @@ class Lab:
                 # Built one at a time, interleaved with the memo reads,
                 # which keeps the peak memory of a warm run down.
                 ((self.lines(cell[0], cell[1]), *params) for cell in cells),
-                memo=self.memo,
+                memo=None if kind == "curve" else self.memo,
                 store=self.store,
                 pool=lambda: self.cell_pool(jobs),
                 counters=self.counters,
@@ -408,11 +421,9 @@ class Lab:
             with self._stage("prepare"), error_context(
                 "prepare", program=name, reraise=ProfileError
             ):
-                spec = get_program(name).spec
-                ref_blocks = max(10_000, int(spec.ref_blocks * self.scale))
-                test_blocks = max(5_000, int(spec.test_blocks * self.scale))
+                spec = self._scaled_spec(name)
                 prog, module = build_suite_program(
-                    name, ref_blocks=ref_blocks, test_blocks=test_blocks
+                    name, ref_blocks=spec.ref_blocks, test_blocks=spec.test_blocks
                 )
                 test_input = prog.spec.test_input()
                 if self.profile_source == "static":
@@ -431,6 +442,17 @@ class Lab:
                 )
             self._programs[name] = prepared
         return prepared
+
+    def _scaled_spec(self, name: str) -> WorkloadSpec:
+        """A suite program's generator spec with its trace budgets scaled
+        to this lab: what :meth:`program` builds, and what recipe keys
+        (trace bundles, baseline curves) name."""
+        spec = get_program(name).spec
+        return dataclasses.replace(
+            spec,
+            ref_blocks=max(10_000, int(spec.ref_blocks * self.scale)),
+            test_blocks=max(5_000, int(spec.test_blocks * self.scale)),
+        )
 
     def _instrument(
         self, prog: SuiteProgram, module: Module, spec: InputSpec
@@ -530,7 +552,7 @@ class Lab:
             ):
                 stream = fetch_lines(
                     prepared.ref_bundle.bb_trace, amap, self.cache_cfg.line_bytes
-                ).astype(np.int32)
+                ).astype(LINE_DTYPE)
             self._lines[key] = stream
         return stream
 
@@ -574,29 +596,58 @@ class Lab:
         so one entry answers every capacity and every co-run group the
         program appears in.  This is the reuse unit the fleet scheduler
         (:mod:`repro.fleet`) multiplies: millions of co-run cells, one
-        curve pass per distinct (program, layout).
+        curve pass per distinct (program, layout).  A memo hit on a
+        baseline curve builds nothing (see :meth:`_curve_lookup`).
         """
         key = (name, layout_name)
         curve = self._curves.get(key)
         if curve is None:
-            stream = self.lines(name, layout_name)
+            compose_s = self.timings.get("compose", 0.0)
             with self._stage("compose"), error_context(
                 "compose", program=name, layout=layout_name
             ):
-                start = time.perf_counter()
-                if self.memo is not None:
-                    misses_before = self.memo.misses
-                    curve = self.memo.footprint_curve(stream)
-                    if self.memo.misses > misses_before:
-                        self.counters["curve_passes"] += 1
-                    else:
-                        self.counters["curve_memo_hits"] += 1
-                else:
-                    curve = footprint_curve(stream)
+                curve, memo_key = self._curve_lookup(name, layout_name)
+                if curve is None:
+                    curve = footprint_curve(self.lines(name, layout_name))
+                    if memo_key is not None:
+                        self.memo.put_curve(memo_key, curve)
                     self.counters["curve_passes"] += 1
-                self.counters["curve_seconds"] += time.perf_counter() - start
+                else:
+                    self.counters["curve_memo_hits"] += 1
+            self.counters["curve_seconds"] += self.timings["compose"] - compose_s
             self._curves[key] = curve
         return curve
+
+    def _curve_lookup(
+        self, name: str, layout_name: str
+    ) -> tuple[Optional[FootprintCurve], Optional[str]]:
+        """The one memo probe of a ``(program, layout)`` curve.
+
+        Baseline curves are keyed by *recipe*
+        (:func:`~repro.perf.memo.recipe_curve_key`): the ref run's
+        :func:`~repro.engine.instrument.bundle_key` (scaled spec, input,
+        code salt), the layout, the line size and the stream dtype — so
+        a hit builds no module and fetches no stream.  Optimized layouts
+        stay keyed by their stream's content, because their streams also
+        depend on ``repro.core`` and the optimizer config, which the
+        code salt does not cover.
+
+        Returns the stored curve (``None`` on a miss) and the key a fresh
+        curve is stored under (``None`` without a memo).
+        """
+        if self.memo is None:
+            return None, None
+        if layout_name == BASELINE:
+            spec = self._scaled_spec(name)
+            key = recipe_curve_key(
+                bundle_key(spec, spec.ref_input()),
+                layout_name,
+                self.cache_cfg.line_bytes,
+                LINE_DTYPE,
+            )
+        else:
+            key = curve_key(self.lines(name, layout_name))
+        return self.memo.get_curve(key), key
 
     def precompute_footprints(
         self,
@@ -607,12 +658,13 @@ class Lab:
         """Fill the footprint-curve memo for many ``(program, layout)``
         cells at once.
 
-        Mirrors :meth:`precompute_solo`: streams are built serially
-        (memoized, cheap), the independent all-window histogram passes
-        fan out across ``jobs`` workers, and the resulting curves land
-        in the curve memo.  Bit-identical to calling :meth:`footprint`
-        cell by cell — curves cross the process boundary in their exact
-        float form — so this is purely a wall-clock optimization.
+        Every cell is looked up first (:meth:`_curve_lookup`, the probe
+        :meth:`footprint` makes); only the misses build their streams,
+        and their independent all-window histogram passes fan out across
+        ``jobs`` workers before landing in the curve memo.  Bit-identical
+        to calling :meth:`footprint` cell by cell — curves cross the
+        process boundary in their exact float form — so this is purely a
+        wall-clock optimization.
         """
         jobs = self.jobs if jobs is None else jobs
         todo = [
@@ -626,11 +678,23 @@ class Lab:
             return
 
         compose_s = self.timings.get("compose", 0.0)
-        curves, passes = self._memoized_cells("curve", todo, (), jobs)
-        self.counters["curve_passes"] += passes
-        self.counters["curve_memo_hits"] += len(todo) - passes
+        with self._stage("compose"), error_context("compose", program="precompute-curve"):
+            missed: list[tuple[tuple[str, str], Optional[str]]] = []
+            for cell in todo:
+                curve, memo_key = self._curve_lookup(*cell)
+                if curve is None:
+                    missed.append((cell, memo_key))
+                else:
+                    self._curves[cell] = curve
+            if missed:
+                fresh, _ = self._memoized_cells("curve", [c for c, _ in missed], (), jobs)
+                for (cell, memo_key), curve in zip(missed, fresh):
+                    if memo_key is not None:
+                        self.memo.put_curve(memo_key, curve)
+                    self._curves[cell] = curve
+        self.counters["curve_passes"] += len(missed)
+        self.counters["curve_memo_hits"] += len(todo) - len(missed)
         self.counters["curve_seconds"] += self.timings["compose"] - compose_s
-        self._curves.update(zip(todo, curves))
 
     def solo_miss(self, name: str, layout_name: str, channel: str = "hw") -> MissRatios:
         """Solo miss measurement through the given channel ('hw' or 'sim')."""

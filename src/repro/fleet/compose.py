@@ -1,4 +1,4 @@
-"""Vectorized k-way footprint composition for fleet-scale co-run matrices.
+"""Batched k-way footprint composition for fleet-scale co-run matrices.
 
 The paper's shared-cache prediction (Eq. 1/2) composes footprints by
 addition: a group of co-runners misses together once
@@ -9,7 +9,7 @@ growth rate at that shared fill time.  The scalar path
 inside each binary-search probe — fine for a pair, hopeless for a fleet
 matrix of hundreds of groups x a capacity sweep.
 
-This module answers whole *matrices* per group:
+This module answers whole *stacks* of groups per call:
 
 * :class:`CurveSet` holds the distinct per-(program, layout) curves —
   the unit of reuse.  A fleet run computes each curve **once** (usually
@@ -17,19 +17,19 @@ This module answers whole *matrices* per group:
   derives millions of co-run cells from the set; the ``cells`` counter
   feeds the ``fleet`` telemetry section and the CI gate asserting
   cells >> curve passes.
-* :class:`ComposedGroup` aligns and sums its members' curves once
-  (:func:`repro.locality.hotl.compose_curves`) and answers shared fill
-  times for a whole capacity vector with one ``searchsorted``, and the
-  full per-member x per-capacity miss-ratio matrix with NumPy gathers —
-  no per-probe Python loops.
+* :class:`ComposedGroup` is one group, or a ``(G, k)`` stack of groups,
+  of those curves.  Its queries run one batched bisection over every
+  group and capacity (:func:`repro.locality.hotl.shared_fill_times`) and
+  gather the per-member growth rates
+  (:func:`repro.locality.hotl.shared_growth`) — no per-group Python
+  loop and no composed curve array.
 
-Every number is **bit-identical** to the scalar oracles: the composed
-curve accumulates member values in sequence order (the same IEEE
-additions the per-probe ``sum()`` performs), ``searchsorted`` on a
-monotone curve is the same binary search, and growth rates are exact
-differences of the same ``fp`` arrays.  ``tests/fleet/test_compose.py``
-and the ``python -m repro.fleet bench`` gate pin this on randomized
-curve sets.
+Every number is **bit-identical** to the scalar oracles: each probe sums
+the members' own ``fp`` values in member order (the same IEEE additions
+the per-probe ``sum()`` performs), the bisection is the oracle's, and
+growth rates are exact differences of the same ``fp`` arrays.
+``tests/fleet/test_compose.py`` and the ``python -m repro.fleet bench``
+gate pin this on randomized curve sets.
 """
 
 from __future__ import annotations
@@ -39,20 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from ..locality.footprint import FootprintCurve
-from ..locality.hotl import compose_curves
+from ..locality.hotl import shared_fill_times, shared_growth
 
 __all__ = ["ComposedGroup", "CurveSet"]
-
-
-def _validate_capacities(caps: np.ndarray) -> None:
-    """Vector form of the hotl capacity guard: all finite and positive."""
-    if caps.size == 0:
-        raise ValueError("need at least one capacity")
-    if not np.all(np.isfinite(caps)):
-        bad = caps[~np.isfinite(caps)][0]
-        raise ValueError(f"capacity must be finite, got {bad!r}")
-    if np.any(caps <= 0):
-        raise ValueError("capacity must be positive")
 
 
 class CurveSet:
@@ -76,35 +65,40 @@ class CurveSet:
     def __len__(self) -> int:
         return len(self.curves)
 
-    def group(self, members: Sequence[int]) -> "ComposedGroup":
-        """Compose the curves at indices ``members`` into one group."""
+    def group(self, members) -> "ComposedGroup":
+        """The group of the curves at indices ``members`` — or, for a
+        ``(G, k)`` stack of index rows, G groups queried together."""
         return ComposedGroup(self, members)
 
 
 class ComposedGroup:
-    """One shared cache's co-runners, composed once, queried many times.
+    """Co-runners of one shared cache — or a stack of G such groups of
+    equal size — queried many times.
 
-    ``members`` are indices into the owning :class:`CurveSet`; the same
-    index may appear multiple times (several instances of one model on
-    one socket).  Construction pays the aligned sum once; every query
-    after that is a vectorized lookup.
+    ``members`` are indices into the owning :class:`CurveSet`: one
+    group's ``k`` indices, or a ``(G, k)`` stack with one group per row.
+    The same index may appear multiple times (several instances of one
+    model on one socket).  Nothing is precomputed: every query answers
+    all groups at once, and query results carry the stack's leading
+    axis (``(G, ...)``) when ``members`` is a stack.
     """
 
-    def __init__(self, curve_set: CurveSet, members: Sequence[int]):
+    def __init__(self, curve_set: CurveSet, members):
         self.set = curve_set
-        self.members: tuple[int, ...] = tuple(int(i) for i in members)
-        if not self.members:
-            raise ValueError("need at least one group member")
-        self.curves: tuple[FootprintCurve, ...] = tuple(
-            curve_set.curves[i] for i in self.members
-        )
-        #: the aligned member sum; its fill_time IS the shared fill time.
-        self.composed: FootprintCurve = compose_curves(self.curves)
+        groups = np.asarray(members, dtype=np.int64)
+        if groups.ndim not in (1, 2) or groups.shape[-1] == 0:
+            raise ValueError("need at least one group member (k >= 1, G groups of k)")
+        #: one group (``ndim == 1``) or a stack of groups (``ndim == 2``).
+        self.members: np.ndarray = groups
+        self._stack = np.atleast_2d(groups)
 
-    def fill_time(self, capacity: float) -> int:
-        """Scalar shared fill time (bit-identical to
-        :func:`repro.locality.hotl.shared_fill_time`)."""
-        return int(self.fill_times(np.asarray([float(capacity)]))[0])
+    def _unstack(self, out: np.ndarray) -> np.ndarray:
+        return out if self.members.ndim == 2 else out[0]
+
+    def fill_time(self, capacity: float):
+        """Shared fill time at one capacity (per group for a stack);
+        bit-identical to :func:`repro.locality.hotl.shared_fill_time`."""
+        return self.fill_times(np.asarray([float(capacity)]))[..., 0].tolist()
 
     def fill_times(self, capacities: np.ndarray) -> np.ndarray:
         """Shared fill times for a whole capacity vector at once.
@@ -112,26 +106,14 @@ class ComposedGroup:
         Matches the scalar path probe for probe: capacities within 1e-9
         of the combined total footprint snap to it, capacities beyond
         the tolerance answer ``max_n + 1`` (no contention), everything
-        else is one ``side="left"`` ``searchsorted`` — the same binary
-        search the scalar oracle runs, against the same summed values.
+        else is the oracle's binary search against the same summed
+        values (:func:`repro.locality.hotl.shared_fill_times`).
         """
-        caps = np.asarray(capacities, dtype=np.float64)
-        _validate_capacities(caps)
-        total_m = float(self.composed.m)
-        # The composed fp[max_n] equals total_m *exactly* (member fp[n_i]
-        # are integer-valued floats; their sequential sum is exact below
-        # 2**53), so snapped capacities land on max_n like the oracle.
-        ws = np.searchsorted(
-            self.composed.fp, np.minimum(caps, total_m), side="left"
-        ).astype(np.int64)
-        over = caps > self.composed.m
-        if np.any(over):
-            snap = over & np.isclose(caps, self.composed.m, rtol=1e-9, atol=1e-9)
-            ws[over & ~snap] = self.composed.n + 1
-        return ws
+        return self._unstack(shared_fill_times(self.set.curves, self._stack, capacities))
 
     def miss_ratio_matrix(self, capacities: np.ndarray) -> np.ndarray:
-        """Per-member co-run miss ratios, shape ``(len(members), len(caps))``.
+        """Per-member co-run miss ratios, shape ``(k, len(caps))`` — or
+        ``(G, k, len(caps))`` for a stack.
 
         Row *i* is member *i*'s predicted miss ratio at each capacity:
         its own footprint growth rate at the shared fill time, exactly 0
@@ -141,21 +123,13 @@ class ComposedGroup:
         :func:`repro.locality.hotl.shared_miss_ratios` value bit for
         bit.  Each entry counts as one cell in the owning set.
         """
-        caps = np.asarray(capacities, dtype=np.float64)
-        ws = self.fill_times(caps)
-        out = np.zeros((len(self.curves), caps.shape[0]), dtype=np.float64)
-        for i, curve in enumerate(self.curves):
-            if curve.n == 0:
-                continue  # empty trace: growth is 0 everywhere
-            # growth(w) = fp[w+1] - fp[w] for w < n, else exactly 0.0;
-            # clamp the gather indices, then zero the finished entries.
-            wc = np.clip(ws, 0, curve.n - 1)
-            g = curve.fp[wc + 1] - curve.fp[wc]
-            g[ws >= curve.n] = 0.0
-            out[i] = g
+        curves = self.set.curves
+        ws = shared_fill_times(curves, self._stack, capacities)
+        out = shared_growth(curves, self._stack, ws)
         self.set.cells += int(out.size)
-        return out
+        return self._unstack(out)
 
-    def miss_ratios(self, capacity: float) -> list[float]:
-        """Scalar-capacity convenience: one column of the matrix."""
-        return [float(x) for x in self.miss_ratio_matrix([float(capacity)])[:, 0]]
+    def miss_ratios(self, capacity: float) -> list:
+        """Scalar-capacity convenience: one column of the matrix (a list
+        per group for a stack)."""
+        return self.miss_ratio_matrix([float(capacity)])[..., 0].tolist()

@@ -35,6 +35,7 @@ misses as the pair cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -259,23 +260,30 @@ def evaluate_placement(
 ) -> Placement:
     """Score a placement with the composition model.
 
-    Each non-empty socket composes its members' curves once and reads
-    their co-run miss ratios at ``capacity``; an instance's predicted
-    misses are ``ratio * weight``.  Socket cycle cost follows the
+    Every non-empty socket's co-run miss ratios at ``capacity`` come
+    from one batched composition query per socket size; an instance's
+    predicted misses are ``ratio * weight``.  Socket cycle cost follows the
     :mod:`repro.machine.timing` model (base CPI on the instance's work
     plus the miss penalty on its predicted misses); the makespan is the
     slowest socket.
     """
     timing = timing if timing is not None else TimingParams()
+    by_size: dict[int, list[int]] = {}
+    for s, members in enumerate(groups):
+        if members:
+            by_size.setdefault(len(members), []).append(s)
+    ratios: dict[int, list[float]] = {}
+    for sockets in by_size.values():
+        stack = [[instances[i].curve_id for i in groups[s]] for s in sockets]
+        grid = curve_set.group(stack).miss_ratio_matrix([capacity])[:, :, 0]
+        ratios.update(zip(sockets, grid.tolist()))
     total_misses = 0.0
     makespan = 0.0
-    for members in groups:
+    for s, members in enumerate(groups):
         if not members:
             continue
-        grp = curve_set.group([instances[i].curve_id for i in members])
-        ratios = grp.miss_ratios(capacity)
         socket_cycles = 0.0
-        for idx, ratio in zip(members, ratios):
+        for idx, ratio in zip(members, ratios[s]):
             inst = instances[idx]
             misses = ratio * inst.weight
             total_misses += misses
@@ -302,16 +310,23 @@ def matched_pairs(
     The pair cost is the composed pair's total predicted misses — the
     same objective :func:`evaluate_placement` totals — so the exact
     matcher gives the certified-optimal two-per-socket placement to
-    cross-check the greedy policies against on small fleets.
+    cross-check the greedy policies against on small fleets.  Every
+    distinct pair is composed once, in one batched query, before the
+    matcher runs.
     """
     items = [str(i) for i in range(len(instances))]
+    pairs = list(itertools.combinations(range(len(instances)), 2))
+    cost: dict[tuple[str, str], float] = {}
+    if pairs:
+        stack = [[instances[a].curve_id, instances[b].curve_id] for a, b in pairs]
+        grid = curve_set.group(stack).miss_ratio_matrix([capacity])[:, :, 0]
+        for (a, b), (ra, rb) in zip(pairs, grid.tolist()):
+            cost[(str(a), str(b))] = ra * instances[a].weight + rb * instances[b].weight
 
     def pair_cost(a: str, b: str) -> float:
-        grp = curve_set.group(
-            [instances[int(a)].curve_id, instances[int(b)].curve_id]
-        )
-        ra, rb = grp.miss_ratios(capacity)
-        return ra * instances[int(a)].weight + rb * instances[int(b)].weight
+        # A two-member probe sum and a two-term cost are the same floats
+        # in either order, so (b, a) answers what (a, b) would.
+        return cost[(a, b)] if (a, b) in cost else cost[(b, a)]
 
     match = best_pairing if exact else greedy_pairing
     return match(items, pair_cost)

@@ -8,9 +8,9 @@ repro.fleet`` and the ``exp_fleet`` experiment:
    :class:`~repro.perf.parallel.CellPool` workers and memoized under
    :class:`~repro.perf.memo.SimMemo` curve digests;
 2. sweep the **co-run pair matrix**: every unordered model pair
-   (self-pairs included) composed once and queried across a capacity
-   sweep — hundreds of thousands of cells answered from those few
-   curves (the reuse ratio the fleet-bench CI gate asserts);
+   (self-pairs included) queried across a capacity sweep in one batched
+   composition query — hundreds of thousands of cells answered from
+   those few curves (the reuse ratio the fleet-bench CI gate asserts);
 3. replicate the models into N instances, place them onto M sockets
    under every requested policy, and score each placement with the
    composition model — layout-aware policies must beat the oblivious
@@ -167,22 +167,20 @@ def run_fleet(
     curve_set = CurveSet(curves)
 
     # The co-run pair matrix: every unordered model pair (self-pairs
-    # included) composed once, answered across the capacity sweep.
+    # included) answered across the capacity sweep in one batched query.
     caps = capacity * np.linspace(0.25, 1.5, matrix_capacities)
-    n_pairs = 0
+    pairs = [(i, j) for i in range(len(models)) for j in range(i, len(models))]
+    grids = curve_set.group(pairs).miss_ratio_matrix(caps)
     ratio_sum = 0.0
     worst_pair = ("", "")
     worst_ratio = -1.0
-    for i in range(len(models)):
-        for j in range(i, len(models)):
-            grid = curve_set.group([i, j]).miss_ratio_matrix(caps)
-            n_pairs += 1
-            ratio_sum += float(grid.mean()) * grid.size
-            pair_peak = float(grid.mean())
-            if pair_peak > worst_ratio:
-                worst_ratio = pair_peak
-                worst_pair = (f"{models[i][0]}/{models[i][1]}",
-                              f"{models[j][0]}/{models[j][1]}")
+    for (i, j), grid in zip(pairs, grids):
+        ratio_sum += float(grid.mean()) * grid.size
+        pair_peak = float(grid.mean())
+        if pair_peak > worst_ratio:
+            worst_ratio = pair_peak
+            worst_pair = (f"{models[i][0]}/{models[i][1]}",
+                          f"{models[j][0]}/{models[j][1]}")
     matrix_cells = curve_set.cells
 
     instances = [
@@ -199,7 +197,7 @@ def run_fleet(
         n_sockets=n_sockets,
         capacity=capacity,
         models=tuple(models),
-        matrix_pairs=n_pairs,
+        matrix_pairs=len(pairs),
         matrix_capacities=matrix_capacities,
         mean_corun_ratio=ratio_sum / matrix_cells if matrix_cells else 0.0,
         worst_pair=worst_pair,

@@ -5,11 +5,12 @@ case."""
 
 from .footprint import FootprintCurve, average_footprint, footprint_brute, footprint_curve
 from .hotl import (
-    compose_curves,
     miss_ratio,
     miss_ratio_curve,
     shared_fill_time,
     shared_fill_time_scalar,
+    shared_fill_times,
+    shared_growth,
     shared_miss_ratios,
     shared_miss_ratios_scalar,
 )
@@ -26,7 +27,6 @@ __all__ = [
     "FootprintCurve",
     "average_footprint",
     "classify_benefits",
-    "compose_curves",
     "corun_miss_ratios",
     "footprint_brute",
     "footprint_curve",
@@ -34,6 +34,8 @@ __all__ = [
     "miss_ratio_curve",
     "shared_fill_time",
     "shared_fill_time_scalar",
+    "shared_fill_times",
+    "shared_growth",
     "shared_miss_ratios",
     "shared_miss_ratios_scalar",
     "WindowFootprintDistribution",

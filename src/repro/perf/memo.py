@@ -29,6 +29,14 @@ a stream derives all of its memo keys without rehashing the bytes.
 Two calls share a key iff :func:`repro.cache.setassoc.simulate` would
 return identical stats for them.
 
+Footprint curves have two key forms under the one ``CURVE_SCHEMA`` tag.
+:func:`curve_key` hashes the stream's content, like every key above.
+:func:`recipe_curve_key` names how the stream is made instead — the ref
+run's recipe hash, the layout, the line size and the stream dtype — so a
+caller can look a curve up before building anything.  The
+:class:`~repro.experiments.pipeline.Lab` keys baseline curves by recipe
+and optimized layouts' curves by content; each curve is stored once.
+
 Persistence is one uncompressed ``.npz`` archive per key under
 ``cache_dir``: the entry kind's named arrays plus a 0-d ``schema``
 string, written with the crash-safe :func:`repro.robust.atomic.atomic_write`
@@ -115,6 +123,7 @@ __all__ = [
     "curve_key",
     "histogram_key",
     "memo_key",
+    "recipe_curve_key",
     "trg_key",
 ]
 
@@ -226,6 +235,21 @@ def curve_key(lines) -> str:
     return hashlib.sha256(f"{CURVE_SCHEMA}|{trace_digest(lines)}".encode()).hexdigest()
 
 
+def recipe_curve_key(bundle: str, layout: str, line_bytes: int, dtype) -> str:
+    """Key of one footprint curve named by how its stream is made.
+
+    ``bundle`` is the ref run's :func:`~repro.engine.instrument.bundle_key`
+    (scaled workload spec, input spec, code salt of the IR, engine and
+    workload packages); ``layout`` names a layout those packages alone
+    derive, ``line_bytes`` the fetch granularity and ``dtype`` the
+    stream's element type.  Equal recipes make equal streams, so the key
+    answers without building the stream; it never collides with a
+    :func:`curve_key` (a different preimage format under the same tag).
+    """
+    recipe = f"{CURVE_SCHEMA}|recipe|{bundle}|{layout}|{int(line_bytes)}|{np.dtype(dtype).str}"
+    return hashlib.sha256(recipe.encode()).hexdigest()
+
+
 def histogram_key(lines, n_sets: int) -> str:
     """Content hash identifying one stack-distance histogram's input.
 
@@ -252,6 +276,10 @@ class SimMemo:
         the disk tier (a default one is built when omitted).  Tripped,
         the memo keeps answering from memory and recomputation while
         ``degraded`` counts the skipped disk operations.
+
+    Footprint curves are stored under a stream key (:func:`curve_key`)
+    or a recipe key (:func:`recipe_curve_key`, baseline layouts in the
+    ``Lab``); :meth:`get_curve`/:meth:`put_curve` take either.
 
     Counters: ``hits`` / ``misses`` split lookups;
     ``disk_failures`` / ``degraded`` / ``lock_waits`` track the disk

@@ -1,7 +1,6 @@
 """Unit and property tests for the solo cache simulator (repro.cache.setassoc)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

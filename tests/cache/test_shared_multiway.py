@@ -1,7 +1,6 @@
 """N-thread shared-cache tests (the SMT-width extension's substrate)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,5 @@
 """Unit tests for cache-line coloring placement (repro.core.coloring)."""
 
-import numpy as np
-import pytest
-
 from repro.cache import CacheConfig
 from repro.core.coloring import color_functions
 from repro.core.optimizers import OptimizerConfig

@@ -2,7 +2,6 @@
 (repro.core.linkaffinity)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

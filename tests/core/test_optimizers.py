@@ -1,6 +1,5 @@
 """Unit tests for the four optimizers (repro.core.optimizers)."""
 
-import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, PAPER_L1I, simulate

@@ -1,8 +1,5 @@
 """Edge-case interpreter tests: recursion, degenerate programs, budgets."""
 
-import numpy as np
-import pytest
-
 from repro.engine import InputSpec, run
 from repro.ir import ModuleBuilder
 

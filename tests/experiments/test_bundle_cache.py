@@ -3,22 +3,28 @@
 The contract under test: a warm ``Lab.program`` (its runs already in the
 store) equals a cold one field by field without calling the interpreter;
 the recipe key misses whenever the code salt, the workload spec or the
-input spec changes; and every bad entry is dropped, counted and re-run.
+input spec changes; every bad entry is dropped, counted and re-run; and
+``bundle_from_entry`` rejects any malformed int64 entry with
+``ArtifactError`` alone (fuzzed).
 """
 
+import functools
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import instrument
-from repro.engine.instrument import bundle_entry, bundle_key
+from repro.engine.instrument import bundle_entry, bundle_from_entry, bundle_key
 from repro.experiments import Lab
 from repro.experiments import pipeline
 from repro.perf.store import TraceStore
-from repro.workloads import ALL_PROGRAMS, get_program
+from repro.robust.errors import ArtifactError
+from repro.workloads import ALL_PROGRAMS, build, get_program
 
 #: small enough that every run sits at the Lab's block-budget floor.
 SCALE = 0.01
@@ -209,3 +215,55 @@ def test_read_keeps_no_map(tmp_path):
     assert store._maps == {}
     assert store.read("bundles/missing") is None
     assert (store.hits, store.misses) == (1, 1)
+
+
+@functools.cache
+def _fuzz_target():
+    """syn-mcf's module and ref input (built once; nothing is run)."""
+    prog, module = build("syn-mcf")
+    return module, prog.spec.ref_input()
+
+
+def _malformed_entries():
+    """int64 entries with every header and trace defect, valid ones among
+    them: short, 2-D, bad header values, wrong block counts, and gids
+    below 0 or at/after ``n_blocks``."""
+    module, _ = _fuzz_target()
+    nb = module.n_blocks
+    big = st.integers(-(2**63), 2**63 - 1)
+    header = st.tuples(
+        st.one_of(st.integers(-3, 10**6), big),
+        st.one_of(st.integers(-2, 3), big),
+        st.one_of(st.sampled_from([nb, nb - 1, nb + 1, 0, -1]), big),
+    )
+    trace = st.lists(st.one_of(st.integers(-3, nb + 3), big), max_size=40)
+    flat = st.builds(lambda h, t: np.array([*h, *t], dtype=np.int64), header, trace)
+    short = st.lists(big, max_size=2).map(lambda v: np.array(v, dtype=np.int64))
+    two_d = flat.map(lambda e: np.stack([e, e]))
+    return st.one_of(flat, short, two_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_entries())
+def test_bundle_from_entry_raises_only_artifact_error(entry):
+    """Whatever int64 array the store hands back, rebuilding a bundle
+    either succeeds on a well-formed entry or raises ArtifactError."""
+    module, spec = _fuzz_target()
+    nb = module.n_blocks
+    trace = entry[3:] if entry.ndim == 1 else entry
+    valid = (
+        entry.ndim == 1
+        and entry.shape[0] >= 3
+        and entry[0] >= 0
+        and entry[1] in (0, 1)
+        and entry[2] == nb
+        and bool(np.all((trace >= 0) & (trace < nb)))
+    )
+    try:
+        bundle = bundle_from_entry(module, spec, entry)
+    except ArtifactError:
+        assert not valid
+    else:
+        assert valid
+        assert np.array_equal(bundle.bb_trace, entry[3:])
+        assert bundle.instr_count == entry[0] and bundle.natural_exit == bool(entry[1])

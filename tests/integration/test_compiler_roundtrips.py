@@ -6,8 +6,7 @@ import pytest
 from repro.analysis import analyze_layout
 from repro.cache import PAPER_L1I, simulate
 from repro.compiler import Driver, load_layout
-from repro.engine import InputSpec, collect_trace, fetch_lines, load_bundle, save_bundle
-from repro.ir import baseline_layout
+from repro.engine import collect_trace, fetch_lines, load_bundle, save_bundle
 from repro.workloads import build
 
 

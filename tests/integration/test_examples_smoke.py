@@ -7,7 +7,6 @@ through the experiment drivers instead.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -10,7 +10,6 @@ from repro.ir import (
     Function,
     Jump,
     Module,
-    Return,
     Switch,
     ValidationError,
     validate_module,

@@ -1,6 +1,5 @@
 """Per-rule unit tests on hand-built modules with known, planted defects."""
 
-import numpy as np
 import pytest
 
 from repro.ir import (

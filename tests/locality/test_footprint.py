@@ -125,6 +125,20 @@ def test_fill_time_nonpositive_capacity_is_zero():
     assert c.fill_time(-1.0) == 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 9), min_size=0, max_size=80),
+    st.lists(st.floats(-2.0, 25.0), min_size=1, max_size=16),
+)
+def test_fill_time_monotone_in_capacity(trace, caps):
+    """A larger cache never fills sooner: fill_time is non-decreasing in
+    the capacity, across the m snap and the n + 1 "never fills" answer."""
+    c = footprint_curve(np.array(trace, dtype=np.int64))
+    caps = sorted(caps + [float(c.m), c.m + 1e-10, c.m + 1.0])
+    times = [c.fill_time(cap) for cap in caps]
+    assert times == sorted(times)
+
+
 def test_curve_dict_round_trip_bit_identical():
     """to_arrays/from_arrays is the curve-memo wire format: every fp
     value, n, and m must survive an ``.npz`` round trip exactly."""

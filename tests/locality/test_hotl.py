@@ -91,25 +91,6 @@ def test_shared_fill_time_capacity_boundary_tolerance():
     assert shared_fill_time([a, b], total_m * 1.01) == max(a.n, b.n) + 1
 
 
-def test_compose_curves_properties():
-    """compose_curves aligns unequal lengths: n = max, m = sum, short
-    curves contribute their constant total footprint past their end."""
-    from repro.locality import compose_curves
-
-    a = footprint_curve(np.array([1, 2, 3]))
-    b = footprint_curve(cyclic_trace(8, 10))
-    composed = compose_curves([a, b])
-    assert composed.n == max(a.n, b.n)
-    assert composed.m == a.m + b.m
-    for w in range(composed.n + 1):
-        expect = float(a(min(w, a.n))) + float(b(min(w, b.n)))
-        assert float(composed(w)) == expect
-    # The aligned endpoint is the exact combined footprint.
-    assert float(composed.fp[-1]) == float(a.m + b.m)
-    with pytest.raises(ValueError):
-        compose_curves([])
-
-
 def test_shared_vectorized_matches_scalar_oracle():
     """The composed-curve fast path must answer exactly what the
     per-probe scalar oracle answers — same binary search, same sums."""

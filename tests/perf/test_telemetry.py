@@ -608,8 +608,6 @@ class TestPerfCli:
         assert "avg" in capsys.readouterr().out
 
     def test_compare_journals_ignore_attempts_flag(self, tmp_path, capsys):
-        import json as _json
-
         from repro.robust import RunJournal
 
         a = RunJournal(tmp_path / "a.jsonl")

@@ -8,7 +8,6 @@ needs to run to exercise supervision.
 """
 
 import multiprocessing
-import time
 
 import pytest
 

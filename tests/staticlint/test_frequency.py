@@ -6,13 +6,10 @@ import pytest
 from repro.ir import (
     BasicBlock,
     Branch,
-    Call,
     Exit,
     Function,
     Jump,
-    LoopBranch,
     Module,
-    Return,
     Switch,
 )
 from repro.staticlint.dataflow import FunctionCFG

@@ -1,12 +1,11 @@
 """Unit tests for layout quality analysis (repro.analysis)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import analyze_layout, hot_blocks
 from repro.cache import CacheConfig, PAPER_L1I
 from repro.core import OptimizerConfig, bb_affinity
-from repro.engine import InputSpec, collect_trace
+from repro.engine import collect_trace
 from repro.ir import baseline_layout
 
 
@@ -61,7 +60,7 @@ def test_optimizer_improves_utilization_on_suite_program():
 
 def test_set_imbalance_detects_pathological_placement():
     """Blocks placed a full cache apart land in the same set."""
-    from repro.ir import ModuleBuilder, reorder_basic_blocks
+    from repro.ir import ModuleBuilder
 
     cache = CacheConfig(size_bytes=1024, assoc=1, line_bytes=64)  # 16 sets
     b = ModuleBuilder("m")

@@ -1,7 +1,6 @@
 """Unit tests for the synthetic program generator (repro.workloads.generator)."""
 
 import numpy as np
-import pytest
 
 from repro.engine import collect_trace
 from repro.ir import validate_module
