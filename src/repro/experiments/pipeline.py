@@ -2,9 +2,10 @@
 
 Every experiment follows the same pipeline:
 
-    build program -> instrument (test + ref inputs) -> run optimizers on the
-    test profile -> expand layouts to fetch streams (ref input) -> simulate
-    solo / co-run caches -> convert to miss ratios and cycle counts.
+    build program -> instrument (ref input; the test input when an
+    optimizer first asks for it) -> run optimizers on the test profile ->
+    expand layouts to fetch streams (ref input) -> simulate solo / co-run
+    caches -> convert to miss ratios and cycle counts.
 
 The :class:`Lab` owns that pipeline and memoizes every stage, because the
 evaluation matrices (8 study programs x 8 probes x 4 optimizers x 2
@@ -33,11 +34,12 @@ the full experiment logic at a fraction of the cost.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,12 +97,23 @@ THREAD_STRIDE = (1 << 22) + 64
 
 @dataclass
 class PreparedProgram:
-    """All per-program artefacts the experiments reuse."""
+    """All per-program artefacts the experiments reuse.
+
+    ``ref_bundle``, the measurement run, is collected when the program is
+    prepared.  ``test_bundle``, the optimizers' profile, is made by
+    ``make_test_bundle`` on its first access and kept: a run that only
+    measures (the fleet's baseline curves) never interprets the test
+    input.
+    """
 
     prog: SuiteProgram
     module: Module
-    test_bundle: TraceBundle
     ref_bundle: TraceBundle
+    make_test_bundle: Callable[[], TraceBundle] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def test_bundle(self) -> TraceBundle:
+        return self.make_test_bundle()
 
     @property
     def name(self) -> str:
@@ -138,8 +151,12 @@ class Lab:
     quantum: SMT fetch interleaving granularity, in line accesses.
     noise_sigma: hardware-counter noise (0 disables).
     timing: CPI model constants.
-    jobs: worker processes for :meth:`precompute_solo` cell fan-out
-        (1 = fully serial; never changes results, only wall-clock time).
+    jobs: worker processes for the cell fan-outs of
+        :meth:`precompute_solo` and :meth:`precompute_footprints` (1 =
+        fully serial; never changes results, only wall-clock time).  A
+        fanned-out baseline curve of a program the lab has not prepared
+        is made whole in a worker, build and interpreter run included,
+        so a cold fleet run prepares its programs in parallel.
     memo: optional :class:`repro.perf.memo.SimMemo` replaying identical
         solo simulations instead of re-running them.  It also keeps the
         footprint curves: baseline curves under their *recipe* (the ref
@@ -159,9 +176,11 @@ class Lab:
         attach with zero-copy memmap reads; the stream's content digest
         doubles as the memo-key ingredient, so nothing is hashed twice.
         The store also keeps each instrumented run's trace under its
-        recipe (:func:`repro.engine.instrument.bundle_key`), so a warm
-        :meth:`program` builds the module but skips the interpreter.
-        Purely a speed optimization — results are bit-identical.
+        recipe (:func:`repro.engine.instrument.bundle_key`), whoever
+        made it (this lab or a pool worker), so a later lab that needs
+        the run reads it instead of interpreting the program again.  A
+        baseline curve that is a memo hit needs neither: no module, no
+        run.  Purely a speed optimization — results are bit-identical.
 
     The lab doubles as the telemetry source: :attr:`timings` accumulates
     per-stage wall-clock seconds (monotonic clock) and :attr:`counters`
@@ -214,6 +233,8 @@ class Lab:
         self.store = store
         #: lazily created persistent CellPool (reused across fan-outs).
         self._cell_pool = None
+        #: store counters of the pool workers' labs (see _recipe_curves).
+        self._worker_store: dict[str, int] = {}
         #: where the *optimization* profile (test input) comes from:
         #: "trace" instruments a real run; "static" synthesizes the test
         #: bundle from CFG structure alone (no-profile layout builds).
@@ -317,7 +338,9 @@ class Lab:
             "stages": dict(self.timings),
             "counters": dict(self.counters),
             "memo": self.memo.counters() if self.memo is not None else {},
-            "store": self.store.counters() if self.store is not None else {},
+            "store": add_into(self.store.counters(), self._worker_store)
+            if self.store is not None
+            else {},
             "kernel_backend": self.backend.name,
         }
 
@@ -410,7 +433,8 @@ class Lab:
     # -- program preparation -------------------------------------------------
 
     def program(self, name: str) -> PreparedProgram:
-        """Build + instrument a suite program (memoized).
+        """Build a suite program and instrument its ref input (memoized;
+        the test input is instrumented when ``test_bundle`` is first read).
 
         An unknown program name or a module that breaks instrumentation
         raises :class:`~repro.robust.errors.ProfileError` carrying the
@@ -425,23 +449,29 @@ class Lab:
                 prog, module = build_suite_program(
                     name, ref_blocks=spec.ref_blocks, test_blocks=spec.test_blocks
                 )
-                test_input = prog.spec.test_input()
-                if self.profile_source == "static":
-                    test_bundle = synthesize_bundle(
-                        module,
-                        max_blocks=test_input.max_blocks,
-                        seed=test_input.seed,
-                    )
-                else:
-                    test_bundle = self._instrument(prog, module, test_input)
                 prepared = PreparedProgram(
                     prog=prog,
                     module=module,
-                    test_bundle=test_bundle,
                     ref_bundle=self._instrument(prog, module, prog.spec.ref_input()),
+                    make_test_bundle=functools.partial(self._test_bundle, prog, module),
                 )
             self._programs[name] = prepared
         return prepared
+
+    def _test_bundle(self, prog: SuiteProgram, module: Module) -> TraceBundle:
+        """A prepared program's optimization profile, made on first use
+        (timed and reported as ``prepare``): the test input's run, or its
+        synthesis from CFG structure alone when ``profile_source`` is
+        ``"static"``."""
+        with self._stage("prepare"), error_context(
+            "prepare", program=prog.name, reraise=ProfileError
+        ):
+            test_input = prog.spec.test_input()
+            if self.profile_source == "static":
+                return synthesize_bundle(
+                    module, max_blocks=test_input.max_blocks, seed=test_input.seed
+                )
+            return self._instrument(prog, module, test_input)
 
     def _scaled_spec(self, name: str) -> WorkloadSpec:
         """A suite program's generator spec with its trace budgets scaled
@@ -487,17 +517,20 @@ class Lab:
         result = self._layouts.get(key)
         if result is None:
             prepared = self.program(name)
+            # Made outside the optimize stage: its time and errors are
+            # the program's "prepare", as the ref run's are.
+            profile = None if layout_name == BASELINE else prepared.test_bundle
             with self._stage("optimize"), error_context(
                 "optimize", program=name, layout=layout_name
             ):
-                if layout_name == BASELINE:
+                if profile is None:
                     result = baseline_layout(prepared.module)
                 else:
                     optimizer = OPTIMIZERS[layout_name]
                     stats: dict = {}
                     result = optimizer(
                         prepared.module,
-                        prepared.test_bundle,
+                        profile,
                         self.optimizer_config,
                         memo=self._analysis_memo,
                         stats=stats,
@@ -659,12 +692,16 @@ class Lab:
         cells at once.
 
         Every cell is looked up first (:meth:`_curve_lookup`, the probe
-        :meth:`footprint` makes); only the misses build their streams,
-        and their independent all-window histogram passes fan out across
-        ``jobs`` workers before landing in the curve memo.  Bit-identical
-        to calling :meth:`footprint` cell by cell — curves cross the
-        process boundary in their exact float form — so this is purely a
-        wall-clock optimization.
+        :meth:`footprint` makes).  The misses fan out across ``jobs``
+        workers in one of two forms.  A baseline curve of a program this
+        lab has not prepared goes as its recipe (:meth:`_recipe_curves`):
+        the worker builds, instruments and fetches the program itself, so
+        the parent never holds its module.  Any other miss builds its
+        stream here and ships it (a program the lab already holds, or an
+        optimized layout, whose memo key is the stream's content).
+        Bit-identical to calling :meth:`footprint` cell by cell — curves
+        cross the process boundary in their exact float form — so this is
+        purely a wall-clock optimization.
         """
         jobs = self.jobs if jobs is None else jobs
         todo = [
@@ -686,15 +723,44 @@ class Lab:
                     missed.append((cell, memo_key))
                 else:
                     self._curves[cell] = curve
-            if missed:
-                fresh, _ = self._memoized_cells("curve", [c for c, _ in missed], (), jobs)
-                for (cell, memo_key), curve in zip(missed, fresh):
-                    if memo_key is not None:
-                        self.memo.put_curve(memo_key, curve)
-                    self._curves[cell] = curve
+            # Classified after every lookup: an optimized layout's lookup
+            # prepares its program, whose baseline then ships as a stream.
+            recipes = [
+                m for m in missed if m[0][1] == BASELINE and m[0][0] not in self._programs
+            ]
+            streams = [m for m in missed if m not in recipes]
+            fresh = self._recipe_curves([cell[0] for cell, _ in recipes], jobs)
+            fresh += self._memoized_cells("curve", [c for c, _ in streams], (), jobs)[0]
+            for (cell, memo_key), curve in zip(recipes + streams, fresh):
+                if memo_key is not None:
+                    self.memo.put_curve(memo_key, curve)
+                self._curves[cell] = curve
         self.counters["curve_passes"] += len(missed)
         self.counters["curve_memo_hits"] += len(todo) - len(missed)
         self.counters["curve_seconds"] += self.timings["compose"] - compose_s
+
+    def _recipe_curves(self, names: list[str], jobs: int) -> list[FootprintCurve]:
+        """Baseline curves of unprepared programs, one recipe cell each
+        (:func:`~repro.perf.parallel.recipe_curve_cells`): a worker makes
+        the curve on a serial lab of this lab's :meth:`spawn_config`, on
+        the pool's store.  The workers' telemetry is folded into this
+        lab's, so their build, interpreter and fetch time still shows
+        under ``prepare`` and ``fetch``."""
+        if not names:
+            return []
+        from ..perf.parallel import recipe_curve_cells
+
+        pool = self.cell_pool(jobs)
+        reuses = pool.reuses
+        config = self.spawn_config()
+        results = recipe_curve_cells([(config, name) for name in names], pool=pool)
+        self.counters["pool_fanouts"] += 1
+        self.counters["pool_reuses"] += pool.reuses - reuses
+        for _, telemetry in results:
+            add_into(self.timings, telemetry["stages"])
+            add_into(self.counters, telemetry["counters"])
+            add_into(self._worker_store, telemetry["store"])
+        return [curve for curve, _ in results]
 
     def solo_miss(self, name: str, layout_name: str, channel: str = "hw") -> MissRatios:
         """Solo miss measurement through the given channel ('hw' or 'sim')."""

@@ -27,6 +27,16 @@ Two fan-out layers, matching the structure of the evaluation:
   ``Lab.precompute_footprints`` and the
   :class:`~repro.compiler.driver.Driver` evaluation stage fan out through.
 
+* **recipe cells** — :func:`recipe_curve_cells` ships no stream at all.
+  A cell is ``(lab_config, program)``; the worker builds a serial lab
+  from the config and makes the program's baseline footprint curve
+  itself: build, ref-input run (published to the store, if any),
+  declaration-order layout, fetch, curve.  ``Lab.precompute_footprints``
+  sends the baseline curves of programs it has not prepared this way,
+  so a cold fleet run prepares its programs in the workers and the
+  parent holds no module.  The curve comes back with the cell's
+  telemetry, which the parent folds into its own.
+
 Cell traffic is zero-copy when a :class:`~repro.perf.store.TraceStore`
 is attached: a cell's stream argument may be a
 :class:`~repro.perf.store.StoreRef` descriptor instead of the pickled
@@ -62,6 +72,7 @@ from ..robust.errors import (
     SimulationError,
     WorkerCrashError,
     WorkerHangError,
+    error_context,
 )
 from .memo import curve_key, histogram_key, memo_key
 from .store import StoreRef, TraceStore, trace_digest
@@ -73,6 +84,7 @@ __all__ = [
     "histogram_cells",
     "memoized_cells",
     "rebuild_error",
+    "recipe_curve_cells",
     "simulate_cells",
 ]
 
@@ -311,8 +323,7 @@ class CellPool:
         # Point the parent-side resolver at our store and backend so the
         # serial paths below handle cells exactly like workers do.
         global _CELL_STORE, _CELL_BACKEND
-        if self._store is not None:
-            _CELL_STORE = self._store
+        _CELL_STORE = self._store
         _CELL_BACKEND = self._backend
         n = len(cells)
         if n == 0:
@@ -429,6 +440,44 @@ def curve_cells(
     composition parity gate depends on it).
     """
     return _map_cells(_curve_cell, cells, pool)
+
+
+def _recipe_curve_cell(cell: tuple) -> tuple[FootprintCurve, dict]:
+    """Worker body of one recipe cell: a serial lab built from the
+    parent's config, on its own view of this process's store (so its
+    counters are this cell's alone), makes the program's baseline curve;
+    its telemetry travels with the curve."""
+    from ..experiments.pipeline import BASELINE, Lab
+    from ..locality.footprint import footprint_curve
+
+    config, name = cell
+    store = TraceStore(_CELL_STORE.root) if _CELL_STORE is not None else None
+    lab = Lab(**config, store=store)
+    # The serial path (Lab.footprint) makes the curve in this context.
+    with error_context("compose", program=name, layout=BASELINE):
+        curve = footprint_curve(lab.lines(name, BASELINE))
+    return curve, lab.snapshot()
+
+
+def recipe_curve_cells(
+    cells: list[tuple], *, pool: Optional[CellPool] = None
+) -> list[tuple[FootprintCurve, dict]]:
+    """Baseline footprint curves made from their recipe, possibly in
+    parallel.
+
+    Each cell is ``(lab_config, program)``: a :meth:`Lab.spawn_config
+    <repro.experiments.pipeline.Lab.spawn_config>` and a suite program
+    name, about 600 bytes pickled.  The worker builds the program,
+    instruments its ref input (through the store, when the pool has one),
+    lays it out in declaration order and fetches its stream — what the
+    parent would do, minus the shipping of the stream.  Returns each
+    curve, bit-identical to the serial :meth:`Lab.footprint`, with the
+    telemetry of the cell's fresh lab (its :meth:`Lab.snapshot`, which is
+    the cell's delta).  A worker's typed error (say a
+    :class:`~repro.robust.errors.ProfileError` from a program that fails
+    to build) is raised in the caller as the serial path raises it.
+    """
+    return _map_cells(_recipe_curve_cell, cells, pool)
 
 
 def histogram_cells(
