@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from repro.cache import PAPER_L1I, simulate, simulate_shared
-from repro.core import AffinityAnalysis, build_hierarchy, build_trg, layout_order, reduce_trg
+from repro.core import (
+    AffinityAnalysis,
+    build_hierarchy,
+    build_trg,
+    build_trg_fast,
+    layout_order,
+    reduce_trg,
+)
 from repro.engine import collect_trace, fetch_lines
 from repro.ir import baseline_layout
 from repro.locality import footprint_curve
@@ -63,7 +70,7 @@ def bench_trg_construction(benchmark, sjeng):
 
 def bench_trg_reduction(benchmark, sjeng):
     module, test, _, _ = sjeng
-    trg = build_trg(trim(test.bb_trace), 512)
+    trg = build_trg_fast(trim(test.bb_trace), 512)
     result = benchmark(reduce_trg, trg, 128)
     assert result.order
 

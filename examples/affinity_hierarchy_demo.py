@@ -39,13 +39,13 @@ def figure2() -> None:
     print("\n=== Paper Fig. 2: TRG reduction with 3 code slots ===")
     A, B, C, E, F = 0, 1, 2, 3, 4
     names = {A: "A", B: "B", C: "C", E: "E", F: "F"}
-    trg = TRG(nodes=[A, B, C, E, F])
-    for (x, y), w in {
+    conflicts = {
         (A, B): 40, (E, F): 31, (C, E): 30,
         (B, E): 20, (B, F): 15, (A, F): 10,
-    }.items():
-        trg.add_conflict(x, y, w)
+    }
+    for (x, y), w in conflicts.items():
         print(f"  edge {names[x]}-{names[y]}: weight {w}")
+    trg = TRG.from_weights([A, B, C, E, F], conflicts)
 
     result = reduce_trg(trg, n_slots=3)
     for k, slot in enumerate(result.slots, 1):

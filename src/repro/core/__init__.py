@@ -12,7 +12,6 @@ from .fastanalysis import (
 from .goals import GoalScores, relative_reduction, score_goals
 from .hierarchy import AffinityNode, build_hierarchy, hierarchy_levels, layout_order
 from .layout import Granularity, apply_symbol_order
-from .linkaffinity import is_link_affinity_group, link_affinity_partition
 from .optimizers import (
     COMPARATORS,
     OPTIMIZERS,
@@ -56,9 +55,7 @@ __all__ = [
     "hierarchy_levels",
     "hot_cold_order",
     "hot_cold_split",
-    "is_link_affinity_group",
     "layout_order",
-    "link_affinity_partition",
     "optimize",
     "pettis_hansen_order",
     "reduce_trg",

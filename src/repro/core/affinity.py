@@ -54,6 +54,30 @@ from ..trace.trim import trim
 __all__ = ["AffinityAnalysis", "affine_pairs_naive", "window_footprint"]
 
 
+def pair_row(pairs: np.ndarray, x: int, y: int) -> int:
+    """The row of ``(x, y)`` in a ``(P, 2)`` table sorted by ``(x, y)``,
+    or -1 if it has none: x's run of rows, then y within it."""
+    xs = pairs[:, 0]
+    lo, hi = int(xs.searchsorted(x)), int(xs.searchsorted(x, "right"))
+    row = lo + int(pairs[lo:hi, 1].searchsorted(y))
+    return row if row < hi and pairs[row, 1] == y else -1
+
+
+def in_pair_order(pairs: np.ndarray) -> bool:
+    """Whether a ``(P, 2)`` table's rows strictly increase in ``(x, y)``
+    order (so no row repeats)."""
+    dx, dy = np.diff(pairs[:, 0]), np.diff(pairs[:, 1])
+    return bool(((dx > 0) | ((dx == 0) & (dy > 0))).all())
+
+
+def read_only(values) -> np.ndarray:
+    """``values`` as a contiguous read-only int64 array (copied only if
+    it is not one already)."""
+    out = np.ascontiguousarray(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def window_footprint(trace: np.ndarray, i: int, j: int) -> int:
     """``fp<trace[i], trace[j]>`` — distinct symbols in the closed window.
 
@@ -146,56 +170,51 @@ class AffinityAnalysis:
         coverage: float = 1.0,
         time_horizon: int | None = None,
     ):
-        if w_max < 1:
-            raise ValueError("w_max must be >= 1")
-        if not 0.0 < coverage <= 1.0:
-            raise ValueError("coverage must be in (0, 1]")
-        self.w_max = w_max
-        self.coverage = coverage
-        self.trace = trim(np.asarray(trace))
+        self._setup(trace, w_max, coverage)
         self._n_occ: dict[int, int] = {}
-        self._cov: dict[tuple[int, int], np.ndarray] = {}
         self._first_occ: dict[int, int] = {}
-        self._analyze(time_horizon)
+        hists = self._analyze(time_horizon)
+        pairs = np.array(list(hists), dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        #: ``(P, 2)`` directed pairs ``(x, y)`` with a recorded footprint,
+        #: sorted by ``(x, y)``; row p of the ``(P, w_max + 1)`` matrix
+        #: ``cov`` counts x's occurrences by minimal footprint toward y.
+        self.pairs = read_only(pairs[order])
+        self.cov = read_only(np.array(list(hists.values())).reshape(-1, w_max + 1)[order])
 
     @classmethod
-    def from_precomputed(
-        cls,
-        trace: np.ndarray,
-        *,
-        w_max: int,
-        coverage: float = 1.0,
-        n_occ: dict[int, int],
-        first_occ: dict[int, int],
-        cov: dict[tuple[int, int], np.ndarray],
-    ) -> "AffinityAnalysis":
-        """Wrap an externally computed analysis (the vectorized kernel in
-        :mod:`repro.core.fastanalysis`, or a memoized artifact) so every
-        query and hierarchy consumer runs the same code path.
+    def from_precomputed(cls, trace: np.ndarray, covg, coverage: float = 1.0) -> "AffinityAnalysis":
+        """Wrap an externally computed
+        :class:`~repro.core.fastanalysis.AffinityCoverage` (the vectorized
+        kernel's, or a memoized one) so every query and hierarchy consumer
+        runs the same code path.  Nothing is copied: its tables become the
+        analysis's.
 
-        The inputs must be exactly what ``_analyze`` would have produced
+        The artifact must be exactly what ``_analyze`` would have produced
         for ``trace`` — the kernel parity suite pins that contract.
         """
+        self = object.__new__(cls)
+        self._setup(trace, covg.w_max, coverage)
+        self._n_occ, self._first_occ = covg.n_occ, covg.first_occ
+        self.pairs, self.cov = covg.pairs, covg.cov
+        return self
+
+    def _setup(self, trace: np.ndarray, w_max: int, coverage: float) -> None:
+        """The checked parameters and trimmed trace both constructors share."""
         if w_max < 1:
             raise ValueError("w_max must be >= 1")
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must be in (0, 1]")
-        self = object.__new__(cls)
         self.w_max = w_max
         self.coverage = coverage
         self.trace = trim(np.asarray(trace))
-        self._n_occ = {int(k): int(v) for k, v in n_occ.items()}
-        self._first_occ = {int(k): int(v) for k, v in first_occ.items()}
-        self._cov = {
-            (int(x), int(y)): np.asarray(h, dtype=np.int64)
-            for (x, y), h in cov.items()
-        }
-        return self
 
     # -- analysis ----------------------------------------------------------
 
-    def _analyze(self, time_horizon: int | None) -> None:
+    def _analyze(self, time_horizon: int | None) -> dict[tuple[int, int], np.ndarray]:
+        """The one-pass sweep; returns the per-pair histograms."""
         w_max = self.w_max
+        hists: dict[tuple[int, int], np.ndarray] = {}
         trace = self.trace.tolist()
         n_occ = self._n_occ
         first_occ = self._first_occ
@@ -273,17 +292,17 @@ class AffinityAnalysis:
                 # Time of the (w_max+1)-th most recent distinct block.
                 cutoff = _kth_most_recent(last_access, w_max + 1)
                 while pending and pending[0].time <= cutoff:
-                    self._finalize(pending.popleft())
+                    self._finalize(pending.popleft(), hists)
             if time_horizon is not None:
                 while pending and pending[0].time < now - time_horizon:
-                    self._finalize(pending.popleft())
+                    self._finalize(pending.popleft(), hists)
 
         while pending:
-            self._finalize(pending.popleft())
+            self._finalize(pending.popleft(), hists)
+        return hists
 
-    def _finalize(self, occ: _Pending) -> None:
+    def _finalize(self, occ: _Pending, cov: dict) -> None:
         w_max = self.w_max
-        cov = self._cov
         y = occ.symbol
         for partner, d in occ.record.items():
             key = (y, partner)
@@ -310,11 +329,11 @@ class AffinityAnalysis:
         """Occurrences of ``x`` whose minimal window footprint to ``y`` <= w."""
         if w < 1:
             raise ValueError(f"w={w} must be >= 1")
-        hist = self._cov.get((x, y))
-        if hist is None:
+        row = pair_row(self.pairs, x, y)
+        if row < 0:
             return 0
         w = min(w, self.w_max)
-        return int(hist[: w + 1].sum())
+        return int(self.cov[row, : w + 1].sum())
 
     def is_affine(self, x: int, y: int, w: int) -> bool:
         """w-window affinity per Definition 3 (with the coverage threshold)."""
@@ -344,13 +363,13 @@ class AffinityAnalysis:
         directed = np.full(
             (len(symbols), len(symbols)), never, dtype=np.min_scalar_type(never)
         )
-        if self._cov:
-            index = {s: i for i, s in enumerate(symbols)}
-            rows, cols = np.array([(index[x], index[y]) for x, y in self._cov]).T
+        if self.pairs.shape[0]:
+            ids = np.array(symbols, dtype=np.int64)
+            by_id = np.argsort(ids)
+            rows, cols = by_id[np.searchsorted(ids, self.pairs, sorter=by_id)].T
             occ = np.array([self._n_occ[s] for s in symbols])
             need = self.coverage * occ[rows]
-            covered = np.array(list(self._cov.values()))
-            reached = np.cumsum(covered, axis=1, out=covered) >= need[:, None]
+            reached = np.cumsum(self.cov, axis=1) >= need[:, None]
             directed[rows, cols] = np.where(
                 reached.any(axis=1) & (need > 0), reached.argmax(axis=1), never
             )
@@ -361,7 +380,7 @@ class AffinityAnalysis:
     def affine_pairs(self, w: int) -> set[tuple[int, int]]:
         """All unordered affine pairs at window size ``w``."""
         pairs: set[tuple[int, int]] = set()
-        for (x, y) in self._cov:
+        for x, y in self.pairs.tolist():
             if x < y and self.is_affine(x, y, w):
                 pairs.add((x, y))
         return pairs

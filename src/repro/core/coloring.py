@@ -35,7 +35,6 @@ from ..ir.codegen import place_blocks
 from ..ir.module import INSTRUCTION_BYTES, Module
 from ..ir.transforms import LayoutKind, LayoutResult
 from ..trace.trim import trim
-from .trg import build_trg
 
 __all__ = ["color_functions"]
 
@@ -50,16 +49,23 @@ def color_functions(
     """Cache-line coloring placement at function granularity.
 
     ``config`` may be an :class:`~repro.core.optimizers.OptimizerConfig`
-    (its cache geometry is used); ``cache`` overrides it.
+    (its cache geometry and kernel tier are used); ``cache`` overrides
+    the geometry.
     """
+    from ..perf.backends import resolve_backend
+
     if cache is None:
         cache = getattr(config, "cache", None) or CacheConfig()
     line = cache.line_bytes
     n_sets = cache.n_sets
 
-    # conflict weights between functions, from the trimmed function trace.
-    ftrace = trim(bundle.func_trace)
-    trg = build_trg(ftrace, window_blocks=2 * cache.n_lines)
+    # conflict weights between functions, from the trimmed function trace,
+    # as a dense function-by-function matrix.
+    backend = resolve_backend(getattr(config, "kernel_backend", None))
+    trg = backend.trg(trim(bundle.func_trace), 2 * cache.n_lines)
+    conflicts = np.zeros((len(module.functions),) * 2, dtype=np.int64)
+    conflicts[trg.edges[:, 0], trg.edges[:, 1]] = trg.weights
+    conflicts[trg.edges[:, 1], trg.edges[:, 0]] = trg.weights
 
     counts = np.bincount(bundle.func_trace, minlength=len(module.functions))
     hot_order = sorted(
@@ -90,9 +96,8 @@ def color_functions(
     starts_fn: dict[int, int] = {}
     for fi in hot_order:
         span = sizes_lines[fi]
-        neighbours = [
-            (placed[gj], trg.weight(fi, gj)) for gj in placed if trg.weight(fi, gj) > 0
-        ]
+        row = conflicts[fi].tolist()
+        neighbours = [(placed[gj], row[gj]) for gj in placed if row[gj] > 0]
         if neighbours:
             best_color, best_cost = 0, None
             current_color = (addr // line) % n_sets

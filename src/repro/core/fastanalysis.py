@@ -42,18 +42,15 @@ from typing import Optional
 import numpy as np
 
 from ..trace.trim import trim
-from .affinity import AffinityAnalysis
+from .affinity import AffinityAnalysis, in_pair_order, read_only
 from .trg import TRG
 
 __all__ = [
-    "TRG_ARRAYS",
     "AffinityCoverage",
     "affinity_coverage",
     "analysis_from_coverage",
     "build_trg_fast",
     "coverage_from_analysis",
-    "trg_from_payload",
-    "trg_to_payload",
 ]
 
 
@@ -75,24 +72,26 @@ class AffinityCoverage:
     n_occ: dict[int, int]
     #: first trimmed-trace index per symbol.
     first_occ: dict[int, int]
-    #: (x, y) -> length-(w_max+1) int64 histogram of minimal footprints of
-    #: x-occurrences toward y (exactly ``AffinityAnalysis._cov``).
-    cov: dict[tuple[int, int], np.ndarray]
+    #: exactly ``AffinityAnalysis.pairs`` and ``AffinityAnalysis.cov``:
+    #: the ``(P, 2)`` pair table and ``(P, w_max + 1)`` histogram matrix.
+    pairs: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        self.pairs = read_only(self.pairs).reshape(-1, 2)
+        self.cov = read_only(self.cov).reshape(-1, self.w_max + 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffinityCoverage):
             return NotImplemented
-        return (
-            self.w_max == other.w_max
-            and self.time_horizon == other.time_horizon
-            and self.n_occ == other.n_occ
-            and self.first_occ == other.first_occ
-            and self.cov.keys() == other.cov.keys()
-            and all(np.array_equal(h, other.cov[k]) for k, h in self.cov.items())
+        scalars = ("w_max", "time_horizon", "n_occ", "first_occ")
+        return all(getattr(self, f) == getattr(other, f) for f in scalars) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("pairs", "cov")
         )
 
-    #: what :meth:`to_arrays` emits: name -> (dtype kind, shape), with
-    #: ``None`` for an axis of any length.
+    #: the entry kind, and what :meth:`to_arrays` emits: name -> (dtype
+    #: kind, shape), with ``None`` for an axis of any length.
+    KIND = "affinity"
     ARRAYS = {
         "kind": ("U", ()),
         "w_max": ("i", ()),
@@ -104,38 +103,38 @@ class AffinityCoverage:
     }
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Named arrays (memo entries): the ``(P, 2)`` pairs and their
-        histograms as one ``(P, w_max + 1)`` matrix, the occurrence
-        tables as ``(K, 2)`` symbol/value rows — all in dict order — and
+        """Named arrays (memo entries): the pair table and matrix as they
+        are, the occurrence tables as ``(K, 2)`` rows in dict order, and
         ``time_horizon`` as a length-0 (``None``) or length-1 array."""
         horizon = [] if self.time_horizon is None else [self.time_horizon]
         return {
-            "kind": np.array("affinity"),
+            "kind": np.array(self.KIND),
             "w_max": np.array(self.w_max, dtype=np.int64),
             "time_horizon": np.array(horizon, dtype=np.int64),
-            "pairs": np.array(list(self.cov), dtype=np.int64).reshape(-1, 2),
-            "cov": np.array(list(self.cov.values()), dtype=np.int64).reshape(
-                -1, self.w_max + 1
-            ),
+            "pairs": self.pairs,
+            "cov": self.cov,
             "n_occ": _rows(self.n_occ),
             "first_occ": _rows(self.first_occ),
         }
 
     @classmethod
     def from_arrays(cls, raw: dict) -> "AffinityCoverage":
-        """Inverse of :meth:`to_arrays`; raises ``ValueError`` on malformed
-        payloads so memo corruption degrades to recomputation.  The
-        histograms are rows of a fresh copy, shared with nothing."""
-        if str(raw["kind"]) != "affinity":
+        """Inverse of :meth:`to_arrays`, which only validates: the pair
+        table and matrix become the artifact's (read-only).  Raises
+        ``ValueError`` on malformed payloads (pairs out of ``(x, y)``
+        order or repeated, shapes that disagree) so memo corruption
+        degrades to recomputation."""
+        if str(raw["kind"]) != cls.KIND:
             raise ValueError(f"not an affinity payload: kind={str(raw['kind'])!r}")
         w_max = int(raw["w_max"])
         horizon = raw["time_horizon"].tolist()
-        pairs = raw["pairs"]
-        hists = np.array(raw["cov"], dtype=np.int64)
+        pairs, hists = raw["pairs"], raw["cov"]
         if len(horizon) > 1:
             raise ValueError(f"time_horizon has {len(horizon)} values")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"pairs shape {pairs.shape} is not (P, 2)")
+        if not in_pair_order(pairs):
+            raise ValueError("pairs are not strictly increasing in (x, y) order")
         if hists.shape != (pairs.shape[0], w_max + 1):
             raise ValueError(
                 f"histogram shape {hists.shape} != ({pairs.shape[0]}, {w_max + 1})"
@@ -145,7 +144,8 @@ class AffinityCoverage:
             time_horizon=horizon[0] if horizon else None,
             n_occ=_mapping(raw["n_occ"]),
             first_occ=_mapping(raw["first_occ"]),
-            cov=dict(zip(map(tuple, pairs.tolist()), hists)),
+            pairs=pairs,
+            cov=hists,
         )
 
 
@@ -164,14 +164,15 @@ def _mapping(rows: np.ndarray) -> dict[int, int]:
 def coverage_from_analysis(
     analysis: AffinityAnalysis, time_horizon: Optional[int] = None
 ) -> AffinityCoverage:
-    """Extract the coverage artifact from a scalar analysis (oracle side
-    of the parity tests and the ``analysis-bench`` gate)."""
+    """The coverage artifact of a scalar analysis (the ``scalar`` tier),
+    sharing its read-only pair table and matrix."""
     return AffinityCoverage(
         w_max=analysis.w_max,
         time_horizon=time_horizon,
-        n_occ=dict(analysis._n_occ),
-        first_occ=dict(analysis._first_occ),
-        cov={k: v.copy() for k, v in analysis._cov.items()},
+        n_occ=analysis._n_occ,
+        first_occ=analysis._first_occ,
+        pairs=analysis.pairs,
+        cov=analysis.cov,
     )
 
 
@@ -180,14 +181,7 @@ def analysis_from_coverage(
 ) -> AffinityAnalysis:
     """Wrap a kernel- or memo-produced artifact as an
     :class:`AffinityAnalysis`, sharing all query/hierarchy code paths."""
-    return AffinityAnalysis.from_precomputed(
-        trace,
-        w_max=covg.w_max,
-        coverage=coverage,
-        n_occ=covg.n_occ,
-        first_occ=covg.first_occ,
-        cov=covg.cov,
-    )
+    return AffinityAnalysis.from_precomputed(trace, covg, coverage)
 
 
 #: entry caps for the linear (sort-free) aggregation path: the join
@@ -303,9 +297,6 @@ def affinity_coverage(
         raise ValueError("w_max must be >= 1")
     t = trim(np.asarray(trace))
     n = int(t.shape[0])
-    if n == 0:
-        return AffinityCoverage(w_max, time_horizon, {}, {}, {})
-
     syms, first_idx, inv = np.unique(t, return_index=True, return_inverse=True)
     n_syms = int(syms.shape[0])
     counts = np.bincount(inv, minlength=n_syms)
@@ -316,8 +307,6 @@ def affinity_coverage(
     seq = inv.tolist()
     bwd = _recency_records(seq, n_syms, K, False)
     fwd = _recency_records(seq[::-1], n_syms, K, time_horizon is not None)
-    if len(bwd[0]) == 0 and len(fwd[0]) == 0:
-        return AffinityCoverage(w_max, time_horizon, n_occ, first_occ, {})
 
     # The linear join path keeps everything in int32 and never sorts; it
     # applies whenever its scratch tables fit (always at paper scale).
@@ -376,7 +365,7 @@ def affinity_coverage(
         pused[pcode_f[keep_f]] = True
         rowmap = np.cumsum(pused, dtype=np.int32)
         rowmap -= 1
-        n_pairs = int(rowmap[-1]) + 1
+        n_pairs = int(np.count_nonzero(pused))
         pf_keep = rowmap[pcode_f[keep_f]].astype(np.int64)
         hist = np.bincount(
             rowmap[pcode_b].astype(np.int64) * mult + d_b,
@@ -396,23 +385,18 @@ def affinity_coverage(
         key = np.concatenate((key_b, key_f))
         pcode = np.concatenate((pcode_b, pcode_f))
         d = np.concatenate((d_b, d_f))
-        if key.shape[0] == 0:
-            return AffinityCoverage(w_max, time_horizon, n_occ, first_occ, {})
         order = np.lexsort((d, key))
         key_s = key[order]
-        first = np.empty(key_s.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(key_s[1:], key_s[:-1], out=first[1:])
+        first = np.diff(key_s, prepend=key_s[:1] - 1) != 0
         code = pcode[order][first] * mult + d[order][first]
         codes, cnt = np.unique(code, return_counts=True)
         pair_codes, row = np.unique(codes // mult, return_inverse=True)
         block = np.zeros((pair_codes.shape[0], mult), dtype=np.int64)
         block[row, codes % mult] = cnt
 
-    xs = syms[pair_codes // n_syms].tolist()
-    ys = syms[pair_codes % n_syms].tolist()
-    cov = dict(zip(zip(xs, ys), block))
-    return AffinityCoverage(w_max, time_horizon, n_occ, first_occ, cov)
+    # Pair codes ascend, and ``syms`` does: the rows come out in (x, y) order.
+    pairs = np.stack((syms[pair_codes // n_syms], syms[pair_codes % n_syms]), axis=1)
+    return AffinityCoverage(w_max, time_horizon, n_occ, first_occ, pairs, block)
 
 
 def _trg_records(
@@ -463,78 +447,23 @@ def build_trg_fast(
     if window_blocks is not None and window_blocks <= 0:
         raise ValueError("capacity must be positive or None")
     t = trim(np.asarray(trace))
-    trg = TRG()
-    n = int(t.shape[0])
-    if n == 0:
-        return trg
     syms, first_idx, inv = np.unique(t, return_index=True, return_inverse=True)
     n_syms = int(syms.shape[0])
-    trg.nodes = [int(syms[i]) for i in np.argsort(first_idx, kind="stable")]
-
     e_x, e_cnt, e_y = _trg_records(inv, n_syms, window_blocks)
-
-    if len(e_y):
-        xs = np.repeat(
-            np.frombuffer(e_x, dtype=np.int32).astype(np.int64),
-            np.frombuffer(e_cnt, dtype=np.int32),
-        )
-        ys = np.frombuffer(e_y, dtype=np.int32)
-        code = np.minimum(xs, ys) * n_syms + np.maximum(xs, ys)
-        if n_syms * n_syms <= _PAIR_TABLE_MAX:
-            # Direct scatter-count — no sort needed; the code space is
-            # dense enough that a bincount over it beats unique.
-            w_all = np.bincount(code, minlength=n_syms * n_syms)
-            codes = np.nonzero(w_all)[0]
-            cnt = w_all[codes]
-        else:
-            codes, cnt = np.unique(code, return_counts=True)
-        ex = syms[codes // n_syms].tolist()
-        ey = syms[codes % n_syms].tolist()
-        trg.weights = dict(zip(zip(ex, ey), cnt.tolist()))
-    return trg
-
-
-#: what :func:`trg_to_payload` emits: name -> (dtype kind, shape), with
-#: ``None`` for an axis of any length.
-TRG_ARRAYS = {
-    "kind": ("U", ()),
-    "nodes": ("i", (None,)),
-    "edges": ("i", (None, 2)),
-    "weights": ("i", (None,)),
-}
-
-
-def trg_to_payload(trg: TRG) -> dict[str, np.ndarray]:
-    """A TRG as named arrays (memo entries): ``nodes``, the ``(E, 2)``
-    ``edges`` and their ``weights``, in dict order."""
-    return {
-        "kind": np.array("trg"),
-        "nodes": np.array(trg.nodes, dtype=np.int64),
-        "edges": np.array(list(trg.weights), dtype=np.int64).reshape(-1, 2),
-        "weights": np.array(list(trg.weights.values()), dtype=np.int64),
-    }
-
-
-def trg_from_payload(raw: dict) -> TRG:
-    """Inverse of :func:`trg_to_payload`; always a fresh ``TRG`` that
-    shares nothing with ``raw``.  Raises ``ValueError`` on malformed
-    payloads (an edge not ``x < y``, a weight not positive, an edge or
-    node repeated, an endpoint not listed, edges and weights of unequal
-    length) so memo corruption degrades to recomputation."""
-    if str(raw["kind"]) != "trg":
-        raise ValueError(f"not a TRG payload: kind={str(raw['kind'])!r}")
-    nodes = raw["nodes"].tolist()
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("TRG payload repeats a node")
-    edges, w = raw["edges"], raw["weights"]
-    if edges.ndim != 2 or edges.shape[1] != 2 or w.shape != (edges.shape[0],):
-        raise ValueError(
-            f"TRG edges {edges.shape} and weights {w.shape} are not (E, 2) and (E,)"
-        )
-    xs, ys = edges[:, 0], edges[:, 1]
-    bad = (xs >= ys) | (w <= 0) | ~np.isin(xs, raw["nodes"]) | ~np.isin(ys, raw["nodes"])
-    weights = dict(zip(map(tuple, edges.tolist()), w.tolist()))
-    if bad.any() or len(weights) != len(w):
-        raise ValueError("TRG payload has an edge that is not a new x < y edge "
-                         "of positive weight between listed nodes")
-    return TRG(weights=weights, nodes=nodes)
+    xs = np.repeat(
+        np.frombuffer(e_x, dtype=np.int32).astype(np.int64),
+        np.frombuffer(e_cnt, dtype=np.int32),
+    )
+    ys = np.frombuffer(e_y, dtype=np.int32)
+    code = np.minimum(xs, ys) * n_syms + np.maximum(xs, ys)
+    if n_syms * n_syms <= _PAIR_TABLE_MAX:
+        # Direct scatter-count — no sort needed; the code space is
+        # dense enough that a bincount over it beats unique.
+        w_all = np.bincount(code, minlength=n_syms * n_syms)
+        codes = np.nonzero(w_all)[0]
+        cnt = w_all[codes]
+    else:
+        codes, cnt = np.unique(code, return_counts=True)
+    # Codes ascend, and ``syms`` does: the edges come out in (x, y) order.
+    edges = np.stack((syms[codes // n_syms], syms[codes % n_syms]), axis=1)
+    return TRG(syms[np.argsort(first_idx, kind="stable")], edges, cnt)

@@ -34,7 +34,6 @@ it above every edge not yet taken, and it would be taken next anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -60,12 +59,8 @@ def reduce_trg(trg: TRG, n_slots: int) -> ReductionResult:
     if n_slots < 1:
         raise ValueError("need at least one slot")
 
-    nodes = list(trg.nodes)
-    n, n_edges = len(nodes), len(trg.weights)
-    ids = np.asarray(nodes, dtype=np.int64)
-    pairs = np.fromiter(chain.from_iterable(trg.weights), np.int64, 2 * n_edges)
-    pairs = pairs.reshape(n_edges, 2)
-    weights = np.fromiter(trg.weights.values(), np.int64, n_edges)
+    ids, pairs, weights = trg.nodes, trg.edges, trg.weights
+    nodes, n = ids.tolist(), ids.shape[0]
     # Step 1's order as x0, y0, x1, y1, ..., then node ids -> positions in ``nodes``.
     heaviest_first = np.lexsort((pairs[:, 1], pairs[:, 0], -weights))
     ends = pairs[heaviest_first].ravel()

@@ -63,7 +63,11 @@ class LayoutResult:
 
     kind: LayoutKind
     address_map: AddressMap
-    #: the order fed to the transform (function names or gids)
+    #: the order fed to the transform: for function layouts the optimizer's
+    #: function names as given, possibly partial (function-affinity with
+    #: ``prune_k=3`` lists 3 of syn-mcf's 85; the rest follow in declaration
+    #: order); for basic-block layouts the completed gid permutation.
+    #: perfbench's layout digests hash it, so its meaning must not change.
     order: list
     #: free-form provenance, e.g. "affinity(w=2..20)"
     note: str = ""

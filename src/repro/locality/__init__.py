@@ -15,12 +15,6 @@ from .hotl import (
     shared_miss_ratios_scalar,
 )
 from .missmodel import BenefitReport, classify_benefits, corun_miss_ratios
-from .windowstats import (
-    WindowFootprintDistribution,
-    miss_probability,
-    prob_sum_exceeds,
-    window_footprint_distribution,
-)
 
 __all__ = [
     "BenefitReport",
@@ -38,8 +32,4 @@ __all__ = [
     "shared_growth",
     "shared_miss_ratios",
     "shared_miss_ratios_scalar",
-    "WindowFootprintDistribution",
-    "miss_probability",
-    "prob_sum_exceeds",
-    "window_footprint_distribution",
 ]

@@ -309,10 +309,8 @@ def _run_analysis_bench(args) -> int:
         trg_s, trg = timed(lambda: backend.trg(kernel_trace, window))
         if scalar_covg != covg:
             mismatches.append(f"{name}: affinity coverage tables diverge")
-        if scalar_trg.weights != trg.weights:
-            mismatches.append(f"{name}: TRG edge weights diverge")
-        if scalar_trg.nodes != trg.nodes:
-            mismatches.append(f"{name}: TRG node orders diverge")
+        if scalar_trg != trg:
+            mismatches.append(f"{name}: TRG nodes, edges or weights diverge")
         total = aff_s + trg_s
         rows[name] = {
             "affinity_seconds": round(aff_s, 4),

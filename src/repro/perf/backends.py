@@ -43,12 +43,14 @@ from ..cache.fastsim import (
     fenwick_histogram,
     stack_distance_histogram,
 )
+from ..core.affinity import AffinityAnalysis
 from ..core.fastanalysis import (
     AffinityCoverage,
     affinity_coverage,
     build_trg_fast,
     coverage_from_analysis,
 )
+from ..core.trg import TRG, build_trg
 
 __all__ = [
     "KernelBackend",
@@ -75,29 +77,21 @@ class KernelBackend:
     name: str
     histogram: Callable[[np.ndarray, int], DistanceHistogram]
     affinity: Callable[..., AffinityCoverage]
-    trg: Callable[..., object]
+    trg: Callable[..., TRG]
 
 
 def _scalar_affinity(
     trace: np.ndarray, w_max: int = 20, time_horizon: Optional[int] = None
 ) -> AffinityCoverage:
-    from ..core.affinity import AffinityAnalysis
-
     analysis = AffinityAnalysis(trace, w_max=w_max, time_horizon=time_horizon)
     return coverage_from_analysis(analysis, time_horizon)
-
-
-def _scalar_trg(trace: np.ndarray, window_blocks: Optional[int] = None):
-    from ..core.trg import build_trg
-
-    return build_trg(trace, window_blocks)
 
 
 _SCALAR = KernelBackend(
     name="scalar",
     histogram=fenwick_histogram,
     affinity=_scalar_affinity,
-    trg=_scalar_trg,
+    trg=build_trg,
 )
 
 _NUMPY = KernelBackend(

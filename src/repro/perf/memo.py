@@ -104,12 +104,8 @@ from ..cache.config import CacheConfig
 from ..cache.fastsim import DistanceHistogram
 from ..cache.setassoc import simulate
 from ..cache.stats import CacheStats
-from ..core.fastanalysis import (
-    TRG_ARRAYS,
-    AffinityCoverage,
-    trg_from_payload,
-    trg_to_payload,
-)
+from ..core.fastanalysis import AffinityCoverage
+from ..core.trg import TRG
 from ..locality.footprint import FootprintCurve, footprint_curve
 from ..robust.atomic import atomic_write
 from ..robust.faults import MEMO_READ, MEMO_WRITE, maybe_io_fault
@@ -139,10 +135,11 @@ SCHEMA = "repro.perf.memo.v5"
 KERNEL_SCHEMA = "repro.perf.memo.kernel.v3"
 
 #: tag for locality-model analysis artifacts (repro.core.fastanalysis):
-#: affinity coverage histograms and TRG payloads, keyed on the prepared
-#: block trace + model parameters.  Bumped whenever either model's
-#: semantics change (v2: digest-based keys; v3: binary entries).
-ANALYSIS_SCHEMA = "repro.perf.memo.analysis.v3"
+#: affinity coverage histograms and TRGs, keyed on the prepared block
+#: trace + model parameters.  Bumped whenever either model's semantics
+#: change (v2: digest-based keys; v3: binary entries; v4: pair tables
+#: and TRG edges stored sorted by ``(x, y)``).
+ANALYSIS_SCHEMA = "repro.perf.memo.analysis.v4"
 
 #: tag for all-window footprint curves (repro.locality.footprint).  The
 #: curve depends only on the line stream, so one entry answers every
@@ -562,12 +559,13 @@ class SimMemo:
 
     # -- analysis artifacts (repro.core.fastanalysis) -----------------------
 
-    def put_analysis(self, key: str, payload: dict) -> None:
-        """Store an analysis payload — the named arrays of
-        :meth:`AffinityCoverage.to_arrays <repro.core.fastanalysis.AffinityCoverage.to_arrays>`
-        or :func:`~repro.core.fastanalysis.trg_to_payload` — in memory,
-        and on disk if enabled."""
-        self._put(str(payload["kind"]), key, payload)
+    def put_analysis(self, key: str, artifact) -> None:
+        """Store an analysis artifact — an
+        :class:`~repro.core.fastanalysis.AffinityCoverage` or a
+        :class:`~repro.core.trg.TRG` — in memory, and on disk if
+        enabled.  Both hold read-only arrays, so the object itself is
+        kept and handed out."""
+        self._put(artifact.KIND, key, artifact)
 
     def affinity_coverage(
         self,
@@ -584,8 +582,7 @@ class SimMemo:
         picks the kernel tier used on a miss and never enters the key
         (tiers are bit-identical by contract).
         """
-        def parse(raw: dict):
-            covg = AffinityCoverage.from_arrays(raw)
+        def parse(covg: AffinityCoverage) -> AffinityCoverage:
             if covg.w_max != w_max or covg.time_horizon != time_horizon:
                 raise ValueError("analysis entry parameters do not match key")
             return covg
@@ -593,7 +590,7 @@ class SimMemo:
         return self._memoized(
             affinity_key(trace, w_max=w_max, time_horizon=time_horizon),
             lambda key: self._get("affinity", key, parse),
-            lambda key, covg: self.put_analysis(key, covg.to_arrays()),
+            self.put_analysis,
             lambda: _tier(backend).affinity(
                 trace, w_max=w_max, time_horizon=time_horizon
             ),
@@ -608,15 +605,15 @@ class SimMemo:
     ):
         """Memoized TRG build (:mod:`repro.core.fastanalysis`).
 
-        Always returns a *fresh* :class:`~repro.core.trg.TRG`, so a
-        caller that edits its graph cannot change a later replay.
+        The stored :class:`~repro.core.trg.TRG` is returned directly: its
+        arrays are read-only, so no caller can change a later replay.
         ``backend`` picks the kernel tier used on a miss and never enters
         the key.
         """
         return self._memoized(
             trg_key(trace, window_blocks=window_blocks),
-            lambda key: self._get("trg", key, trg_from_payload),
-            lambda key, trg: self.put_analysis(key, trg_to_payload(trg)),
+            lambda key: self._get("trg", key),
+            self.put_analysis,
             lambda: _tier(backend).trg(trace, window_blocks),
         )
 
@@ -718,10 +715,14 @@ def _conforms(arrays: dict[str, np.ndarray], codec: _Codec) -> bool:
     return True
 
 
-#: every entry kind's codec.  Analysis payloads (affinity coverage and
-#: TRGs, under one schema tag) stay as arrays in memory: each lookup
-#: parses them afresh (a TRG must never be aliased), with the caller's
-#: parser standing in for the view.
+def _artifact_codec(schema: str, cls) -> _Codec:
+    """The codec of a class that declares its ``ARRAYS`` and converts
+    with ``to_arrays``/``from_arrays``; its objects are kept as they are."""
+    return _Codec(schema, cls.ARRAYS, cls.from_arrays, cls.to_arrays)
+
+
+#: every entry kind's codec.  Affinity coverage and TRGs share one
+#: schema tag; their ``kind`` array tells their entries apart.
 _CODECS: dict[str, _Codec] = {
     "stats": _Codec(
         SCHEMA,
@@ -732,17 +733,10 @@ _CODECS: dict[str, _Codec] = {
         },
         _copy,
     ),
-    "histogram": _Codec(
-        KERNEL_SCHEMA,
-        DistanceHistogram.ARRAYS,
-        DistanceHistogram.from_arrays,
-        DistanceHistogram.to_arrays,
-    ),
-    "curve": _Codec(
-        CURVE_SCHEMA, FootprintCurve.ARRAYS, FootprintCurve.from_arrays, FootprintCurve.to_arrays
-    ),
-    "affinity": _Codec(ANALYSIS_SCHEMA, AffinityCoverage.ARRAYS, dict, dict),
-    "trg": _Codec(ANALYSIS_SCHEMA, TRG_ARRAYS, dict, dict),
+    "histogram": _artifact_codec(KERNEL_SCHEMA, DistanceHistogram),
+    "curve": _artifact_codec(CURVE_SCHEMA, FootprintCurve),
+    "affinity": _artifact_codec(ANALYSIS_SCHEMA, AffinityCoverage),
+    "trg": _artifact_codec(ANALYSIS_SCHEMA, TRG),
 }
 
 

@@ -1,26 +1,19 @@
-"""Trace toolkit: trimming, pruning, sampling, stack processing, statistics."""
+"""Trace toolkit: trimming, pruning, phases, stack processing."""
 
 from .phases import Phase, detect_phases, phase_distance
 from .prune import PruneResult, popularity, prune_top_k
-from .sample import iter_sample_windows, sample_ratio, window_sample
 from .stack import LRUStack
-from .stats import TraceStats, summarize
 from .trim import is_trimmed, trim, trim_with_counts
 
 __all__ = [
     "LRUStack",
     "Phase",
     "PruneResult",
-    "TraceStats",
     "is_trimmed",
     "detect_phases",
-    "iter_sample_windows",
     "phase_distance",
     "popularity",
     "prune_top_k",
-    "sample_ratio",
-    "summarize",
     "trim",
     "trim_with_counts",
-    "window_sample",
 ]

@@ -1,5 +1,4 @@
-"""The original link-based reference affinity (Zhong et al.), as a
-reference model.
+"""Test oracle: the original link-based reference affinity (Zhong et al.).
 
 The paper's w-window affinity (Sec. II-B) deliberately deviates from the
 original definition: "W-window affinity differs from the original
@@ -23,9 +22,9 @@ This module implements the original definition directly, for small traces:
   (unique, unlike the w-window partition).
 
 Complexity is exponential-ish in the alphabet (subset checking), so this is
-a test oracle and comparison baseline (see the ablations), never a
-production pass — exactly the situation the paper describes for structure
-splitting with up to 14 fields.
+a test oracle, never a production pass — exactly the situation the paper
+describes for structure splitting with up to 14 fields.  The tests use it
+to check that every w-window affine pair is link-affine.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ..trace.trim import trim
-from .affinity import window_footprint
+from repro.core.affinity import window_footprint
+from repro.trace.trim import trim
 
 __all__ = ["is_link_affinity_group", "link_affinity_partition"]
 

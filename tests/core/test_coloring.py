@@ -1,10 +1,16 @@
 """Unit tests for cache-line coloring placement (repro.core.coloring)."""
 
+import hashlib
+
+import numpy as np
+import pytest
+
 from repro.cache import CacheConfig
 from repro.core.coloring import color_functions
 from repro.core.optimizers import OptimizerConfig
 from repro.engine import InputSpec, collect_trace
 from repro.ir import LayoutKind, baseline_layout
+from repro.workloads import build
 
 
 SMALL_CACHE = CacheConfig(size_bytes=1024, assoc=1, line_bytes=64)  # 16 sets
@@ -79,3 +85,24 @@ def test_cold_functions_packed_densely(tiny_module):
     bundle = collect_trace(tiny_module, InputSpec("t", seed=0, max_blocks=2))
     layout = color_functions(tiny_module, bundle, cache=SMALL_CACHE)
     assert sorted(layout.address_map.order) == list(range(tiny_module.n_blocks))
+
+
+def _layout_digest(layout) -> str:
+    """The function order plus every block's start address."""
+    h = hashlib.sha256(repr([str(s) for s in layout.order]).encode())
+    h.update(np.ascontiguousarray(layout.address_map.starts, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [("syn-gcc", "e53d89e10d4deed8"), ("syn-mcf", "91860c88096bf7c3")],
+)
+@pytest.mark.parametrize("tier", ["numpy", "scalar"])
+def test_suite_layout_is_pinned(name, digest, tier):
+    """The placement on two suite programs, on either kernel tier, is the
+    one the scalar TRG build with per-pair weight lookups produced."""
+    prog, module = build(name, ref_blocks=10_000, test_blocks=2_000)
+    bundle = collect_trace(module, prog.spec.test_input())
+    layout = color_functions(module, bundle, OptimizerConfig(kernel_backend=tier))
+    assert _layout_digest(layout) == digest

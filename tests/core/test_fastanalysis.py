@@ -19,10 +19,8 @@ from repro.core.fastanalysis import (
     analysis_from_coverage,
     build_trg_fast,
     coverage_from_analysis,
-    trg_from_payload,
-    trg_to_payload,
 )
-from repro.core.trg import build_trg
+from repro.core.trg import TRG, build_trg
 
 FIG1 = np.array([1, 4, 2, 4, 2, 3, 5, 1, 4])
 
@@ -44,12 +42,19 @@ def assert_coverage_equal(kernel: AffinityCoverage, oracle: AffinityAnalysis):
     assert kernel.n_occ == oracle._n_occ
     assert kernel.first_occ == oracle._first_occ
     # The oracle keeps zero histograms for pairs whose every record was
-    # later improved; both sides must agree on nonzero content exactly,
-    # and on the key set.
-    assert set(kernel.cov) == set(oracle._cov)
-    for key, hist in kernel.cov.items():
-        assert hist.dtype == np.int64
-        np.testing.assert_array_equal(hist, oracle._cov[key], err_msg=str(key))
+    # later improved; both sides must agree on the pair table, row for
+    # row in (x, y) order, and on every histogram exactly.
+    assert kernel.pairs.dtype == kernel.cov.dtype == np.int64
+    np.testing.assert_array_equal(kernel.pairs, oracle.pairs)
+    np.testing.assert_array_equal(kernel.cov, oracle.cov)
+
+
+def assert_trg_equal(kernel: TRG, oracle: TRG):
+    """Same nodes in first-occurrence order, same edge rows, same weights."""
+    for name in ("nodes", "edges", "weights"):
+        got, want = getattr(kernel, name), getattr(oracle, name)
+        assert got.dtype == np.int64, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestAffinityParity:
@@ -119,7 +124,8 @@ class TestAffinityParity:
             if oracle is not None:
                 assert_coverage_equal(kernel, oracle)
             else:
-                assert kernel.cov == {} and kernel.n_occ == {}
+                assert kernel.pairs.shape == (0, 2) and kernel.n_occ == {}
+                assert kernel.cov.shape == (0, 5)
 
     def test_w_max_validation(self):
         with pytest.raises(ValueError):
@@ -146,8 +152,8 @@ class TestAffinityParity:
         covg = affinity_coverage(t, w_max=7, time_horizon=25)
         back = AffinityCoverage.from_arrays(covg.to_arrays())
         assert back == covg
-        assert list(back.cov) == list(covg.cov)  # dict order survives
-        assert list(back.n_occ) == list(covg.n_occ)
+        assert list(back.n_occ) == list(covg.n_occ)  # dict order survives
+        assert not back.pairs.flags.writeable and not back.cov.flags.writeable
         untimed = affinity_coverage(t, w_max=7)
         assert AffinityCoverage.from_arrays(untimed.to_arrays()).time_horizon is None
         # corruption raises, never silently misparses
@@ -173,23 +179,20 @@ class TestTRGParity:
         t = random_trace(seed * 7 + n, n, n_syms)
         oracle = build_trg(t, window_blocks=window)
         kernel = build_trg_fast(t, window_blocks=window)
-        assert kernel.weights == oracle.weights
-        assert kernel.nodes == oracle.nodes
+        assert_trg_equal(kernel, oracle)
 
     def test_fig1_trace(self):
         for window in (None, 2, 3):
             oracle = build_trg(FIG1, window_blocks=window)
             kernel = build_trg_fast(FIG1, window_blocks=window)
-            assert kernel.weights == oracle.weights
-            assert kernel.nodes == oracle.nodes
+            assert_trg_equal(kernel, oracle)
 
     def test_degenerate_traces(self):
         for t in ([], [3], [3, 3, 3]):
             arr = np.asarray(t, dtype=np.int64)
             oracle = build_trg(arr)
             kernel = build_trg_fast(arr)
-            assert kernel.weights == oracle.weights
-            assert kernel.nodes == oracle.nodes
+            assert_trg_equal(kernel, oracle)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -205,16 +208,16 @@ class TestTRGParity:
         want = build_trg_fast(t, window_blocks=16)
         monkeypatch.setattr(fa, "_PAIR_TABLE_MAX", 0)
         got = build_trg_fast(t, window_blocks=16)
-        assert got.weights == want.weights
-        assert got.nodes == want.nodes
+        assert_trg_equal(got, want)
 
     def test_payload_roundtrip(self):
         t = random_trace(11, 200, 12)
         trg = build_trg_fast(t, window_blocks=8)
-        back = trg_from_payload(trg_to_payload(trg))
-        assert back.weights == trg.weights
-        assert list(back.weights) == list(trg.weights)
-        assert back.nodes == trg.nodes
-        assert back is not trg and back.weights is not trg.weights
+        back = TRG.from_arrays(trg.to_arrays())
+        assert_trg_equal(back, trg)
+        assert back == trg
         with pytest.raises(ValueError):
-            trg_from_payload(dict(trg_to_payload(trg), kind=np.array("affinity")))
+            TRG.from_arrays(dict(trg.to_arrays(), kind=np.array("affinity")))
+        unsorted = dict(trg.to_arrays(), edges=trg.edges[::-1], weights=trg.weights[::-1])
+        with pytest.raises(ValueError):
+            TRG.from_arrays(unsorted)

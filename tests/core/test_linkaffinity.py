@@ -1,11 +1,12 @@
-"""Unit tests for the original link-based reference affinity
-(repro.core.linkaffinity)."""
+"""Unit tests for the original link-based reference affinity (the
+``linkaffinity`` oracle beside this file), and its containment of the
+w-window affinity."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.linkaffinity import is_link_affinity_group, link_affinity_partition
+from .linkaffinity import is_link_affinity_group, link_affinity_partition
 
 
 def test_tight_pair_is_a_group():

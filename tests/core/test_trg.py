@@ -46,7 +46,22 @@ def test_window_bound_drops_long_reuses():
 
 def test_nodes_in_first_occurrence_order():
     trg = build_trg(np.array([5, 2, 5, 9]))
-    assert trg.nodes == [5, 2, 9]
+    assert trg.nodes.tolist() == [5, 2, 9]
+
+
+def test_edges_are_one_sorted_read_only_list():
+    """Each conflicting pair is one ``x < y`` row, rows in ``(x, y)``
+    order, and no array can be written through."""
+    trg = build_trg(np.array([9, 4, 7, 9, 4, 1, 7, 9]))
+    edges = trg.edges.tolist()
+    assert all(x < y for x, y in edges)
+    assert edges == sorted(edges)
+    assert len({tuple(e) for e in edges}) == trg.n_edges == len(trg.weights)
+    for w, (x, y) in zip(trg.weights.tolist(), edges):
+        assert trg.weight(x, y) == trg.weight(y, x) == w > 0
+    for arr in (trg.nodes, trg.edges, trg.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_window_blocks_and_slots_paper_config():
@@ -65,15 +80,12 @@ def test_size_validation():
         uniform_block_slots(PAPER_L1I, -1)
 
 
-def test_add_conflict_rejects_nonpositive_amount():
-    """Regression (ISSUE 5 satellite): a zero or negative amount would
-    silently corrupt edge weights under batched accumulation."""
-    trg = TRG()
-    with pytest.raises(ValueError):
-        trg.add_conflict(1, 2, 0)
-    with pytest.raises(ValueError):
-        trg.add_conflict(1, 2, -3)
-    assert trg.weights == {}  # nothing recorded by the failed calls
-    trg.add_conflict(1, 2, 2)
+def test_from_weights_rejects_nonpositive_conflicts():
+    """A zero or negative count, or a pair not given as ``x < y``, is no
+    edge: ``TRG.from_weights`` raises instead of storing it."""
+    for weights in ({(1, 2): 0}, {(1, 2): -3}, {(2, 1): 2}, {(1, 1): 2}):
+        with pytest.raises(ValueError):
+            TRG.from_weights([1, 2], weights)
+    trg = TRG.from_weights([1, 2], {(1, 2): 2})
     assert trg.weight(1, 2) == 2
-
+    assert trg == TRG([1, 2], [[1, 2]], [2])

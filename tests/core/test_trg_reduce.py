@@ -21,17 +21,10 @@ A, B, C, E, F = 0, 1, 2, 3, 4
 
 
 def fig2_trg():
-    trg = TRG(nodes=[A, B, C, E, F])
-    for (x, y), w in {
-        (A, B): 40,
-        (E, F): 31,
-        (C, E): 30,
-        (B, E): 20,
-        (B, F): 15,
-        (A, F): 10,
-    }.items():
-        trg.add_conflict(x, y, w)
-    return trg
+    return TRG.from_weights(
+        [A, B, C, E, F],
+        {(A, B): 40, (E, F): 31, (C, E): 30, (B, E): 20, (B, F): 15, (A, F): 10},
+    )
 
 
 def test_figure2_slots_and_sequence():
@@ -50,15 +43,14 @@ def test_single_slot_emits_by_edge_order():
 
 
 def test_isolated_nodes_appended():
-    trg = TRG(nodes=[1, 2, 3, 4])
-    trg.add_conflict(1, 2, 5)
+    trg = TRG.from_weights([1, 2, 3, 4], {(1, 2): 5})
     res = reduce_trg(trg, 2)
     assert sorted(res.order) == [1, 2, 3, 4]
     assert set(res.unconstrained) == {3, 4}
 
 
 def test_empty_graph():
-    trg = TRG(nodes=[7, 8])
+    trg = TRG.from_weights([7, 8], {})
     res = reduce_trg(trg, 3)
     assert sorted(res.order) == [7, 8]
     assert set(res.unconstrained) == {7, 8}
@@ -67,10 +59,7 @@ def test_empty_graph():
 def test_tie_on_node_pair_decides_first_empty_slot():
     """Equal-weight edges are taken by ascending node pair: <1,2> comes
     before <3,4>, so 2 takes the last empty slot and 4 joins 3."""
-    trg = TRG(nodes=[1, 2, 3, 4])
-    trg.add_conflict(1, 2, 5)
-    trg.add_conflict(3, 4, 5)
-    trg.add_conflict(1, 3, 9)
+    trg = TRG.from_weights([1, 2, 3, 4], {(1, 2): 5, (3, 4): 5, (1, 3): 9})
     assert trg.n_edges == 3
     res = reduce_trg(trg, 3)
     assert res.slots == [[1], [3, 4], [2]]
@@ -78,20 +67,15 @@ def test_tie_on_node_pair_decides_first_empty_slot():
 
 
 def test_reduction_insertion_order_invariant():
-    """The result depends only on the edge *set*, never on the order
-    conflicts were recorded."""
+    """The result depends only on the edge *set*, never on the order of
+    the edge rows it is handed."""
     conflicts = [(1, 2, 5), (3, 4, 5), (1, 3, 9), (2, 4, 5), (1, 4, 1)]
     results = set()
     rng = random.Random(42)
     orders = list(itertools.permutations(conflicts))
     rng.shuffle(orders)
     for perm in orders[:24]:
-        trg = TRG(nodes=[1, 2, 3, 4])
-        for x, y, w in perm:
-            # split the weight across calls to vary accumulation order too
-            trg.add_conflict(x, y, max(1, w - 1))
-            if w > 1:
-                trg.add_conflict(y, x, 1)
+        trg = TRG([1, 2, 3, 4], [c[:2] for c in perm], [c[2] for c in perm])
         res = reduce_trg(trg, 2)
         results.add((tuple(res.order), tuple(map(tuple, res.slots))))
     assert len(results) == 1

@@ -22,7 +22,7 @@ class _SuperNodes:
     def __init__(self, nodes: list[int], trg: TRG):
         self.parent: dict[int, int] = {n: n for n in nodes}
         self.adj: dict[int, dict[int, int]] = {n: {} for n in nodes}
-        for (x, y), w in trg.weights.items():
+        for (x, y), w in zip(trg.edges.tolist(), trg.weights.tolist()):
             self.adj[x][y] = w
             self.adj[y][x] = w
 
@@ -72,7 +72,7 @@ def reduce_trg_reference(trg: TRG, n_slots: int) -> ReductionResult:
     if n_slots < 1:
         raise ValueError("need at least one slot")
 
-    nodes = list(trg.nodes)
+    nodes = trg.nodes.tolist()
     sn = _SuperNodes(nodes, trg)
     slots: list[list[int]] = [[] for _ in range(n_slots)]
     #: representative supernode of each slot (None while empty).
@@ -82,7 +82,7 @@ def reduce_trg_reference(trg: TRG, n_slots: int) -> ReductionResult:
     # Lazy max-heap of candidate edges; entries are revalidated on pop
     # against the current supernode adjacency.
     heap: list[tuple[int, int, int]] = [
-        (-w, x, y) for (x, y), w in trg.weights.items()
+        (-w, x, y) for (x, y), w in zip(trg.edges.tolist(), trg.weights.tolist())
     ]
     heapq.heapify(heap)
 

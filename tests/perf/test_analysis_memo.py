@@ -158,24 +158,27 @@ class TestTrgMemo:
         oracle = build_trg(trace, window_blocks=64)
         first = memo.trg(trace, window_blocks=64)
         hit = memo.trg(trace, window_blocks=64)
-        assert first.weights == oracle.weights
-        assert first.nodes == oracle.nodes
-        assert hit.weights == oracle.weights
+        assert first == oracle
+        assert hit == oracle
         assert (memo.hits, memo.misses) == (1, 1)
 
-    def test_hit_result_is_not_aliased(self, trace):
-        """A caller may edit the graph it gets (``TRG.add_conflict``);
-        every replay must still hand out a fresh graph."""
-        memo = SimMemo()
-        a = memo.trg(trace, window_blocks=64)
-        a.weights.clear()
-        assert memo.trg(trace, window_blocks=64).weights
+    def test_hit_arrays_are_read_only(self, tmp_path, trace):
+        """The memo hands out the graph it keeps, so no array of it can
+        be written through — neither a fresh build's nor a disk read's;
+        every replay stays equal to the scalar oracle."""
+        oracle = build_trg(trace, window_blocks=64)
+        for memo in (SimMemo(tmp_path), SimMemo(tmp_path)):
+            got = memo.trg(trace, window_blocks=64)
+            for arr in (got.nodes, got.edges, got.weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            assert memo.trg(trace, window_blocks=64) == oracle
 
     def test_disk_persistence_across_instances(self, tmp_path, trace):
         oracle = build_trg(trace, window_blocks=64)
         SimMemo(tmp_path).trg(trace, window_blocks=64)
         reread = SimMemo(tmp_path)
-        assert reread.trg(trace, window_blocks=64).weights == oracle.weights
+        assert reread.trg(trace, window_blocks=64) == oracle
         assert (reread.hits, reread.misses) == (1, 0)
 
     @pytest.mark.parametrize(
@@ -189,6 +192,7 @@ class TestTrgMemo:
             lambda raw: _with_edge(raw, 3, 3, 4),
             lambda raw: _with_edge(raw, *raw["edges"][0], 4),
             lambda raw: {**raw, "nodes": np.append(raw["nodes"], raw["nodes"][:1])},
+            lambda raw: {**raw, "edges": raw["edges"][::-1], "weights": raw["weights"][::-1]},
         ],
         ids=[
             "weights-list",
@@ -199,6 +203,7 @@ class TestTrgMemo:
             "self-edge",
             "repeated-key",
             "repeated-node",
+            "unsorted-edges",
         ],
     )
     def test_malformed_entry_recomputed(self, tmp_path, trace, corrupt):
@@ -210,7 +215,7 @@ class TestTrgMemo:
         reread = SimMemo(tmp_path)
         got = reread.trg(trace, window_blocks=64)
         oracle = build_trg(trace, window_blocks=64)
-        assert (got.weights, got.nodes) == (oracle.weights, oracle.nodes)
+        assert got == oracle
         assert (reread.hits, reread.misses) == (0, 1)
 
 
@@ -218,11 +223,11 @@ class TestHasAnalysis:
     """Entries injected from outside the memoizing methods."""
 
     def test_put_analysis_feeds_later_consumption(self, trace):
-        """A payload computed elsewhere (a worker) is injected and later
+        """An artifact computed elsewhere (a worker) is injected and later
         consumed as a hit."""
         memo = SimMemo()
         key = affinity_key(trace, w_max=12)
-        memo.put_analysis(key, affinity_coverage(trace, w_max=12).to_arrays())
+        memo.put_analysis(key, affinity_coverage(trace, w_max=12))
         served = memo.affinity_coverage(trace, w_max=12)
         assert served == affinity_coverage(trace, w_max=12)
         assert (memo.hits, memo.misses) == (1, 0)

@@ -50,8 +50,6 @@ def comparable(value):
     """A lookup result in a form ``==`` compares exactly."""
     if hasattr(value, "fp"):
         return (value.n, value.m, value.fp.tobytes())
-    if hasattr(value, "nodes"):
-        return (value.nodes, list(value.weights.items()))
     return value
 
 
@@ -127,6 +125,42 @@ def test_malformed_entry_is_dropped_and_recomputed(entries, kind, data):
         path.write_bytes(bad)
         assert SimMemo(tmp).scrub() == (0, 1)
         assert not path.exists()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(kind=st.sampled_from(["affinity", "trg"]), data=st.data())
+def test_unsorted_or_repeated_pairs_are_dropped(entries, kind, data):
+    """Pair rows out of ``(x, y)`` order, or one row twice, make a
+    well-typed entry that decoding rejects with ``ValueError`` alone; the
+    lookup drops it and recomputes."""
+    from repro.core import TRG, AffinityCoverage
+
+    valid, fresh = entries[kind]
+    arrays = read_entry(io.BytesIO(valid))
+    rows, cols = ("edges", ["weights"]) if kind == "trg" else ("pairs", ["cov"])
+    n = arrays[rows].shape[0]
+    if data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
+    else:
+        i = data.draw(st.integers(0, n - 1))
+        order = sorted([*range(n), i])
+    for name in (rows, *cols):
+        arrays[name] = arrays[name][order]
+    codec = TRG if kind == "trg" else AffinityCoverage
+    with pytest.raises(ValueError):
+        codec.from_arrays(arrays)
+    key, lookup = KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{key}.npz"
+        path.write_bytes(_npz(arrays))
+        memo = SimMemo(tmp)
+        assert comparable(lookup(memo)) == fresh
+        assert (memo.hits, memo.misses) == (0, 1)
+        assert path.read_bytes() == valid
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
