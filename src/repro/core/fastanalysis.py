@@ -455,7 +455,13 @@ def build_trg_fast(
         np.frombuffer(e_cnt, dtype=np.int32),
     )
     ys = np.frombuffer(e_y, dtype=np.int32)
-    code = np.minimum(xs, ys) * n_syms + np.maximum(xs, ys)
+    # In place: a pair log can hold millions of entries, and the peak of
+    # a co-run TRG layout is this step's int64 temporaries.
+    hi = np.maximum(xs, ys)
+    code = np.minimum(xs, ys, out=xs)
+    code *= n_syms
+    code += hi
+    del hi
     if n_syms * n_syms <= _PAIR_TABLE_MAX:
         # Direct scatter-count — no sort needed; the code space is
         # dense enough that a bincount over it beats unique.

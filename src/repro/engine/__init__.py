@@ -4,13 +4,11 @@ from .datastream import DATA_SPACE_BASE, data_lines, merged_stream
 from .fetch import fetch_line_count, fetch_lines, line_spans
 from .instrument import TraceBundle, collect_trace, load_bundle, save_bundle
 from .interpreter import RunResult, run
-from .state import Frame, InputSpec, MachineState
+from .state import InputSpec
 
 __all__ = [
     "DATA_SPACE_BASE",
-    "Frame",
     "InputSpec",
-    "MachineState",
     "RunResult",
     "TraceBundle",
     "collect_trace",

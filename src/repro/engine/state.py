@@ -1,20 +1,21 @@
-"""Interpreter machine state.
+"""Interpreter inputs.
 
 The interpreter models only what the trace needs: a call stack with per-frame
 loop counters, a global dynamic-block counter (which also drives branch phase
-behaviour), and a seeded RNG.  There is no data memory — branch outcomes are
-driven by probabilities, counted loops, and phases, which is sufficient to
-produce traces with the locality structure the paper's models consume
-(hot/cold paths, loop nests, phase shifts, call interleavings).
+behaviour), and a seeded RNG — ``random.Random``, several times faster per
+scalar draw than numpy's ``Generator``.  There is no data memory — branch
+outcomes are driven by probabilities, counted loops, and phases, which is
+sufficient to produce traces with the locality structure the paper's models
+consume (hot/cold paths, loop nests, phase shifts, call interleavings).  An
+:class:`InputSpec` fixes the seed, the block budget and the phase offset of
+one run.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-__all__ = ["Frame", "MachineState", "InputSpec"]
+__all__ = ["InputSpec"]
 
 
 @dataclass(frozen=True)
@@ -40,47 +41,3 @@ class InputSpec:
     seed: int
     max_blocks: int
     phase_offset: int = 0
-
-
-@dataclass
-class Frame:
-    """One call-stack frame."""
-
-    func: str
-    #: gid of the block to resume at in the caller (None for the root frame).
-    return_gid: Optional[int]
-    #: per-frame loop counters, keyed by the LoopBranch block's gid.
-    loop_counters: dict[int, int] = field(default_factory=dict)
-
-
-class MachineState:
-    """Mutable interpreter state for one run."""
-
-    __slots__ = ("rng", "frames", "executed_blocks", "executed_instr", "phase_offset")
-
-    def __init__(self, spec: InputSpec):
-        # random.Random is several times faster per draw than numpy's
-        # Generator for scalar draws, which dominates the interpreter loop.
-        self.rng = random.Random(spec.seed)
-        self.frames: list[Frame] = []
-        self.executed_blocks = 0
-        self.executed_instr = 0
-        self.phase_offset = spec.phase_offset
-
-    @property
-    def depth(self) -> int:
-        return len(self.frames)
-
-    @property
-    def top(self) -> Frame:
-        return self.frames[-1]
-
-    def push(self, func: str, return_gid: Optional[int]) -> None:
-        self.frames.append(Frame(func, return_gid))
-
-    def pop(self) -> Frame:
-        return self.frames.pop()
-
-    def phase(self, period: int) -> int:
-        """Current phase index for a ``period``-block phase cycle."""
-        return (self.executed_blocks + self.phase_offset) // period

@@ -1,12 +1,13 @@
 """Control-flow graph queries over the IR.
 
-Provides successor maps at two granularities:
-
 * **intra-procedural** block successors (branch/jump/loop edges plus the
-  return-to edge of a call), used by the layout transforms to decide which
-  fall-through edges an order breaks;
-* **inter-procedural** edges (call edges to callee entries and an
-  over-approximated return edge set), used for whole-program reachability.
+  return-to edge of a call);
+* **inter-procedural** queries: the call graph and the static call sites
+  of a function.
+
+Per-gid successors (a CSR including call edges), fall-through targets and
+whole-program reachability live on
+:attr:`Module.exec_table <repro.ir.module.Module.exec_table>`.
 
 These are static structures.  The paper's models are purely
 profile-driven — dynamic frequencies come from traces — but the CFG is
@@ -17,15 +18,10 @@ certifies the estimates against the trace-driven simulator.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
-
 from .module import BasicBlock, Module
 
 __all__ = [
     "intra_successors",
-    "block_successor_gids",
-    "reachable_blocks",
     "call_graph",
     "static_call_sites",
 ]
@@ -40,40 +36,6 @@ def intra_successors(module: Module, block: BasicBlock) -> list[BasicBlock]:
     """
     func = module.function(block.func)
     return [func.block(name) for name in block.terminator.local_targets()]
-
-
-def block_successor_gids(module: Module) -> dict[int, list[int]]:
-    """gid -> list of successor gids, including call edges to callee entries."""
-    succs: dict[int, list[int]] = {}
-    for block in module.iter_blocks():
-        out = [b.gid for b in intra_successors(module, block)]
-        callee = block.terminator.callee()
-        if callee is not None:
-            out.append(module.function(callee).entry.gid)
-        succs[block.gid] = out
-    return succs
-
-
-def reachable_blocks(module: Module) -> set[int]:
-    """gids reachable from the entry function's entry block.
-
-    Return edges are over-approximated: reaching any block of a function
-    whose terminator is a return makes all recorded call return-to blocks
-    reachable only through their own call sites, which the successor map
-    already encodes (call -> return_to is a direct edge), so a plain BFS
-    over :func:`block_successor_gids` suffices.
-    """
-    succs = block_successor_gids(module)
-    start = module.function(module.entry).entry.gid
-    seen = {start}
-    queue: deque[int] = deque([start])
-    while queue:
-        gid = queue.popleft()
-        for nxt in succs[gid]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 def call_graph(module: Module) -> dict[str, set[str]]:
@@ -93,37 +55,3 @@ def static_call_sites(module: Module, func_name: str) -> list[BasicBlock]:
         for block in module.iter_blocks()
         if block.terminator.callee() == func_name
     ]
-
-
-def topological_functions(module: Module) -> list[str]:
-    """Functions in a bottom-up call-graph order (callees before callers).
-
-    Cycles (recursion) are broken arbitrarily but deterministically.  Useful
-    for presentation and for deterministic tie-breaking in layout emission.
-    """
-    graph = call_graph(module)
-    order: list[str] = []
-    temp: set[str] = set()
-    done: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in done or name in temp:
-            return
-        temp.add(name)
-        for callee in sorted(graph[name]):
-            visit(callee)
-        temp.discard(name)
-        done.add(name)
-        order.append(name)
-
-    for func in module.functions:
-        visit(func.name)
-    return order
-
-
-def iter_fallthrough_pairs(module: Module) -> Iterable[tuple[int, int]]:
-    """(gid, fallthrough-gid) pairs for every block with a fall-through path."""
-    for block in module.iter_blocks():
-        ft = block.terminator.fallthrough_target()
-        if ft is not None:
-            yield block.gid, module.function(block.func).block(ft).gid

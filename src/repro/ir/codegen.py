@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exectable import ExecTable
 from .module import INSTRUCTION_BYTES, Module
 
 __all__ = [
@@ -148,41 +149,36 @@ def layout_blocks(
     declare blocks out of fall-through order), so baselines and optimized
     layouts are costed identically.
     """
-    n = module.n_blocks
-    if sorted(gid_order) != list(range(n)):
+    table = module.exec_table
+    n = table.n_blocks
+    order = np.asarray(gid_order, dtype=np.int64)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("gid_order must be a permutation of all block gids")
 
-    position = {gid: i for i, gid in enumerate(gid_order)}
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    sizes, added = _base_sizes(table, entry_stubs)
+    ft = table.fallthrough
+    has_ft = ft >= 0
+    broken = has_ft & (position[np.where(has_ft, ft, 0)] != position + 1)
+    sizes += INSTRUCTION_BYTES * broken
+    added += int(broken.sum())
 
-    # Fall-through targets per gid.
-    ft_target: dict[int, int] = {}
-    for block in module.iter_blocks():
-        ft = block.terminator.fallthrough_target()
-        if ft is not None:
-            ft_target[block.gid] = module.function(block.func).block(ft).gid
-
-    sizes = np.zeros(n, dtype=np.int64)
-    added = 0
-    entry_gids = {f.entry.gid for f in module.functions} if entry_stubs else set()
-    for block in module.iter_blocks():
-        size = block.n_instr * INSTRUCTION_BYTES
-        gid = block.gid
-        if gid in entry_gids:
-            size += INSTRUCTION_BYTES
-            added += 1
-        target = ft_target.get(gid)
-        if target is not None and position[target] != position[gid] + 1:
-            size += INSTRUCTION_BYTES
-            added += 1
-        sizes[gid] = size
-
-    starts = np.zeros(n, dtype=np.int64)
-    addr = base
-    for gid in gid_order:
-        starts[gid] = addr
-        addr += int(sizes[gid])
+    ordered = sizes[order]
+    starts = np.empty(n, dtype=np.int64)
+    starts[order] = base + np.cumsum(ordered) - ordered
 
     return AddressMap(order=list(gid_order), starts=starts, sizes=sizes, added_jumps=added, base=base)
+
+
+def _base_sizes(table: ExecTable, entry_stubs: bool) -> tuple[np.ndarray, int]:
+    """Per-gid encoded sizes before fall-through jumps, plus the number
+    of entry stubs charged (one per function when ``entry_stubs``)."""
+    sizes = table.n_instr * INSTRUCTION_BYTES
+    if not entry_stubs:
+        return sizes, 0
+    sizes[table.entry_gids] += INSTRUCTION_BYTES
+    return sizes, len(table.entry_gids)
 
 
 def place_blocks(
@@ -202,44 +198,27 @@ def place_blocks(
     Fall-through jumps are charged whenever a block's fall-through
     successor does not start exactly at its end.
     """
-    n = module.n_blocks
+    table = module.exec_table
+    n = table.n_blocks
     if sorted(starts_by_gid) != list(range(n)):
         raise ValueError("starts_by_gid must cover every gid exactly once")
-
-    ft_target: dict[int, int] = {}
-    for block in module.iter_blocks():
-        ft = block.terminator.fallthrough_target()
-        if ft is not None:
-            ft_target[block.gid] = module.function(block.func).block(ft).gid
-
-    entry_gids = {f.entry.gid for f in module.functions} if entry_stubs else set()
-    sizes = np.zeros(n, dtype=np.int64)
-    added = 0
-    # First pass sizes without fall-through knowledge of end addresses;
-    # charging a fall-through jump changes a block's end, which could make
-    # a previously-adjacent successor non-adjacent, so sizes are solved in
-    # one deterministic pass: a block is charged unless its successor
-    # starts exactly at start + base size (+ stub) — i.e. the placement
-    # must have budgeted the jump explicitly if it wants adjacency with it.
-    for block in module.iter_blocks():
-        gid = block.gid
-        size = block.n_instr * INSTRUCTION_BYTES
-        if gid in entry_gids:
-            size += INSTRUCTION_BYTES
-            added += 1
-        target = ft_target.get(gid)
-        if target is not None and starts_by_gid[target] != starts_by_gid[gid] + size:
-            size += INSTRUCTION_BYTES
-            added += 1
-        sizes[gid] = size
-
     starts = np.zeros(n, dtype=np.int64)
     for gid, start in starts_by_gid.items():
         if start < 0:
             raise ValueError(f"negative start address for gid {gid}")
         starts[gid] = start
 
-    order = sorted(range(n), key=lambda g: int(starts[g]))
+    # A block is charged a fall-through jump unless its successor starts
+    # exactly at start + base size (+ stub): a placement that wants
+    # adjacency with the jump must budget for it explicitly.
+    sizes, added = _base_sizes(table, entry_stubs)
+    ft = table.fallthrough
+    has_ft = ft >= 0
+    broken = has_ft & (starts[np.where(has_ft, ft, 0)] != starts + sizes)
+    sizes += INSTRUCTION_BYTES * broken
+    added += int(broken.sum())
+
+    order = np.argsort(starts, kind="stable").tolist()
     amap = AddressMap(
         order=order, starts=starts, sizes=sizes, added_jumps=added, base=int(starts.min())
     )

@@ -26,7 +26,10 @@ block handles (the paper's "mapping file" that assigns each block an index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .exectable import ExecTable
 
 __all__ = [
     "INSTRUCTION_BYTES",
@@ -324,14 +327,18 @@ class Module:
         self._by_name = {f.name: f for f in self.functions}
         self._sealed = False
         self._blocks_by_gid: list[BasicBlock] = []
+        self._exec_table: Optional["ExecTable"] = None
 
     # -- construction -----------------------------------------------------
 
     def seal(self) -> "Module":
         """Assign global block ids and mark the module immutable.
 
-        Idempotent; returns ``self`` for chaining.
+        Idempotent; returns ``self`` for chaining.  Every call drops the
+        :attr:`exec_table`, so sealing again after mutating a block's
+        terminator rebuilds it on next use.
         """
+        self._exec_table = None
         if self._sealed:
             return self
         gid = 0
@@ -360,6 +367,17 @@ class Module:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
+
+    @property
+    def exec_table(self) -> "ExecTable":
+        """The per-gid :class:`~repro.ir.exectable.ExecTable` of this
+        sealed module, built on first use."""
+        self._require_sealed()
+        if self._exec_table is None:
+            from .exectable import ExecTable
+
+            self._exec_table = ExecTable.build(self)
+        return self._exec_table
 
     def block_by_gid(self, gid: int) -> BasicBlock:
         self._require_sealed()

@@ -18,12 +18,16 @@ Checks
   non-negative with a positive sum;
 * global ids are dense and consistent after sealing;
 * (warning-level) unreachable blocks are reported, not rejected — real
-  binaries keep cold unreachable code too.
+  binaries keep cold unreachable code too.  Reachability is a BFS over the
+  successor CSR of the module's
+  :attr:`~repro.ir.module.Module.exec_table`, built only once the
+  structural checks have passed.
 """
 
 from __future__ import annotations
 
-from .cfg import reachable_blocks
+import numpy as np
+
 from .module import Branch, Module, Switch
 
 __all__ = ["ValidationError", "validate_module"]
@@ -51,7 +55,8 @@ def validate_module(module: Module) -> list[str]:
 
     for func in module.functions:
         block_names = [b.name for b in func.blocks]
-        if len(set(block_names)) != len(block_names):
+        known = set(block_names)
+        if len(known) != len(block_names):
             dupes = sorted({n for n in block_names if block_names.count(n) > 1})
             raise ValidationError(
                 f"duplicate block name(s) in function {func.name!r}: {', '.join(dupes)}"
@@ -59,7 +64,7 @@ def validate_module(module: Module) -> list[str]:
         for block in func.blocks:
             term = block.terminator
             for target in term.local_targets():
-                if target not in func:
+                if target not in known:
                     raise ValidationError(
                         f"{func.name}:{block.name} targets unknown block {target!r}"
                     )
@@ -98,8 +103,8 @@ def validate_module(module: Module) -> list[str]:
             raise ValidationError(f"gid table inconsistent at {block.gid}")
 
     # Reachability (warnings only).
-    reachable = reachable_blocks(module)
-    for block in module.iter_blocks():
-        if block.gid not in reachable:
-            warnings.append(f"unreachable block {block.func}:{block.name}")
+    reachable = module.exec_table.reachable()
+    for gid in np.flatnonzero(~reachable).tolist():
+        block = module.block_by_gid(gid)
+        warnings.append(f"unreachable block {block.func}:{block.name}")
     return warnings

@@ -417,7 +417,7 @@ class SimMemo:
         if data is None:
             return None
         try:
-            value = codec.decode(_checked(_load_entry(data), codec))
+            value = _decode(_load_entry(data), codec)
             out = view(value)
         except _MALFORMED:
             # Corrupt or stale entry: a cache degrades to recomputation.
@@ -640,8 +640,11 @@ class SimMemo:
     def scrub(self) -> tuple[int, int]:
         """Validate every on-disk entry; returns ``(kept, dropped)``.
 
-        Drops entries that are unreadable, not an ``.npz`` archive, or do
-        not hold the schema tag and arrays of some entry kind, plus stray
+        Keeps exactly the entries a lookup would serve: those that some
+        entry kind's codec decodes and views (:meth:`_peek`'s path, minus
+        a caller's key-specific parse).  Drops the rest — unreadable, not
+        an ``.npz`` archive, a wrong schema tag or array, or arrays its
+        ``from_arrays`` rejects — plus stray
         ``.lock`` and ``.tmp`` files (lock files from finished dedups,
         temp files from killed atomic writes).  Run after a chaos soak —
         or any hard kill — to guarantee the cache directory holds only
@@ -658,7 +661,7 @@ class SimMemo:
                 continue
             try:
                 arrays = _load_entry(path.read_bytes())
-                ok = any(_conforms(arrays, codec) for codec in _CODECS.values())
+                ok = any(_serves(arrays, codec) for codec in _CODECS.values())
             except _MALFORMED:
                 ok = False
             if ok:
@@ -707,10 +710,17 @@ def _checked(arrays: dict[str, np.ndarray], codec: _Codec) -> dict[str, np.ndarr
     return arrays
 
 
-def _conforms(arrays: dict[str, np.ndarray], codec: _Codec) -> bool:
+def _decode(arrays: dict[str, np.ndarray], codec: _Codec):
+    """The value ``codec`` keeps for an entry's ``arrays``; raises one of
+    :data:`_MALFORMED` when they are not a valid entry of its kind."""
+    return codec.decode(_checked(arrays, codec))
+
+
+def _serves(arrays: dict[str, np.ndarray], codec: _Codec) -> bool:
+    """Whether a lookup of ``codec``'s kind would serve ``arrays``."""
     try:
-        _checked(arrays, codec)
-    except (ValueError, KeyError):
+        codec.view(_decode(arrays, codec))
+    except _MALFORMED:
         return False
     return True
 

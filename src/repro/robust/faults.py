@@ -304,9 +304,11 @@ class _BrokenTerminator:
 
 def break_module_terminator(module: Any, gid: int = 0) -> None:
     """Corrupt a (sealed) module in place: replace one block's terminator
-    with garbage, so the next instrumented run hits an unknown control
+    with garbage and re-seal, which drops the module's execution table, so
+    the next instrumented run rebuilds it and hits an unknown control
     transfer.  Duck-typed on purpose — the harness stays import-light."""
     module.block_by_gid(gid).terminator = _BrokenTerminator()
+    module.seal()
 
 
 def non_contiguous_functions(func_of_block: Sequence[int]) -> list[int]:

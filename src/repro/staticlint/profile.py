@@ -1,10 +1,11 @@
 """Synthesize a trace bundle from program structure alone.
 
-:func:`synthesize_bundle` performs a seeded walk of the CFG that mirrors
-the interpreter's control-flow semantics — per-frame loop counters with
+:func:`synthesize_bundle` walks the CFG with the interpreter's own
+dispatch (:func:`repro.engine.interpreter.walk` over the module's
+:class:`~repro.ir.exectable.ExecTable`: per-frame loop counters with
 exact :class:`~repro.ir.module.LoopBranch` trip emulation, a call/return
-frame stack, termination on natural exit or block budget — but draws
-``Branch`` and ``Switch`` outcomes from the *structural* heuristics of
+stack, termination on natural exit or block budget) but draws ``Branch``
+and ``Switch`` outcomes from the *structural* heuristics of
 :mod:`repro.staticlint.frequency` instead of the profile-bearing
 terminator parameters.  The result is a real
 :class:`~repro.engine.instrument.TraceBundle`, so every trace-consuming
@@ -14,23 +15,15 @@ works unchanged with no measured profile in the loop.
 
 from __future__ import annotations
 
-import bisect
 import random
 from itertools import accumulate
 
 import numpy as np
 
 from ..engine.instrument import TraceBundle
-from ..ir.module import (
-    Branch,
-    Call,
-    Exit,
-    Jump,
-    LoopBranch,
-    Module,
-    Return,
-    Switch,
-)
+from ..engine.interpreter import walk
+from ..ir.exectable import K_BRANCH
+from ..ir.module import Module
 from .dataflow import build_cfgs
 from .frequency import FrequencyConfig, edge_probabilities
 
@@ -39,14 +32,6 @@ __all__ = ["synthesize_bundle", "STATIC_INPUT_NAME"]
 #: ``TraceBundle.input_name`` of synthesized bundles; lets downstream
 #: reports distinguish a heuristic profile from a measured one.
 STATIC_INPUT_NAME = "static-synthetic"
-
-
-class _Frame:
-    __slots__ = ("return_gid", "loop_counters")
-
-    def __init__(self, return_gid: int) -> None:
-        self.return_gid = return_gid
-        self.loop_counters: dict[int, int] = {}
 
 
 def synthesize_bundle(
@@ -71,124 +56,36 @@ def synthesize_bundle(
         raise ValueError("max_blocks must be positive")
     config = config or FrequencyConfig()
 
-    n = module.n_blocks
-    blocks = [module.block_by_gid(g) for g in range(n)]
-    n_instr = [b.n_instr for b in blocks]
-    gid_of = {(b.func, b.name): b.gid for b in blocks}
-
-    # Structural edge probabilities, resolved to gids once up front.
+    table = module.exec_table
+    n = table.n_blocks
+    # Heuristic probability of each branch's then side (1.0 if then ==
+    # orelse), and uniform shares over each switch's case slots — the
+    # terminators' own probabilities and weights are runtime profile data.
+    # A block's CFG index is its offset from its function's entry gid.
     cfgs = build_cfgs(module)
-    prob_of: dict[str, list[dict[int, float]]] = {
-        name: edge_probabilities(cfg, config) for name, cfg in cfgs.items()
+    p_then = [0.0] * n
+    for func, base in zip(module.functions, table.entry_gids.tolist()):
+        probs = edge_probabilities(cfgs[func.name], config)
+        for g in range(base, base + len(func.blocks)):
+            if table.kind[g] == K_BRANCH:
+                then, orelse = table.op_a[g], table.op_b[g]
+                p_then[g] = 1.0 if then == orelse else probs[g - base].get(then - base, 0.0)
+    sw_cum = {
+        g: list(accumulate(1.0 / len(targets) for _ in targets))
+        for g, targets in table.sw_targets.items()
     }
 
-    K_JUMP, K_BRANCH, K_SWITCH, K_CALL, K_RET, K_EXIT, K_LOOP = range(7)
-    kind = [0] * n
-    op_a = [0] * n  # then-gid / back-gid / callee entry gid / jump target
-    op_b = [0] * n  # orelse-gid / exit-gid / return_to gid
-    p_then = [0.0] * n
-    trips = [0] * n
-    sw_targets: list[tuple[int, ...]] = [()] * n
-    sw_cum: list[list[float]] = [[]] * n
-
-    for b in blocks:
-        t = b.terminator
-        g = b.gid
-        cfg = cfgs[b.func]
-        local = cfg.index[b.name]
-        if isinstance(t, Jump):
-            kind[g] = K_JUMP
-            op_a[g] = gid_of[(b.func, t.target)]
-        elif isinstance(t, Branch):
-            kind[g] = K_BRANCH
-            op_a[g] = gid_of[(b.func, t.then)]
-            op_b[g] = gid_of[(b.func, t.orelse)]
-            # Heuristic probability of the then side (1.0 if then==orelse).
-            probs = prob_of[b.func][local]
-            then_local = cfg.index[t.then]
-            p = probs.get(then_local, 0.0)
-            p_then[g] = 1.0 if op_a[g] == op_b[g] else p
-        elif isinstance(t, Switch):
-            kind[g] = K_SWITCH
-            sw_targets[g] = tuple(gid_of[(b.func, name)] for name in t.targets)
-            # Uniform over case slots — weights are runtime profile data.
-            share = 1.0 / len(t.targets)
-            sw_cum[g] = list(accumulate(share for _ in t.targets))
-        elif isinstance(t, Call):
-            kind[g] = K_CALL
-            op_a[g] = module.function(t.func).entry.gid
-            op_b[g] = gid_of[(b.func, t.return_to)]
-        elif isinstance(t, Return):
-            kind[g] = K_RET
-        elif isinstance(t, Exit):
-            kind[g] = K_EXIT
-        elif isinstance(t, LoopBranch):
-            kind[g] = K_LOOP
-            op_a[g] = gid_of[(b.func, t.back)]
-            op_b[g] = gid_of[(b.func, t.exit_to)]
-            trips[g] = t.trips
-        else:  # pragma: no cover - exhaustive over IR terminators
-            raise TypeError(f"unknown terminator {t!r}")
-
-    rng = random.Random(seed)
-    rand = rng.random
-    frames: list[_Frame] = [_Frame(-1)]
-    loop_counters = frames[-1].loop_counters
-    trace = np.empty(max_blocks, dtype=np.int32)
-    executed = 0
-    instr = 0
-    natural = False
-    current = module.function(module.entry).entry.gid
-
-    while executed < max_blocks:
-        trace[executed] = current
-        executed += 1
-        instr += n_instr[current]
-
-        k = kind[current]
-        if k == K_JUMP:
-            current = op_a[current]
-        elif k == K_BRANCH:
-            current = op_a[current] if rand() < p_then[current] else op_b[current]
-        elif k == K_LOOP:
-            c = loop_counters.get(current, 0) + 1
-            if c < trips[current]:
-                loop_counters[current] = c
-                current = op_a[current]
-            else:
-                loop_counters[current] = 0
-                current = op_b[current]
-        elif k == K_CALL:
-            frames.append(_Frame(op_b[current]))
-            loop_counters = frames[-1].loop_counters
-            current = op_a[current]
-        elif k == K_RET:
-            frame = frames.pop()
-            if not frames:
-                natural = True
-                break
-            loop_counters = frames[-1].loop_counters
-            current = frame.return_gid
-        elif k == K_SWITCH:
-            i = bisect.bisect_left(sw_cum[current], rand())
-            targets = sw_targets[current]
-            current = targets[min(i, len(targets) - 1)]
-        else:  # K_EXIT
-            natural = True
-            break
-
-    function_names = [f.name for f in module.functions]
-    func_index = {name: i for i, name in enumerate(function_names)}
-    func_of_gid = np.array(
-        [func_index[name] for name in module.function_of_gid()], dtype=np.int32
+    bb_trace, instr, natural = walk(
+        table, max_blocks, random.Random(seed).random, prob=p_then, sw_cum=sw_cum
     )
-    bb_trace = trace[:executed].copy()
+    function_names = [f.name for f in module.functions]
+    func_of_gid = table.func_index.astype(np.int32)
     return TraceBundle(
         program=module.name,
         input_name=input_name,
         bb_trace=bb_trace,
         func_trace=func_of_gid[bb_trace],
-        block_names=[f"{b.func}:{b.name}" for b in blocks],
+        block_names=[f"{b.func}:{b.name}" for b in module.iter_blocks()],
         function_names=function_names,
         func_of_gid=func_of_gid,
         instr_count=instr,

@@ -45,9 +45,9 @@ def _partial_shuffle(seq: list, rng: np.random.Generator, strength: float) -> li
     k = int(round(len(seq) * min(strength, 1.0)))
     if k < 2:
         return out
-    idx = rng.choice(len(seq), size=k, replace=False)
+    idx = rng.choice(len(seq), size=k, replace=False).tolist()
     values = [out[i] for i in idx]
-    perm = rng.permutation(k)
+    perm = rng.permutation(k).tolist()
     for slot, p in zip(idx, perm):
         out[slot] = values[p]
     return out

@@ -1,15 +1,8 @@
-"""Unit tests for CFG queries (repro.ir.cfg)."""
+"""Unit tests for CFG queries (repro.ir.cfg) and the successor and
+fall-through columns of the execution table they read."""
 
 from repro.ir import ModuleBuilder
-from repro.ir.cfg import (
-    block_successor_gids,
-    call_graph,
-    intra_successors,
-    iter_fallthrough_pairs,
-    reachable_blocks,
-    static_call_sites,
-    topological_functions,
-)
+from repro.ir.cfg import call_graph, intra_successors, static_call_sites
 
 
 def make_module():
@@ -37,15 +30,16 @@ def test_intra_successors_include_return_to_not_callee():
 
 def test_successor_gids_include_call_edges():
     m = make_module()
-    succs = block_successor_gids(m)
+    table = m.exec_table
     work = m.function("main").block("work")
     helper_entry = m.function("helper").entry
-    assert helper_entry.gid in succs[work.gid]
+    succs = table.succ_idx[table.succ_ptr[work.gid]:table.succ_ptr[work.gid + 1]]
+    assert succs.tolist() == [m.function("main").block("entry").gid, helper_entry.gid]
 
 
 def test_reachability_excludes_orphan_and_dead():
     m = make_module()
-    reach = reachable_blocks(m)
+    reach = set(m.exec_table.reachable().nonzero()[0].tolist())
     orphan = m.function("main").block("orphan")
     dead = m.function("dead").entry
     assert orphan.gid not in reach
@@ -63,28 +57,15 @@ def test_call_graph_and_sites():
     assert [s.name for s in sites] == ["work"]
 
 
-def test_topological_functions_bottom_up():
-    m = make_module()
-    order = topological_functions(m)
-    assert order.index("leafy") < order.index("helper") < order.index("main")
-    assert set(order) == {f.name for f in m.functions}
-
-
 def test_fallthrough_pairs():
     m = make_module()
-    pairs = dict(iter_fallthrough_pairs(m))
+    fallthrough = m.exec_table.fallthrough
     entry = m.function("main").entry
+    work = m.function("main").block("work")
     done = m.function("main").block("done")
-    # branch falls through to its else side.
-    assert pairs[entry.gid] == done.gid
+    # branch falls through to its else side, a call to its return-to block.
+    assert fallthrough[entry.gid] == done.gid
+    assert fallthrough[work.gid] == entry.gid
     # exit/ret blocks have no fallthrough.
-    assert done.gid not in pairs
-
-
-def test_topological_handles_recursion():
-    b = ModuleBuilder("rec")
-    f = b.function("main")
-    f.block("e", 1).call("main", return_to="out")
-    f.block("out", 1).exit()
-    m = b.build()
-    assert topological_functions(m) == ["main"]
+    assert fallthrough[done.gid] == -1
+    assert fallthrough[m.function("helper").block("out").gid] == -1

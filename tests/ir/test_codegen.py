@@ -109,3 +109,74 @@ def test_any_permutation_produces_disjoint_dense_image(sizes, seed):
     for g in range(m.n_blocks):
         s, e = amap.span(g)
         assert 0 <= s < e <= amap.end
+
+
+@st.composite
+def branchy_modules(draw):
+    """Modules whose blocks fall through every way a terminator can:
+    jumps, branches, calls and loops (with a fall-through target) and
+    switches, returns and exits (without one)."""
+    b = ModuleBuilder("m")
+    fnames = ["main", *(f"f{i}" for i in range(draw(st.integers(0, 3))))]
+    for fname in fnames:
+        names = [f"b{i}" for i in range(draw(st.integers(1, 6)))]
+        fb = b.function(fname)
+        target = st.sampled_from(names)
+        for name in names:
+            block = fb.block(name, draw(st.integers(1, 12)))
+            op = draw(st.sampled_from(["jump", "branch", "call", "loop", "switch", "ret", "exit"]))
+            if op == "jump":
+                block.jump(draw(target))
+            elif op == "branch":
+                block.branch(draw(target), draw(target), 0.5)
+            elif op == "call":
+                block.call(draw(st.sampled_from(fnames)), return_to=draw(target))
+            elif op == "loop":
+                block.loop(draw(target), draw(target), trips=2)
+            elif op == "switch":
+                block.switch([draw(target), draw(target)], [1.0, 1.0])
+            elif op == "ret":
+                block.ret()
+            else:
+                block.exit()
+    return b.build()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    module=branchy_modules(),
+    seed=st.integers(0, 2**32 - 1),
+    entry_stubs=st.booleans(),
+    base=st.sampled_from([0, 4, 4096]),
+)
+def test_layout_blocks_matches_oracle(module, seed, entry_stubs, base):
+    """The array form of ``layout_blocks`` gives the object-walking
+    oracle's address map for any permutation."""
+    from tests.ir.layout_oracle import layout_blocks as oracle_layout_blocks
+
+    order = [int(g) for g in np.random.default_rng(seed).permutation(module.n_blocks)]
+    for gids in (order, original_gid_order(module)):
+        ours = layout_blocks(module, gids, entry_stubs=entry_stubs, base=base)
+        theirs = oracle_layout_blocks(module, gids, entry_stubs=entry_stubs, base=base)
+        assert ours.order == theirs.order
+        assert ours.added_jumps == theirs.added_jumps
+        assert ours.base == theirs.base
+        for got, want in ((ours.starts, theirs.starts), (ours.sizes, theirs.sizes)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_layout_blocks_matches_oracle_on_a_suite_program():
+    from repro.workloads import build
+
+    from tests.ir.layout_oracle import layout_blocks as oracle_layout_blocks
+
+    _, module = build("syn-gcc")
+    rng = np.random.default_rng(3)
+    for entry_stubs in (False, True):
+        order = rng.permutation(module.n_blocks).tolist()
+        ours = layout_blocks(module, order, entry_stubs=entry_stubs)
+        theirs = oracle_layout_blocks(module, order, entry_stubs=entry_stubs)
+        assert ours.added_jumps == theirs.added_jumps
+        assert np.array_equal(ours.starts, theirs.starts)
+        assert np.array_equal(ours.sizes, theirs.sizes)

@@ -200,3 +200,61 @@ def test_npy_instead_of_npz_is_dropped(tmp_path):
     memo.footprint_curve(LINES)
     assert memo.misses == 1
     assert zipfile.is_zipfile(path)
+
+
+def _reversed_rows(valid: bytes) -> bytes:
+    """A TRG entry with its edge rows (and their weights) in reverse
+    order: every array keeps its dtype and shape, only decoding fails."""
+    arrays = read_entry(io.BytesIO(valid))
+    arrays["edges"] = arrays["edges"][::-1]
+    arrays["weights"] = arrays["weights"][::-1]
+    return _npz(arrays)
+
+
+def test_scrub_drops_reversed_trg_edge_rows(entries):
+    valid, _ = entries["trg"]
+    key, _ = KINDS["trg"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{key}.npz"
+        path.write_bytes(_reversed_rows(valid))
+        assert SimMemo(tmp).scrub() == (0, 1)
+        assert not path.exists()
+
+
+def _served(kind: str, payload: bytes) -> bool:
+    """Whether a lookup of ``kind`` serves ``payload`` as a hit."""
+    key, lookup = KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / f"{key}.npz").write_bytes(payload)
+        memo = SimMemo(tmp)
+        lookup(memo)
+        return memo.hits == 1
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_scrub_keeps_what_a_lookup_serves(entries, data):
+    """For a directory of good and bad entries, ``scrub`` keeps exactly
+    the entries a lookup of their own kind would serve."""
+    payloads = {}
+    for kind in sorted(KINDS):
+        valid, _ = entries[kind]
+        how = data.draw(st.sampled_from(["absent", "valid", "malformed", "reversed"]))
+        if how == "valid":
+            payloads[kind] = valid
+        elif how == "malformed":
+            payloads[kind] = _mutate(valid, data)
+        elif how == "reversed" and kind == "trg":
+            payloads[kind] = _reversed_rows(valid)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, payload in payloads.items():
+            (Path(tmp) / f"{KINDS[kind][0]}.npz").write_bytes(payload)
+        kept, dropped = SimMemo(tmp).scrub()
+        survivors = {p.stem for p in Path(tmp).glob("*.npz")}
+    served = {KINDS[kind][0] for kind, payload in payloads.items() if _served(kind, payload)}
+    assert survivors == served
+    assert (kept, dropped) == (len(served), len(payloads) - len(served))

@@ -71,3 +71,18 @@ def test_lab_measurements_still_work_after_typed_failure():
         lab.layout("syn-mcf", "no-such-optimizer")
     miss = lab.solo_miss("syn-mcf", BASELINE, channel="sim")
     assert miss.ratio >= 0
+
+
+def test_corrupt_module_after_its_table_was_built_still_fails_instrument():
+    """The fault lands after the build (which validated the module and so
+    built its execution table) and still reaches the interpreter."""
+    module = build_tiny_module()
+    assert module.exec_table.n_blocks == module.n_blocks
+    faults.break_module_terminator(module, gid=0)
+    with pytest.raises(ProfileError) as exc:
+        Driver(optimizers=["function-trg"]).build(
+            module, InputSpec("test", seed=1, max_blocks=1000)
+        )
+    assert exc.value.stage == "instrument"
+    assert isinstance(exc.value.cause, TypeError)
+    assert "unknown terminator" in str(exc.value.cause)
