@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Why a layout wins: line utilization, set balance, phases.
+"""Why a layout wins: line utilization and set pressure.
 
-Uses the analysis toolbox (:mod:`repro.analysis`,
-:mod:`repro.trace.phases`) to dissect one program's baseline and optimized
-layouts — the mechanics behind the miss-ratio tables.
+Uses the trace-driven linter (:func:`repro.lint.run_lint`) to dissect one
+program's baseline and optimized layouts — the mechanics behind the
+miss-ratio tables.  L004 measures how much of each hot line is hot code,
+L001 how much hot-fetch volume lands on sets holding more hot lines than
+ways.
 
 Run:  python examples/layout_anatomy.py
 """
 
-from repro.analysis import analyze_layout
 from repro.cache import PAPER_L1I
 from repro.core import OPTIMIZERS, OptimizerConfig
 from repro.engine import collect_trace
 from repro.ir import baseline_layout
-from repro.trace import detect_phases
+from repro.lint import run_lint
 from repro.workloads import build
 
 
@@ -24,31 +25,22 @@ def main() -> None:
     print(f"{module.name}: {module.n_blocks} blocks, "
           f"{module.size_bytes / 1024:.0f} KB code\n")
 
-    # --- phase structure --------------------------------------------------
-    phases = detect_phases(profile.func_trace, window=2048, threshold=0.35)
-    print(f"detected {len(phases)} phases in the profile "
-          f"(generator phase period: {prog.spec.phase_period} blocks)")
-    for p in phases[:4]:
-        hot = ", ".join(profile.function_names[s] for s in p.hot_symbols[:3])
-        print(f"  [{p.start:7d}, {p.end:7d})  hot: {hot}")
-    if len(phases) > 4:
-        print(f"  ... and {len(phases) - 4} more")
-
-    # --- layout quality ----------------------------------------------------
-    print(f"\n{'layout':20s} {'hot lines':>9s} {'utilization':>12s} "
-          f"{'set imbalance':>14s} {'overcommitted':>14s}")
+    print(f"{'layout':20s} {'hot lines':>9s} {'utilization':>12s} "
+          f"{'max pressure':>13s} {'conflict score':>15s}")
     layouts = {"baseline": baseline_layout(module)}
     cfg = OptimizerConfig()
     for name in ("function-affinity", "bb-affinity", "bb-trg"):
         layouts[name] = OPTIMIZERS[name](module, profile, cfg)
     for name, layout in layouts.items():
-        q = analyze_layout(module, profile, layout.address_map, PAPER_L1I)
-        print(f"{name:20s} {q.n_hot_lines:9d} {q.line_utilization:11.1%} "
-              f"{q.set_imbalance:14.3f} {q.overcommitted_fraction:13.1%}")
+        metrics = run_lint(module, layout, profile, PAPER_L1I).metrics
+        util, sets = metrics["L004"], metrics["L001"]
+        print(f"{name:20s} {util['n_hot_lines']:9d} "
+              f"{util['mean_utilization']:11.1%} "
+              f"{sets['max_pressure']:13.2f} {sets['conflict_score']:15.4f}")
 
     print("\nReading: the optimizers shrink the hot-line footprint (higher "
-          "utilization = less cold code sharing hot lines) and spread it "
-          "more evenly over the cache sets.")
+          "utilization = less cold code sharing hot lines) and relieve the "
+          "cache sets (lower pressure = fewer hot lines per set than ways).")
 
 
 if __name__ == "__main__":

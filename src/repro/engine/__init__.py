@@ -1,7 +1,7 @@
 """Execution substrate: deterministic interpreter, instrumentation, fetch model."""
 
-from .datastream import DATA_SPACE_BASE, data_lines, merged_stream
-from .fetch import fetch_line_count, fetch_lines, line_spans
+from .datastream import DATA_SPACE_BASE, merged_stream
+from .fetch import fetch_lines, line_spans
 from .instrument import TraceBundle, collect_trace, load_bundle, save_bundle
 from .interpreter import RunResult, run
 from .state import InputSpec
@@ -12,8 +12,6 @@ __all__ = [
     "RunResult",
     "TraceBundle",
     "collect_trace",
-    "data_lines",
-    "fetch_line_count",
     "fetch_lines",
     "line_spans",
     "load_bundle",

@@ -4,8 +4,11 @@ The paper's benefit classification covers both the instruction cache
 (Eq. 2) and the *unified* lower-level cache, where instruction misses and
 data misses compete (Eq. 1).  To exercise that path, blocks may carry a
 :class:`~repro.ir.module.DataAccess` descriptor; this module expands a
-dynamic block trace into the corresponding data-line stream, and into the
-merged instruction+data stream a two-level hierarchy consumes.
+dynamic block trace into the merged instruction+data stream a two-level
+hierarchy consumes.  ``local`` accesses rotate over a small region (high
+reuse), ``stream`` accesses advance linearly per execution (low reuse),
+``shared`` accesses hit fixed global lines; blocks without a descriptor
+contribute no data lines.
 
 Address spaces: data lines live far above any code line
 (:data:`DATA_SPACE_BASE`), each function gets its own region, and
@@ -27,7 +30,6 @@ from .fetch import line_spans
 __all__ = [
     "DATA_SPACE_BASE",
     "SHARED_REGION_BASE",
-    "data_lines",
     "merged_stream",
 ]
 
@@ -56,44 +58,6 @@ def _per_gid_tables(module: Module) -> tuple[np.ndarray, list]:
         )
         descs[block.gid] = (block.data.mode, block.data.n_lines, block.data.region_lines, base)
     return counts, descs
-
-
-def data_lines(trace: np.ndarray, module: Module) -> np.ndarray:
-    """Expand a block trace into its data-line access stream.
-
-    Blocks without a descriptor contribute nothing.  ``local`` accesses
-    rotate over a small region (high reuse), ``stream`` accesses advance
-    linearly per execution (low reuse), ``shared`` accesses hit fixed
-    global lines.
-    """
-    if trace.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    counts, descs = _per_gid_tables(module)
-    per_exec = counts[trace]
-    total = int(per_exec.sum())
-    out = np.empty(total, dtype=np.int64)
-    if total == 0:
-        return out
-    starts = np.cumsum(per_exec) - per_exec  # slot of each execution's 1st line
-
-    for gid, desc in enumerate(descs):
-        if desc is None:
-            continue
-        mode, n_lines, region, base = desc
-        idx = np.flatnonzero(trace == gid)
-        if idx.shape[0] == 0:
-            continue
-        occ = np.arange(idx.shape[0], dtype=np.int64)
-        slot0 = starts[idx]
-        for j in range(n_lines):
-            if mode == "local":
-                off = (occ + j) % region
-            elif mode == "stream":
-                off = (occ * n_lines + j) % region
-            else:  # shared
-                off = np.full_like(occ, j % region)
-            out[slot0 + j] = base + off
-    return out
 
 
 def merged_stream(

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..ir.codegen import AddressMap
 
-__all__ = ["line_spans", "fetch_lines", "fetch_line_count"]
+__all__ = ["line_spans", "fetch_lines"]
 
 
 def line_spans(amap: AddressMap, line_bytes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,9 +56,3 @@ def fetch_lines(
     boundaries = np.cumsum(counts) - counts  # start index of each execution
     ramp = np.arange(total, dtype=np.int64) - np.repeat(boundaries, counts)
     return starts_rep + ramp
-
-
-def fetch_line_count(trace: np.ndarray, amap: AddressMap, line_bytes: int) -> int:
-    """Number of line accesses :func:`fetch_lines` would produce (no expansion)."""
-    _, n_lines = line_spans(amap, line_bytes)
-    return int(n_lines[trace].sum())

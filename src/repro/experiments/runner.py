@@ -80,7 +80,6 @@ __all__ = [
     "UnknownExperimentError",
     "attempt_experiment",
     "run_experiment",
-    "run_all",
     "run_suite",
     "main",
 ]
@@ -136,11 +135,6 @@ def run_experiment(exp_id: str, lab: Lab) -> ExperimentResult:
     except KeyError:
         raise UnknownExperimentError(exp_id) from None
     return driver(lab)
-
-
-def run_all(lab: Lab, only: list[str] | None = None) -> list[ExperimentResult]:
-    ids = only or list(EXPERIMENTS)
-    return [run_experiment(i, lab) for i in ids]
 
 
 # -- hardened suite execution ------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "all_rules",
     "compare_layouts",
     "conflict_score",
-    "get_rule",
     "render_json",
     "render_text",
     "run_lint",
@@ -52,7 +51,6 @@ _EXPORTS = {
     "LintConfig": ("repro.lint.rules", "LintConfig"),
     "Rule": ("repro.lint.rules", "Rule"),
     "all_rules": ("repro.lint.rules", "all_rules"),
-    "get_rule": ("repro.lint.rules", "get_rule"),
     "run_lint": ("repro.lint.rules", "run_lint"),
     "LayoutComparison": ("repro.lint.compare", "LayoutComparison"),
     "compare_layouts": ("repro.lint.compare", "compare_layouts"),
@@ -70,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         render_text,
     )
     from .integrity import LayoutError  # noqa: F401
-    from .rules import LintConfig, Rule, all_rules, get_rule, run_lint  # noqa: F401
+    from .rules import LintConfig, Rule, all_rules, run_lint  # noqa: F401
 
 
 def __getattr__(name: str) -> object:

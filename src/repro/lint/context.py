@@ -1,20 +1,23 @@
 """Shared derived facts for lint rules.
 
 Every rule reasons over the same few projections of ``(Module, AddressMap,
-TraceBundle, CacheConfig)`` — per-block execution counts, the hot set, the
+CacheConfig)`` and a per-block heat array — the hot set, the
 byte→line→set geometry, per-line heat and hot-byte occupancy.  A
 :class:`LintContext` computes each projection once, lazily, and hands it to
-all rules, so a full lint run costs one pass over the profile and one pass
+all rules, so a full lint run costs one pass over the heat and one pass
 over the blocks regardless of how many rules are enabled.
 
 Heat model
 ----------
-A block is **hot** when it belongs to the smallest set of most frequently
-executed blocks whose occurrences cover ``hot_coverage`` of the dynamic
-trace (the same popularity ordering the paper's pruning step uses,
+``block_heat[gid]`` is the number of executions of each block: measured
+counts from a trace (``int64``, the L-pack) or estimated frequencies from
+branch heuristics (``float64``, the static S-pack, which subclasses this
+context).  A block is **hot** when it belongs to the smallest set of most
+frequently executed blocks whose executions cover ``hot_coverage`` of the
+total (the same popularity ordering the paper's pruning step uses,
 :func:`repro.trace.prune.popularity`).  Everything else — including code
-the profile never reached — is **cold**.  Line *heat* counts dynamic
-fetches of the line: one per execution of each block that spans it.
+never executed — is **cold**.  Line *heat* counts dynamic fetches of the
+line: one per execution of each block that spans it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from ..engine.fetch import line_spans
 from ..ir.module import Module
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.instrument import TraceBundle
     from ..ir.codegen import AddressMap
 
 __all__ = ["LintContext"]
@@ -42,8 +44,8 @@ class LintContext:
         self,
         module: Module,
         amap: "AddressMap",
-        bundle: "TraceBundle",
         cache: CacheConfig,
+        block_heat: np.ndarray,
         *,
         hot_coverage: float = 0.9,
     ) -> None:
@@ -51,8 +53,8 @@ class LintContext:
             raise ValueError("hot_coverage must be in (0, 1]")
         self.module = module
         self.amap = amap
-        self.bundle = bundle
         self.cache = cache
+        self.block_heat = block_heat
         self.hot_coverage = hot_coverage
 
     # -- identity ---------------------------------------------------------
@@ -65,35 +67,23 @@ class LintContext:
         b = self.module.block_by_gid(gid)
         return f"{b.func}:{b.name}"
 
-    # -- profile heat -----------------------------------------------------
-
-    @cached_property
-    def exec_counts(self) -> np.ndarray:
-        """Dynamic execution count per gid (int64, indexed by gid)."""
-        return np.bincount(
-            self.bundle.bb_trace, minlength=self.n_blocks
-        ).astype(np.int64)
-
-    @cached_property
-    def total_dynamic(self) -> int:
-        return int(self.exec_counts.sum())
+    # -- heat -------------------------------------------------------------
 
     @cached_property
     def hot_gids(self) -> list[int]:
         """Hot blocks, most frequently executed first.
 
         The smallest popularity prefix covering ``hot_coverage`` of all
-        dynamic block occurrences (ties broken by gid for determinism).
+        block executions (ties broken by gid for determinism).
         """
-        counts = self.exec_counts
-        if self.total_dynamic == 0:
+        heat = self.block_heat
+        total = heat.sum()
+        if total <= 0:
             return []
-        order = np.lexsort((np.arange(self.n_blocks), -counts))
-        cum = np.cumsum(counts[order])
-        need = self.hot_coverage * self.total_dynamic
-        cut = int(np.searchsorted(cum, need)) + 1
-        hot = order[:cut]
-        return [int(g) for g in hot if counts[g] > 0]
+        order = np.lexsort((np.arange(self.n_blocks), -heat))
+        cum = np.cumsum(heat[order])
+        cut = int(np.searchsorted(cum, self.hot_coverage * total)) + 1
+        return [int(g) for g in order[:cut] if heat[g] > 0]
 
     @cached_property
     def hot_mask(self) -> np.ndarray:
@@ -128,13 +118,17 @@ class LintContext:
     # -- line-level projections ------------------------------------------
 
     @cached_property
-    def line_heat(self) -> dict[int, int]:
-        """line index -> dynamic fetches of that line."""
-        heat: dict[int, int] = {}
-        counts = self.exec_counts
+    def line_heat(self) -> dict[int, int | float]:
+        """line index -> dynamic fetches of that line.
+
+        Values keep the heat array's element type: ``int`` for measured
+        counts, ``float`` for estimated frequencies.
+        """
+        heat: dict[int, int | float] = {}
+        block_heat = self.block_heat
         first, n_lines = self._spans
-        for gid in np.nonzero(counts)[0]:
-            c = int(counts[gid])
+        for gid in np.flatnonzero(block_heat > 0):
+            c = block_heat[gid].item()
             lo = int(first[gid])
             for line in range(lo, lo + int(n_lines[gid])):
                 heat[line] = heat.get(line, 0) + c

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-__all__ = ["Severity", "Diagnostic", "LintReport", "render_text", "render_json"]
+__all__ = ["Severity", "Diagnostic", "LintReport", "truncation_note", "render_text", "render_json"]
 
 
 class Severity(str, Enum):
@@ -95,6 +95,17 @@ class Diagnostic:
             detail = ", ".join(f"{k}={_fmt_value(v)}" for k, v in self.measured.items())
             parts += f"  ({detail})"
         return parts
+
+
+def truncation_note(rule_id: str, shown: int, total: int) -> Diagnostic:
+    """The INFO note a rule appends when it shows only its top findings."""
+    return Diagnostic(
+        rule_id,
+        Severity.INFO,
+        "layout",
+        f"{total - shown} further finding(s) suppressed (showing top {shown})",
+        {"n_total": total, "n_shown": shown},
+    )
 
 
 def _fmt_value(v: object) -> str:

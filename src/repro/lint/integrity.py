@@ -26,6 +26,7 @@ from .diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.codegen import AddressMap
+    from .context import LintContext
 
 __all__ = [
     "RULE_INTEGRITY",
@@ -33,6 +34,7 @@ __all__ = [
     "audit_gid_order",
     "audit_function_order",
     "audit_address_map",
+    "layout_integrity",
     "raise_on_errors",
 ]
 
@@ -246,3 +248,26 @@ def audit_address_map(module: Module, amap: "AddressMap") -> list[Diagnostic]:
             )
         )
     return diags
+
+
+def layout_integrity(ctx: "LintContext", cfg: object) -> tuple[list[Diagnostic], dict]:
+    """The post-processing sanity check as a rule (L006).
+
+    Delegates to :func:`audit_address_map`, the audit the IR transforms
+    apply when a layout is constructed, so the linter and the transforms
+    report identical diagnostics for identical breakage.  The static pack's
+    S005 is this rule relabelled.
+    """
+    diags = audit_address_map(ctx.module, ctx.amap)
+    n_errors = sum(1 for d in diags if d.severity is Severity.ERROR)
+    gap_bytes = sum(
+        int(d.measured.get("gap_bytes", 0)) for d in diags if "gap_bytes" in d.measured
+    )
+    metrics = {
+        "n_errors": n_errors,
+        "gap_bytes": gap_bytes,
+        "image_bytes": int(ctx.amap.image_bytes),
+        "total_bytes": int(ctx.amap.total_bytes),
+        "added_jumps": int(ctx.amap.added_jumps),
+    }
+    return diags, metrics

@@ -30,8 +30,8 @@ four optimizers.
 from __future__ import annotations
 
 from .context import LintContext
-from .diagnostics import Diagnostic, Severity
-from .integrity import RULE_INTEGRITY, audit_address_map
+from .diagnostics import Diagnostic, Severity, truncation_note
+from .integrity import RULE_INTEGRITY, layout_integrity
 from .rules import LintConfig, rule
 
 __all__ = [
@@ -42,16 +42,6 @@ __all__ = [
     "footprint_over_capacity",
     "layout_integrity",
 ]
-
-
-def _truncation_note(rule_id: str, shown: int, total: int) -> Diagnostic:
-    return Diagnostic(
-        rule_id,
-        Severity.INFO,
-        "layout",
-        f"{total - shown} further finding(s) suppressed (showing top {shown})",
-        {"n_total": total, "n_shown": shown},
-    )
 
 
 @rule(
@@ -115,7 +105,7 @@ def set_conflict_hotspot(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagno
     findings.sort(key=lambda t: -t[0])
     diags = [d for _, d in findings[: cfg.max_reports]]
     if len(findings) > cfg.max_reports:
-        diags.append(_truncation_note("L001", cfg.max_reports, len(findings)))
+        diags.append(truncation_note("L001", cfg.max_reports, len(findings)))
 
     score = victim_heat_total / total_hot_heat if total_hot_heat else 0.0
     metrics = {
@@ -160,7 +150,7 @@ def broken_fallthrough(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagnost
         if adjacent:
             continue
         n_broken_total += 1
-        execs = int(ctx.exec_counts[gid])
+        execs = int(ctx.block_heat[gid])
         dynamic_jumps += execs
         if ctx.is_hot(gid):
             broken_hot.append((execs, gid, target))
@@ -178,7 +168,7 @@ def broken_fallthrough(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagnost
         for execs, gid, target in broken_hot[: cfg.max_reports]
     ]
     if len(broken_hot) > cfg.max_reports:
-        diags.append(_truncation_note("L002", cfg.max_reports, len(broken_hot)))
+        diags.append(truncation_note("L002", cfg.max_reports, len(broken_hot)))
 
     metrics = {
         "n_broken_hot": len(broken_hot),
@@ -252,7 +242,7 @@ def hot_cold_interleaving(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagn
     findings.sort(key=lambda t: -t[0])
     diags = [d for _, d in findings[: cfg.max_reports]]
     if len(findings) > cfg.max_reports:
-        diags.append(_truncation_note("L003", cfg.max_reports, len(findings)))
+        diags.append(truncation_note("L003", cfg.max_reports, len(findings)))
     metrics = {"n_interleavings": len(findings), "interleaved_cold_bytes": wasted_bytes}
     return diags, metrics
 
@@ -376,30 +366,9 @@ def footprint_over_capacity(ctx: LintContext, cfg: LintConfig) -> tuple[list[Dia
     return diags, metrics
 
 
-@rule(
-    "L006",
+rule(
+    RULE_INTEGRITY,
     "layout-integrity",
     "permutation, overlap and gap audit of the address map",
     Severity.ERROR,
-)
-def layout_integrity(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagnostic], dict]:
-    """The post-processing sanity check as a rule.
-
-    Delegates to the same audits :mod:`repro.ir.transforms` applies when a
-    layout is constructed, so the linter and the transforms report
-    identical diagnostics for identical breakage.
-    """
-    assert RULE_INTEGRITY == "L006"
-    diags = audit_address_map(ctx.module, ctx.amap)
-    n_errors = sum(1 for d in diags if d.severity is Severity.ERROR)
-    gap_bytes = sum(
-        int(d.measured.get("gap_bytes", 0)) for d in diags if "gap_bytes" in d.measured
-    )
-    metrics = {
-        "n_errors": n_errors,
-        "gap_bytes": gap_bytes,
-        "image_bytes": int(ctx.amap.image_bytes),
-        "total_bytes": int(ctx.amap.total_bytes),
-        "added_jumps": int(ctx.amap.added_jumps),
-    }
-    return diags, metrics
+)(layout_integrity)

@@ -14,7 +14,9 @@ clean, so every report carries the full metric set for layout comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Protocol
+
+import numpy as np
 
 from ..cache.config import PAPER_L1I, CacheConfig
 from ..engine.instrument import TraceBundle
@@ -29,15 +31,15 @@ __all__ = [
     "RuleRegistry",
     "LintConfig",
     "rule",
-    "get_rule",
     "all_rules",
+    "run_rules",
     "run_lint",
 ]
 
 #: A rule callable: ``(context, config) -> (diagnostics, metrics)``.  The
-#: context/config types differ per rule pack (trace-driven rules take
-#: ``(LintContext, LintConfig)``, the static pack its own pair), so the
-#: registry stays agnostic.
+#: types differ per rule pack (trace-driven rules take ``(LintContext,
+#: LintConfig)``, the static pack its context subclass and config), so
+#: the registry stays agnostic.
 RuleFn = Callable[..., tuple[list[Diagnostic], dict]]
 
 
@@ -87,23 +89,10 @@ class RuleRegistry:
 
         return register
 
-    def get(self, rule_id: str) -> Rule:
-        self._ensure_loaded()
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise KeyError(
-                f"unknown lint rule {rule_id!r} (known: {sorted(self._rules)})"
-            )
-
     def all(self) -> list[Rule]:
         """Every registered rule, ordered by id."""
         self._ensure_loaded()
         return [self._rules[k] for k in sorted(self._rules)]
-
-    def ids(self) -> list[str]:
-        self._ensure_loaded()
-        return sorted(self._rules)
 
 
 def _ensure_rulepack() -> None:
@@ -121,10 +110,6 @@ def rule(
 ) -> Callable[[RuleFn], RuleFn]:
     """Decorator registering a rule in the trace-driven (L-pack) registry."""
     return _REGISTRY.rule(id, name, summary, default_severity)
-
-
-def get_rule(rule_id: str) -> Rule:
-    return _REGISTRY.get(rule_id)
 
 
 def all_rules() -> list[Rule]:
@@ -154,11 +139,43 @@ class LintConfig:
     def enabled_rules(self) -> list[Rule]:
         return [r for r in all_rules() if r.id not in self.disabled]
 
-    def severity_for(self, rule_id: str, emitted: Severity) -> Severity:
-        return self.severity_overrides.get(rule_id, emitted)
 
-    def with_overrides(self, **kw: object) -> "LintConfig":
-        return replace(self, **kw)
+class PackConfig(Protocol):
+    """What the rule loop reads of a pack's config."""
+
+    @property
+    def severity_overrides(self) -> Mapping[str, Severity]: ...
+
+    def enabled_rules(self) -> list[Rule]: ...
+
+
+def resolve_layout(
+    layout: "LayoutResult | AddressMap", layout_name: str
+) -> tuple[AddressMap, str]:
+    """The address map to lint and the report's layout label.
+
+    A :class:`~repro.ir.transforms.LayoutResult` is labelled by its
+    note or kind, a bare address map ``"layout"``, unless named.
+    """
+    if isinstance(layout, LayoutResult):
+        return layout.address_map, layout_name or layout.note or layout.kind.value
+    return layout, layout_name or "layout"
+
+
+def run_rules(ctx: LintContext, config: PackConfig, layout_name: str) -> LintReport:
+    """Run a pack's enabled rules over one context (both packs' driver)."""
+    report = LintReport(
+        program=ctx.module.name, layout=layout_name, cache=ctx.cache.describe()
+    )
+    for r in config.enabled_rules():
+        diags, metrics = r.fn(ctx, config)
+        override = config.severity_overrides.get(r.id)
+        if override is not None:
+            diags = [replace(d, severity=override) for d in diags]
+        report.extend(diags)
+        report.metrics[r.id] = metrics
+        report.rules_run.append(r.id)
+    return report
 
 
 def run_lint(
@@ -173,26 +190,11 @@ def run_lint(
     """Run every enabled rule over one concrete layout.
 
     ``layout`` may be a :class:`~repro.ir.transforms.LayoutResult` (its
-    kind/note label the report) or a bare address map.
+    kind/note label the report) or a bare address map.  The heat is the
+    trace's execution count per block.
     """
     config = config or LintConfig()
-    if isinstance(layout, LayoutResult):
-        amap = layout.address_map
-        name = layout_name or layout.note or layout.kind.value
-    else:
-        amap = layout
-        name = layout_name or "layout"
-
-    ctx = LintContext(module, amap, bundle, cache, hot_coverage=config.hot_coverage)
-    report = LintReport(
-        program=module.name, layout=name, cache=cache.describe()
-    )
-    for r in config.enabled_rules():
-        diags, metrics = r.fn(ctx, config)
-        override = config.severity_overrides.get(r.id)
-        if override is not None:
-            diags = [replace(d, severity=override) for d in diags]
-        report.extend(diags)
-        report.metrics[r.id] = metrics
-        report.rules_run.append(r.id)
-    return report
+    amap, name = resolve_layout(layout, layout_name)
+    heat = np.bincount(bundle.bb_trace, minlength=module.n_blocks).astype(np.int64)
+    ctx = LintContext(module, amap, cache, heat, hot_coverage=config.hot_coverage)
+    return run_rules(ctx, config, name)

@@ -3,10 +3,9 @@ defensiveness/politeness miss model.  Reuse (LRU stack) distance lives in
 :mod:`repro.cache.fastsim`; at ``n_sets=1`` it is the fully associative
 case."""
 
-from .footprint import FootprintCurve, average_footprint, footprint_brute, footprint_curve
+from .footprint import FootprintCurve, footprint_brute, footprint_curve
 from .hotl import (
     miss_ratio,
-    miss_ratio_curve,
     shared_fill_time,
     shared_fill_time_scalar,
     shared_fill_times,
@@ -19,13 +18,11 @@ from .missmodel import BenefitReport, classify_benefits, corun_miss_ratios
 __all__ = [
     "BenefitReport",
     "FootprintCurve",
-    "average_footprint",
     "classify_benefits",
     "corun_miss_ratios",
     "footprint_brute",
     "footprint_curve",
     "miss_ratio",
-    "miss_ratio_curve",
     "shared_fill_time",
     "shared_fill_time_scalar",
     "shared_fill_times",

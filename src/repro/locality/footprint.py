@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FootprintCurve", "footprint_curve", "footprint_brute", "average_footprint"]
+__all__ = ["FootprintCurve", "footprint_curve", "footprint_brute"]
 
 
 @dataclass
@@ -192,8 +192,3 @@ def footprint_brute(trace: np.ndarray, w: int) -> float:
         if i >= w - 1:
             total += distinct
     return total / (n - w + 1)
-
-
-def average_footprint(trace: np.ndarray, w: int) -> float:
-    """Average footprint at a single window length (uses the O(n) curve)."""
-    return float(footprint_curve(trace)(w))

@@ -28,7 +28,6 @@ from .footprint import FootprintCurve
 
 __all__ = [
     "miss_ratio",
-    "miss_ratio_curve",
     "shared_fill_time",
     "shared_fill_time_scalar",
     "shared_fill_times",
@@ -46,11 +45,6 @@ def miss_ratio(curve: FootprintCurve, capacity: float) -> float:
     if w > curve.n:
         return 0.0  # whole program fits; only cold misses, amortized to ~0
     return curve.growth(w)
-
-
-def miss_ratio_curve(curve: FootprintCurve, capacities: Sequence[float]) -> np.ndarray:
-    """Vectorized :func:`miss_ratio` over several capacities."""
-    return np.array([miss_ratio(curve, c) for c in capacities])
 
 
 def _capacities(capacities) -> np.ndarray:

@@ -27,7 +27,7 @@ bad inputs, crashes, hangs, and partial failures:
   error.
 """
 
-from .atomic import atomic_write, atomic_write_bytes, atomic_write_text
+from .atomic import atomic_write, atomic_write_text
 from .errors import (
     PERMANENT,
     TRANSIENT,
@@ -66,7 +66,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerHangError",
     "atomic_write",
-    "atomic_write_bytes",
     "atomic_write_text",
     "error_context",
     "fault_class",

@@ -25,7 +25,7 @@ from typing import IO, Iterator
 
 from .faults import ATOMIC_MID_WRITE, ATOMIC_PRE_RENAME, maybe_crash
 
-__all__ = ["atomic_write", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["atomic_write", "atomic_write_text"]
 
 
 @contextmanager
@@ -59,8 +59,3 @@ def atomic_write(path: str | Path, *, binary: bool = False) -> Iterator[IO]:
 def atomic_write_text(path: str | Path, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    with atomic_write(path, binary=True) as fh:
-        fh.write(data)

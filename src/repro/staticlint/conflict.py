@@ -1,15 +1,16 @@
 """Static conflict prediction: closed-form cache geometry over a layout.
 
-Where the trace-driven :class:`~repro.lint.context.LintContext` derives
-heat from an instrumented run, :class:`StaticLintContext` derives the same
-projections from a :class:`~repro.staticlint.frequency.StaticProfile`:
+:class:`StaticLintContext` is the lint context over *estimated* heat: the
+trace-driven :class:`~repro.lint.context.LintContext` with the per-block
+execution counts of a
+:class:`~repro.staticlint.frequency.StaticProfile` in place of a trace's.
+The hot set, line heat (expected dynamic fetches of each line) and hot
+occupancy are the base class's; this module adds the facts only the
+static pack uses:
 
-* **line heat** — expected dynamic fetches of each cache line, the sum of
-  the estimated execution counts of the blocks spanning it (a block
-  touches each of its lines once per execution);
 * **set pressure** — lines map to sets in closed form
   (``set = line mod n_sets``, a bit-mask for the power-of-two geometries
-  here), so the hot-line population of every set is a static quantity;
+  here), so the warm-line population of every set is a static quantity;
 * **conflict scores** — within a set whose *warm* lines (estimated heat
   > 0) number ``k > A`` ways, LRU cannot keep more than the ``A``
   hottest resident; the heat of the remaining lines is unservable
@@ -31,8 +32,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..engine.fetch import line_spans
 from ..ir.module import Module
+from ..lint.context import LintContext
 from .frequency import StaticProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StaticLintContext"]
 
 
-class StaticLintContext:
-    """Lazily-derived static facts shared by the S-pack rules."""
+class StaticLintContext(LintContext):
+    """The lint context over a static profile's estimated frequencies."""
 
     def __init__(
         self,
@@ -53,66 +54,12 @@ class StaticLintContext:
         *,
         hot_coverage: float = 0.9,
     ) -> None:
-        if not 0.0 < hot_coverage <= 1.0:
-            raise ValueError("hot_coverage must be in (0, 1]")
         if profile.module is not module:
             raise ValueError("profile was computed for a different module")
-        self.module = module
-        self.amap = amap
-        self.cache = cache
+        super().__init__(
+            module, amap, cache, profile.block_freq, hot_coverage=hot_coverage
+        )
         self.profile = profile
-        self.hot_coverage = hot_coverage
-
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def n_blocks(self) -> int:
-        return self.module.n_blocks
-
-    def block_name(self, gid: int) -> str:
-        b = self.module.block_by_gid(gid)
-        return f"{b.func}:{b.name}"
-
-    # -- estimated heat ---------------------------------------------------
-
-    @property
-    def block_freq(self) -> np.ndarray:
-        """Estimated execution count per gid (float64)."""
-        return self.profile.block_freq
-
-    @cached_property
-    def hot_gids(self) -> list[int]:
-        """Estimated-hot blocks, most frequent first (coverage prefix)."""
-        return self.profile.hot_gids(self.hot_coverage)
-
-    @cached_property
-    def hot_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_blocks, dtype=bool)
-        if self.hot_gids:
-            mask[self.hot_gids] = True
-        return mask
-
-    def is_hot(self, gid: int) -> bool:
-        return bool(self.hot_mask[gid])
-
-    # -- geometry ---------------------------------------------------------
-
-    @cached_property
-    def _spans(self) -> tuple[np.ndarray, np.ndarray]:
-        return line_spans(self.amap, self.cache.line_bytes)
-
-    @property
-    def first_line(self) -> np.ndarray:
-        return self._spans[0]
-
-    @property
-    def lines_per_block(self) -> np.ndarray:
-        return self._spans[1]
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """gid -> index in layout order."""
-        return {gid: i for i, gid in enumerate(self.amap.order)}
 
     @cached_property
     def image_lines(self) -> list[int]:
@@ -124,64 +71,7 @@ class StaticLintContext:
             lines.update(range(lo, lo + int(n_lines[gid])))
         return sorted(lines)
 
-    # -- line-level projections ------------------------------------------
-
-    @cached_property
-    def line_heat(self) -> dict[int, float]:
-        """line index -> estimated dynamic fetches of that line."""
-        heat: dict[int, float] = {}
-        freq = self.block_freq
-        first, n_lines = self._spans
-        for gid in np.nonzero(freq > 0.0)[0]:
-            f = float(freq[gid])
-            lo = int(first[gid])
-            for line in range(lo, lo + int(n_lines[gid])):
-                heat[line] = heat.get(line, 0.0) + f
-        return heat
-
-    @cached_property
-    def hot_lines(self) -> list[int]:
-        """Distinct lines touched by estimated-hot blocks."""
-        lines: set[int] = set()
-        first, n_lines = self._spans
-        for gid in self.hot_gids:
-            lo = int(first[gid])
-            lines.update(range(lo, lo + int(n_lines[gid])))
-        return sorted(lines)
-
-    @cached_property
-    def hot_line_blocks(self) -> dict[int, list[int]]:
-        """line index -> estimated-hot gids spanning it (hottest first)."""
-        by_line: dict[int, list[int]] = {}
-        first, n_lines = self._spans
-        for gid in self.hot_gids:  # already heat-ordered
-            lo = int(first[gid])
-            for line in range(lo, lo + int(n_lines[gid])):
-                by_line.setdefault(line, []).append(gid)
-        return by_line
-
-    @cached_property
-    def line_hot_bytes(self) -> dict[int, int]:
-        """line index -> bytes occupied by estimated-hot blocks."""
-        lb = self.cache.line_bytes
-        occ: dict[int, int] = {}
-        for gid in self.hot_gids:
-            start, end = self.amap.span(gid)
-            for line in range(start // lb, (end - 1) // lb + 1):
-                lo = max(start, line * lb)
-                hi = min(end, (line + 1) * lb)
-                occ[line] = occ.get(line, 0) + (hi - lo)
-        return occ
-
     # -- set mapping and conflict scores ---------------------------------
-
-    @cached_property
-    def hot_lines_by_set(self) -> dict[int, list[int]]:
-        """cache set -> hot lines mapped to it (closed-form mapping)."""
-        by_set: dict[int, list[int]] = {}
-        for line in self.hot_lines:
-            by_set.setdefault(self.cache.set_of_line(line), []).append(line)
-        return by_set
 
     @cached_property
     def warm_lines_by_set(self) -> dict[int, list[int]]:

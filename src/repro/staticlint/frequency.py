@@ -21,9 +21,10 @@ Two classic techniques, composed:
   call-graph SCC condensation; recursive components converge via a
   damped fixpoint.
 
-The result, :class:`StaticProfile`, mirrors the projections the
-trace-driven linter derives from real traces (per-gid execution weight,
-coverage-prefix hot set) so downstream passes can consume either.
+The result, :class:`StaticProfile`, carries a per-gid execution count like
+the one the trace-driven linter counts from a real trace, so the lint
+context (:class:`~repro.staticlint.conflict.StaticLintContext`) and other
+downstream passes can consume either.
 """
 
 from __future__ import annotations
@@ -93,27 +94,6 @@ class StaticProfile:
     edge_prob: list[dict[int, float]]
     cfgs: dict[str, FunctionCFG] = field(repr=False)
     callgraph: CallGraph = field(repr=False)
-
-    def weight(self) -> np.ndarray:
-        """Frequencies normalised to sum to 1 (all-cold module: zeros)."""
-        total = float(self.block_freq.sum())
-        if total <= 0.0:
-            return np.zeros_like(self.block_freq)
-        return self.block_freq / total
-
-    def hot_gids(self, coverage: float = 0.9) -> list[int]:
-        """Smallest popularity-ranked gid set covering ``coverage`` of the
-        estimated executions — the static analogue of the trace linter's
-        hot set (ties broken by ascending gid for determinism)."""
-        freq = self.block_freq
-        total = float(freq.sum())
-        if total <= 0.0:
-            return []
-        order = np.lexsort((np.arange(len(freq)), -freq))
-        csum = np.cumsum(freq[order])
-        n_hot = int(np.searchsorted(csum, coverage * total, side="left")) + 1
-        hot = order[:n_hot]
-        return [int(g) for g in hot if freq[g] > 0.0]
 
     def call_site_freq(self) -> dict[int, float]:
         """gid of each call block -> estimated dynamic call count."""

@@ -33,9 +33,9 @@ from ..cache.config import PAPER_L1I, CacheConfig
 from ..ir.codegen import AddressMap
 from ..ir.module import Module
 from ..ir.transforms import LayoutResult
-from ..lint.diagnostics import Diagnostic, LintReport, Severity
-from ..lint.integrity import audit_address_map
-from ..lint.rules import Rule, RuleRegistry
+from ..lint.diagnostics import Diagnostic, LintReport, Severity, truncation_note
+from ..lint.integrity import layout_integrity
+from ..lint.rules import Rule, RuleRegistry, resolve_layout, run_rules
 from .conflict import StaticLintContext
 from .frequency import FrequencyConfig, StaticProfile, estimate_frequencies
 
@@ -145,7 +145,7 @@ def static_set_conflict(
     findings.sort(key=lambda t: (-t[0], t[1].location))
     diags = [d for _, d in findings[: cfg.max_reports]]
     if len(findings) > cfg.max_reports:
-        diags.append(_truncation_note("S001", cfg.max_reports, len(findings)))
+        diags.append(truncation_note("S001", cfg.max_reports, len(findings)))
 
     score = charged_total / total_warm_heat if total_warm_heat else 0.0
     metrics = {
@@ -230,7 +230,7 @@ def hot_fallthrough_break(
     once-per-run one even though both are "broken" statically.
     """
     module, amap, pos = ctx.module, ctx.amap, ctx.position
-    freq = ctx.block_freq
+    freq = ctx.block_heat
     edge_prob = ctx.profile.edge_prob
     broken = []
     n_broken_total = 0
@@ -270,7 +270,7 @@ def hot_fallthrough_break(
         for weight, gid, target in reportable[: cfg.max_reports]
     ]
     if len(reportable) > cfg.max_reports:
-        diags.append(_truncation_note("S003", cfg.max_reports, len(reportable)))
+        diags.append(truncation_note("S003", cfg.max_reports, len(reportable)))
 
     metrics = {
         "n_broken_hot": len(broken),
@@ -346,7 +346,7 @@ def far_hot_call(
     findings.sort(key=lambda t: (-t[0], t[1].location))
     diags = [d for _, d in findings[: cfg.max_reports]]
     if len(findings) > cfg.max_reports:
-        diags.append(_truncation_note("S004", cfg.max_reports, len(findings)))
+        diags.append(truncation_note("S004", cfg.max_reports, len(findings)))
 
     metrics = {
         "n_far_calls": n_far,
@@ -366,35 +366,14 @@ def far_hot_call(
 def static_layout_integrity(
     ctx: StaticLintContext, cfg: StaticLintConfig
 ) -> tuple[list[Diagnostic], dict]:
-    """The L006 audits, re-labelled for the static pack.
+    """The trace pack's L006 rule, re-labelled for the static pack.
 
-    Delegates to the exact same audit as the trace-driven L006 rule, so
-    both packs report identical structural diagnostics for identical
-    breakage (the certification tests pin this parity).
+    Both packs run the one audit, so they report identical structural
+    diagnostics for identical breakage (the certification tests pin this
+    parity).
     """
-    diags = [replace(d, rule="S005") for d in audit_address_map(ctx.module, ctx.amap)]
-    n_errors = sum(1 for d in diags if d.severity is Severity.ERROR)
-    gap_bytes = sum(
-        int(d.measured.get("gap_bytes", 0)) for d in diags if "gap_bytes" in d.measured
-    )
-    metrics = {
-        "n_errors": n_errors,
-        "gap_bytes": gap_bytes,
-        "image_bytes": int(ctx.amap.image_bytes),
-        "total_bytes": int(ctx.amap.total_bytes),
-        "added_jumps": int(ctx.amap.added_jumps),
-    }
-    return diags, metrics
-
-
-def _truncation_note(rule_id: str, shown: int, total: int) -> Diagnostic:
-    return Diagnostic(
-        rule_id,
-        Severity.INFO,
-        "layout",
-        f"{total - shown} further finding(s) suppressed (showing top {shown})",
-        {"n_total": total, "n_shown": shown},
-    )
+    diags, metrics = layout_integrity(ctx, cfg)
+    return [replace(d, rule="S005") for d in diags], metrics
 
 
 def run_static_lint(
@@ -413,27 +392,10 @@ def run_static_lint(
     computed here.
     """
     config = config or StaticLintConfig()
-    if isinstance(layout, LayoutResult):
-        amap = layout.address_map
-        name = layout_name or layout.note or layout.kind.value
-    else:
-        amap = layout
-        name = layout_name or "layout"
+    amap, name = resolve_layout(layout, layout_name)
     if profile is None:
         profile = estimate_frequencies(module, config.frequency)
-
     ctx = StaticLintContext(
         module, amap, cache, profile, hot_coverage=config.hot_coverage
     )
-    report = LintReport(
-        program=module.name, layout=name, cache=cache.describe()
-    )
-    for r in config.enabled_rules():
-        diags, metrics = r.fn(ctx, config)
-        override = config.severity_overrides.get(r.id)
-        if override is not None:
-            diags = [replace(d, severity=override) for d in diags]
-        report.extend(diags)
-        report.metrics[r.id] = metrics
-        report.rules_run.append(r.id)
-    return report
+    return run_rules(ctx, config, name)

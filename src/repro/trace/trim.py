@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trim", "trim_with_counts", "is_trimmed"]
+__all__ = ["trim"]
 
 
 def trim(trace: np.ndarray) -> np.ndarray:
@@ -30,29 +30,3 @@ def trim(trace: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(trace[1:], trace[:-1], out=keep[1:])
     return trace[keep]
-
-
-def trim_with_counts(trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trim and also return the run length of each kept occurrence.
-
-    Useful when downstream analyses weight occurrences by dynamic frequency
-    (e.g. instruction counting after trimming).
-    """
-    if trace.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    n = trace.shape[0]
-    if n == 0:
-        return trace.copy(), np.empty(0, dtype=np.int64)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(trace[1:], trace[:-1], out=keep[1:])
-    starts = np.flatnonzero(keep)
-    counts = np.diff(np.append(starts, n))
-    return trace[starts], counts
-
-
-def is_trimmed(trace: np.ndarray) -> bool:
-    """True if no two consecutive symbols are equal."""
-    if trace.shape[0] < 2:
-        return True
-    return bool(np.all(trace[1:] != trace[:-1]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import fetch_line_count, fetch_lines, line_spans
+from repro.engine import fetch_lines, line_spans
 from repro.ir import ModuleBuilder, baseline_layout
 
 
@@ -77,7 +77,7 @@ def test_expansion_matches_reference(sizes, trace, line_bytes):
     amap = baseline_layout(m).address_map
     t = np.array([g % len(sizes) for g in trace], dtype=np.int64)
     lines = fetch_lines(t, amap, line_bytes)
-    assert lines.shape[0] == fetch_line_count(t, amap, line_bytes)
+    assert lines.shape[0] == line_spans(amap, line_bytes)[1][t].sum()
     # reference: per execution, lines from start to end.
     expected = []
     for g in t.tolist():

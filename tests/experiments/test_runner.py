@@ -1,5 +1,7 @@
 """Unit tests for the experiment registry and self-contained drivers."""
 
+import io
+
 import pytest
 
 from repro.experiments import Lab
@@ -92,10 +94,10 @@ def test_main_rejects_out_of_range_scale(capsys):
     assert "scale must be" in capsys.readouterr().err
 
 
-def test_run_all_with_subset():
-    from repro.experiments.runner import run_all
+def test_run_suite_with_subset():
+    from repro.experiments.runner import run_suite
 
     lab = Lab(scale=0.05)
-    results = run_all(lab, only=["ablation-optimal-gap"])
-    assert len(results) == 1
-    assert results[0].exp_id == "ablation-optimal-gap"
+    outcomes = run_suite(lab, ["ablation-optimal-gap"], out=io.StringIO())
+    assert [o.status for o in outcomes] == ["ok"]
+    assert outcomes[0].result.exp_id == "ablation-optimal-gap"

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_layout
 from repro.cache import PAPER_L1I, simulate
 from repro.compiler import Driver, load_layout
 from repro.engine import collect_trace, fetch_lines, load_bundle, save_bundle
+from repro.lint import run_lint
 from repro.workloads import build
 
 
@@ -42,15 +42,15 @@ def test_saved_layout_reproduces_miss_count(small_build):
 
 
 def test_quality_metrics_track_miss_ratios(small_build):
-    """On the same profile, a layout with (strictly) better utilization and
-    fewer hot lines should not have a much worse miss ratio — the analysis
+    """On the same profile, a layout with (strictly) better line utilization
+    (lint rule L004) should not have a much worse miss ratio — the lint
     lens agrees directionally with the simulator."""
     prog, module, result, out = small_build
-    profile = result.profile
-    q = {}
-    for name, layout in result.layouts.items():
-        q[name] = analyze_layout(module, profile, layout.address_map, PAPER_L1I)
-    if q["bb-affinity"].line_utilization > q["baseline"].line_utilization:
+    util = {
+        name: run_lint(module, layout, result.profile, PAPER_L1I).metrics["L004"]
+        for name, layout in result.layouts.items()
+    }
+    if util["bb-affinity"]["mean_utilization"] > util["baseline"]["mean_utilization"]:
         assert result.miss_ratios["bb-affinity"] <= result.miss_ratios["baseline"] * 1.5
 
 

@@ -11,7 +11,6 @@ from repro.lint import (
     LintReport,
     Severity,
     all_rules,
-    get_rule,
     render_json,
     render_text,
     run_lint,
@@ -54,9 +53,8 @@ def test_report_counts_and_ok():
 def test_registry_catalog_is_the_full_rule_pack():
     ids = [r.id for r in all_rules()]
     assert ids == ["L001", "L002", "L003", "L004", "L005", "L006"]
-    assert get_rule("L001").name == "set-conflict-hotspot"
-    with pytest.raises(KeyError, match="unknown lint rule"):
-        get_rule("L999")
+    assert all_rules()[0].name == "set-conflict-hotspot"
+    assert all_rules()[-1].default_severity is Severity.ERROR
 
 
 def _lint_leafmod(config=None):

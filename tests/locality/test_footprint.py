@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.locality import average_footprint, footprint_brute, footprint_curve
+from repro.locality import footprint_brute, footprint_curve
 
 traces = st.lists(st.integers(0, 7), min_size=1, max_size=120).map(
     lambda xs: np.array(xs, dtype=np.int64)
@@ -39,7 +39,6 @@ def test_curve_endpoints():
 def test_formula_matches_brute_force(t, data):
     w = data.draw(st.integers(1, t.shape[0]))
     assert footprint_curve(t)(w) == pytest.approx(footprint_brute(t, w))
-    assert average_footprint(t, w) == pytest.approx(footprint_brute(t, w))
 
 
 @settings(max_examples=80, deadline=None)

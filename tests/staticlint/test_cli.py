@@ -1,6 +1,7 @@
 """The ``python -m repro.staticlint`` CLI: output schema and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,20 @@ def test_lint_json_has_report_schema(capsys):
     assert payload["summary"]["errors"] == 0
     for d in payload["diagnostics"]:
         assert d["rule"].startswith("S")
+
+
+def test_lint_json_matches_golden(capsys):
+    """Pins the full S-pack report of one suite cell, byte for byte.
+
+    Regenerate after an intentional analyzer change with::
+
+        PYTHONPATH=src python -m repro.staticlint lint syn-mcf --scale 0.05 \
+            --format json > tests/staticlint/golden/static_syn-mcf_baseline.json
+    """
+    rc, out = run(capsys, "lint", "syn-mcf", "--scale", "0.05", "--format", "json")
+    assert rc == 0
+    golden = Path(__file__).parent / "golden" / "static_syn-mcf_baseline.json"
+    assert out == golden.read_text()
 
 
 def test_lint_disable_skips_rule(capsys):

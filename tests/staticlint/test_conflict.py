@@ -78,7 +78,6 @@ def test_hot_projections_follow_coverage():
     assert ctx.hot_lines == [8]
     assert ctx.is_hot(1) and not ctx.is_hot(0)
     assert ctx.hot_line_blocks == {8: [1]}
-    assert ctx.hot_lines_by_set == {0: [8]}
 
 
 def test_profile_module_identity_enforced():

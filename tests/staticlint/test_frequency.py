@@ -11,13 +11,17 @@ from repro.ir import (
     Jump,
     Module,
     Switch,
+    baseline_layout,
 )
+from repro.staticlint.conflict import StaticLintContext
 from repro.staticlint.dataflow import FunctionCFG
 from repro.staticlint.frequency import (
     FrequencyConfig,
     edge_probabilities,
     estimate_frequencies,
 )
+
+from .conftest import TINY_CACHE
 
 
 def gid(module, func, name):
@@ -192,23 +196,24 @@ def test_call_site_freq_reports_call_blocks_only(chain):
 # -- StaticProfile projections ------------------------------------------------
 
 
-def test_weight_normalises_to_one(diamond):
-    w = estimate_frequencies(diamond).weight()
-    assert w.sum() == pytest.approx(1.0)
-    assert np.all(w >= 0.0)
-
-
 def test_hot_gids_coverage_prefix(diamond):
     profile = estimate_frequencies(diamond)
+    amap = baseline_layout(diamond).address_map
+
+    def hot_gids(coverage):
+        return StaticLintContext(
+            diamond, amap, TINY_CACHE, profile, hot_coverage=coverage
+        ).hot_gids
+
     # Total 7: body(3) alone covers 3 < 3.5, so 0.5 coverage needs 2 blocks.
-    half = profile.hot_gids(0.5)
+    half = hot_gids(0.5)
     assert half == [
         gid(diamond, "main", "body"),
         gid(diamond, "main", "entry"),
     ]
     # 0.9 coverage (6.3 of 7) excludes only the coldest arm.
-    hot = profile.hot_gids(0.9)
+    hot = hot_gids(0.9)
     assert gid(diamond, "main", "left") not in hot
     assert len(hot) == 5
     # Full coverage includes everything with nonzero frequency.
-    assert len(profile.hot_gids(1.0)) == 6
+    assert len(hot_gids(1.0)) == 6

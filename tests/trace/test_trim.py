@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace import is_trimmed, trim, trim_with_counts
+from repro.trace import trim
 
 traces = st.lists(st.integers(0, 6), min_size=0, max_size=200).map(
     lambda xs: np.array(xs, dtype=np.int64)
@@ -26,16 +26,11 @@ def test_rejects_multidim():
         trim(np.zeros((2, 2), dtype=np.int64))
 
 
-def test_counts_example():
-    symbols, counts = trim_with_counts(np.array([1, 1, 2, 2, 2, 1]))
-    assert symbols.tolist() == [1, 2, 1]
-    assert counts.tolist() == [2, 3, 1]
-
-
 @settings(max_examples=100, deadline=None)
 @given(traces)
 def test_trim_has_no_consecutive_duplicates(t):
-    assert is_trimmed(trim(t))
+    trimmed = trim(t)
+    assert np.all(trimmed[1:] != trimmed[:-1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,14 +48,3 @@ def test_trim_preserves_symbol_set_and_order(t):
     # trimmed is a subsequence of the original.
     it = iter(t.tolist())
     assert all(any(x == y for y in it) for x in trimmed.tolist())
-
-
-@settings(max_examples=100, deadline=None)
-@given(traces)
-def test_counts_sum_to_length(t):
-    symbols, counts = trim_with_counts(t)
-    assert counts.sum() == t.shape[0]
-    assert np.array_equal(symbols, trim(t))
-    # expanding runs reconstructs the original.
-    rebuilt = np.repeat(symbols, counts)
-    assert np.array_equal(rebuilt, t)
