@@ -7,9 +7,11 @@ cache simulator.  It consumes the line-index streams produced by
 Replacement is true LRU per set.  An optional *next-line prefetcher* models
 the dominant hardware effect the paper credits for the gap between
 hardware-counter and simulator miss reductions: on every demand miss of
-line ``L``, line ``L+1`` is installed as well (tagged prefetch).  The clean
-simulator channel runs with ``prefetch=False``; the hardware-counter channel
-(:mod:`repro.machine.counters`) runs with ``prefetch=True``.
+line ``L``, line ``L+1`` is installed as well (tagged prefetch).  The
+hardware-counter channel (:mod:`repro.machine.counters`) runs with
+``prefetch=True``.  Solo clean-channel misses come from the stack-distance
+kernel (:mod:`repro.cache.fastsim`), parity-gated bit-identical to
+``simulate(prefetch=False)``, which stays its oracle.
 
 :func:`run_lru` is the one set loop.  It makes one flat pass over a
 stream of lines labelled with the thread that issued each one: a solo run

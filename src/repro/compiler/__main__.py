@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..core.optimizers import COMPARATORS, OPTIMIZERS
+from ..core.optimizers import BASELINE, LAYOUTS, OPTIMIZERS
 from ..workloads.suite import build as build_suite_program
+from ..workloads.suite import get_program, scaled_spec
 from .driver import Driver
 
 
 def main(argv: list[str] | None = None) -> int:
-    known = list(OPTIMIZERS) + list(COMPARATORS)
+    known = [name for name in LAYOUTS if name != BASELINE]
     parser = argparse.ArgumentParser(
         prog="repro.compiler",
         description="Instrument, optimize and evaluate one suite program.",
@@ -61,15 +62,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    prog, module = build_suite_program(args.program)
-    spec = prog.spec
-    if args.scale != 1.0:
-        prog, module = build_suite_program(
-            args.program,
-            ref_blocks=max(10_000, int(spec.ref_blocks * args.scale)),
-            test_blocks=max(5_000, int(spec.test_blocks * args.scale)),
-        )
-        spec = prog.spec
+    spec = scaled_spec(get_program(args.program).spec, args.scale)
+    _, module = build_suite_program(
+        args.program, ref_blocks=spec.ref_blocks, test_blocks=spec.test_blocks
+    )
 
     driver = Driver(optimizers=args.optimizers, profile_source=args.profile_source)
     result = driver.build(

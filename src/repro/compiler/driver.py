@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..cache.config import PAPER_L1I, CacheConfig
-from ..core.optimizers import COMPARATORS, OPTIMIZERS, OptimizerConfig
+from ..core.optimizers import BASELINE, LAYOUTS, OPTIMIZERS, OptimizerConfig, build_layout
 from ..engine.fetch import fetch_lines
 from ..engine.instrument import TraceBundle, collect_trace, save_bundle
 from ..engine.state import InputSpec
@@ -146,11 +146,9 @@ class Driver:
         self.profile_source = profile_source
         self.optimizer_names = list(optimizers or OPTIMIZERS)
         for name in self.optimizer_names:
-            if name not in OPTIMIZERS and name not in COMPARATORS:
+            # The baseline is always built; the rest is the catalog.
+            if name == BASELINE or name not in LAYOUTS:
                 raise ValueError(f"unknown optimizer {name!r}")
-
-    def _optimizer(self, name: str):
-        return OPTIMIZERS.get(name) or COMPARATORS[name]
 
     def cell_pool(self):
         """The driver's persistent cell pool (lazy, reused across builds)."""
@@ -176,28 +174,31 @@ class Driver:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _evaluate(self, streams: list):
-        """Simulate the layouts' fetch streams (memoized, possibly parallel).
+    def _evaluate(self, streams: list) -> list[int]:
+        """Cold, prefetch-free LRU misses of the layouts' fetch streams
+        (memoized, possibly parallel).
 
-        The per-layout cells are independent, so with ``jobs > 1`` they
-        fan out across the driver's persistent cell pool; memo hits are
-        resolved first and fresh results are stored back, all yielding
-        stats bit-identical to serial un-memoized simulation.  With a
-        trace store attached, streams ship as zero-copy refs keyed by
-        the same content digest the memo key consumed.  This is the
-        Lab's fan-out path too (:func:`repro.perf.parallel.memoized_cells`).
+        Each stream's stack-distance histogram answers its miss count, as
+        in the Lab's ``sim`` channel.  The per-layout cells are
+        independent, so with ``jobs > 1`` they fan out across the
+        driver's persistent cell pool; memo hits are resolved first and
+        fresh results are stored back, all bit-identical to serial
+        un-memoized computation.  With a trace store attached, streams
+        ship as zero-copy refs keyed by the same content digest the memo
+        key consumed.  This is the Lab's fan-out path too
+        (:func:`repro.perf.parallel.memoized_cells`).
         """
         from ..perf.parallel import memoized_cells
 
-        stats, _ = memoized_cells(
-            "stats",
-            [(stream, self.cache, False) for stream in streams],
+        hists, _ = memoized_cells(
+            "histogram",
+            [(stream, self.cache.n_sets) for stream in streams],
             memo=self.memo,
             store=self.store,
             pool=self.cell_pool,
             counters=self.counters,
         )
-        return stats
+        return [hist.misses(self.cache.assoc) for hist in hists]
 
     def build(
         self,
@@ -247,20 +248,12 @@ class Driver:
                 profile = collect_trace(module, test_input)
         timings["instrument"] = time.perf_counter() - start
 
-        layouts: dict[str, LayoutResult] = {"baseline": baseline_layout(module)}
+        layouts: dict[str, LayoutResult] = {BASELINE: baseline_layout(module)}
         for name in self.optimizer_names:
             start = time.perf_counter()
             with error_context("optimize", program=program, layout=name):
-                # The four model-driven optimizers accept the analysis
-                # memo (kernel artifacts replay across builds); the
-                # comparator extras may predate that keyword.
-                kwargs = (
-                    {"memo": self.memo}
-                    if self.memo is not None and name in OPTIMIZERS
-                    else {}
-                )
-                layouts[name] = self._optimizer(name)(
-                    module, profile, self.optimizer_config, **kwargs
+                layouts[name] = build_layout(
+                    name, module, profile, self.optimizer_config, memo=self.memo
                 )
             timings[f"optimize/{name}"] = time.perf_counter() - start
 
@@ -308,10 +301,10 @@ class Driver:
                         ref.bb_trace, layout.address_map, self.cache.line_bytes
                     )
             with error_context("evaluate", program=program):
-                for name, stats in zip(
+                for name, misses in zip(
                     streams, self._evaluate(list(streams.values()))
                 ):
-                    result.miss_ratios[name] = stats.misses / ref.instr_count
+                    result.miss_ratios[name] = misses / ref.instr_count
             timings["evaluate"] = time.perf_counter() - start
 
         if build_dir is not None:

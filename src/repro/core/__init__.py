@@ -14,11 +14,13 @@ from .hierarchy import AffinityNode, build_hierarchy, hierarchy_levels, layout_o
 from .layout import Granularity, apply_symbol_order
 from .optimizers import (
     COMPARATORS,
+    LAYOUTS,
     OPTIMIZERS,
     Model,
     OptimizerConfig,
     bb_affinity,
     bb_trg,
+    build_layout,
     function_affinity,
     function_trg,
     optimize,
@@ -30,6 +32,7 @@ from .trg_reduce import ReductionResult, reduce_trg
 
 __all__ = [
     "COMPARATORS",
+    "LAYOUTS",
     "OPTIMIZERS",
     "TRG",
     "AffinityAnalysis",
@@ -47,6 +50,7 @@ __all__ = [
     "bb_affinity",
     "bb_trg",
     "build_hierarchy",
+    "build_layout",
     "build_trg",
     "build_trg_fast",
     "coverage_from_analysis",

@@ -44,13 +44,16 @@ def color_functions(
     bundle: TraceBundle,
     config=None,
     *,
+    memo=None,
+    stats=None,
     cache: CacheConfig | None = None,
 ) -> LayoutResult:
     """Cache-line coloring placement at function granularity.
 
     ``config`` may be an :class:`~repro.core.optimizers.OptimizerConfig`
     (its cache geometry and kernel tier are used); ``cache`` overrides
-    the geometry.
+    the geometry.  ``memo`` and ``stats`` complete the layout catalog's
+    signature (:data:`repro.core.optimizers.LAYOUTS`) and are unused.
     """
     from ..perf.backends import resolve_backend
 

@@ -17,6 +17,11 @@ Each optimizer consumes an instrumented *test-input* trace
 :class:`~repro.ir.transforms.LayoutResult`.  The shared pipeline is: trim
 the trace (Def. 1), prune to the most popular symbols (Sec. II-F), run the
 model, expand the symbol order into a full layout.
+
+:data:`LAYOUTS` is the layout catalog every tool resolves names through:
+the declaration-order ``baseline``, the four optimizers and the
+comparison baselines (:data:`COMPARATORS`), each built by one call,
+:func:`build_layout`.
 """
 
 from __future__ import annotations
@@ -30,26 +35,34 @@ import numpy as np
 from ..cache.config import PAPER_L1I, CacheConfig
 from ..engine.instrument import TraceBundle
 from ..ir.module import Module
-from ..ir.transforms import LayoutResult
+from ..ir.transforms import LayoutResult, baseline_layout
 from ..trace.prune import prune_top_k
 from ..trace.trim import trim
-from .affinity import AffinityAnalysis
+from .coloring import color_functions
 from .fastanalysis import analysis_from_coverage
 from .hierarchy import build_hierarchy, layout_order
 from .layout import Granularity, apply_symbol_order
+from .splitting import hot_cold_split
 from .trg import trg_window_blocks, uniform_block_slots
 from .trg_reduce import reduce_trg
 
 __all__ = [
+    "BASELINE",
+    "COMPARATORS",
+    "LAYOUTS",
     "Model",
-    "OptimizerConfig",
-    "optimize",
-    "function_affinity",
-    "bb_affinity",
-    "function_trg",
-    "bb_trg",
     "OPTIMIZERS",
+    "OptimizerConfig",
+    "bb_affinity",
+    "bb_trg",
+    "build_layout",
+    "function_affinity",
+    "function_trg",
+    "optimize",
 ]
+
+#: layout name of the unoptimized (declaration-order) layout.
+BASELINE = "baseline"
 
 
 class Model:
@@ -139,27 +152,6 @@ def _uniform_size(
     return max(1, int(round(float(np.mean(sizes)))))
 
 
-def _note_analysis(
-    stats: Optional[dict], *, accesses: int, seconds: float, fresh: bool
-) -> None:
-    """Fold one model-analysis consumption into a caller's counter dict.
-
-    ``cells`` counts every analysis an optimizer consumed; the
-    passes/accesses/seconds throughput triple only advances when the
-    analysis was actually (re)computed, and ``memo_hits`` when a memo
-    replayed it.
-    """
-    if stats is None:
-        return
-    stats["analysis_cells"] = stats.get("analysis_cells", 0) + 1
-    if fresh:
-        stats["analysis_passes"] = stats.get("analysis_passes", 0) + 1
-        stats["analysis_accesses"] = stats.get("analysis_accesses", 0) + accesses
-        stats["analysis_seconds"] = stats.get("analysis_seconds", 0.0) + seconds
-    else:
-        stats["analysis_memo_hits"] = stats.get("analysis_memo_hits", 0) + 1
-
-
 def _backend(config: OptimizerConfig):
     """The configured kernel tier."""
     from ..perf import backends
@@ -167,57 +159,36 @@ def _backend(config: OptimizerConfig):
     return backends.resolve_backend(config.kernel_backend)
 
 
-def _affinity_analysis(
-    trace: np.ndarray, config: OptimizerConfig, memo, stats: Optional[dict]
-) -> AffinityAnalysis:
-    """The affinity model, on the configured kernel tier (through the memo
-    when one is given)."""
+def _analysis(kind: str, trace: np.ndarray, config: OptimizerConfig, memo, stats, **params):
+    """One locality-model analysis (``kind``: ``"affinity"`` coverage or
+    ``"trg"``) on the configured kernel tier, through the memo when one
+    is given.
+
+    ``stats`` (when given) folds in the ``analysis_*`` counters: ``cells``
+    counts every analysis consumed; the passes/accesses/seconds
+    throughput triple only advances when the analysis was actually
+    (re)computed, and ``memo_hits`` when a memo replayed it.
+    """
     backend = _backend(config)
     start = time.perf_counter()
-    if memo is not None:
-        misses_before = memo.misses
-        covg = memo.affinity_coverage(
-            trace,
-            w_max=config.w_max,
-            time_horizon=config.affinity_time_horizon,
-            backend=backend,
-        )
-        fresh = memo.misses > misses_before
-    else:
-        covg = backend.affinity(
-            trace, w_max=config.w_max, time_horizon=config.affinity_time_horizon
-        )
+    if memo is None:
+        result = getattr(backend, kind)(trace, **params)
         fresh = True
-    _note_analysis(
-        stats,
-        accesses=int(trace.shape[0]),
-        seconds=time.perf_counter() - start,
-        fresh=fresh,
-    )
-    return analysis_from_coverage(trace, covg, coverage=config.coverage)
-
-
-def _trg_analysis(
-    trace: np.ndarray, window: int, config: OptimizerConfig, memo, stats
-):
-    """The TRG model, on the configured kernel tier (through the memo when
-    one is given)."""
-    backend = _backend(config)
-    start = time.perf_counter()
-    if memo is not None:
-        misses_before = memo.misses
-        trg = memo.trg(trace, window_blocks=window, backend=backend)
-        fresh = memo.misses > misses_before
     else:
-        trg = backend.trg(trace, window_blocks=window)
-        fresh = True
-    _note_analysis(
-        stats,
-        accesses=int(trace.shape[0]),
-        seconds=time.perf_counter() - start,
-        fresh=fresh,
-    )
-    return trg
+        misses_before = memo.misses
+        lookup = memo.affinity_coverage if kind == "affinity" else memo.trg
+        result = lookup(trace, backend=backend, **params)
+        fresh = memo.misses > misses_before
+    seconds = time.perf_counter() - start
+    if stats is not None:
+        stats["analysis_cells"] = stats.get("analysis_cells", 0) + 1
+        if fresh:
+            stats["analysis_passes"] = stats.get("analysis_passes", 0) + 1
+            stats["analysis_accesses"] = stats.get("analysis_accesses", 0) + len(trace)
+            stats["analysis_seconds"] = stats.get("analysis_seconds", 0.0) + seconds
+        else:
+            stats["analysis_memo_hits"] = stats.get("analysis_memo_hits", 0) + 1
+    return result
 
 
 def optimize(
@@ -240,7 +211,15 @@ def optimize(
     """
     trace = _prepare_trace(bundle, granularity, config)
     if model == Model.AFFINITY:
-        analysis = _affinity_analysis(trace, config, memo, stats)
+        # No name for the coverage: it is freed before the hierarchy build.
+        analysis = analysis_from_coverage(
+            trace,
+            _analysis(
+                "affinity", trace, config, memo, stats,
+                w_max=config.w_max, time_horizon=config.affinity_time_horizon,
+            ),
+            coverage=config.coverage,
+        )
         forest = build_hierarchy(analysis, config.w_values())
         order = layout_order(forest)
         note = f"affinity(w={config.w_min}..{config.w_max}, cov={config.coverage})"
@@ -248,7 +227,7 @@ def optimize(
         size = _uniform_size(module, bundle, granularity)
         window = trg_window_blocks(config.cache, size, config.trg_window_factor)
         slots = uniform_block_slots(config.cache, size)
-        trg = _trg_analysis(trace, window, config, memo, stats)
+        trg = _analysis("trg", trace, config, memo, stats, window_blocks=window)
         order = reduce_trg(trg, slots).order
         note = f"trg(window={window} blocks, slots={slots}, S={size}B)"
     elif model == Model.PH:
@@ -267,75 +246,9 @@ def optimize(
     return apply_symbol_order(module, bundle, order, granularity, note=note)
 
 
-def function_affinity(
-    module: Module,
-    bundle: TraceBundle,
-    config: OptimizerConfig = OptimizerConfig(),
-    *,
-    memo=None,
-    stats: Optional[dict] = None,
-) -> LayoutResult:
-    """Function reordering driven by w-window affinity."""
-    return optimize(
-        module, bundle, Granularity.FUNCTION, Model.AFFINITY, config,
-        memo=memo, stats=stats,
-    )
+def _model_layout(granularity: Granularity, model: str) -> Callable[..., LayoutResult]:
+    """A catalog builder running :func:`optimize` at one granularity and model."""
 
-
-def bb_affinity(
-    module: Module,
-    bundle: TraceBundle,
-    config: OptimizerConfig = OptimizerConfig(),
-    *,
-    memo=None,
-    stats: Optional[dict] = None,
-) -> LayoutResult:
-    """Inter-procedural basic-block reordering driven by w-window affinity."""
-    return optimize(
-        module, bundle, Granularity.BASIC_BLOCK, Model.AFFINITY, config,
-        memo=memo, stats=stats,
-    )
-
-
-def function_trg(
-    module: Module,
-    bundle: TraceBundle,
-    config: OptimizerConfig = OptimizerConfig(),
-    *,
-    memo=None,
-    stats: Optional[dict] = None,
-) -> LayoutResult:
-    """Function reordering driven by TRG reduction."""
-    return optimize(
-        module, bundle, Granularity.FUNCTION, Model.TRG, config,
-        memo=memo, stats=stats,
-    )
-
-
-def bb_trg(
-    module: Module,
-    bundle: TraceBundle,
-    config: OptimizerConfig = OptimizerConfig(),
-    *,
-    memo=None,
-    stats: Optional[dict] = None,
-) -> LayoutResult:
-    """Inter-procedural basic-block reordering driven by TRG reduction."""
-    return optimize(
-        module, bundle, Granularity.BASIC_BLOCK, Model.TRG, config,
-        memo=memo, stats=stats,
-    )
-
-
-#: Optimizer registry, keyed by the names used throughout the evaluation.
-OPTIMIZERS: dict[str, Callable[..., LayoutResult]] = {
-    "function-affinity": function_affinity,
-    "bb-affinity": bb_affinity,
-    "function-trg": function_trg,
-    "bb-trg": bb_trg,
-}
-
-def _comparator(granularity: Granularity, model: str) -> Callable[..., LayoutResult]:
     def run(
         module: Module,
         bundle: TraceBundle,
@@ -351,24 +264,66 @@ def _comparator(granularity: Granularity, model: str) -> Callable[..., LayoutRes
     return run
 
 
+def _baseline(module: Module, bundle=None, config=None, *, memo=None, stats=None) -> LayoutResult:
+    """Declaration order; reads no profile."""
+    return baseline_layout(module)
+
+
+#: The paper's four optimizers, keyed by the names used throughout the
+#: evaluation.
+OPTIMIZERS: dict[str, Callable[..., LayoutResult]] = {
+    "function-affinity": _model_layout(Granularity.FUNCTION, Model.AFFINITY),
+    "bb-affinity": _model_layout(Granularity.BASIC_BLOCK, Model.AFFINITY),
+    "function-trg": _model_layout(Granularity.FUNCTION, Model.TRG),
+    "bb-trg": _model_layout(Granularity.BASIC_BLOCK, Model.TRG),
+}
+
+function_affinity = OPTIMIZERS["function-affinity"]
+bb_affinity = OPTIMIZERS["bb-affinity"]
+function_trg = OPTIMIZERS["function-trg"]
+bb_trg = OPTIMIZERS["bb-trg"]
+
 #: Comparison baselines (not part of the paper's four optimizers): the
-#: classic Pettis-Hansen ordering and a naive hot-first frequency sort,
-#: at both granularities.  Used by the extension experiments to locate the
-#: paper's models against prior and trivial art.
+#: classic Pettis-Hansen ordering and a naive hot-first frequency sort at
+#: both granularities, hot/cold splitting and cache-line coloring.  Used
+#: by the extension experiments to locate the paper's models against
+#: prior and trivial art.
 COMPARATORS: dict[str, Callable[..., LayoutResult]] = {
-    "function-ph": _comparator(Granularity.FUNCTION, Model.PH),
-    "bb-ph": _comparator(Granularity.BASIC_BLOCK, Model.PH),
-    "function-popularity": _comparator(Granularity.FUNCTION, Model.POPULARITY),
-    "bb-popularity": _comparator(Granularity.BASIC_BLOCK, Model.POPULARITY),
+    "function-ph": _model_layout(Granularity.FUNCTION, Model.PH),
+    "bb-ph": _model_layout(Granularity.BASIC_BLOCK, Model.PH),
+    "function-popularity": _model_layout(Granularity.FUNCTION, Model.POPULARITY),
+    "bb-popularity": _model_layout(Granularity.BASIC_BLOCK, Model.POPULARITY),
+    "hotcold-split": hot_cold_split,
+    "function-coloring": color_functions,
+}
+
+#: The layout catalog: every layout name the tools accept (the baseline,
+#: the paper's four, the comparators), in the order they list them, and
+#: its builder ``(module, profile, config, *, memo=None, stats=None)``.
+#: The baseline's builder reads no profile (``None`` is fine).
+LAYOUTS: dict[str, Callable[..., LayoutResult]] = {
+    BASELINE: _baseline,
+    **OPTIMIZERS,
+    **COMPARATORS,
 }
 
 
-def _register_extras() -> None:
-    from .coloring import color_functions
-    from .splitting import hot_cold_split
+def build_layout(
+    name: str,
+    module: Module,
+    profile: Optional[TraceBundle],
+    config: OptimizerConfig = OptimizerConfig(),
+    *,
+    memo=None,
+    stats: Optional[dict] = None,
+) -> LayoutResult:
+    """Build the catalog layout ``name``; the one name-to-layout lookup.
 
-    COMPARATORS["hotcold-split"] = hot_cold_split
-    COMPARATORS["function-coloring"] = color_functions
-
-
-_register_extras()
+    ``memo`` and ``stats`` reach the model-driven optimizers (see
+    :func:`optimize`); the other builders ignore them.  An unknown name
+    raises ``KeyError`` naming the known layouts.
+    """
+    builder = LAYOUTS.get(name)
+    if builder is None:
+        raise KeyError(f"unknown layout {name!r}; known: {', '.join(LAYOUTS)}")
+    return builder(module, profile, config, memo=memo, stats=stats)

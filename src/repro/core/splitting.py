@@ -59,10 +59,18 @@ def hot_cold_order(
 def hot_cold_split(
     module: Module,
     bundle: TraceBundle,
-    config=None,  # signature-compatible with the optimizer registry
+    config=None,
+    *,
+    memo=None,
+    stats=None,
     hot_fraction: float = 0.001,
 ) -> LayoutResult:
-    """Apply hot/cold splitting as a basic-block layout."""
+    """Apply hot/cold splitting as a basic-block layout.
+
+    The signature is the layout catalog's
+    (:data:`repro.core.optimizers.LAYOUTS`); ``config``, ``memo`` and
+    ``stats`` are unused.
+    """
     order = hot_cold_order(module, bundle, hot_fraction)
     return reorder_basic_blocks(
         module, order, note=f"hotcold-split(hot_fraction={hot_fraction})"

@@ -23,7 +23,6 @@ from itertools import permutations
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..cache.setassoc import simulate
 from ..core.goals import relative_reduction
 from ..core.layout import Granularity
 from ..core.optimizers import Model, OptimizerConfig, optimize
@@ -52,20 +51,16 @@ def _sim_misses(lab: Lab, stream: np.ndarray, cache: CacheConfig) -> int:
     return lab.backend.histogram(stream, cache.n_sets).misses(cache.assoc)
 
 
-def _solo_reduction(lab: Lab, name: str, layout_result, channel: str = "sim") -> float:
+def _solo_reduction(lab: Lab, name: str, layout_result) -> float:
     """Solo miss reduction of an ad-hoc layout vs baseline (sim channel)."""
     prepared = lab.program(name)
-    base = lab.solo_miss(name, BASELINE, channel=channel).ratio
+    base = lab.solo_miss(name, BASELINE, channel="sim").ratio
     stream = fetch_lines(
         prepared.ref_bundle.bb_trace,
         layout_result.address_map,
         lab.cache_cfg.line_bytes,
     )
-    if channel == "hw":
-        misses = simulate(stream, lab.cache_cfg, prefetch=True).misses
-    else:
-        misses = _sim_misses(lab, stream, lab.cache_cfg)
-    mr = misses / prepared.instr_count
+    mr = _sim_misses(lab, stream, lab.cache_cfg) / prepared.instr_count
     return relative_reduction(base, mr)
 
 
@@ -263,13 +258,13 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
     from ..engine.instrument import collect_trace
     from ..ir.transforms import baseline_layout
     from ..workloads.generator import WorkloadSpec, build_program
+    from ..workloads.suite import scaled_spec
 
     lab = lab if lab is not None else Lab()
     cache = lab.cache_cfg
-    scale = lab.scale
     reductions: dict[str, list[float]] = {name: [] for name in OPTIMIZERS}
     for seed in range(100, 100 + n_seeds):
-        spec = WorkloadSpec(
+        template = WorkloadSpec(
             name=f"seedprog-{seed}",
             seed=seed,
             n_stages=22,
@@ -281,9 +276,10 @@ def run_seed_robustness(lab: Lab | None = None, n_seeds: int = 8) -> ExperimentR
             scramble_functions=0.8,
             scramble_blocks=0.5,
             phase_stage_split=True,
-            test_blocks=max(5_000, int(60_000 * scale)),
-            ref_blocks=max(10_000, int(150_000 * scale)),
+            test_blocks=60_000,
+            ref_blocks=150_000,
         )
+        spec = scaled_spec(template, lab.scale)
         module = build_program(spec)
         test = collect_trace(module, spec.test_input())
         ref = collect_trace(module, spec.ref_input())

@@ -19,8 +19,6 @@ co-occurrence modeling — the paper's actual contribution.
 from __future__ import annotations
 
 from ..core.goals import relative_reduction
-from ..core.optimizers import COMPARATORS, OPTIMIZERS
-from ..engine.fetch import fetch_lines
 from ..workloads.suite import STUDY_PROGRAMS
 from .pipeline import BASELINE, Lab
 from .report import ExperimentResult, pct
@@ -40,35 +38,18 @@ COMPARISON_LAYOUTS = (
 )
 
 
-def _layout_for(lab: Lab, name: str, layout_name: str):
-    prepared = lab.program(name)
-    if layout_name in OPTIMIZERS:
-        return lab.layout(name, layout_name)
-    maker = COMPARATORS[layout_name]
-    return maker(prepared.module, prepared.test_bundle, lab.optimizer_config)
-
-
 def run(lab: Lab) -> ExperimentResult:
     rows = []
     summary: dict[str, float] = {}
     per_layout_sums: dict[str, list[float]] = {k: [] for k in COMPARISON_LAYOUTS}
     for name in STUDY_PROGRAMS:
-        prepared = lab.program(name)
         base = lab.solo_miss(name, BASELINE, channel="sim").ratio
         row = [name]
         for layout_name in COMPARISON_LAYOUTS:
-            if layout_name.startswith("bb") and not lab.supports(name, "bb-affinity"):
+            if not lab.supports(name, layout_name):
                 row.append("N/A")
                 continue
-            layout = _layout_for(lab, name, layout_name)
-            stream = fetch_lines(
-                prepared.ref_bundle.bb_trace,
-                layout.address_map,
-                lab.cache_cfg.line_bytes,
-            )
-            cfg = lab.cache_cfg
-            misses = lab.backend.histogram(stream, cfg.n_sets).misses(cfg.assoc)
-            mr = misses / prepared.instr_count
+            mr = lab.solo_miss(name, layout_name, channel="sim").ratio
             red = relative_reduction(base, mr)
             row.append(pct(red, digits=1))
             summary[f"{name}/{layout_name}"] = red

@@ -51,7 +51,7 @@ from ..cache.fastsim import DistanceHistogram
 from ..cache.setassoc import simulate  # noqa: F401
 from ..cache.shared import pass_scale, simulate_shared
 from ..cache.stats import CacheStats
-from ..core.optimizers import OPTIMIZERS, OptimizerConfig
+from ..core.optimizers import BASELINE, OptimizerConfig, build_layout
 from ..core.optimizers import optimize as optimize_layout
 from ..engine.fetch import fetch_lines
 from ..engine.instrument import (
@@ -63,7 +63,7 @@ from ..engine.instrument import (
 )
 from ..engine.state import InputSpec
 from ..ir.module import Module
-from ..ir.transforms import LayoutResult, baseline_layout
+from ..ir.transforms import LayoutResult
 from ..locality.footprint import FootprintCurve, footprint_curve
 from ..machine.counters import measure_corun, measure_solo, reading_from_stats
 from ..machine.smt import CoRunTiming, corun_pair
@@ -72,14 +72,10 @@ from ..perf.memo import curve_key, recipe_curve_key
 from ..perf.telemetry import add_into
 from ..robust.errors import ArtifactError, ProfileError, error_context
 from ..staticlint.profile import synthesize_bundle
-from ..workloads.generator import WorkloadSpec
-from ..workloads.suite import SuiteProgram, get_program
+from ..workloads.suite import SuiteProgram, get_program, scaled_spec
 from ..workloads.suite import build as build_suite_program
 
 __all__ = ["BASELINE", "THREAD_STRIDE", "Lab", "MissRatios", "PreparedProgram"]
-
-#: layout name of the unoptimized (declaration-order) layout.
-BASELINE = "baseline"
 
 #: dtype of every fetch stream the lab hands out.  The cast to it is
 #: the one step between the salted packages' fetch and a baseline
@@ -445,7 +441,7 @@ class Lab:
             with self._stage("prepare"), error_context(
                 "prepare", program=name, reraise=ProfileError
             ):
-                spec = self._scaled_spec(name)
+                spec = scaled_spec(get_program(name).spec, self.scale)
                 prog, module = build_suite_program(
                     name, ref_blocks=spec.ref_blocks, test_blocks=spec.test_blocks
                 )
@@ -473,17 +469,6 @@ class Lab:
                 )
             return self._instrument(prog, module, test_input)
 
-    def _scaled_spec(self, name: str) -> WorkloadSpec:
-        """A suite program's generator spec with its trace budgets scaled
-        to this lab: what :meth:`program` builds, and what recipe keys
-        (trace bundles, baseline curves) name."""
-        spec = get_program(name).spec
-        return dataclasses.replace(
-            spec,
-            ref_blocks=max(10_000, int(spec.ref_blocks * self.scale)),
-            test_blocks=max(5_000, int(spec.test_blocks * self.scale)),
-        )
-
     def _instrument(
         self, prog: SuiteProgram, module: Module, spec: InputSpec
     ) -> TraceBundle:
@@ -503,12 +488,9 @@ class Lab:
         self.store.put(bundle_entry(bundle), key=key)
         return bundle
 
-    def _note_analysis(self, stats: dict) -> None:
-        """Fold an optimizer's ``analysis_*`` counters into the lab's."""
-        add_into(self.counters, stats)
-
     def layout(self, name: str, layout_name: str) -> LayoutResult:
-        """Baseline or one of the four optimizers' layouts (memoized).
+        """A layout of the catalog (:data:`~repro.core.optimizers.LAYOUTS`),
+        memoized.  The baseline reads no profile, so it runs no test input.
 
         Unknown layout names and optimizer blow-ups raise
         :class:`~repro.robust.errors.SimulationError` (stage ``optimize``).
@@ -523,19 +505,14 @@ class Lab:
             with self._stage("optimize"), error_context(
                 "optimize", program=name, layout=layout_name
             ):
-                if profile is None:
-                    result = baseline_layout(prepared.module)
-                else:
-                    optimizer = OPTIMIZERS[layout_name]
-                    stats: dict = {}
-                    result = optimizer(
-                        prepared.module,
-                        profile,
-                        self.optimizer_config,
-                        memo=self._analysis_memo,
-                        stats=stats,
-                    )
-                    self._note_analysis(stats)
+                result = build_layout(
+                    layout_name,
+                    prepared.module,
+                    profile,
+                    self.optimizer_config,
+                    memo=self._analysis_memo,
+                    stats=self.counters,
+                )
             self._layouts[key] = result
         return result
 
@@ -553,19 +530,16 @@ class Lab:
         config = dataclasses.replace(
             config, kernel_backend=self.optimizer_config.kernel_backend
         )
-        stats: dict = {}
         with self._stage("optimize"):
-            result = optimize_layout(
+            return optimize_layout(
                 prepared.module,
                 prepared.test_bundle,
                 granularity,
                 model,
                 config,
                 memo=self._analysis_memo,
-                stats=stats,
+                stats=self.counters,
             )
-        self._note_analysis(stats)
-        return result
 
     def supports(self, name: str, layout_name: str) -> bool:
         """False where the paper reported N/A (BB reordering failures)."""
@@ -671,7 +645,7 @@ class Lab:
         if self.memo is None:
             return None, None
         if layout_name == BASELINE:
-            spec = self._scaled_spec(name)
+            spec = scaled_spec(get_program(name).spec, self.scale)
             key = recipe_curve_key(
                 bundle_key(spec, spec.ref_input()),
                 layout_name,

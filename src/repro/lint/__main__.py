@@ -16,23 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
-from ..cache.config import PAPER_L1I
-from ..core.optimizers import COMPARATORS, OPTIMIZERS, OptimizerConfig
-from ..engine.instrument import collect_trace
-from ..ir.transforms import LayoutResult, baseline_layout
-from ..workloads.suite import build as build_suite_program
+from ..core.optimizers import LAYOUTS
+from ..robust.errors import ReproError
 from .compare import compare_layouts
 from .diagnostics import Severity, render_json, render_text
 from .rules import LintConfig, all_rules, run_lint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache.config import CacheConfig
-    from ..engine.instrument import TraceBundle
-    from ..ir.module import Module
-
-_KNOWN_LAYOUTS = ["baseline"] + list(OPTIMIZERS) + list(COMPARATORS)
 
 
 def _parse_severity_override(text: str) -> tuple[str, Severity]:
@@ -43,15 +32,6 @@ def _parse_severity_override(text: str) -> tuple[str, Severity]:
         raise argparse.ArgumentTypeError(
             f"expected RULE=SEVERITY (e.g. L004=error), got {text!r}: {exc}"
         )
-
-
-def _make_layout(
-    name: str, module: "Module", bundle: "TraceBundle", cache: "CacheConfig"
-) -> LayoutResult:
-    if name == "baseline":
-        return baseline_layout(module)
-    optimizer = OPTIMIZERS.get(name) or COMPARATORS[name]
-    return optimizer(module, bundle, OptimizerConfig(cache=cache))
 
 
 def _list_rules() -> int:
@@ -71,14 +51,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--layout",
         default="baseline",
-        choices=_KNOWN_LAYOUTS,
+        choices=list(LAYOUTS),
         help="layout to lint (default: baseline)",
     )
     parser.add_argument(
         "--compare",
         nargs=2,
         metavar=("A", "B"),
-        choices=_KNOWN_LAYOUTS,
+        choices=list(LAYOUTS),
         help="lint two layouts and explain which one is statically better",
     )
     parser.add_argument(
@@ -129,22 +109,17 @@ def main(argv: list[str] | None = None) -> int:
         if rule_id not in known_ids:
             parser.error(f"--severity: unknown rule {rule_id!r}")
 
-    try:
-        prog, module = build_suite_program(args.program)
-    except KeyError as exc:
-        parser.error(str(exc))
-    spec = prog.spec
-    if args.scale != 1.0:
-        if not 0 < args.scale <= 1.0:
-            parser.error("--scale must be in (0, 1]")
-        prog, module = build_suite_program(
-            args.program,
-            test_blocks=max(5_000, int(spec.test_blocks * args.scale)),
-        )
-        spec = prog.spec
+    if not 0 < args.scale <= 1.0:
+        parser.error("--scale must be in (0, 1]")
 
-    cache = PAPER_L1I
-    bundle = collect_trace(module, spec.test_input())
+    from ..experiments.pipeline import Lab
+
+    lab = Lab(scale=args.scale)
+    try:
+        prepared = lab.program(args.program)
+    except ReproError as exc:
+        parser.error(str(exc))
+    module, bundle, cache = prepared.module, prepared.test_bundle, lab.cache_cfg
     config = LintConfig(
         hot_coverage=args.hot_coverage,
         disabled=frozenset(args.disable),
@@ -153,10 +128,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.compare:
         name_a, name_b = args.compare
-        layout_a = _make_layout(name_a, module, bundle, cache)
-        layout_b = _make_layout(name_b, module, bundle, cache)
         cmp = compare_layouts(
-            module, bundle, layout_a, layout_b, cache, config,
+            module, bundle, lab.layout(args.program, name_a),
+            lab.layout(args.program, name_b), cache, config,
             name_a=name_a, name_b=name_b,
         )
         if args.format == "json":
@@ -168,9 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         bad = not (cmp.report_a.ok and cmp.report_b.ok)
         return 1 if bad else 0
 
-    layout = _make_layout(args.layout, module, bundle, cache)
     report = run_lint(
-        module, layout, bundle, cache, config, layout_name=args.layout
+        module, lab.layout(args.program, args.layout), bundle, cache, config,
+        layout_name=args.layout,
     )
     if args.format == "json":
         print(render_json(report))

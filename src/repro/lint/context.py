@@ -111,9 +111,24 @@ class LintContext:
         return self._spans[1]
 
     @cached_property
-    def position(self) -> dict[int, int]:
-        """gid -> index in layout order."""
-        return {gid: i for i, gid in enumerate(self.amap.order)}
+    def broken_fallthroughs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(gids, targets)`` of the fall-through edges the layout breaks,
+        by ascending gid.
+
+        A block keeps its fall-through (``ExecTable.fallthrough``) only
+        when its successor is next in layout order and starts where the
+        block ends; a block missing from the order keeps none.
+        """
+        ft = self.module.exec_table.fallthrough
+        gids = np.flatnonzero(ft >= 0)
+        targets = ft[gids]
+        position = np.full(self.n_blocks, -2, dtype=np.int64)
+        position[self.amap.order] = np.arange(len(self.amap.order))
+        starts, sizes = self.amap.starts, self.amap.sizes
+        adjacent = (position[targets] == position[gids] + 1) & (
+            starts[targets] == starts[gids] + sizes[gids]
+        )
+        return gids[~adjacent], targets[~adjacent]
 
     # -- line-level projections ------------------------------------------
 

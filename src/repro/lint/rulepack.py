@@ -133,27 +133,10 @@ def broken_fallthrough(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagnost
     count toward the aggregate, since cold code keeps its declaration-order
     quirks in any realistic layout.
     """
-    module, amap, pos = ctx.module, ctx.amap, ctx.position
-    broken_hot = []
-    n_broken_total = 0
-    dynamic_jumps = 0
-    for block in module.iter_blocks():
-        ft = block.terminator.fallthrough_target()
-        if ft is None:
-            continue
-        gid = block.gid
-        target = module.function(block.func).block(ft).gid
-        adjacent = (
-            pos[target] == pos[gid] + 1
-            and int(amap.starts[target]) == int(amap.starts[gid]) + int(amap.sizes[gid])
-        )
-        if adjacent:
-            continue
-        n_broken_total += 1
-        execs = int(ctx.block_heat[gid])
-        dynamic_jumps += execs
-        if ctx.is_hot(gid):
-            broken_hot.append((execs, gid, target))
+    gids, targets = ctx.broken_fallthroughs
+    heat = ctx.block_heat[gids]
+    hot = ctx.hot_mask[gids]
+    broken_hot = list(zip(heat[hot].tolist(), gids[hot].tolist(), targets[hot].tolist()))
 
     broken_hot.sort(key=lambda t: (-t[0], t[1]))
     diags = [
@@ -172,9 +155,9 @@ def broken_fallthrough(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagnost
 
     metrics = {
         "n_broken_hot": len(broken_hot),
-        "n_broken_total": n_broken_total,
-        "added_jumps": int(amap.added_jumps),
-        "dynamic_added_jumps": dynamic_jumps,
+        "n_broken_total": len(gids),
+        "added_jumps": int(ctx.amap.added_jumps),
+        "dynamic_added_jumps": int(heat.sum()),
     }
     return diags, metrics
 

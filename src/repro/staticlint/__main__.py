@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 
+from ..core.optimizers import LAYOUTS
 from ..lint.diagnostics import Severity, render_json, render_text
 from ..robust.errors import ReproError
 from .certify import certify_suite
@@ -54,12 +55,6 @@ def _list_rules() -> int:
     for r in all_static_rules():
         print(f"{r.id}  {r.name:<24} [{r.default_severity.value}]  {r.summary}")
     return 0
-
-
-def _known_layouts() -> list[str]:
-    from ..core.optimizers import COMPARATORS, OPTIMIZERS
-
-    return ["baseline"] + list(OPTIMIZERS) + list(COMPARATORS)
 
 
 def _run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -191,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     lint_p.add_argument(
         "--layout",
         default="baseline",
-        choices=_known_layouts(),
+        choices=list(LAYOUTS),
         help="layout to lint, built from the static profile (default: baseline)",
     )
     lint_p.add_argument(
@@ -236,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     cert_p.add_argument(
         "--layout",
         default="baseline",
-        choices=_known_layouts(),
+        choices=list(LAYOUTS),
         help="layout to certify against (default: baseline)",
     )
     cert_p.add_argument(

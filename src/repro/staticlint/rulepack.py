@@ -229,25 +229,12 @@ def hot_fallthrough_break(
     fall-through edge — so a loop body's broken fall-through outranks a
     once-per-run one even though both are "broken" statically.
     """
-    module, amap, pos = ctx.module, ctx.amap, ctx.position
     freq = ctx.block_heat
     edge_prob = ctx.profile.edge_prob
     broken = []
-    n_broken_total = 0
     expected_jumps = 0.0
-    for block in module.iter_blocks():
-        ft = block.terminator.fallthrough_target()
-        if ft is None:
-            continue
-        gid = block.gid
-        target = module.function(block.func).block(ft).gid
-        adjacent = (
-            pos[target] == pos[gid] + 1
-            and int(amap.starts[target]) == int(amap.starts[gid]) + int(amap.sizes[gid])
-        )
-        if adjacent:
-            continue
-        n_broken_total += 1
+    gids, targets = ctx.broken_fallthroughs
+    for gid, target in zip(gids.tolist(), targets.tolist()):
         weight = float(freq[gid]) * edge_prob[gid].get(target, 0.0)
         expected_jumps += weight
         if ctx.is_hot(gid):
@@ -274,8 +261,8 @@ def hot_fallthrough_break(
 
     metrics = {
         "n_broken_hot": len(broken),
-        "n_broken_total": n_broken_total,
-        "added_jumps": int(amap.added_jumps),
+        "n_broken_total": len(gids),
+        "added_jumps": int(ctx.amap.added_jumps),
         "expected_dynamic_jumps": round(expected_jumps, 1),
     }
     return diags, metrics

@@ -10,6 +10,7 @@ from .suite import (
     SuiteProgram,
     build,
     get_program,
+    scaled_spec,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "from_profile",
     "load_profile_csv",
     "get_program",
+    "scaled_spec",
 ]

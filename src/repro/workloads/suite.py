@@ -39,6 +39,7 @@ __all__ = [
     "ALL_PROGRAMS",
     "get_program",
     "build",
+    "scaled_spec",
 ]
 
 
@@ -240,6 +241,21 @@ def get_program(name: str) -> SuiteProgram:
     if alt in SUITE:
         return SUITE[alt]
     raise KeyError(f"unknown suite program {name!r}")
+
+
+def scaled_spec(spec: WorkloadSpec, scale: float) -> WorkloadSpec:
+    """``spec`` with its trace budgets scaled by ``scale``, floored at
+    10,000 ref and 5,000 test blocks.
+
+    The one scaling rule of a scaled run (``Lab(scale=...)``, the
+    compiler CLI's ``--scale``).  Recipe keys (trace bundles, baseline
+    curves) name the scaled spec, so the rule must stay bit-stable.
+    """
+    return replace(
+        spec,
+        ref_blocks=max(10_000, int(spec.ref_blocks * scale)),
+        test_blocks=max(5_000, int(spec.test_blocks * scale)),
+    )
 
 
 def build(name: str, *, ref_blocks: int | None = None, test_blocks: int | None = None) -> tuple[SuiteProgram, Module]:

@@ -4,10 +4,13 @@ import pytest
 
 from repro.cache import CacheConfig, PAPER_L1I, simulate
 from repro.core import (
+    COMPARATORS,
+    LAYOUTS,
     OPTIMIZERS,
     Granularity,
     Model,
     OptimizerConfig,
+    build_layout,
     optimize,
 )
 from repro.engine import fetch_lines
@@ -52,6 +55,18 @@ def test_optimizers_deterministic(tiny_module, tiny_bundle):
         o1 = optimizer(tiny_module, tiny_bundle, cfg)
         o2 = optimizer(tiny_module, tiny_bundle, cfg)
         assert o1.address_map.order == o2.address_map.order
+
+
+def test_catalog_builds_every_layout_with_one_call(tiny_module, tiny_bundle):
+    """The catalog lists the baseline, the four and the comparators, and
+    every entry takes the same call, memo and stats included."""
+    assert list(LAYOUTS) == ["baseline", *OPTIMIZERS, *COMPARATORS]
+    cfg = OptimizerConfig(w_max=8)
+    for name in LAYOUTS:
+        layout = build_layout(name, tiny_module, tiny_bundle, cfg, memo=None, stats={})
+        assert sorted(layout.address_map.order) == list(range(tiny_module.n_blocks))
+    baseline = build_layout("baseline", tiny_module, None)
+    assert baseline.address_map.order == baseline_layout(tiny_module).address_map.order
 
 
 def test_unknown_model_rejected(tiny_module, tiny_bundle):

@@ -18,7 +18,7 @@ import hashlib
 import sys
 
 from repro.engine import interpreter
-from repro.workloads import ALL_PROGRAMS, build, get_program
+from repro.workloads import ALL_PROGRAMS, build, get_program, scaled_spec
 
 from tests.engine import interpreter_oracle
 
@@ -27,11 +27,9 @@ def suite_runs(scale: float, programs=ALL_PROGRAMS):
     """``(label, module, input)`` for each program's test and ref input,
     with trace budgets scaled as ``Lab(scale=...)`` scales them."""
     for name in programs:
-        spec = get_program(name).spec
+        spec = scaled_spec(get_program(name).spec, scale)
         prog, module = build(
-            name,
-            ref_blocks=max(10_000, int(spec.ref_blocks * scale)),
-            test_blocks=max(5_000, int(spec.test_blocks * scale)),
+            name, ref_blocks=spec.ref_blocks, test_blocks=spec.test_blocks
         )
         for input_spec in (prog.spec.test_input(), prog.spec.ref_input()):
             yield f"{name}/{input_spec.name}", module, input_spec

@@ -31,7 +31,7 @@ def refuse_building(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {args[:1]} on a warm lab")
 
-    for name in ("build_suite_program", "baseline_layout", "fetch_lines"):
+    for name in ("build_suite_program", "build_layout", "fetch_lines"):
         monkeypatch.setattr(pipeline, name, refuse)
 
 

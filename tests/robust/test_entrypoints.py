@@ -7,6 +7,7 @@ TypeError from pipeline internals."""
 import pytest
 
 from repro.compiler import Driver
+from repro.core import LAYOUTS
 from repro.engine import InputSpec
 from repro.experiments import BASELINE, Lab
 from repro.robust import ProfileError, ReproError, SimulationError
@@ -28,11 +29,11 @@ def test_driver_build_on_corrupt_module_raises_profile_error(tmp_path):
 def test_driver_optimizer_blowup_is_simulation_error(tiny_module, monkeypatch):
     from repro.core import optimizers as core_optimizers
 
-    def exploding(_module, _profile, _config):
+    def exploding(_module, _profile, _config, *, memo=None, stats=None):
         raise IndexError("index 999 is out of bounds")
 
     driver = Driver(optimizers=["function-trg"])
-    monkeypatch.setitem(core_optimizers.OPTIMIZERS, "function-trg", exploding)
+    monkeypatch.setitem(core_optimizers.LAYOUTS, "function-trg", exploding)
     with pytest.raises(SimulationError) as exc:
         driver.build(tiny_module, InputSpec("test", seed=1, max_blocks=1000))
     assert exc.value.stage == "optimize"
@@ -55,6 +56,9 @@ def test_lab_unknown_layout_is_simulation_error():
     assert exc.value.stage == "optimize"
     assert exc.value.layout == "no-such-optimizer"
     assert isinstance(exc.value.cause, KeyError)
+    # The catalog's one lookup error names every known layout.
+    for known in LAYOUTS:
+        assert known in str(exc.value)
 
 
 def test_lab_channel_validation_stays_value_error():

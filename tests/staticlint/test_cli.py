@@ -78,6 +78,21 @@ def test_lint_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", "syn-mcf", "--layout", "function-ph", "--scale", "0.05"],
+        ["lint", "syn-mcf", "--layout", "hotcold-split", "--scale", "0.05"],
+        ["lint", "syn-mcf", "--layout", "function-coloring", "--scale", "0.05"],
+        ["certify", "--programs", "syn-mcf", "--layout", "bb-popularity", "--scale", "0.05"],
+    ],
+)
+def test_comparator_layouts_are_built(capsys, argv):
+    """Every ``--layout`` choice is built: comparators are not usage errors."""
+    rc, _ = run(capsys, *argv)
+    assert rc in (0, 1)
+
+
 # -- certify ------------------------------------------------------------------
 
 
