@@ -37,11 +37,13 @@ picks its own:
   sum.  Slow under CPython, obviously correct.
 
 The kernel only models what stack distances can express: a **cold**
-cache, **no prefetcher**, true LRU.  A prefetch-free SMT co-run is in
-that domain — the shared cache sees one interleaved stream, and
-inclusion holds whoever issued an access — so :func:`thread_misses`
-runs the same sweep over the thread-labelled stream of
-:func:`repro.cache.shared.interleave` and splits the misses by thread.
+cache, **no prefetcher**, true LRU.  Inside that domain every miss
+count is one read of :func:`miss_labels`, the same sweep returning the
+label of each access that misses: per thread of the labelled SMT
+co-run stream of :func:`repro.cache.shared.interleave`
+(:func:`thread_misses` — inclusion holds whoever issued an access), per
+line (:func:`per_line_misses`), and per level of the two-level
+hierarchy (:mod:`repro.cache.hierarchy`, labels = stream positions).
 Prefetching changes set contents in ways a reuse histogram cannot
 capture; that path stays on the event-driven simulator
 (:func:`repro.cache.setassoc.run_lru`).
@@ -57,6 +59,7 @@ from .stats import CacheStats
 __all__ = [
     "DistanceHistogram",
     "fenwick_histogram",
+    "miss_labels",
     "per_line_misses",
     "stack_distance_histogram",
     "thread_misses",
@@ -438,36 +441,49 @@ def fenwick_histogram(lines: np.ndarray, n_sets: int) -> DistanceHistogram:
     return _build_histogram(lines, n_sets, _bit_histogram)
 
 
-def thread_misses(
-    lines: np.ndarray, threads: np.ndarray, n_threads: int, n_sets: int, assoc: int
+def miss_labels(
+    lines: np.ndarray, n_sets: int, assoc: int, labels: np.ndarray
 ) -> np.ndarray:
-    """Exact per-thread LRU misses of one thread-labelled stream.
+    """The label of every access of ``lines`` that misses in a cold LRU cache.
 
-    ``threads[i]`` is the thread that issued ``lines[i]`` (in
-    ``[0, n_threads)``).  Without a prefetcher a shared LRU cache keeps
-    the inclusion property whoever issues an access, so the access
-    misses iff it is a first touch or its stack distance in the merged
-    stream is ``>= assoc``; the batch sweep gives every distance at once
-    and the labels, carried through the set partition and the d0 strip,
-    attribute each miss to its thread.  Returns an ``(n_threads,)``
-    int64 array of miss counts.
+    ``labels[i]`` tags ``lines[i]`` (the issuing thread, the line itself,
+    the stream position ...).  Without a prefetcher LRU keeps the
+    inclusion property, so an access misses iff it is a first touch or
+    its stack distance is ``>= assoc``; one batch sweep gives every
+    distance, and the labels, carried through the set partition and the
+    d0 strip, name the accesses that missed.  The result is in
+    set-partitioned order, not stream order.
     """
     if n_sets < 1 or n_sets & (n_sets - 1):
         raise ValueError("n_sets must be a positive power of two")
     if assoc < 1:
         raise ValueError("assoc must be >= 1")
     arr = _canonical_stream(lines)
-    labels = np.asarray(threads)
+    labels = np.asarray(labels)
     if labels.shape != arr.shape:
-        raise ValueError("lines and threads must align")
+        raise ValueError("lines and labels must align")
     if arr.shape[0] == 0:
-        return np.zeros(n_threads, dtype=np.int64)
+        return labels
     part, counts, labels = _partition(arr, n_sets, labels)
     part, counts, _, labels = _strip_d0(part, counts, labels)
     reuse, d = _sweep_distances(part, counts)
     missed = ~reuse
     missed[reuse] = d >= assoc
-    return np.bincount(labels[missed], minlength=n_threads)
+    return labels[missed]
+
+
+def thread_misses(
+    lines: np.ndarray, threads: np.ndarray, n_threads: int, n_sets: int, assoc: int
+) -> np.ndarray:
+    """Exact per-thread LRU misses of one thread-labelled stream.
+
+    ``threads[i]`` is the thread (in ``[0, n_threads)``) that issued
+    ``lines[i]``; a shared cache without a prefetcher keeps the
+    inclusion property whoever issues an access.  Returns an
+    ``(n_threads,)`` int64 array of miss counts.
+    """
+    missed = miss_labels(lines, n_sets, assoc, threads)
+    return np.bincount(missed, minlength=n_threads)
 
 
 def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
@@ -481,36 +497,9 @@ def per_line_misses(lines: np.ndarray, cfg: CacheConfig) -> dict[int, int]:
     counts equal :meth:`DistanceHistogram.misses` at ``cfg.assoc``
     exactly (pinned by the parity tests).
 
-    Returns a dict mapping line index to its miss count; lines that
-    never miss (or never appear) are absent.
+    Returns a dict mapping line index to its miss count, in line order;
+    lines that never miss (or never appear) are absent.
     """
     arr = _canonical_stream(lines)
-    misses: dict[int, int] = {}
-    if arr.shape[0] == 0:
-        return misses
-    n_sets = cfg.n_sets
-    assoc = cfg.assoc
-    part, counts, _ = _partition(arr, n_sets)
-    # Immediate same-line repeats (stack distance 0) always hit at any
-    # associativity >= 1 and never change a stack — strip them exactly as
-    # the histogram kernels do.
-    part, counts, _, _ = _strip_d0(part, counts)
-    stream = part.tolist()
-    starts, ends, _ = _set_bounds(counts)
-    for pos, end in zip(starts.tolist(), ends.tolist()):
-        stack: list[int] = []
-        index = stack.index
-        insert = stack.insert
-        pop = stack.pop
-        for line in stream[pos:end]:
-            try:
-                d = index(line)
-            except ValueError:
-                misses[line] = misses.get(line, 0) + 1  # cold miss
-                insert(0, line)
-                continue
-            insert(0, pop(d))
-            if d >= assoc:
-                misses[line] = misses.get(line, 0) + 1
-    return misses
-
+    missed, counts = np.unique(miss_labels(arr, cfg.n_sets, cfg.assoc, arr), return_counts=True)
+    return dict(zip(missed.tolist(), counts.tolist()))

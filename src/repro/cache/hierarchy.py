@@ -9,7 +9,9 @@ of a core.
 
 The simulators consume the merged instruction+data streams of
 :func:`repro.engine.datastream.merged_stream`: every access probes its L1
-(by the ``is_data`` tag); L1 misses probe the L2.
+(by the ``is_data`` tag); L1 misses probe the L2.  All three levels are
+cold, prefetch-free true-LRU caches, so each level's misses follow from
+stack distances alone (``docs/algorithms.md``, "Two-level hierarchy").
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CacheConfig
-from .shared import issue_order
+from .fastsim import miss_labels
+from .shared import interleave
 from .stats import CacheStats
 
 __all__ = [
@@ -59,69 +62,14 @@ class HierarchyStats:
         return self.l2.misses / total if total else 0.0
 
 
-class _Cache:
-    """Minimal true-LRU set-associative cache used by the hierarchy."""
-
-    __slots__ = ("sets", "mask", "assoc")
-
-    def __init__(self, cfg: CacheConfig):
-        self.sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
-        self.mask = cfg.n_sets - 1
-        self.assoc = cfg.assoc
-
-    def lookup(self, line: int) -> bool:
-        s = self.sets[line & self.mask]
-        try:
-            i = s.index(line)
-        except ValueError:
-            s.insert(0, line)
-            if len(s) > self.assoc:
-                s.pop()
-            return False
-        if i:
-            s.insert(0, s.pop(i))
-        return True
-
-
-def _run(
-    lines: list[int],
-    is_data: list[bool],
-    l1i: _Cache,
-    l1d: _Cache,
-    l2: _Cache,
-    stats: HierarchyStats,
-) -> None:
-    for line, d in zip(lines, is_data):
-        if d:
-            st = stats.l1d
-            hit = l1d.lookup(line)
-        else:
-            st = stats.l1i
-            hit = l1i.lookup(line)
-        st.accesses += 1
-        if hit:
-            continue
-        st.misses += 1
-        stats.l2.accesses += 1
-        if not l2.lookup(line):
-            stats.l2.misses += 1
-
-
 def simulate_hierarchy(
     lines: np.ndarray, is_data: np.ndarray, cfg: HierarchyConfig = PAPER_HIERARCHY
 ) -> HierarchyStats:
-    """Run one merged stream through the two-level hierarchy (solo)."""
-    if lines.shape != is_data.shape:
-        raise ValueError("lines and is_data must align")
-    stats = HierarchyStats()
-    _run(
-        lines.tolist(),
-        is_data.tolist(),
-        _Cache(cfg.l1i),
-        _Cache(cfg.l1d),
-        _Cache(cfg.l2),
-        stats,
-    )
+    """Run one merged stream through the two-level hierarchy (solo).
+
+    A solo run is a co-run of one thread: its issue order is the stream.
+    """
+    [stats] = simulate_hierarchy_shared([(lines, is_data)], cfg)
     return stats
 
 
@@ -134,18 +82,28 @@ def simulate_hierarchy_shared(
     """SMT co-run through one shared hierarchy (L1I, L1D and L2 are all
     per-core and therefore shared by the hyper-threads).
 
-    Threads issue in :func:`repro.cache.shared.issue_order`, as in
-    :func:`repro.cache.shared.simulate_shared`; per-thread stats cover all
-    issued accesses.
+    Threads issue in the order of :func:`repro.cache.shared.interleave`,
+    as in :func:`repro.cache.shared.simulate_shared`; per-thread stats
+    cover all issued accesses.  Every level is a cold, prefetch-free LRU
+    cache, so each is one :func:`repro.cache.fastsim.miss_labels` sweep
+    labelled with stream positions: L1I over the instruction accesses,
+    L1D over the data accesses, and L2 over the L1 misses in issue order.
     """
-    data = []
     for lines, is_data in streams:
         if lines.shape != is_data.shape:
             raise ValueError("lines and is_data must align")
-        data.append((lines.tolist(), is_data.tolist()))
-    stats = [HierarchyStats() for _ in data]
-    l1i, l1d, l2 = _Cache(cfg.l1i), _Cache(cfg.l1d), _Cache(cfg.l2)
-    for t, start, end in issue_order([len(d[0]) for d in data], quantum).tolist():
-        lines_t, is_data_t = data[t]
-        _run(lines_t[start:end], is_data_t[start:end], l1i, l1d, l2, stats[t])
-    return stats
+    lines, threads = interleave([s[0] for s in streams], quantum)
+    is_data = interleave([s[1] for s in streams], quantum)[0].astype(bool)
+
+    def level(at: np.ndarray, c: CacheConfig) -> tuple[list[CacheStats], np.ndarray]:
+        """Per-thread stats of the accesses at positions ``at`` in a
+        ``c`` cache, and the positions that missed."""
+        missed = miss_labels(lines[at], c.n_sets, c.assoc, at)
+        accesses = np.bincount(threads[at], minlength=len(streams)).tolist()
+        misses = np.bincount(threads[missed], minlength=len(streams)).tolist()
+        return [CacheStats(a, m) for a, m in zip(accesses, misses)], missed
+
+    l1i, i_missed = level(np.flatnonzero(~is_data), cfg.l1i)
+    l1d, d_missed = level(np.flatnonzero(is_data), cfg.l1d)
+    l2, _ = level(np.sort(np.concatenate([i_missed, d_missed])), cfg.l2)
+    return [HierarchyStats(*stats) for stats in zip(l1i, l1d, l2)]

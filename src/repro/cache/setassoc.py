@@ -42,7 +42,7 @@ import numpy as np
 from .config import CacheConfig
 from .stats import CacheStats, SharedCacheStats
 
-__all__ = ["run_lru", "simulate", "simulate_policy"]
+__all__ = ["run_lru", "simulate"]
 
 
 def run_lru(
@@ -143,28 +143,3 @@ def simulate(lines: np.ndarray, cfg: CacheConfig, *, prefetch: bool = False) -> 
     """
     [st] = run_lru(lines, cfg, prefetch)
     return CacheStats(st.accesses, st.misses, st.prefetches, st.prefetch_hits)
-
-
-def simulate_policy(
-    lines: np.ndarray, cfg: CacheConfig, policy: str = "lru", seed: int = 0
-) -> CacheStats:
-    """Simulate under an alternative replacement policy (no prefetcher).
-
-    Slower than :func:`simulate` (polymorphic per-set objects instead of
-    the tuned LRU loop); used by the replacement-policy ablation.  With
-    ``policy="lru"`` the miss counts match :func:`simulate` exactly, which
-    the test suite verifies.
-    """
-    from .policies import make_policy
-
-    sets = [make_policy(policy, cfg.assoc, seed + i) for i in range(cfg.n_sets)]
-    mask = cfg.n_sets - 1
-    stats = CacheStats()
-    misses = 0
-    stream = lines.tolist() if isinstance(lines, np.ndarray) else list(lines)
-    for line in stream:
-        if not sets[line & mask].lookup(line):
-            misses += 1
-    stats.accesses = len(stream)
-    stats.misses = misses
-    return stats

@@ -123,7 +123,10 @@ class LintContext:
         gids = np.flatnonzero(ft >= 0)
         targets = ft[gids]
         position = np.full(self.n_blocks, -2, dtype=np.int64)
-        position[self.amap.order] = np.arange(len(self.amap.order))
+        order = np.asarray(self.amap.order, dtype=np.int64)
+        # Out-of-range gids are L006's to report; they hold no block here.
+        known = (order >= 0) & (order < self.n_blocks)
+        position[order[known]] = np.flatnonzero(known)
         starts, sizes = self.amap.starts, self.amap.sizes
         adjacent = (position[targets] == position[gids] + 1) & (
             starts[targets] == starts[gids] + sizes[gids]

@@ -178,7 +178,8 @@ def hot_cold_interleaving(ctx: LintContext, cfg: LintConfig) -> tuple[list[Diagn
     """
     amap = ctx.amap
     limit_bytes = cfg.interleave_max_cold_lines * ctx.cache.line_bytes
-    order = amap.order
+    # Out-of-range gids are L006's to report; walk the blocks the module has.
+    order = [gid for gid in amap.order if 0 <= gid < ctx.n_blocks]
     findings = []
     wasted_bytes = 0
     i = 0

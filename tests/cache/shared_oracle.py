@@ -1,10 +1,10 @@
-"""Reference co-run simulators: the two hand-rolled round-robin loops
-that :func:`repro.cache.shared.simulate_shared` and
-:func:`repro.cache.hierarchy.simulate_hierarchy_shared` replaced with one
-set loop (:func:`repro.cache.setassoc.run_lru`), one stack-distance sweep
+"""Reference co-run simulator: the hand-rolled round-robin loop that
+:func:`repro.cache.shared.simulate_shared` replaced with one set loop
+(:func:`repro.cache.setassoc.run_lru`), one stack-distance sweep
 (:func:`repro.cache.fastsim.thread_misses`) and one closed-form issue
 order (:func:`repro.cache.shared.issue_order`), plus the round-robin
-generator that closed form replaced (:func:`issue_order`).
+generator that closed form replaced (:func:`issue_order`).  The shared
+two-level hierarchy's loop lives in ``tests/cache/two_level_oracle.py``.
 
 Kept verbatim so the property tests can pin the production simulators to
 them, counter for counter.  ``wrap=False`` is the oracle's own knob; the
@@ -18,13 +18,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import (
-    PAPER_HIERARCHY,
-    HierarchyConfig,
-    HierarchyStats,
-    _Cache,
-    _run,
-)
 from repro.cache.stats import SharedCacheStats
 
 
@@ -150,58 +143,6 @@ def simulate_shared(
                     if not wrap:
                         # Thread leaves the core; stop issuing for it.
                         lengths[t] = 0
-            else:
-                cursors[t] = end
-        if not progressed:  # pragma: no cover - guards infinite loops
-            break
-    return stats
-
-
-def simulate_hierarchy_shared(
-    streams: list[tuple[np.ndarray, np.ndarray]],
-    cfg: HierarchyConfig = PAPER_HIERARCHY,
-    *,
-    quantum: int = 8,
-) -> list[HierarchyStats]:
-    """SMT co-run through one shared hierarchy (L1I, L1D and L2 are all
-    per-core and therefore shared by the hyper-threads).
-
-    Streams wrap until every thread has completed at least one pass, as in
-    :func:`repro.cache.shared.simulate_shared`; per-thread stats cover all
-    issued accesses.
-    """
-    n_threads = len(streams)
-    if n_threads == 0:
-        return []
-    if quantum < 1:
-        raise ValueError("quantum must be >= 1")
-    data = [
-        (lines.tolist(), is_data.tolist()) for lines, is_data in streams
-    ]
-    lengths = [len(d[0]) for d in data]
-    stats = [HierarchyStats() for _ in range(n_threads)]
-    done = [n == 0 for n in lengths]
-    cursors = [0] * n_threads
-
-    l1i, l1d, l2 = _Cache(cfg.l1i), _Cache(cfg.l1d), _Cache(cfg.l2)
-
-    while not all(done):
-        progressed = False
-        for t in range(n_threads):
-            n = lengths[t]
-            if n == 0:
-                continue
-            pos = cursors[t]
-            end = min(pos + quantum, n)
-            lines_t, is_data_t = data[t]
-            _run(lines_t[pos:end], is_data_t[pos:end], l1i, l1d, l2, stats[t])
-            progressed = progressed or end > pos
-            if end >= n:
-                done[t] = True
-                if all(done):
-                    cursors[t] = n
-                else:
-                    cursors[t] = 0
             else:
                 cursors[t] = end
         if not progressed:  # pragma: no cover - guards infinite loops

@@ -20,7 +20,10 @@ from repro.cache import (
     simulate,
     stack_distance_histogram,
 )
-from repro.cache.fastsim import thread_misses
+from repro.cache.fastsim import per_line_misses, thread_misses
+from repro.experiments import BASELINE, Lab
+
+from .two_level_oracle import per_line_misses as oracle_per_line_misses
 
 N_SETS = (1, 2, 64, 128)
 ASSOCS = (1, 2, 4, 8)
@@ -121,12 +124,9 @@ def test_histogram_constructions_agree(stream_name, n_sets):
 
 @pytest.mark.parametrize("n_sets", (1, 4, 128))
 def test_per_line_misses_pinned_against_naive_walk(n_sets):
-    """The hot-setup rewrite of per_line_misses (shared d0 strip + set
-    bounds, no per-set id rebuilds) changes no behavior: counts match a
-    naive per-set LRU stack walk, and their sum matches the histogram.
-    Geometries with empty sets included (ids drawn from few values)."""
-    from repro.cache.fastsim import per_line_misses
-
+    """Per-line misses read off the labelled sweep match a naive per-set
+    LRU stack walk, and their sum matches the histogram.  Geometries with
+    empty sets included (ids drawn from few values)."""
     rng = np.random.default_rng(4242 + n_sets)
     streams = [
         rng.integers(0, 9, 3000),  # most sets empty at n_sets=128
@@ -137,22 +137,19 @@ def test_per_line_misses_pinned_against_naive_walk(n_sets):
     for assoc in (1, 4):
         cfg = cfg_for(n_sets, assoc)
         for lines in streams:
-            expected: dict[int, int] = {}
-            stacks: dict[int, list[int]] = {}
-            for line in np.asarray(lines, dtype=np.int64).tolist():
-                stack = stacks.setdefault(line & (n_sets - 1), [])
-                if line in stack:
-                    d = stack.index(line)
-                    stack.insert(0, stack.pop(d))
-                    if d >= assoc:
-                        expected[line] = expected.get(line, 0) + 1
-                else:
-                    expected[line] = expected.get(line, 0) + 1
-                    stack.insert(0, line)
             got = per_line_misses(lines, cfg)
-            assert got == expected
+            assert got == oracle_per_line_misses(lines, cfg)
             hist = stack_distance_histogram(lines, n_sets)
             assert sum(got.values()) == hist.misses(assoc)
+
+
+@pytest.mark.parametrize("program", ("syn-gcc", "syn-gobmk"))
+def test_per_line_misses_on_suite_baseline_streams(program):
+    """The same pin on a real fetch stream: a suite program's baseline
+    layout at scale 0.05, in the paper's L1I."""
+    lab = Lab(scale=0.05)
+    lines = lab.lines(program, BASELINE)
+    assert per_line_misses(lines, lab.cache_cfg) == oracle_per_line_misses(lines, lab.cache_cfg)
 
 
 def test_histogram_invariants():

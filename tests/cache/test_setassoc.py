@@ -8,7 +8,6 @@ from repro.cache import (
     CacheConfig,
     PAPER_L1I,
     simulate,
-    simulate_policy,
     simulate_shared,
 )
 from repro.cache.fastsim import fenwick_histogram
@@ -108,12 +107,6 @@ class TestDegeneratePrefetchGeometry:
         )
         assert st_.misses == 1
         assert st_.prefetches == 0
-
-
-def test_lru_policy_still_matches_simulate():
-    rng = np.random.default_rng(11)
-    lines = rng.integers(0, 48, 1500)
-    assert simulate_policy(lines, PAPER_L1I).misses == simulate(lines, PAPER_L1I).misses
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 """The one set loop, the labelled sweep and the closed-form issue order
 against the round-robin loops and generator they replaced
-(``tests/cache/shared_oracle.py``).
+(``tests/cache/shared_oracle.py``, ``tests/cache/two_level_oracle.py``).
 
 Every per-thread counter of :func:`repro.cache.shared.simulate_shared`
 must equal the oracle's for 0-8 threads (empty streams and lines shared
@@ -8,8 +8,9 @@ across threads included), any quantum, prefetch on (the set loop) and
 off (the labelled sweep), and geometries from one set and one way up to
 512 sets, past the one-byte set-partition key.  Every level of
 :func:`repro.cache.hierarchy.simulate_hierarchy_shared` must equal the
-oracle's for 0-4 threads.  A single thread is also a solo run:
-:func:`simulate` must agree.
+oracle's, per thread, for 0-4 threads (empty streams included), any
+quantum and 1-64 sets x 1-8 ways per level.  A single thread is also a
+solo run: :func:`simulate` and :func:`simulate_hierarchy` must agree.
 """
 
 import dataclasses
@@ -19,21 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, HierarchyConfig, simulate, simulate_shared
-from repro.cache.hierarchy import simulate_hierarchy_shared
+from repro.cache.hierarchy import simulate_hierarchy, simulate_hierarchy_shared
 from repro.cache.shared import issue_order
 
 from .shared_oracle import issue_order as oracle_issue_order
-from .shared_oracle import simulate_hierarchy_shared as oracle_hierarchy_shared
 from .shared_oracle import simulate_shared as oracle_shared
+from .two_level_oracle import simulate_hierarchy as oracle_hierarchy
+from .two_level_oracle import simulate_hierarchy_shared as oracle_hierarchy_shared
 
-geometries = st.builds(
-    lambda n_sets, assoc: CacheConfig(n_sets * assoc * 64, assoc, 64),
-    n_sets=st.sampled_from([1, 2, 4]),
-    assoc=st.sampled_from([1, 2, 4]),
-)
-threads = st.lists(
-    st.lists(st.integers(0, 40), min_size=0, max_size=60), min_size=0, max_size=4
-)
 #: every thread draws from one line pool, so threads share lines: a few
 #: hot lines (reuse in any geometry) and a wide range (every set of 512).
 shared_lines = st.one_of(st.integers(0, 40), st.integers(0, 1100))
@@ -81,18 +75,38 @@ def test_simulate_shared_matches_oracle(streams, quantum, prefetch, cfg):
         assert dataclasses.astuple(solo) == dataclasses.astuple(want[0])[:4]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    streams=threads,
-    flags=st.lists(st.booleans(), min_size=60, max_size=60),
-    quantum=st.integers(1, 16),
-    l1=geometries,
+#: 1-64 sets x 1-8 ways, drawn independently for each hierarchy level.
+levels = st.builds(
+    lambda n_sets, assoc: CacheConfig(n_sets * assoc * 64, assoc, 64),
+    n_sets=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+    assoc=st.integers(1, 8),
 )
-def test_hierarchy_shared_matches_oracle(streams, flags, quantum, l1):
-    cfg = HierarchyConfig(l1i=l1, l1d=l1, l2=CacheConfig(2 * l1.size_bytes, 2 * l1.assoc, 64))
+#: (line, is_data) accesses: a few hot lines and a range past 64 sets.
+merged_threads = st.lists(
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 24), st.integers(0, 300)), st.booleans()),
+        max_size=80,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    streams=merged_threads,
+    quantum=st.integers(1, 16),
+    l1i=levels,
+    l1d=levels,
+    l2=levels,
+)
+def test_hierarchy_shared_matches_oracle(streams, quantum, l1i, l1d, l2):
+    cfg = HierarchyConfig(l1i=l1i, l1d=l1d, l2=l2)
     pairs = [
-        (np.array(s, dtype=np.int64), np.array(flags[: len(s)], dtype=bool)) for s in streams
+        (np.array([x for x, _ in s], dtype=np.int64), np.array([d for _, d in s], dtype=bool))
+        for s in streams
     ]
     got = simulate_hierarchy_shared(pairs, cfg, quantum=quantum)
-    want = oracle_hierarchy_shared(pairs, cfg, quantum=quantum)
-    assert got == want
+    assert got == oracle_hierarchy_shared(pairs, cfg, quantum=quantum)
+    if len(pairs) == 1:
+        assert got[0] == simulate_hierarchy(*pairs[0], cfg)
+        assert got[0] == oracle_hierarchy(*pairs[0], cfg)

@@ -237,6 +237,22 @@ def test_integrity_rejects_non_permutation_order():
     assert not report.ok
 
 
+def test_integrity_reports_out_of_range_gid_instead_of_crashing():
+    """A gid past the module's blocks is a malformed layout for L006 to
+    report; L003 walks only the gids the module has."""
+    m = leaf_module(3)
+    good = baseline_layout(m).address_map
+    broken = AddressMap(
+        order=[0, 1, 2, 99],
+        starts=good.starts.copy(),
+        sizes=good.sizes.copy(),
+        added_jumps=0,
+    )
+    report = lint(m, broken, [0, 1, 2] * 5)
+    assert report.by_rule("L006")
+    assert not report.ok
+
+
 def test_integrity_rejects_overlap():
     m = leaf_module(3)
     good = baseline_layout(m).address_map

@@ -7,6 +7,7 @@ TypeError from pipeline internals."""
 import pytest
 
 from repro.compiler import Driver
+from repro.compiler.__main__ import main as compiler_main
 from repro.core import LAYOUTS
 from repro.engine import InputSpec
 from repro.experiments import BASELINE, Lab
@@ -47,6 +48,23 @@ def test_lab_unknown_program_is_profile_error():
         lab.program("syn-does-not-exist")
     assert exc.value.stage == "prepare"
     assert exc.value.program == "syn-does-not-exist"
+
+
+def test_compiler_cli_unknown_program_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        compiler_main(["syn-does-not-exist"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown suite program 'syn-does-not-exist'" in err
+    assert "syn-mcf" in err  # names the known programs
+
+
+@pytest.mark.parametrize("scale", ["0", "-0.5", "1.5"])
+def test_compiler_cli_scale_out_of_range_is_usage_error(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        compiler_main(["syn-mcf", "--scale", scale])
+    assert exc.value.code == 2
+    assert "--scale must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_lab_unknown_layout_is_simulation_error():
