@@ -2,9 +2,10 @@
 
 Unlike the per-figure benches (one-shot experiment drivers), these are
 classic pytest-benchmark measurements with multiple rounds: the affinity
-one-pass analysis, TRG construction + reduction, the cache simulators, the
-footprint formula, and the interpreter.  They track the performance claims
-in the module docstrings (e.g. ~2M simulated accesses/second).
+one-pass analysis, TRG construction + reduction, the cache simulators
+(solo and co-run, each without and with the hardware channel's next-line
+prefetcher), the footprint formula, and the interpreter.  They track the
+performance claims in the module docstrings.
 """
 
 import numpy as np
@@ -86,6 +87,23 @@ def bench_shared_cache_simulation(benchmark, sjeng):
     peer = lines + (1 << 22)
     stats = benchmark(simulate_shared, [lines, peer], PAPER_L1I)
     assert stats[0].accesses >= lines.shape[0]
+
+
+def bench_prefetch_cache_simulation(benchmark, sjeng):
+    """The hardware channel's solo run: the LRU set loop with the
+    next-line prefetcher (``measure_solo``)."""
+    _, _, _, lines = sjeng
+    stats = benchmark(simulate, lines, PAPER_L1I, prefetch=True)
+    assert stats.accesses == lines.shape[0] and stats.prefetch_hits > 0
+
+
+def bench_prefetch_shared_cache_simulation(benchmark, sjeng):
+    """The hardware channel's co-run (``measure_corun``): one labelled
+    stream of two threads through the prefetching set loop."""
+    _, _, _, lines = sjeng
+    peer = lines + (1 << 22)
+    stats = benchmark(simulate_shared, [lines, peer], PAPER_L1I, prefetch=True)
+    assert stats[0].accesses >= lines.shape[0] and stats[0].prefetch_hits > 0
 
 
 def bench_fetch_expansion(benchmark, sjeng):

@@ -20,17 +20,14 @@ stream of lines labelled with the thread that issued each one: a solo run
 several, expanded by :func:`repro.cache.shared.interleave`.
 
 Implementation note: LRU with a prefetcher is not vectorizable, so this
-is a deliberately tight Python loop — per-set Python lists with C-speed
-``list.index`` / ``insert`` / ``pop``, stream pre-converted via
-``tolist()``.  Consecutive repeats of a line are hits at MRU that change
-nothing once the first access is done, so with more than one set they are
-counted and dropped before the loop (``docs/algorithms.md`` has the
-argument, and why it fails for a single set).  Measured on a 2-core
-Linux VM at about 4.5M issued accesses/second solo and 2.9M on a
-prefetching co-run (``syn-gcc`` with ``syn-gamess``, scale 0.25);
-prefetch-free questions go to the stack-distance kernel
-(:mod:`repro.cache.fastsim`) instead (HPC guide: measure first; optimize
-the measured bottleneck).
+is a deliberately tight Python loop over per-set Python lists, the stream
+pre-converted via ``tolist()``.  Every set always holds ``assoc`` entries
+(``None`` for an empty way) and a line with a pending prefetch tag is held
+as ``~line``, so a hit at MRU costs one compare.  With more than one set,
+consecutive repeats of a line are counted and dropped before the loop
+(``docs/algorithms.md`` §5 has both arguments).  Measured on a 2-core
+Linux VM at about 10 M issued accesses/second solo and 6 M on a
+prefetching co-run (``syn-gcc`` with ``syn-gamess``, scale 0.25).
 """
 
 from __future__ import annotations
@@ -59,9 +56,11 @@ def run_lru(
     Returns one :class:`SharedCacheStats` per thread.  With ``prefetch``
     the next-line prefetcher is one resource shared by all threads: each
     pending prefetched line remembers its issuing thread, so a consumed
-    prefetch counts as self or cross help.
+    prefetch counts as self or cross help.  Lines must be ``>= 0``.
     """
     lines = np.asarray(lines)
+    if lines.shape[0] and lines.min() < 0:
+        raise ValueError("line indices must be >= 0")
     if threads is None:
         accesses = [lines.shape[0]]
     else:
@@ -81,44 +80,42 @@ def run_lru(
     prefetches = [0] * n_threads
     hits_self = [0] * n_threads
     hits_cross = [0] * n_threads
-    sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
-    #: pending prefetched line -> thread that issued the prefetch.
-    prefetched: dict[int, int] = {}
+    # Full sets, MRU first: ``None`` is an empty way and ``~line`` a
+    # line with a pending prefetch tag; neither equals any line.
+    sets: list[list[int | None]] = [[None] * cfg.assoc for _ in range(cfg.n_sets)]
+    #: line -> thread of its latest prefetch, read only while ``~line`` is cached.
+    issuer: dict[int, int] = {}
     mask = cfg.n_sets - 1
-    assoc = cfg.assoc
 
     for line, t in zip(lines.tolist(), labels):
         s = sets[line & mask]
-        try:
-            i = s.index(line)
-        except ValueError:
-            misses[t] += 1
-            s.insert(0, line)
-            if len(s) > assoc:
-                prefetched.pop(s.pop(), None)
-            if prefetch:
-                nxt = line + 1
-                ns = sets[nxt & mask]
-                # A tagged prefetch must never evict the demand line
-                # that triggered it.  That is only possible when L and
-                # L+1 map to the same set (n_sets == 1) and L sits in
-                # the victim way (assoc == 1) — degenerate geometry,
-                # but silently re-missing the demand line corrupted
-                # miss counts there.
-                if nxt not in ns and not (len(ns) >= assoc and ns[-1] == line):
-                    prefetches[t] += 1
-                    prefetched[nxt] = t
-                    ns.insert(0, nxt)
-                    if len(ns) > assoc:
-                        prefetched.pop(ns.pop(), None)
+        if s[0] == line:
             continue
-        if i:
-            s.insert(0, s.pop(i))
-        if prefetch and line in prefetched:
-            if prefetched.pop(line) == t:
+        if line in s:
+            s.remove(line)
+            s.insert(0, line)
+            continue
+        if prefetch and ~line in s:
+            s.remove(~line)
+            s.insert(0, line)
+            if issuer[line] == t:
                 hits_self[t] += 1
             else:
                 hits_cross[t] += 1
+            continue
+        misses[t] += 1
+        s.insert(0, line)
+        s.pop()
+        if prefetch:
+            nxt = line + 1
+            ns = sets[nxt & mask]
+            # Never evict the demand line that triggered the prefetch:
+            # with one set and one way, L+1 would take L's only way.
+            if ns[-1] != line and nxt not in ns and ~nxt not in ns:
+                prefetches[t] += 1
+                issuer[nxt] = t
+                ns.insert(0, ~nxt)
+                ns.pop()
     return [
         SharedCacheStats(
             accesses=accesses[t],

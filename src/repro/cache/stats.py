@@ -32,14 +32,6 @@ class CacheStats:
         """Misses per line access (0.0 for an empty run)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            misses=self.misses + other.misses,
-            prefetches=self.prefetches + other.prefetches,
-            prefetch_hits=self.prefetch_hits + other.prefetch_hits,
-        )
-
 
 @dataclass
 class SharedCacheStats(CacheStats):

@@ -14,7 +14,7 @@ import sys
 
 from ..core.optimizers import BASELINE, LAYOUTS, OPTIMIZERS
 from ..workloads.suite import build as build_suite_program
-from ..workloads.suite import SUITE, get_program, scaled_spec
+from ..workloads.suite import cli_program, scaled_spec
 from .driver import Driver
 
 
@@ -63,10 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 < args.scale <= 1.0:
         parser.error("--scale must be in (0, 1]")
-    try:
-        program = get_program(args.program)
-    except KeyError:
-        parser.error(f"unknown suite program {args.program!r} (known: {', '.join(SUITE)})")
+    program = cli_program(parser, args.program)
 
     spec = scaled_spec(program.spec, args.scale)
     _, module = build_suite_program(

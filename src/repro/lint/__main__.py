@@ -19,6 +19,7 @@ import sys
 
 from ..core.optimizers import LAYOUTS
 from ..robust.errors import ReproError
+from ..workloads.suite import cli_program
 from .compare import compare_layouts
 from .diagnostics import Severity, render_json, render_text
 from .rules import LintConfig, all_rules, run_lint
@@ -111,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if not 0 < args.scale <= 1.0:
         parser.error("--scale must be in (0, 1]")
+    cli_program(parser, args.program)
 
     from ..experiments.pipeline import Lab
 

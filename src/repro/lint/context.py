@@ -105,11 +105,6 @@ class LintContext:
         """First cache-line index of each block (indexed by gid)."""
         return self._spans[0]
 
-    @property
-    def lines_per_block(self) -> np.ndarray:
-        """Number of cache lines each block spans (indexed by gid)."""
-        return self._spans[1]
-
     @cached_property
     def broken_fallthroughs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(gids, targets)`` of the fall-through edges the layout breaks,

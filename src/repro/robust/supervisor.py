@@ -97,10 +97,6 @@ class RetryPolicy:
     cap_s: float = 30.0
     seed: int = 0
 
-    def classify(self, err: BaseException) -> str:
-        """The fault class this policy assigns to ``err``."""
-        return fault_class(err)
-
     def should_retry(self, err: BaseException, attempt: int) -> bool:
         """True iff attempt number ``attempt`` (1-based) may be followed
         by another one for failure ``err``."""

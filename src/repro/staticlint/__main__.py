@@ -33,6 +33,7 @@ import sys
 from ..core.optimizers import LAYOUTS
 from ..lint.diagnostics import Severity, render_json, render_text
 from ..robust.errors import ReproError
+from ..workloads.suite import cli_program
 from .certify import certify_suite
 from .rulepack import StaticLintConfig, all_static_rules, run_static_lint
 
@@ -71,6 +72,7 @@ def _run_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for rule_id, _ in args.severity:
         if rule_id not in known_ids:
             parser.error(f"--severity: unknown rule {rule_id!r}")
+    cli_program(parser, args.program)
 
     lab = Lab(scale=args.scale, profile_source="static")
     try:
@@ -99,6 +101,8 @@ def _run_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error("--scale must be in (0, 1]")
     if not 0 < args.hot_coverage <= 1.0:
         parser.error("--hot-coverage must be in (0, 1]")
+    for name in args.programs:
+        cli_program(parser, name)
 
     try:
         results = certify_suite(

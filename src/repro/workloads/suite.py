@@ -27,9 +27,13 @@ compute-bound sjeng low), which the timing model turns into the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..ir.module import Module
 from .generator import WorkloadSpec, build_program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from argparse import ArgumentParser
 
 __all__ = [
     "SuiteProgram",
@@ -38,6 +42,7 @@ __all__ = [
     "PROBE_PROGRAMS",
     "ALL_PROGRAMS",
     "get_program",
+    "cli_program",
     "build",
     "scaled_spec",
 ]
@@ -241,6 +246,15 @@ def get_program(name: str) -> SuiteProgram:
     if alt in SUITE:
         return SUITE[alt]
     raise KeyError(f"unknown suite program {name!r}")
+
+
+def cli_program(parser: ArgumentParser, name: str) -> SuiteProgram:
+    """:func:`get_program` for a command line: an unknown name is a
+    usage error (exit 2) that lists the known programs."""
+    try:
+        return get_program(name)
+    except KeyError:
+        parser.error(f"unknown suite program {name!r} (known: {', '.join(SUITE)})")
 
 
 def scaled_spec(spec: WorkloadSpec, scale: float) -> WorkloadSpec:

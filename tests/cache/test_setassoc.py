@@ -1,6 +1,7 @@
 """Unit and property tests for the solo cache simulator (repro.cache.setassoc)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.cache import (
     simulate_shared,
 )
 from repro.cache.fastsim import fenwick_histogram
+from repro.cache.setassoc import run_lru
 
 
 def test_direct_mapped_conflicts():
@@ -55,6 +57,24 @@ def test_prefetch_helps_sequential_stream():
     assert pref.misses < plain.misses
     assert pref.prefetches > 0
     assert pref.prefetch_hits > 0
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_negative_lines_are_rejected(prefetch):
+    """A pending prefetch tag is held as ``~line``, so lines must be >= 0."""
+    with pytest.raises(ValueError, match=">= 0"):
+        simulate(np.array([3, -1, 4]), PAPER_L1I, prefetch=prefetch)
+    with pytest.raises(ValueError, match=">= 0"):
+        run_lru(np.array([2, -5]), PAPER_L1I, prefetch, np.array([0, 1]), 2)
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_empty_stream(prefetch):
+    empty = np.zeros(0, dtype=np.int64)
+    st_ = simulate(empty, PAPER_L1I, prefetch=prefetch)
+    assert (st_.accesses, st_.misses, st_.prefetches, st_.prefetch_hits) == (0, 0, 0, 0)
+    stats = run_lru(empty, PAPER_L1I, prefetch, empty, 2)
+    assert [(s.accesses, s.misses) for s in stats] == [(0, 0), (0, 0)]
 
 
 class TestDegeneratePrefetchGeometry:

@@ -101,6 +101,10 @@ def test_cli_rejects_unknown_program(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-program"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown suite program 'no-such-program'" in err
+    assert "syn-mcf" in err  # names the known programs
+    assert "prepare failed" not in err
 
 
 def test_cli_rejects_unknown_rule(capsys):

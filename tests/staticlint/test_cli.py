@@ -187,6 +187,22 @@ def test_certify_threshold_failure_exits_1(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", "no-such-program"],
+        ["certify", "--programs", "syn-mcf", "no-such-program", "--scale", "0.05"],
+    ],
+)
+def test_unknown_program_lists_the_suite(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown suite program 'no-such-program'" in err
+    assert "syn-mcf" in err  # names the known programs
+
+
 def test_certify_usage_errors_exit_2(capsys):
     for argv in (
         ["certify", "--scale", "0"],
