@@ -139,7 +139,7 @@ def bench_precompute_solo_serial(benchmark):
 
     def run():
         lab = Lab(scale=min(BENCH_SCALE, 0.1))
-        lab.precompute_solo(cells, jobs=1)
+        lab.precompute_solo(cells)
         return lab
 
     lab = benchmark.pedantic(run, rounds=1, iterations=1)

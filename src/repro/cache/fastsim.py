@@ -28,7 +28,9 @@ picks its own:
   permutation problem solved by a chunked Fenwick-style decomposition:
   a 2D block-grid cumulative histogram for cross-block pairs plus
   64-wide bitset rows (``uint64`` masks + popcount) for the partial and
-  within-block pairs.  Everything is whole-array NumPy work.
+  within-block pairs.  Everything is whole-array NumPy work, run over
+  slabs of whole sets (:func:`_slab_distances`) so that the grid stays
+  bounded however long the stream.
 * :func:`fenwick_histogram` (the ``scalar`` tier's oracle) — the
   textbook O(n log n) construction: line ids are compacted through one
   global ``np.unique``, and a Fenwick tree (binary indexed tree) over
@@ -402,10 +404,44 @@ def _sweep_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     return reuse, d
 
 
+#: accesses one sweep slab may cover.  The sweep's block grid grows with
+#: the square of its stream, so a stream is swept in slabs of whole
+#: consecutive sets of at most this many accesses (a larger set is a slab
+#: of its own), which bounds the grid at ``(_SLAB_ACCESSES / 64)**2``
+#: cells whatever the stream's length.
+_SLAB_ACCESSES = 1 << 14
+
+
+def _slab_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sweep_distances` of a d0-stripped partitioned stream, run
+    over one slab of whole sets at a time.
+
+    A stack distance counts only lines of the access's own set, so slabs
+    of whole sets sweep independently and their results, concatenated in
+    partition order, are the whole stream's ``(reuse, d)``.  A slab's
+    counts keep every set's slot, zero outside the slab, so the sweep's
+    set offsets are relative to the slab.
+    """
+    ends = np.cumsum(counts)
+    reuse = np.empty(part.shape[0], dtype=bool)
+    distances = []
+    first = 0
+    while first < counts.shape[0]:
+        start = int(ends[first] - counts[first])
+        stop = max(int(np.searchsorted(ends, start + _SLAB_ACCESSES, "right")), first + 1)
+        end = int(ends[stop - 1])
+        slab_counts = np.zeros_like(counts)
+        slab_counts[first:stop] = counts[first:stop]
+        reuse[start:end], d = _sweep_distances(part[start:end], slab_counts)
+        distances.append(d)
+        first = stop
+    return reuse, np.concatenate(distances)
+
+
 def _sweep_histogram(part: np.ndarray, counts: np.ndarray) -> tuple[int, np.ndarray]:
     """Batch offline sweep: whole-histogram distances with no access loop."""
     part, counts, n_d0, _ = _strip_d0(part, counts)
-    _, d = _sweep_distances(part, counts)
+    _, d = _slab_distances(part, counts)
     hist = np.bincount(d, minlength=1)
     hist[0] += n_d0
     return part.shape[0] - d.shape[0], _trim(hist)
@@ -466,7 +502,7 @@ def miss_labels(
         return labels
     part, counts, labels = _partition(arr, n_sets, labels)
     part, counts, _, labels = _strip_d0(part, counts, labels)
-    reuse, d = _sweep_distances(part, counts)
+    reuse, d = _slab_distances(part, counts)
     missed = ~reuse
     missed[reuse] = d >= assoc
     return labels[missed]

@@ -23,9 +23,8 @@ Implementation note: LRU with a prefetcher is not vectorizable, so this
 is a deliberately tight Python loop over per-set Python lists, the stream
 pre-converted via ``tolist()``.  Every set always holds ``assoc`` entries
 (``None`` for an empty way) and a line with a pending prefetch tag is held
-as ``~line``, so a hit at MRU costs one compare.  With more than one set,
-consecutive repeats of a line are counted and dropped before the loop
-(``docs/algorithms.md`` §5 has both arguments).  Measured on a 2-core
+as ``~line``, so a hit at MRU costs one compare (``docs/algorithms.md``
+§5 has the argument).  Measured on a 2-core
 Linux VM at about 10 M issued accesses/second solo and 6 M on a
 prefetching co-run (``syn-gcc`` with ``syn-gamess``, scale 0.25).
 """
@@ -65,16 +64,6 @@ def run_lru(
         accesses = [lines.shape[0]]
     else:
         accesses = np.bincount(threads, minlength=n_threads).tolist()
-    if cfg.n_sets > 1 and lines.shape[0] > 1:
-        # A repeat of the line just issued hits at MRU: the previous
-        # access consumed any prefetch tag on it, and its next-line
-        # prefetch went to another set.  It only counts as an access.
-        fresh = np.empty(lines.shape[0], dtype=bool)
-        fresh[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=fresh[1:])
-        lines = lines[fresh]
-        if threads is not None:
-            threads = threads[fresh]
     labels = repeat(0) if threads is None else threads.tolist()
     misses = [0] * n_threads
     prefetches = [0] * n_threads

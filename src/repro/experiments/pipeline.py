@@ -2,8 +2,9 @@
 
 Every experiment follows the same pipeline:
 
-    build program -> instrument (ref input; the test input when an
-    optimizer first asks for it) -> run optimizers on the test profile ->
+    build program -> instrument (each input when it is first asked for:
+    the test input by an optimizer, the ref input by a measurement) ->
+    run optimizers on the test profile ->
     expand layouts to fetch streams (ref input) -> simulate solo / co-run
     caches -> convert to miss ratios and cycle counts.
 
@@ -95,21 +96,24 @@ THREAD_STRIDE = (1 << 22) + 64
 class PreparedProgram:
     """All per-program artefacts the experiments reuse.
 
-    ``ref_bundle``, the measurement run, is collected when the program is
-    prepared.  ``test_bundle``, the optimizers' profile, is made by
-    ``make_test_bundle`` on its first access and kept: a run that only
-    measures (the fleet's baseline curves) never interprets the test
-    input.
+    Both input runs are made by ``make_bundle`` on their first access and
+    kept: ``ref_bundle``, the measurement run, and ``test_bundle``, the
+    optimizers' profile.  A run that only measures (the fleet's baseline
+    curves) never interprets the test input, and one that only reads the
+    profile (the lint CLIs) never interprets the ref input.
     """
 
     prog: SuiteProgram
     module: Module
-    ref_bundle: TraceBundle
-    make_test_bundle: Callable[[], TraceBundle] = field(repr=False, compare=False)
+    make_bundle: Callable[[str], TraceBundle] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def ref_bundle(self) -> TraceBundle:
+        return self.make_bundle("ref")
 
     @functools.cached_property
     def test_bundle(self) -> TraceBundle:
-        return self.make_test_bundle()
+        return self.make_bundle("test")
 
     @property
     def name(self) -> str:
@@ -360,31 +364,24 @@ class Lab:
 
     # -- cell transport ------------------------------------------------------
 
-    def cell_pool(self, jobs: Optional[int] = None):
-        """The lab's persistent :class:`~repro.perf.parallel.CellPool`.
+    def cell_pool(self):
+        """The lab's persistent :class:`~repro.perf.parallel.CellPool` of
+        ``jobs`` workers.
 
         Spawned lazily on first fan-out and reused by every subsequent
         one (``precompute_solo``, ``precompute_footprints``) —
         the workers and their store attachment survive across calls
-        instead of being rebuilt per map.  Rebuilt only when a caller
-        asks for a different worker count.
+        instead of being rebuilt per map.
         """
         from ..perf.parallel import CellPool
 
-        jobs = self.jobs if jobs is None else jobs
-        pool = self._cell_pool
-        if pool is None or pool.jobs != jobs:
-            if pool is not None:
-                pool.shutdown()
-            pool = CellPool(
-                jobs, store=self.store, kernel_backend=self.kernel_backend
+        if self._cell_pool is None:
+            self._cell_pool = CellPool(
+                self.jobs, store=self.store, kernel_backend=self.kernel_backend
             )
-            self._cell_pool = pool
-        return pool
+        return self._cell_pool
 
-    def _memoized_cells(
-        self, kind: str, cells: list, params: tuple, jobs: int
-    ) -> tuple[list, int]:
+    def _memoized_cells(self, kind: str, cells: list, params: tuple) -> tuple[list, int]:
         """Fan the fetch streams of ``(program, layout, ...)`` cells out
         through :func:`~repro.perf.parallel.memoized_cells` on the lab's
         memo, store and pool.  Curves are timed under ``compose``; stats
@@ -406,7 +403,7 @@ class Lab:
                 ((self.lines(cell[0], cell[1]), *params) for cell in cells),
                 memo=None if kind == "curve" else self.memo,
                 store=self.store,
-                pool=lambda: self.cell_pool(jobs),
+                pool=self.cell_pool,
                 counters=self.counters,
             )
             if stage == "simulate":
@@ -429,12 +426,13 @@ class Lab:
     # -- program preparation -------------------------------------------------
 
     def program(self, name: str) -> PreparedProgram:
-        """Build a suite program and instrument its ref input (memoized;
-        the test input is instrumented when ``test_bundle`` is first read).
+        """Build a suite program (memoized; each input is instrumented
+        when its bundle is first read, see :meth:`_bundle`).
 
-        An unknown program name or a module that breaks instrumentation
-        raises :class:`~repro.robust.errors.ProfileError` carrying the
-        stage and program.
+        An unknown program name, or a module that breaks instrumentation
+        once a bundle is read, raises
+        :class:`~repro.robust.errors.ProfileError` carrying the stage and
+        program.
         """
         prepared = self._programs.get(name)
         if prepared is None:
@@ -448,20 +446,22 @@ class Lab:
                 prepared = PreparedProgram(
                     prog=prog,
                     module=module,
-                    ref_bundle=self._instrument(prog, module, prog.spec.ref_input()),
-                    make_test_bundle=functools.partial(self._test_bundle, prog, module),
+                    make_bundle=functools.partial(self._bundle, prog, module),
                 )
             self._programs[name] = prepared
         return prepared
 
-    def _test_bundle(self, prog: SuiteProgram, module: Module) -> TraceBundle:
-        """A prepared program's optimization profile, made on first use
-        (timed and reported as ``prepare``): the test input's run, or its
-        synthesis from CFG structure alone when ``profile_source`` is
-        ``"static"``."""
+    def _bundle(self, prog: SuiteProgram, module: Module, which: str) -> TraceBundle:
+        """One input run of a prepared program, made on first use (timed
+        and reported as ``prepare``): ``"ref"`` is the measurement run;
+        ``"test"`` is the optimization profile, the test input's run or,
+        when ``profile_source`` is ``"static"``, its synthesis from CFG
+        structure alone."""
         with self._stage("prepare"), error_context(
             "prepare", program=prog.name, reraise=ProfileError
         ):
+            if which == "ref":
+                return self._instrument(prog, module, prog.spec.ref_input())
             test_input = prog.spec.test_input()
             if self.profile_source == "static":
                 return synthesize_bundle(
@@ -500,7 +500,7 @@ class Lab:
         if result is None:
             prepared = self.program(name)
             # Made outside the optimize stage: its time and errors are
-            # the program's "prepare", as the ref run's are.
+            # the program's "prepare".
             profile = None if layout_name == BASELINE else prepared.test_bundle
             with self._stage("optimize"), error_context(
                 "optimize", program=name, layout=layout_name
@@ -552,13 +552,13 @@ class Lab:
         key = (name, layout_name)
         stream = self._lines.get(key)
         if stream is None:
-            prepared = self.program(name)
+            bb_trace = self.program(name).ref_bundle.bb_trace
             amap = self.layout(name, layout_name).address_map
             with self._stage("fetch"), error_context(
                 "fetch", program=name, layout=layout_name
             ):
                 stream = fetch_lines(
-                    prepared.ref_bundle.bb_trace, amap, self.cache_cfg.line_bytes
+                    bb_trace, amap, self.cache_cfg.line_bytes
                 ).astype(LINE_DTYPE)
             self._lines[key] = stream
         return stream
@@ -656,34 +656,29 @@ class Lab:
             key = curve_key(self.lines(name, layout_name))
         return self.memo.get_curve(key), key
 
-    def precompute_footprints(
-        self,
-        cells: Sequence[tuple[str, str]],
-        *,
-        jobs: Optional[int] = None,
-    ) -> None:
+    def precompute_footprints(self, cells: Sequence[tuple[str, str]]) -> None:
         """Fill the footprint-curve memo for many ``(program, layout)``
         cells at once.
 
         Every cell is looked up first (:meth:`_curve_lookup`, the probe
-        :meth:`footprint` makes).  The misses fan out across ``jobs``
-        workers in one of two forms.  A baseline curve of a program this
-        lab has not prepared goes as its recipe (:meth:`_recipe_curves`):
-        the worker builds, instruments and fetches the program itself, so
-        the parent never holds its module.  Any other miss builds its
-        stream here and ships it (a program the lab already holds, or an
-        optimized layout, whose memo key is the stream's content).
+        :meth:`footprint` makes).  The misses fan out across the lab's
+        ``jobs`` workers in one of two forms.  A baseline curve of a
+        program this lab has not prepared goes as its recipe
+        (:meth:`_recipe_curves`): the worker builds, instruments and
+        fetches the program itself, so the parent never holds its module.
+        Any other miss builds its stream here and ships it (a program the
+        lab already holds, or an optimized layout, whose memo key is the
+        stream's content).
         Bit-identical to calling :meth:`footprint` cell by cell — curves
         cross the process boundary in their exact float form — so this is
         purely a wall-clock optimization.
         """
-        jobs = self.jobs if jobs is None else jobs
         todo = [
             (name, layout_name)
             for name, layout_name in dict.fromkeys(tuple(c) for c in cells)
             if (name, layout_name) not in self._curves
         ]
-        if jobs <= 1 or len(todo) <= 1:
+        if self.jobs <= 1 or len(todo) <= 1:
             for name, layout_name in todo:
                 self.footprint(name, layout_name)
             return
@@ -703,8 +698,8 @@ class Lab:
                 m for m in missed if m[0][1] == BASELINE and m[0][0] not in self._programs
             ]
             streams = [m for m in missed if m not in recipes]
-            fresh = self._recipe_curves([cell[0] for cell, _ in recipes], jobs)
-            fresh += self._memoized_cells("curve", [c for c, _ in streams], (), jobs)[0]
+            fresh = self._recipe_curves([cell[0] for cell, _ in recipes])
+            fresh += self._memoized_cells("curve", [c for c, _ in streams], ())[0]
             for (cell, memo_key), curve in zip(recipes + streams, fresh):
                 if memo_key is not None:
                     self.memo.put_curve(memo_key, curve)
@@ -713,7 +708,7 @@ class Lab:
         self.counters["curve_memo_hits"] += len(todo) - len(missed)
         self.counters["curve_seconds"] += self.timings["compose"] - compose_s
 
-    def _recipe_curves(self, names: list[str], jobs: int) -> list[FootprintCurve]:
+    def _recipe_curves(self, names: list[str]) -> list[FootprintCurve]:
         """Baseline curves of unprepared programs, one recipe cell each
         (:func:`~repro.perf.parallel.recipe_curve_cells`): a worker makes
         the curve on a serial lab of this lab's :meth:`spawn_config`, on
@@ -724,7 +719,7 @@ class Lab:
             return []
         from ..perf.parallel import recipe_curve_cells
 
-        pool = self.cell_pool(jobs)
+        pool = self.cell_pool()
         reuses = pool.reuses
         config = self.spawn_config()
         results = recipe_curve_cells([(config, name) for name in names], pool=pool)
@@ -768,23 +763,17 @@ class Lab:
             self._solo[key] = result
         return result
 
-    def precompute_solo(
-        self,
-        cells: Sequence[tuple[str, str, str]],
-        *,
-        jobs: Optional[int] = None,
-    ) -> None:
+    def precompute_solo(self, cells: Sequence[tuple[str, str, str]]) -> None:
         """Fill the solo-measurement memo for many cells at once.
 
         Each cell is ``(program, layout, channel)``.  Streams are built
         serially (they are memoized and cheap relative to simulation);
-        the independent cache simulations then fan out across ``jobs``
-        worker processes (default: the lab's ``jobs``).  Results are
-        **bit-identical** to calling :meth:`solo_miss` cell by cell —
+        the independent cache simulations then fan out across the lab's
+        ``jobs`` worker processes.  Results are **bit-identical** to
+        calling :meth:`solo_miss` cell by cell —
         the noise seeding and memo keys are shared with the serial path
         — so this is purely a wall-clock optimization.
         """
-        jobs = self.jobs if jobs is None else jobs
         for _, _, channel in cells:
             if channel not in ("sim", "hw"):
                 raise ValueError(f"unknown channel {channel!r}")
@@ -793,7 +782,7 @@ class Lab:
             for name, layout_name, channel in dict.fromkeys(tuple(c) for c in cells)
             if (name, layout_name, channel) not in self._solo
         ]
-        if jobs <= 1 or len(todo) <= 1:
+        if self.jobs <= 1 or len(todo) <= 1:
             for name, layout_name, channel in todo:
                 self.solo_miss(name, layout_name, channel)
             return
@@ -804,12 +793,12 @@ class Lab:
             for name, layout_name, channel in todo
             if channel == "sim" and (name, layout_name, n_sets) not in self._hists
         ]
-        hists, passes = self._memoized_cells("histogram", kernel_todo, (n_sets,), jobs)
+        hists, passes = self._memoized_cells("histogram", kernel_todo, (n_sets,))
         self.counters["kernel_passes"] += passes
         for (name, layout_name), hist in zip(kernel_todo, hists):
             self._hists[(name, layout_name, n_sets)] = hist
         hw_todo = [cell for cell in todo if cell[2] == "hw"]
-        stats, _ = self._memoized_cells("stats", hw_todo, (self.cache_cfg, True), jobs)
+        stats, _ = self._memoized_cells("stats", hw_todo, (self.cache_cfg, True))
         hw_stats = dict(zip(hw_todo, stats))
         for cell in todo:
             name, layout_name, channel = cell

@@ -106,7 +106,11 @@ from ..cache.setassoc import simulate
 from ..cache.stats import CacheStats
 from ..core.fastanalysis import AffinityCoverage
 from ..core.trg import TRG
-from ..locality.footprint import FootprintCurve, footprint_curve
+from ..locality.footprint import FootprintCurve
+# No caller here: the lab looks curves up with get_curve/put_curve.  The
+# name stays importable from this module because the traced benchmark
+# run (perfbench/spans.py) wraps it here.
+from ..locality.footprint import footprint_curve  # noqa: F401
 from ..robust.atomic import atomic_write
 from ..robust.faults import MEMO_READ, MEMO_WRITE, maybe_io_fault
 from ..robust.supervisor import CircuitBreaker
@@ -471,19 +475,6 @@ class SimMemo:
         """Store ``stats`` under ``key`` (in memory, and on disk if enabled)."""
         self._put("stats", key, _copy(stats))
 
-    def invalidate(self, key: str) -> bool:
-        """Drop ``key`` from memory and disk; True if anything was removed."""
-        removed = self._mem.pop(key, None) is not None
-        if self.cache_dir is not None:
-            path = self._entry_path(key)
-            if path.exists():
-                path.unlink()
-                removed = True
-            # The lock sidecar is bookkeeping, not an entry: drop it
-            # silently and without affecting the return value.
-            self._drop_entry(self.cache_dir / f"{key}.lock")
-        return removed
-
     # -- the memoizing simulator ------------------------------------------
 
     def simulate(
@@ -543,19 +534,6 @@ class SimMemo:
         persistence.
         """
         self._put("curve", key, curve)
-
-    def footprint_curve(self, lines: np.ndarray) -> FootprintCurve:
-        """Memoized :func:`repro.locality.footprint.footprint_curve`.
-
-        The curve is immutable in practice (readers only index ``fp``),
-        so the stored object is returned directly — no per-call copy.
-        """
-        return self._memoized(
-            curve_key(lines),
-            self.get_curve,
-            self.put_curve,
-            lambda: footprint_curve(np.asarray(lines)),
-        )
 
     # -- analysis artifacts (repro.core.fastanalysis) -----------------------
 

@@ -10,9 +10,15 @@ simulator.  The labelled entry point (:func:`thread_misses`) splits the
 same sweep's misses by issuing thread.
 """
 
+import resource
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cache import fastsim
 from repro.cache import (
     CacheConfig,
     DistanceHistogram,
@@ -208,3 +214,89 @@ def test_histogram_round_trip_and_equality():
     other = stack_distance_histogram(lines[:-1], 64)
     assert hist != other
     assert hist.__eq__(object()) is NotImplemented
+
+
+def _one_sweep_miss_labels(lines, n_sets, assoc, labels):
+    """:func:`miss_labels` with the whole stripped stream in one sweep."""
+    part, counts, labels = fastsim._partition(np.asarray(lines, dtype=np.int64), n_sets, labels)
+    part, counts, _, labels = fastsim._strip_d0(part, counts, labels)
+    reuse, d = fastsim._sweep_distances(part, counts)
+    missed = ~reuse
+    missed[reuse] = d >= assoc
+    return labels[missed]
+
+
+def _slab_streams():
+    """Streams whose slab cuts fall on, before and after set boundaries:
+    ``even`` gives each of 8 sets exactly 160 accesses (16 lines, 10
+    rounds, no repeats to strip); ``skewed`` puts most accesses in set 0
+    and leaves sets empty."""
+    rng = np.random.default_rng(7)
+    skewed = np.concatenate([rng.integers(0, 40, 900) * 8, rng.integers(0, 300, 300)])
+    return {
+        "even": np.tile(np.arange(8 * 16), 10),
+        "skewed": rng.permutation(skewed),
+        "random": _streams()["random"],
+        "duplicates": _streams()["duplicates"],
+    }
+
+
+@pytest.mark.parametrize("budget", [1, 159, 160, 161, 320, 321, 10**9])
+@pytest.mark.parametrize("stream_name", sorted(_slab_streams()))
+@pytest.mark.parametrize("n_sets", (1, 8, 64))
+def test_slabbed_sweep_matches_one_sweep(monkeypatch, budget, stream_name, n_sets):
+    """Slabs of whole sets give the miss labels of one sweep over the
+    stream, and the histogram of the Fenwick oracle: one-set slabs
+    (budget 1), cuts at a set boundary of the ``even`` stream (160) and
+    one access either side of it, sets larger than the budget, and a
+    single slab."""
+    monkeypatch.setattr(fastsim, "_SLAB_ACCESSES", budget)
+    lines = _slab_streams()[stream_name]
+    labels = np.arange(lines.shape[0])
+    for assoc in (1, 4):
+        got = fastsim.miss_labels(lines, n_sets, assoc, labels)
+        assert np.array_equal(got, _one_sweep_miss_labels(lines, n_sets, assoc, labels))
+    assert stack_distance_histogram(lines, n_sets) == fenwick_histogram(lines, n_sets)
+
+
+@contextmanager
+def _address_space_headroom(nbytes: int):
+    """Cap this process's address space at its current size plus
+    ``nbytes``, so that a sweep whose memory is not bounded fails with
+    ``MemoryError`` instead of exhausting the machine's memory."""
+    status = Path("/proc/self/status")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if not status.exists():
+        yield
+        return
+    vm = next(ln for ln in status.read_text().splitlines() if ln.startswith("VmSize:"))
+    cap = int(vm.split()[1]) * 1024 + nbytes
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_sweep_memory_is_linear_in_the_stream():
+    """2 M accesses over the paper L1I's 128 sets.  One sweep over the
+    whole stream holds an ``(m / 64)**2`` block grid: about 600 MB at
+    400 k accesses, gigabytes here (the address-space cap turns that
+    into a ``MemoryError``).  The slabbed sweep stays under 64 bytes per
+    access (about 33 measured)."""
+    lines = np.random.default_rng(11).integers(0, 4096, 2_000_000)
+    with _address_space_headroom(1 << 30):
+        tracemalloc.start()
+        try:
+            hist = stack_distance_histogram(lines, 128)
+            _, hist_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            missed = fastsim.miss_labels(lines, 128, 4, np.zeros(lines.shape[0], dtype=np.int8))
+            _, labels_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert max(hist_peak, labels_peak) < 64 * lines.shape[0]
+    assert missed.shape[0] == hist.misses(4)
+    assert hist.accesses == lines.shape[0]

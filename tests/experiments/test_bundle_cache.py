@@ -62,9 +62,10 @@ def bundle_keys(store: TraceStore) -> list[str]:
 
 
 def prepare_both_runs(lab: Lab, name: str):
-    """``lab.program(name)`` with its test run made too (the lab makes
-    the optimizers' profile on its first use only)."""
+    """``lab.program(name)`` with both of its runs made (the lab makes
+    each bundle on its first use only)."""
     prepared = lab.program(name)
+    prepared.ref_bundle
     prepared.test_bundle
     return prepared
 
@@ -174,7 +175,7 @@ def _ref_entry_path(store: TraceStore):
     ["garbage", "truncated", "gid-out-of-range", "negative-gid", "n-blocks-mismatch", "bad-header"],
 )
 def test_bad_entry_is_dropped_counted_and_recomputed(tmp_path, defect):
-    cold = Lab(scale=SCALE, store=TraceStore(tmp_path)).program("syn-mcf")
+    cold = Lab(scale=SCALE, store=TraceStore(tmp_path)).program("syn-mcf").ref_bundle
     path = _ref_entry_path(TraceStore(tmp_path))
     entry = np.load(path)
     if defect == "garbage":
@@ -195,7 +196,7 @@ def test_bad_entry_is_dropped_counted_and_recomputed(tmp_path, defect):
 
     lab = Lab(scale=SCALE, store=TraceStore(tmp_path))
     got = lab.program("syn-mcf")
-    assert_same_bundle(got.ref_bundle, cold.ref_bundle)
+    assert_same_bundle(got.ref_bundle, cold)
     assert lab.store.corrupt_dropped == 1
     assert lab.store.puts == 1  # the re-run was published again
     assert np.array_equal(np.load(path), entry)

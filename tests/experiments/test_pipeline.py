@@ -48,6 +48,28 @@ def test_program_builds_each_module_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_profile_only_lab_never_runs_the_ref_input(monkeypatch):
+    """A lab that reads only the optimizers' profile (the lint CLIs do)
+    never instruments the ref input; the first measurement does, once."""
+    from repro.experiments import pipeline
+
+    runs = []
+    real = pipeline.collect_trace
+
+    def counting(module, spec):
+        runs.append(spec.name)
+        return real(module, spec)
+
+    monkeypatch.setattr(pipeline, "collect_trace", counting)
+    fresh = Lab(scale=SCALE, noise_sigma=0.0)
+    fresh.program("syn-mcf").test_bundle
+    fresh.layout("syn-mcf", "function-affinity")
+    assert runs == ["test"]
+    fresh.lines("syn-mcf", BASELINE)
+    fresh.solo_miss("syn-mcf", "function-affinity")
+    assert runs == ["test", "ref"]
+
+
 def test_scale_shrinks_budgets(lab):
     p = lab.program("syn-mcf")
     from repro.workloads import SUITE
@@ -171,13 +193,13 @@ class TestKernelRouting:
     def test_precompute_solo_kernel_fanout_parity(self):
         from repro.perf import SimMemo
 
-        batched = Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo())
-        batched.precompute_solo(self.CELLS, jobs=2)
+        with Lab(scale=SCALE, noise_sigma=0.0, memo=SimMemo(), jobs=2) as batched:
+            batched.precompute_solo(self.CELLS)
         for cell in self.CELLS:
             assert batched.solo_miss(*cell) == _oracle_solo_miss(batched, *cell), cell
         # The second precompute replays histograms from the memo.
-        again = Lab(scale=SCALE, noise_sigma=0.0, memo=batched.memo)
-        again.precompute_solo(self.CELLS, jobs=2)
+        with Lab(scale=SCALE, noise_sigma=0.0, memo=batched.memo, jobs=2) as again:
+            again.precompute_solo(self.CELLS)
         assert again.counters["kernel_passes"] == 0
         assert again.counters["kernel_cells"] > 0
 

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.locality.footprint import footprint_curve
+from repro.perf.memo import curve_key
+
 
 def read_entry(path: Path) -> dict[str, np.ndarray]:
     """Every named array of one entry, including ``schema``."""
@@ -21,3 +24,14 @@ def write_entry(path: Path, arrays: dict) -> None:
 
 def schema_of(path: Path) -> str:
     return str(read_entry(path)["schema"])
+
+
+def lab_curve(memo, lines):
+    """The footprint curve of ``lines`` through ``memo``, looked up and
+    stored with ``get_curve``/``put_curve`` as ``Lab.footprint`` does."""
+    key = curve_key(lines)
+    curve = memo.get_curve(key)
+    if curve is None:
+        curve = footprint_curve(lines)
+        memo.put_curve(key, curve)
+    return curve

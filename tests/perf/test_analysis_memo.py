@@ -3,8 +3,8 @@
 The contract under test: a memoized locality-model analysis returns an
 artifact identical to a fresh kernel run; keys are sensitive to every
 result-relevant parameter (and only those); disk entries survive process
-turnover, tolerate corruption — including *targeted* corruption where a
-valid payload lands under the wrong key — and can be invalidated.
+turnover and tolerate corruption — including *targeted* corruption where
+a valid payload lands under the wrong key.
 """
 
 import numpy as np
@@ -124,16 +124,6 @@ class TestAffinityMemo:
         assert served.w_max == 12
         assert served == affinity_coverage(trace, w_max=12)
         assert reread.misses == 1  # the mismatched entry never hit
-
-    def test_invalidate_covers_analysis_entries(self, tmp_path, trace):
-        memo = SimMemo(tmp_path)
-        key = affinity_key(trace, w_max=12)
-        memo.affinity_coverage(trace, w_max=12)
-        assert memo.invalidate(key)
-        assert not memo.invalidate(key)
-        assert not (tmp_path / f"{key}.npz").exists()
-        memo.affinity_coverage(trace, w_max=12)
-        assert memo.misses == 2  # recomputed after invalidation
 
 
 def _with_edge(raw: dict, x: int, y: int, w: int) -> dict:

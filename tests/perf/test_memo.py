@@ -2,8 +2,7 @@
 
 The contract under test: a memo hit returns CacheStats identical to a
 fresh simulation; keys are sensitive to every simulation input; disk
-entries survive process turnover, tolerate corruption, and can be
-invalidated.
+entries survive process turnover and tolerate corruption.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from repro.cache import CacheConfig, PAPER_L1I, simulate
 from repro.perf import SimMemo, memo_key
 
-from .memo_entries import read_entry, schema_of, write_entry
+from .memo_entries import lab_curve, read_entry, schema_of, write_entry
 
 
 @pytest.fixture
@@ -69,16 +68,6 @@ class TestSimMemo:
         reread = SimMemo(tmp_path)
         assert reread.simulate(lines, PAPER_L1I) == fresh
         assert (reread.hits, reread.misses) == (1, 0)
-
-    def test_invalidate_key(self, tmp_path, lines):
-        memo = SimMemo(tmp_path)
-        key = memo_key(lines, PAPER_L1I)
-        memo.simulate(lines, PAPER_L1I)
-        assert memo.invalidate(key)
-        assert not memo.invalidate(key)  # already gone
-        assert not list(tmp_path.glob(f"{key}*"))
-        memo.simulate(lines, PAPER_L1I)
-        assert memo.misses == 2  # recomputed after invalidation
 
     def test_corrupt_entry_degrades_to_recomputation(self, tmp_path, lines):
         memo = SimMemo(tmp_path)
@@ -250,8 +239,8 @@ class TestCurveMemo:
 
         memo = SimMemo()
         fresh = footprint_curve(lines)
-        first = memo.footprint_curve(lines)
-        hit = memo.footprint_curve(lines)
+        first = lab_curve(memo, lines)
+        hit = lab_curve(memo, lines)
         assert (memo.hits, memo.misses) == (1, 1)
         for got in (first, hit):
             assert got.n == fresh.n and got.m == fresh.m
@@ -261,9 +250,9 @@ class TestCurveMemo:
         from repro.locality.footprint import footprint_curve
 
         fresh = footprint_curve(lines)
-        SimMemo(tmp_path).footprint_curve(lines)
+        lab_curve(SimMemo(tmp_path), lines)
         reread = SimMemo(tmp_path)
-        got = reread.footprint_curve(lines)
+        got = lab_curve(reread, lines)
         assert (reread.hits, reread.misses) == (1, 0)
         assert (got.fp == fresh.fp).all()  # the .npz round trip is exact
 
@@ -271,28 +260,18 @@ class TestCurveMemo:
         from repro.perf.memo import curve_key
 
         memo = SimMemo(tmp_path)
-        memo.footprint_curve(lines)
+        lab_curve(memo, lines)
         (tmp_path / f"{curve_key(lines)}.npz").write_bytes(b"{ bad")
         reread = SimMemo(tmp_path)
-        reread.footprint_curve(lines)
+        lab_curve(reread, lines)
         assert reread.misses == 1
-
-    def test_curve_invalidate(self, tmp_path, lines):
-        from repro.perf.memo import curve_key
-
-        memo = SimMemo(tmp_path)
-        key = curve_key(lines)
-        memo.footprint_curve(lines)
-        assert memo.invalidate(key)
-        memo.footprint_curve(lines)
-        assert memo.misses == 2
 
     def test_scrub_keeps_current_curve_schema(self, tmp_path, lines):
         from repro.perf.memo import CURVE_SCHEMA, curve_key
 
         memo = SimMemo(tmp_path)
         key = curve_key(lines)
-        memo.footprint_curve(lines)
+        lab_curve(memo, lines)
         # Plant a stale-schema sibling; scrub must drop it, keep ours.
         stale = tmp_path / ("0" * 64 + ".npz")
         write_entry(stale, {"schema": np.array("repro.perf.memo.curve.v0")})

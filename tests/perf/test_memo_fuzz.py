@@ -26,7 +26,7 @@ from repro.perf.memo import (
     curve_key,
 )
 
-from .memo_entries import read_entry
+from .memo_entries import lab_curve, read_entry
 
 _rng = np.random.default_rng(5)
 LINES = _rng.integers(0, 500, 3000)
@@ -36,7 +36,7 @@ TRACE = _rng.integers(0, 30, 800)
 KINDS = {
     "stats": (memo_key(LINES, PAPER_L1I), lambda memo: memo.simulate(LINES, PAPER_L1I)),
     "histogram": (histogram_key(LINES, 64), lambda memo: memo.histogram(LINES, 64)),
-    "curve": (curve_key(LINES), lambda memo: memo.footprint_curve(LINES)),
+    "curve": (curve_key(LINES), lambda memo: lab_curve(memo, LINES)),
     "affinity": (
         affinity_key(TRACE, w_max=6),
         lambda memo: memo.affinity_coverage(TRACE, w_max=6),
@@ -181,14 +181,14 @@ def test_valid_entries_survive_scrub(entries, kind):
     ids=["json-list", "old-json-entry", "empty"],
 )
 def test_json_and_empty_files_degrade(tmp_path, payload):
-    """A JSON list used to crash ``footprint_curve`` and ``scrub`` with
+    """A JSON list used to crash the curve lookup and ``scrub`` with
     ``AttributeError``; now it is a dropped entry."""
     path = tmp_path / f"{curve_key(LINES)}.npz"
     path.write_bytes(payload)
     assert SimMemo(tmp_path).scrub() == (0, 1)
     path.write_bytes(payload)
     memo = SimMemo(tmp_path)
-    memo.footprint_curve(LINES)
+    lab_curve(memo, LINES)
     assert (memo.hits, memo.misses) == (0, 1)
 
 
@@ -197,7 +197,7 @@ def test_npy_instead_of_npz_is_dropped(tmp_path):
     np.save(tmp_path / "plain.npy", np.arange(4))
     path.write_bytes((tmp_path / "plain.npy").read_bytes())
     memo = SimMemo(tmp_path)
-    memo.footprint_curve(LINES)
+    lab_curve(memo, LINES)
     assert memo.misses == 1
     assert zipfile.is_zipfile(path)
 

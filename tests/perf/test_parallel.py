@@ -122,7 +122,7 @@ class TestPrecomputeSolo:
 
     def test_serial_precompute_equals_lazy(self):
         eager = Lab(scale=0.05)
-        eager.precompute_solo(self.CELLS, jobs=1)
+        eager.precompute_solo(self.CELLS)
         lazy = Lab(scale=0.05)
         for cell in self.CELLS:
             assert eager.solo_miss(*cell) == lazy.solo_miss(*cell)
