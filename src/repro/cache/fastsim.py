@@ -351,7 +351,7 @@ def _left_rank_permutation(vrank: np.ndarray) -> np.ndarray:
     return c
 
 
-def _sweep_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_distances(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack distance of every access of a d0-stripped partitioned stream.
 
     Returns ``(reuse, d)``: ``reuse`` masks the accesses that are not
@@ -360,16 +360,14 @@ def _sweep_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     ``p_i`` has stack distance ``d_i = #{k in (p_i, i) : prev[k] <= p_i}``
     — the lines touched since ``p_i`` whose own previous occurrence
     precedes ``p_i`` (distinct, same set — earlier-set positions cancel
-    out of the subtraction).  Cold accesses get the sentinel
-    ``base_of_set - 1`` so they threshold like everyone else.  Splitting
-    the left-rank count into a cold-prefix cumsum plus a
-    pure-permutation rank (the non-cold thresholds are distinct) hands
-    the hard part to :func:`_left_rank_permutation`.
+    out of the subtraction), where a cold access counts as preceding
+    every position.  Splitting the left-rank count into a cold-prefix
+    cumsum plus a pure-permutation rank of the reuses (their thresholds
+    are distinct) hands the hard part to :func:`_left_rank_permutation`.
     """
     m = part.shape[0]
     if m == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-    n_sets = counts.shape[0]
     order = np.argsort(part, kind="stable")
     sorted_part = part[order]
     first = np.empty(m, dtype=bool)
@@ -383,12 +381,6 @@ def _sweep_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     reuse[cold_pos] = False
     if cold_pos.shape[0] == m:
         return reuse, np.zeros(0, dtype=np.int64)
-    if n_sets > 1:
-        base = np.zeros(n_sets, dtype=np.int64)
-        np.cumsum(counts[:-1], out=base[1:])
-        prevg[cold_pos] = base[part[cold_pos] & (n_sets - 1)] - 1
-    else:
-        prevg[cold_pos] = -1
     p = prevg[reuse]
     cold_before = np.cumsum(~reuse)
     # Non-cold thresholds are exactly the positions with a *next* same-line
@@ -418,9 +410,7 @@ def _slab_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
 
     A stack distance counts only lines of the access's own set, so slabs
     of whole sets sweep independently and their results, concatenated in
-    partition order, are the whole stream's ``(reuse, d)``.  A slab's
-    counts keep every set's slot, zero outside the slab, so the sweep's
-    set offsets are relative to the slab.
+    partition order, are the whole stream's ``(reuse, d)``.
     """
     ends = np.cumsum(counts)
     reuse = np.empty(part.shape[0], dtype=bool)
@@ -430,9 +420,7 @@ def _slab_distances(part: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
         start = int(ends[first] - counts[first])
         stop = max(int(np.searchsorted(ends, start + _SLAB_ACCESSES, "right")), first + 1)
         end = int(ends[stop - 1])
-        slab_counts = np.zeros_like(counts)
-        slab_counts[first:stop] = counts[first:stop]
-        reuse[start:end], d = _sweep_distances(part[start:end], slab_counts)
+        reuse[start:end], d = _sweep_distances(part[start:end])
         distances.append(d)
         first = stop
     return reuse, np.concatenate(distances)

@@ -391,8 +391,6 @@ class Lab:
         from ..perf.parallel import memoized_cells
 
         stage = "compose" if kind == "curve" else "simulate"
-        # Curves are looked up and stored by the lab (_curve_lookup): the
-        # fan-out only computes the ones that missed.
         with self._stage(stage, kernel=kind == "histogram") as tally, error_context(
             stage, program=f"precompute-{kind}"
         ):
@@ -401,7 +399,7 @@ class Lab:
                 # Built one at a time, interleaved with the memo reads,
                 # which keeps the peak memory of a warm run down.
                 ((self.lines(cell[0], cell[1]), *params) for cell in cells),
-                memo=None if kind == "curve" else self.memo,
+                memo=self.memo,
                 store=self.store,
                 pool=self.cell_pool,
                 counters=self.counters,
@@ -709,22 +707,21 @@ class Lab:
         self.counters["curve_seconds"] += self.timings["compose"] - compose_s
 
     def _recipe_curves(self, names: list[str]) -> list[FootprintCurve]:
-        """Baseline curves of unprepared programs, one recipe cell each
-        (:func:`~repro.perf.parallel.recipe_curve_cells`): a worker makes
+        """Baseline curves of unprepared programs, one ``recipe`` cell
+        each (:data:`~repro.perf.parallel.CELL_KINDS`): a worker makes
         the curve on a serial lab of this lab's :meth:`spawn_config`, on
         the pool's store.  The workers' telemetry is folded into this
         lab's, so their build, interpreter and fetch time still shows
         under ``prepare`` and ``fetch``."""
-        if not names:
-            return []
-        from ..perf.parallel import recipe_curve_cells
+        from ..perf.parallel import dispatch
 
-        pool = self.cell_pool()
-        reuses = pool.reuses
         config = self.spawn_config()
-        results = recipe_curve_cells([(config, name) for name in names], pool=pool)
-        self.counters["pool_fanouts"] += 1
-        self.counters["pool_reuses"] += pool.reuses - reuses
+        results = dispatch(
+            "recipe",
+            [(config, name) for name in names],
+            pool=self.cell_pool,
+            counters=self.counters,
+        )
         for _, telemetry in results:
             add_into(self.timings, telemetry["stages"])
             add_into(self.counters, telemetry["counters"])

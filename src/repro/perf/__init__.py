@@ -6,9 +6,9 @@ makes it fast without changing a single result:
 
 - :mod:`repro.perf.parallel` — process-pool fan-out at two levels:
   whole experiments (``python -m repro.experiments --jobs N``) and
-  independent simulation cells inside a pipeline
-  (:func:`~repro.perf.parallel.simulate_cells` on a
-  :class:`~repro.perf.parallel.CellPool`), with
+  independent cells inside a pipeline, one row of the cell table
+  :data:`~repro.perf.parallel.CELL_KINDS` per kind, run on a
+  :class:`~repro.perf.parallel.CellPool`, with
   :func:`~repro.perf.parallel.memoized_cells` the one memo → ship →
   dispatch → store path the Lab and the compiler driver share;
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
@@ -55,13 +55,7 @@ from .memo import (
     memo_key,
     trg_key,
 )
-from .parallel import (
-    CellPool,
-    histogram_cells,
-    memoized_cells,
-    rebuild_error,
-    simulate_cells,
-)
+from .parallel import CellPool, memoized_cells, rebuild_error
 from .store import StoreRef, TraceStore, trace_digest
 from .telemetry import BENCH_SCHEMA, Telemetry, compare_journal_outcomes
 
@@ -79,13 +73,11 @@ __all__ = [
     "available_backends",
     "compare_journal_outcomes",
     "default_backend",
-    "histogram_cells",
     "histogram_key",
     "memo_key",
     "memoized_cells",
     "rebuild_error",
     "resolve_backend",
-    "simulate_cells",
     "trace_digest",
     "trg_key",
 ]

@@ -392,36 +392,37 @@ def _run_analysis_bench(args) -> int:
 
 
 def _run_store_bench(args) -> int:
-    import pickle
     import tempfile
 
     from ..experiments.pipeline import BASELINE, Lab
-    from .parallel import CellPool, histogram_cells
+    from .parallel import CellPool, memoized_cells
     from .store import TraceStore
 
     programs = [p for p in args.programs.split(",") if p]
     n_sets = args.n_sets
     lab = Lab(scale=args.scale)
-    streams = [lab.lines(p, BASELINE) for p in programs]
+    cells = [(lab.lines(p, BASELINE), n_sets) for p in programs]
 
-    # The pickled path: every cell carries its full stream.
-    pickled_cells = [(s, n_sets) for s in streams]
-    pickled_bytes = sum(len(pickle.dumps(c)) for c in pickled_cells)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = TraceStore(args.store_dir or tmp)
-        ref_cells = [(store.ref(s), n_sets) for s in streams]
-        ref_bytes = sum(len(pickle.dumps(c)) for c in ref_cells)
-
-        t0 = time.perf_counter()
-        with CellPool(args.jobs) as pool:
-            pickled_hists = histogram_cells(pickled_cells, pool=pool)
-        pickled_s = time.perf_counter() - t0
-
+    def run(store):
+        """The production fan-out of the histogram cells: its results, the
+        bytes it shipped to the workers, and its wall time."""
+        counters = dict.fromkeys(
+            ("store_bytes_shipped", "store_bytes_mapped", "pool_fanouts", "pool_reuses"),
+            0,
+        )
         t0 = time.perf_counter()
         with CellPool(args.jobs, store=store) as pool:
-            ref_hists = histogram_cells(ref_cells, pool=pool)
-        ref_s = time.perf_counter() - t0
+            hists, _ = memoized_cells(
+                "histogram", cells, memo=None, store=store,
+                pool=lambda: pool, counters=counters,
+            )
+        return hists, counters["store_bytes_shipped"], time.perf_counter() - t0
+
+    # The pickled path: every cell carries its full stream.
+    pickled_hists, pickled_bytes, pickled_s = run(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = TraceStore(args.store_dir or tmp)
+        ref_hists, ref_bytes, ref_s = run(store)
 
     mismatches = [
         programs[i]

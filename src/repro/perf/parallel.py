@@ -14,23 +14,21 @@ Two fan-out layers, matching the structure of the evaluation:
   parent consumes payloads **in submission order**, so output, journal,
   and outcomes are identical to a serial run (modulo wall-clock fields).
 
-* **cell level** — :func:`simulate_cells` fans independent
-  (line stream, cache config, prefetch) simulation cells across a
-  :class:`CellPool` (or runs them serially without one).
-  :func:`histogram_cells` is the kernel-path counterpart: independent
-  (line stream, n_sets) cells, each producing a
-  :class:`~repro.cache.fastsim.DistanceHistogram` that answers every
-  associativity of the geometry family at once; :func:`curve_cells`
-  computes footprint curves.  :func:`memoized_cells` puts the memo and
-  the trace store in front of all three: it is the one path
+* **cell level** — one table of cell kinds, :data:`CELL_KINDS`
+  (``stats``, ``histogram``, ``curve`` and ``recipe``).  Each row names
+  a module-level worker and, for a memoized kind, its memo key and the
+  :class:`~repro.perf.memo.SimMemo` getter and putter.  :func:`dispatch`
+  is the one fan-out of cells across a :class:`CellPool`, and
+  :func:`memoized_cells` puts the memo and the trace store in front of
+  it for stream cells: it is the one path
   :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`,
   ``Lab.precompute_footprints`` and the
   :class:`~repro.compiler.driver.Driver` evaluation stage fan out through.
 
-* **recipe cells** — :func:`recipe_curve_cells` ships no stream at all.
-  A cell is ``(lab_config, program)``; the worker builds a serial lab
-  from the config and makes the program's baseline footprint curve
-  itself: build, ref-input run (published to the store, if any),
+* **recipe cells** ship no stream at all.  A cell is
+  ``(lab_config, program)``; the worker builds a serial lab from the
+  config and makes the program's baseline footprint curve itself:
+  build, ref-input run (published to the store, if any),
   declaration-order layout, fetch, curve.  ``Lab.precompute_footprints``
   sends the baseline curves of programs it has not prepared this way,
   so a cold fleet run prepares its programs in the workers and the
@@ -58,7 +56,7 @@ import multiprocessing
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,18 +72,18 @@ from ..robust.errors import (
     WorkerHangError,
     error_context,
 )
-from .memo import curve_key, histogram_key, memo_key
+from .memo import histogram_key, memo_key
 from .store import StoreRef, TraceStore, trace_digest
 from .telemetry import delta
 
 __all__ = [
+    "CELL_KINDS",
+    "CellKind",
     "CellPool",
     "curve_cells",
-    "histogram_cells",
+    "dispatch",
     "memoized_cells",
     "rebuild_error",
-    "recipe_curve_cells",
-    "simulate_cells",
 ]
 
 #: the per-process Lab of an experiment worker (set by the initializer).
@@ -260,8 +258,7 @@ class CellPool:
     """A persistent pool of cell-kernel workers, reused across fan-outs.
 
     The throwaway-pool model paid process startup (and, via ``fork``,
-    page-table duplication) on *every* ``simulate_cells`` /
-    ``histogram_cells`` / ``curve_cells`` call.  A ``CellPool`` is
+    page-table duplication) on *every* fan-out.  A ``CellPool`` is
     owned by its Lab/Driver, spawns workers on first use, keeps them
     alive across calls (``maps`` counts non-empty fan-outs, ``reuses``
     the ones that found warm workers), and
@@ -379,40 +376,15 @@ class CellPool:
         self.shutdown()
 
 
-def _map_cells(
-    fn: Callable[[Any], Any], cells: list, pool: Optional[CellPool]
-) -> list:
-    """One fan-out: through the persistent pool when one is given, else
-    serially in this process."""
-    if pool is not None:
-        return pool.map(fn, cells)
-    return [fn(c) for c in cells]
-
-
-def _simulate_cell(cell: tuple) -> tuple[int, int, int, int]:
+def _stats_cell(cell: tuple) -> CacheStats:
     from ..cache.setassoc import simulate
 
     lines, cfg, prefetch = cell
-    stats = simulate(_resolve_stream(lines), cfg, prefetch=prefetch)
-    return (stats.accesses, stats.misses, stats.prefetches, stats.prefetch_hits)
+    return simulate(_resolve_stream(lines), cfg, prefetch=prefetch)
 
 
-def simulate_cells(
-    cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list[CacheStats]:
-    """Simulate independent (lines, cfg, prefetch) cells, possibly in parallel.
-
-    ``lines`` may be an array or a :class:`~repro.perf.store.StoreRef`.
-    Results are positionally aligned with ``cells`` and bit-identical to
-    serial :func:`repro.cache.setassoc.simulate` calls — the cells share
-    no state, so execution order cannot matter.  Without a ``pool`` the
-    cells run serially in this process.
-    """
-    raw = _map_cells(_simulate_cell, cells, pool)
-    return [
-        CacheStats(accesses=a, misses=m, prefetches=p, prefetch_hits=h)
-        for (a, m, p, h) in raw
-    ]
+def _stats_key(src, cfg, prefetch: bool) -> str:
+    return memo_key(src, cfg, prefetch=prefetch)
 
 
 def _histogram_cell(cell: tuple) -> DistanceHistogram:
@@ -427,22 +399,7 @@ def _curve_cell(cell: tuple) -> FootprintCurve:
     return footprint_curve(_resolve_stream(lines))
 
 
-def curve_cells(
-    cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list[FootprintCurve]:
-    """Compute independent all-window footprint curves, possibly in parallel.
-
-    Each cell is ``(lines,)`` with ``lines`` the stream or its
-    :class:`~repro.perf.store.StoreRef`.  Curves cross the process
-    boundary pickled, raw ``float64`` included, so a fanned-out curve is
-    bit-identical to a serial
-    :func:`repro.locality.footprint.footprint_curve` call (the fleet
-    composition parity gate depends on it).
-    """
-    return _map_cells(_curve_cell, cells, pool)
-
-
-def _recipe_curve_cell(cell: tuple) -> tuple[FootprintCurve, dict]:
+def _recipe_cell(cell: tuple) -> tuple[FootprintCurve, dict]:
     """Worker body of one recipe cell: a serial lab built from the
     parent's config, on its own view of this process's store (so its
     counters are this cell's alone), makes the program's baseline curve;
@@ -459,55 +416,87 @@ def _recipe_curve_cell(cell: tuple) -> tuple[FootprintCurve, dict]:
     return curve, lab.snapshot()
 
 
-def recipe_curve_cells(
-    cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list[tuple[FootprintCurve, dict]]:
-    """Baseline footprint curves made from their recipe, possibly in
-    parallel.
+class CellKind(NamedTuple):
+    """One row of :data:`CELL_KINDS`: how a cell of one kind is computed
+    and, for a memoized kind, where its result is kept.
 
-    Each cell is ``(lab_config, program)``: a :meth:`Lab.spawn_config
-    <repro.experiments.pipeline.Lab.spawn_config>` and a suite program
-    name, about 600 bytes pickled.  The worker builds the program,
-    instruments its ref input (through the store, when the pool has one),
-    lays it out in declaration order and fetches its stream — what the
-    parent would do, minus the shipping of the stream.  Returns each
-    curve, bit-identical to the serial :meth:`Lab.footprint`, with the
-    telemetry of the cell's fresh lab (its :meth:`Lab.snapshot`, which is
-    the cell's delta).  A worker's typed error (say a
-    :class:`~repro.robust.errors.ProfileError` from a program that fails
-    to build) is raised in the caller as the serial path raises it.
+    ``key`` maps ``(stream or its digest, *params)`` to the memo key;
+    ``get`` and ``put`` name the :class:`~repro.perf.memo.SimMemo`
+    methods that read and write it.  The methods are looked up by name
+    at call time, so a wrapped method (the traced benchmark run times
+    them) is the one that runs.
     """
-    return _map_cells(_recipe_curve_cell, cells, pool)
+
+    worker: Callable[[tuple], Any]
+    key: Optional[Callable[..., str]] = None
+    get: str = ""
+    put: str = ""
 
 
-def histogram_cells(
-    cells: list[tuple], *, pool: Optional[CellPool] = None
-) -> list[DistanceHistogram]:
-    """Compute independent (lines, n_sets) stack-distance histograms.
-
-    The kernel-path analogue of :func:`simulate_cells`: results are
-    positionally aligned with ``cells`` and identical to serial
-    :func:`repro.cache.fastsim.stack_distance_histogram` calls.
-    Histograms cross the process boundary pickled (cheap relative to the
-    streams — which, with a store attached, do not cross at all).
-    """
-    return _map_cells(_histogram_cell, cells, pool)
-
-
-#: kind -> (memo key of (stream or its digest, *params), SimMemo getter,
-#: SimMemo putter, fan-out).  Methods and fan-outs are looked up by name
-#: at call time, so a wrapped module attribute or method (the traced
-#: benchmark run times them) is the one that runs.
-_MEMO_KINDS: dict[str, tuple[Callable[..., str], str, str, str]] = {
-    "stats": (
-        lambda src, cfg, prefetch: memo_key(src, cfg, prefetch=prefetch),
-        "get",
-        "put",
-        "simulate_cells",
-    ),
-    "histogram": (histogram_key, "get_histogram", "put_histogram", "histogram_cells"),
-    "curve": (curve_key, "get_curve", "put_curve", "curve_cells"),
+#: every kind of cell the pool computes.  ``stats``: ``(lines, cfg,
+#: prefetch)`` -> :class:`~repro.cache.stats.CacheStats` of the
+#: event-driven simulator.  ``histogram``: ``(lines, n_sets)`` ->
+#: :class:`~repro.cache.fastsim.DistanceHistogram`, which answers every
+#: associativity of the geometry family.  ``curve``: ``(lines,)`` ->
+#: :class:`~repro.locality.footprint.FootprintCurve`; the Lab keys and
+#: stores curves itself (``Lab._curve_lookup``), so the row has no memo.
+#: ``recipe``: ``(lab_config, program)`` -> the program's baseline curve
+#: and the telemetry of the worker lab that built, instrumented, laid out
+#: and fetched it; no stream is shipped and nothing is hashed.  ``lines``
+#: is the stream or its :class:`~repro.perf.store.StoreRef`.  Every
+#: worker is pure, so a result is bit-identical wherever it runs.
+CELL_KINDS: dict[str, CellKind] = {
+    "stats": CellKind(_stats_cell, _stats_key, "get", "put"),
+    "histogram": CellKind(_histogram_cell, histogram_key, "get_histogram", "put_histogram"),
+    "curve": CellKind(_curve_cell),
+    "recipe": CellKind(_recipe_cell),
 }
+
+
+def curve_cells(
+    cells: list[tuple], *, pool: Optional[CellPool] = None
+) -> list[FootprintCurve]:
+    """Compute independent all-window footprint curves, possibly in parallel.
+
+    The one per-kind fan-out left beside :func:`dispatch`: stream-curve
+    cells are mapped through it, called by name, because the traced
+    benchmark run wraps it to count curve passes.  Each cell is
+    ``(lines,)`` as in the ``curve`` row of :data:`CELL_KINDS`; without
+    a ``pool`` the cells run serially in this process.  Curves cross the
+    process boundary pickled, raw ``float64`` included, so a fanned-out
+    curve is bit-identical to a serial
+    :func:`repro.locality.footprint.footprint_curve` call (the fleet
+    composition parity gate depends on it).
+    """
+    if pool is None:
+        return [_curve_cell(c) for c in cells]
+    return pool.map(_curve_cell, cells)
+
+
+def dispatch(
+    kind: str, cells: list, *, pool: Callable[[], CellPool], counters: dict
+) -> list:
+    """Compute ``cells`` of one :data:`CELL_KINDS` row in one fan-out.
+
+    ``pool()`` is called only when there is a cell to compute; the
+    fan-out is counted in ``counters`` (``pool_fanouts``, and
+    ``pool_reuses`` when it found warm workers).  Results are
+    positionally aligned with ``cells``; a worker's typed error (say a
+    :class:`~repro.robust.errors.ProfileError` from a recipe whose
+    program fails to build) is raised here as the serial path raises it.
+    """
+    if not cells:
+        return []
+    cell_pool = pool()
+    reuses = cell_pool.reuses
+    if kind == "curve":
+        # By name: the traced benchmark run counts curve passes here.
+        results = curve_cells(cells, pool=cell_pool)
+    else:
+        results = cell_pool.map(CELL_KINDS[kind].worker, cells)
+    counters["pool_fanouts"] += 1
+    counters["pool_reuses"] += cell_pool.reuses - reuses
+    return results
 
 
 def memoized_cells(
@@ -521,34 +510,33 @@ def memoized_cells(
 ) -> tuple[list, list[int]]:
     """The one memoized fan-out of stream cells: memo, ship, dispatch, store.
 
-    ``kind`` names the cell computation and its cell shape: ``"stats"``
-    (``(lines, cfg, prefetch)``, :func:`simulate_cells`), ``"histogram"``
-    (``(lines, n_sets)``, :func:`histogram_cells`) or ``"curve"``
-    (``(lines,)``, :func:`curve_cells`), with ``lines`` the stream array.
-    ``cells`` may be lazy: each is consumed right before its lookup.
+    ``kind`` is a stream row of :data:`CELL_KINDS` (``"stats"``,
+    ``"histogram"`` or ``"curve"``) and each cell is ``(lines, *params)``
+    with ``lines`` the stream array.  ``cells`` may be lazy: each is
+    consumed right before its lookup.
 
     Each stream is hashed at most once: with a ``store`` its content
-    digest keys both the memo entry and the store entry.  Memo hits are
-    answered in place.  Each miss ships its stream as a
-    :class:`~repro.perf.store.StoreRef` (with a store) or the array,
-    counting ``store_bytes_shipped`` / ``store_bytes_mapped`` in
-    ``counters``.  Only when some cell missed does ``pool()`` get called
-    and the misses fan out in one dispatch (counted in ``pool_fanouts``
-    and ``pool_reuses``); their results go back into ``memo``.
+    digest keys both the memo entry and the store entry.  Memo hits (a
+    row without a memo part has none) are answered in place.  Each miss
+    ships its stream as a :class:`~repro.perf.store.StoreRef` (with a
+    store) or the array, counting ``store_bytes_shipped`` /
+    ``store_bytes_mapped`` in ``counters``.  The misses go out in one
+    :func:`dispatch` and their results back into ``memo``.
 
     Returns the results, aligned with ``cells`` and bit-identical to
     serial un-memoized computation, and the indices of the cells that
     were computed fresh.
     """
-    key_of, getter, putter, fanout = _MEMO_KINDS[kind]
+    row = CELL_KINDS[kind]
+    key_of = row.key if memo is not None else None
     results: list = []
     missed: list[int] = []
     keys: list[Optional[str]] = []
     tasks: list[tuple] = []
     for i, (stream, *params) in enumerate(cells):
         src = trace_digest(stream) if store is not None else stream
-        key = key_of(src, *params) if memo is not None else None
-        results.append(None if key is None else getattr(memo, getter)(key))
+        key = key_of(src, *params) if key_of is not None else None
+        results.append(None if key is None else getattr(memo, row.get)(key))
         if results[-1] is not None:
             continue
         if store is not None:
@@ -561,14 +549,9 @@ def memoized_cells(
         tasks.append((shipped, *params))
         missed.append(i)
         keys.append(key)
-    if tasks:
-        cell_pool = pool()
-        reuses = cell_pool.reuses
-        fresh = globals()[fanout](tasks, pool=cell_pool)
-        counters["pool_fanouts"] += 1
-        counters["pool_reuses"] += cell_pool.reuses - reuses
-        for i, key, value in zip(missed, keys, fresh):
-            if memo is not None:
-                getattr(memo, putter)(key, value)
-            results[i] = value
+    fresh = dispatch(kind, tasks, pool=pool, counters=counters)
+    for i, key, value in zip(missed, keys, fresh):
+        if key is not None:
+            getattr(memo, row.put)(key, value)
+        results[i] = value
     return results, missed

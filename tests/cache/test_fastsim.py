@@ -219,8 +219,8 @@ def test_histogram_round_trip_and_equality():
 def _one_sweep_miss_labels(lines, n_sets, assoc, labels):
     """:func:`miss_labels` with the whole stripped stream in one sweep."""
     part, counts, labels = fastsim._partition(np.asarray(lines, dtype=np.int64), n_sets, labels)
-    part, counts, _, labels = fastsim._strip_d0(part, counts, labels)
-    reuse, d = fastsim._sweep_distances(part, counts)
+    part, _, _, labels = fastsim._strip_d0(part, counts, labels)
+    reuse, d = fastsim._sweep_distances(part)
     missed = ~reuse
     missed[reuse] = d >= assoc
     return labels[missed]

@@ -16,21 +16,25 @@ import pytest
 from repro.cache import PAPER_L1I, simulate
 from repro.experiments import Lab
 from repro.experiments.runner import run_suite
+from repro.locality.footprint import FootprintCurve
 from repro.perf import (
     CellPool,
     SimMemo,
     TraceStore,
     compare_journal_outcomes,
-    histogram_cells,
     memoized_cells,
     rebuild_error,
-    simulate_cells,
 )
+from repro.perf import parallel
+from repro.perf.parallel import CELL_KINDS, dispatch
 from repro.robust import ProfileError, RunJournal, SimulationError
 
 FAST = "ablation-optimal-gap"
 FAST2 = "ablation-pruning"
 IDS = [FAST, FAST2]
+COUNTERS = ("store_bytes_shipped", "store_bytes_mapped", "pool_fanouts", "pool_reuses")
+#: the rows of the cell table that keep their results in the memo.
+MEMOIZED = ("histogram", "stats")
 
 
 def _strip_timings(text: str) -> str:
@@ -139,31 +143,19 @@ class TestMemoizedCells:
     @staticmethod
     def _oracle(kind, lines):
         from repro.cache import stack_distance_histogram
-        from repro.locality.footprint import footprint_curve
 
         if kind == "stats":
             return (lines, PAPER_L1I, True), simulate(lines, PAPER_L1I, prefetch=True)
-        if kind == "histogram":
-            n_sets = PAPER_L1I.n_sets
-            return (lines, n_sets), stack_distance_histogram(lines, n_sets)
-        return (lines,), footprint_curve(lines)
+        n_sets = PAPER_L1I.n_sets
+        return (lines, n_sets), stack_distance_histogram(lines, n_sets)
 
-    @staticmethod
-    def _same(kind, got, want):
-        if kind == "curve":
-            return (got.n, got.m) == (want.n, want.m) and (got.fp == want.fp).all()
-        return got == want
-
-    @pytest.mark.parametrize("kind", ["stats", "histogram", "curve"])
+    @pytest.mark.parametrize("kind", MEMOIZED)
     def test_matches_serial_then_replays_without_dispatch(self, kind, tmp_path):
         rng = np.random.default_rng(21)
         streams = [rng.integers(0, 700, 3000) for _ in range(4)]
         cells, oracle = zip(*(self._oracle(kind, s) for s in streams))
         store = TraceStore(tmp_path / "store")
-        counters = dict.fromkeys(
-            ("store_bytes_shipped", "store_bytes_mapped", "pool_fanouts", "pool_reuses"),
-            0,
-        )
+        counters = dict.fromkeys(COUNTERS, 0)
         with CellPool(2, store=store) as pool:
             memo = SimMemo(tmp_path / "memo")
             first, missed = memoized_cells(
@@ -187,9 +179,7 @@ class TestMemoizedCells:
             assert missed == []
             assert (replay.hits, replay.misses) == (4, 0)
             assert pool.maps == counters["pool_fanouts"] == 1
-        for results in (first, second):
-            for got, want in zip(results, oracle):
-                assert self._same(kind, got, want)
+        assert list(first) == list(second) == list(oracle)
 
     def test_empty_map_counts_no_fanout(self):
         with CellPool(2) as pool:
@@ -229,45 +219,84 @@ class TestMemoizedCells:
             assert lab.counters["analysis_cells"] == len(layouts)
 
 
-class TestSimulateCells:
-    def test_results_identical_to_serial(self):
+def _serial(kind, cell):
+    """What the cell computes, by the library's serial entry points."""
+    from repro.cache import stack_distance_histogram
+    from repro.locality.footprint import footprint_curve
+
+    if kind == "stats":
+        lines, cfg, prefetch = cell
+        return simulate(lines, cfg, prefetch=prefetch)
+    if kind == "histogram":
+        return stack_distance_histogram(*cell)
+    if kind == "curve":
+        return footprint_curve(cell[0])
+    return Lab(**cell[0]).footprint(cell[1], "baseline")
+
+
+def _comparable(result):
+    """The comparable part of a result: a recipe cell's curve (its
+    telemetry carries timings), a curve's exact numbers."""
+    if isinstance(result, tuple):
+        result = result[0]
+    if isinstance(result, FootprintCurve):
+        return (result.n, result.m, result.fp.tobytes())
+    return result
+
+
+class TestCellTable:
+    """Every row of the cell table computes the same result serially in
+    this process, across a two-worker pool, and with a trace store."""
+
+    KINDS = ("curve", "histogram", "recipe", "stats")
+
+    def test_table_has_every_row(self):
+        assert sorted(CELL_KINDS) == list(self.KINDS)
+        assert sorted(k for k, row in CELL_KINDS.items() if row.key) == list(MEMOIZED)
+
+    @staticmethod
+    def _cells(kind):
+        if kind == "recipe":
+            config = Lab(scale=0.05).spawn_config()
+            return [(config, name) for name in ("syn-mcf", "syn-gcc")]
         rng = np.random.default_rng(3)
-        cells = [
-            (rng.integers(0, 600, 4000), PAPER_L1I, bool(i % 2)) for i in range(5)
-        ]
+        streams = [rng.integers(0, 600, 4000) for _ in range(5)]
+        if kind == "stats":
+            return [(lines, PAPER_L1I, bool(i % 2)) for i, lines in enumerate(streams)]
+        if kind == "histogram":
+            return [(lines, 1 << (i % 3 + 5)) for i, lines in enumerate(streams)]
+        return [(lines,) for lines in streams]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_matches_serial(self, kind, tmp_path, monkeypatch):
+        cells = self._cells(kind)
+        want = [_comparable(_serial(kind, cell)) for cell in cells]
+        monkeypatch.setattr(parallel, "_CELL_STORE", None)
+        in_process = [CELL_KINDS[kind].worker(cell) for cell in cells]
+        counters = dict.fromkeys(COUNTERS, 0)
         with CellPool(2) as pool:
-            parallel = simulate_cells(cells, pool=pool)
-        serial = [simulate(lines, cfg, prefetch=pf) for lines, cfg, pf in cells]
-        assert parallel == serial
-        assert simulate_cells(cells) == serial
+            pooled = dispatch(kind, cells, pool=lambda: pool, counters=counters)
+        store = TraceStore(tmp_path)
+        if kind != "recipe":  # a recipe ships no stream
+            cells = [(store.ref(lines), *params) for lines, *params in cells]
+        with CellPool(2, store=store) as pool:
+            stored = dispatch(kind, cells, pool=lambda: pool, counters=counters)
+        assert counters["pool_fanouts"] == 2
+        for results in (in_process, pooled, stored):
+            assert [_comparable(r) for r in results] == want
 
-    def test_empty(self):
-        with CellPool(2) as pool:
-            assert simulate_cells([], pool=pool) == []
-        assert simulate_cells([]) == []
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_row_dispatches_nothing(self, kind):
+        def no_pool():
+            raise AssertionError("no cell, no pool")
 
-
-class TestHistogramCells:
-    def test_results_identical_to_serial(self):
-        from repro.cache import stack_distance_histogram
-
-        rng = np.random.default_rng(8)
-        cells = [(rng.integers(0, 600, 4000), 1 << (i % 3 + 5)) for i in range(5)]
-        with CellPool(2) as pool:
-            parallel = histogram_cells(cells, pool=pool)
-        serial = [stack_distance_histogram(lines, n_sets) for lines, n_sets in cells]
-        assert parallel == serial
-        # One histogram per cell answers every associativity.
-        from repro.cache import CacheConfig
-
-        lines, n_sets = cells[0]
-        cfg = CacheConfig(size_bytes=n_sets * 4 * 64, assoc=4, line_bytes=64)
-        assert parallel[0].stats(4) == simulate(lines, cfg)
-
-    def test_empty(self):
-        with CellPool(2) as pool:
-            assert histogram_cells([], pool=pool) == []
-        assert histogram_cells([]) == []
+        counters = dict.fromkeys(COUNTERS, 0)
+        assert dispatch(kind, [], pool=no_pool, counters=counters) == []
+        if kind != "recipe":
+            assert memoized_cells(
+                kind, [], memo=None, store=None, pool=no_pool, counters=counters
+            ) == ([], [])
+        assert counters["pool_fanouts"] == 0
 
 
 class TestWorkerBreaker:
@@ -349,12 +378,14 @@ class TestCellPoolReuse:
     def test_fanouts_share_one_executor(self):
         rng = np.random.default_rng(11)
         cells = [(rng.integers(0, 600, 2000), PAPER_L1I, False) for _ in range(4)]
+        counters = dict.fromkeys(COUNTERS, 0)
         with CellPool(2) as pool:
-            first = simulate_cells(cells, pool=pool)
-            second = simulate_cells(cells, pool=pool)
-        assert first == second == simulate_cells(cells)
-        assert pool.maps == 2
-        assert pool.reuses == 1  # second fan-out reused the warm workers
+            first = dispatch("stats", cells, pool=lambda: pool, counters=counters)
+            second = dispatch("stats", cells, pool=lambda: pool, counters=counters)
+        assert first == second == [_serial("stats", cell) for cell in cells]
+        assert pool.maps == counters["pool_fanouts"] == 2
+        # The second fan-out reused the warm workers.
+        assert pool.reuses == counters["pool_reuses"] == 1
 
     def test_jobs_one_stays_serial(self):
         with CellPool(1) as pool:
