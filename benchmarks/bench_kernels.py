@@ -69,6 +69,13 @@ def bench_trg_construction(benchmark, sjeng):
     assert trg.n_edges > 0
 
 
+def bench_trg_fast_construction(benchmark, sjeng):
+    module, test, _, _ = sjeng
+    trimmed = trim(test.bb_trace)
+    trg = benchmark(build_trg_fast, trimmed, 512)
+    assert trg.n_edges > 0
+
+
 def bench_trg_reduction(benchmark, sjeng):
     module, test, _, _ = sjeng
     trg = build_trg_fast(trim(test.bb_trace), 512)

@@ -77,52 +77,15 @@ def color_functions(
     )
     cold = [i for i in range(len(module.functions)) if counts[i] == 0]
 
-    #: per function index: (start_set, n_sets_spanned) once placed.
-    placed: dict[int, tuple[int, int]] = {}
-    sizes_lines = [
-        -(-module.functions[i].size_bytes // line) for i in range(len(module.functions))
+    sizes_lines = [-(-func.size_bytes // line) for func in module.functions]
+    extents = [
+        func.size_bytes + _jump_budget(module, fi) for fi, func in enumerate(module.functions)
     ]
-
-    def overlap(color: int, span: int, other: tuple[int, int]) -> int:
-        """Number of cache sets both footprints cover (modular intervals)."""
-        o_color, o_span = other
-        hits = 0
-        occupied = [False] * n_sets
-        for k in range(min(o_span, n_sets)):
-            occupied[(o_color + k) % n_sets] = True
-        for k in range(min(span, n_sets)):
-            if occupied[(color + k) % n_sets]:
-                hits += 1
-        return hits
-
-    addr = 0
-    starts_fn: dict[int, int] = {}
-    for fi in hot_order:
-        span = sizes_lines[fi]
-        row = conflicts[fi].tolist()
-        neighbours = [(placed[gj], row[gj]) for gj in placed if row[gj] > 0]
-        if neighbours:
-            best_color, best_cost = 0, None
-            current_color = (addr // line) % n_sets
-            for delta in range(n_sets):
-                color = (current_color + delta) % n_sets
-                cost = sum(w * overlap(color, span, spot) for spot, w in neighbours)
-                # prefer smaller gaps on ties (delta ascending).
-                if best_cost is None or cost < best_cost:
-                    best_color, best_cost = color, cost
-        else:
-            best_color = (addr // line) % n_sets
-        # advance to the next address whose line has the chosen color.
-        line_idx = -(-addr // line)  # ceil to a line boundary
-        delta = (best_color - (line_idx % n_sets)) % n_sets
-        addr = (line_idx + delta) * line
-        starts_fn[fi] = addr
-        placed[fi] = (best_color, span)
-        addr += module.functions[fi].size_bytes + _jump_budget(module, fi)
+    starts_fn, addr = _color_hot(hot_order, conflicts, sizes_lines, extents, line, n_sets)
 
     for fi in cold:
         starts_fn[fi] = addr
-        addr += module.functions[fi].size_bytes + _jump_budget(module, fi)
+        addr += extents[fi]
 
     # expand to per-block starts: blocks dense inside each function, with
     # the fall-through jump budget accounted block by block.
@@ -143,6 +106,46 @@ def color_functions(
         order=[module.functions[i].name for i in hot_order + cold],
         note=f"coloring({cache.describe()})",
     )
+
+
+def _color_hot(
+    hot_order: list[int],
+    conflicts: np.ndarray,
+    sizes_lines: list[int],
+    extents: list[int],
+    line: int,
+    n_sets: int,
+) -> tuple[dict[int, int], int]:
+    """Step 3: the start address of each hot function, placed in
+    ``hot_order`` from address 0, and the address after the last one.
+
+    Function ``fi`` covers ``min(sizes_lines[fi], n_sets)`` sets from its
+    color on and advances the address by ``extents[fi]`` bytes.  The cost
+    of color c is the conflict-weighted number of sets it shares with the
+    functions already placed.  That is a circular window sum, over the
+    sets c .. c+span-1, of one occupancy vector: set s weighs the summed
+    conflicts of the placed functions covering it.  Ties go to the first
+    color from the current one on, the smallest gap.
+    """
+    occupied = np.zeros((len(sizes_lines), n_sets), dtype=np.int64)  # placed only
+    starts: dict[int, int] = {}
+    addr = 0
+    for fi in hot_order:
+        span = min(sizes_lines[fi], n_sets)
+        row = conflicts[fi]
+        partners = np.flatnonzero(row)
+        load = row[partners] @ occupied[partners]
+        sums = np.concatenate(([0], np.cumsum(np.concatenate((load, load)))))
+        cost = sums[span : span + n_sets] - sums[:n_sets]
+        current = (addr // line) % n_sets
+        color = (current + int(np.argmin(np.roll(cost, -current)))) % n_sets
+        # advance to the next address whose line has the chosen color.
+        line_idx = -(-addr // line)  # ceil to a line boundary
+        addr = (line_idx + (color - line_idx) % n_sets) * line
+        starts[fi] = addr
+        occupied[fi, (color + np.arange(span)) % n_sets] = 1
+        addr += extents[fi]
+    return starts, addr
 
 
 def _next_block(func, block) -> str | None:

@@ -403,9 +403,16 @@ def _trg_records(
     inv: np.ndarray, n_syms: int, window_blocks: Optional[int]
 ) -> tuple["array", "array", "array"]:
     """The TRG event pass: one bounded move-to-front walk emitting, per
-    reuse at depth d, the reused id, the depth, and the d interleaved
-    ids as flat int32 buffers (``(e_x, e_cnt, e_y)``)."""
+    reuse at depth d (0-based: d ids above it, d > 0), the reused id, d,
+    and those d interleaved ids as flat int32 buffers
+    (``(e_x, e_cnt, e_y)``).
+
+    The stack is kept twice, MRU first: a list, whose ``index`` finds the
+    depth, and an ``array("i")`` mirror that every insert, delete and
+    window pop also edits, so a reuse emits its d ids as one memcpy of
+    the mirror's prefix (extending from the list converts id by id)."""
     stack: list[int] = []  # compact ids, MRU first
+    mirror = array("i")  # the same ids, as C ints
     in_stack = bytearray(n_syms)
     e_x = array("i")  # per reuse: the reused id ...
     e_cnt = array("i")  # ... its depth (= number of interleaved ids) ...
@@ -419,14 +426,18 @@ def _trg_records(
             if d:
                 emit_x(x)
                 emit_cnt(d)
-                emit_y(stack[:d])
+                emit_y(mirror[:d])
                 del stack[d]
+                del mirror[d]
                 stack.insert(0, x)
+                mirror.insert(0, x)
         else:
             in_stack[x] = 1
             stack.insert(0, x)
+            mirror.insert(0, x)
             if window_blocks is not None and len(stack) > window_blocks:
                 in_stack[stack.pop()] = 0
+                mirror.pop()
     return e_x, e_cnt, e_y
 
 
@@ -438,9 +449,10 @@ def build_trg_fast(
     :func:`~repro.core.trg.build_trg`.
 
     The bounded move-to-front pass runs on a plain Python list of compact
-    symbol ids (``list.index`` / slice / ``insert`` at C speed, with a
-    byte-array membership test instead of a hash walk); each reuse at
-    depth d appends its d-1 interleaved ids to a flat pair log.  Edge
+    symbol ids (``list.index`` / ``insert`` at C speed, with a byte-array
+    membership test instead of a hash walk) and an ``array("i")`` mirror
+    of it; each reuse at depth d (0-based) appends the d interleaved ids
+    above it, copied from the mirror in one slice, to a flat pair log.  Edge
     weights fall out of one ``np.unique`` over the encoded (min, max)
     pairs — no per-conflict dict updates.
     """

@@ -60,22 +60,44 @@ def reduce_trg(trg: TRG, n_slots: int) -> ReductionResult:
         raise ValueError("need at least one slot")
 
     ids, pairs, weights = trg.nodes, trg.edges, trg.weights
-    nodes, n = ids.tolist(), ids.shape[0]
-    # Step 1's order as x0, y0, x1, y1, ..., then node ids -> positions in ``nodes``.
-    heaviest_first = np.lexsort((pairs[:, 1], pairs[:, 0], -weights))
-    ends = pairs[heaviest_first].ravel()
-    if not np.isin(ends, ids).all():
+    nodes, n, n_edges = ids.tolist(), ids.shape[0], weights.shape[0]
+    # Node ids -> positions in ``nodes``, through one table over the id range.
+    base = int(ids.min()) if n else 0
+    table = np.full(int(ids.max()) - base + 1 if n else 0, -1, dtype=np.int32)
+    table[ids - base] = np.arange(n, dtype=np.int32)
+    offset = pairs - base
+    if n_edges and (offset.min() < 0 or offset.max() >= table.shape[0]):
         raise ValueError("TRG edge endpoint missing from trg.nodes")
-    by_id = np.argsort(ids)
-    ends = by_id[np.searchsorted(ids, ends, sorter=by_id)]
-    weights = np.repeat(weights[heaviest_first], 2)  # edge of ends[i] and ends[i ^ 1]
-    _, first = np.unique(ends, return_index=True)
-    placement = ends[np.sort(first)].tolist()
+    ends = table[offset]  # (E, 2) positions, in the given edge order
+    del offset, table
+    if n_edges and ends.min() < 0:
+        raise ValueError("TRG edge endpoint missing from trg.nodes")
+    # Step 1's order: a block is placed by its first endpoint in the
+    # sequence x0, y0, x1, y1, ... of the heaviest-first edges, so its key
+    # is the least ``2 * rank + side`` over its endpoints.
+    key = np.empty(n_edges, dtype=np.int32)
+    key[np.lexsort((pairs[:, 1], pairs[:, 0], -weights))] = np.arange(
+        0, 2 * n_edges, 2, dtype=np.int32
+    )
+    first = np.full(n, 2 * n_edges, dtype=np.int32)
+    np.minimum.at(first, ends[:, 0], key)
+    key += 1
+    np.minimum.at(first, ends[:, 1], key)
+    del key
+    has_edge = first < 2 * n_edges
+    placement = np.flatnonzero(has_edge)[np.argsort(first[has_edge])].tolist()
+    unconstrained = [nodes[i] for i in np.flatnonzero(~has_edge).tolist()]
+    del first, has_edge
     # CSR adjacency: block b's neighbours and weights sit at indptr[b]:indptr[b+1].
-    by_block = np.argsort(ends, kind="stable")
+    # Each neighbour appears once per row, so the order within a row is free.
+    ends = ends.ravel()  # edge of ends[i] and ends[i ^ 1] is i >> 1
+    by_block = np.argsort(ends)
     neighbours = ends[by_block ^ 1]
-    nbr_weights = weights[by_block]
-    indptr = np.searchsorted(ends[by_block], np.arange(n + 1)).tolist()
+    nbr_weights = weights[by_block >> 1]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    indptr = indptr.tolist()
+    del ends, by_block
 
     slot_w = np.zeros((n_slots, n), dtype=np.int64)
     fill = np.zeros(n_slots, dtype=np.int64)
@@ -93,8 +115,6 @@ def reduce_trg(trg: TRG, n_slots: int) -> ReductionResult:
         fill[target] += 1
         slots[target].append(nodes[b])
 
-    placed = set(placement)
-    unconstrained = [node for i, node in enumerate(nodes) if i not in placed]
     for block in unconstrained:
         target = int(np.argmin(fill))
         fill[target] += 1

@@ -4,13 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig
-from repro.core.coloring import color_functions
+from repro.core.coloring import _color_hot, color_functions
 from repro.core.optimizers import OptimizerConfig
 from repro.engine import InputSpec, collect_trace
 from repro.ir import LayoutKind, baseline_layout
 from repro.workloads import build
+
+from .coloring_oracle import color_hot_reference
 
 
 SMALL_CACHE = CacheConfig(size_bytes=1024, assoc=1, line_bytes=64)  # 16 sets
@@ -106,3 +110,33 @@ def test_suite_layout_is_pinned(name, digest, tier):
     bundle = collect_trace(module, prog.spec.test_input())
     layout = color_functions(module, bundle, OptimizerConfig(kernel_backend=tier))
     assert _layout_digest(layout) == digest
+
+
+@st.composite
+def placements(draw):
+    """Function sizes in bytes (some past the cache), jump budgets, a
+    symmetric conflict matrix with few distinct weights (ties are common)
+    and a hot order over some of the functions."""
+    n_funcs = draw(st.integers(1, 9))
+    line = draw(st.sampled_from([4, 16, 64]))
+    n_sets = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(1, 14 * line), min_size=n_funcs, max_size=n_funcs))
+    budgets = draw(st.lists(st.integers(0, 3), min_size=n_funcs, max_size=n_funcs))
+    weight = st.sampled_from([0, 0, 1, 2, draw(st.integers(1, 10**6))])
+    conflicts = np.zeros((n_funcs, n_funcs), dtype=np.int64)
+    for i in range(n_funcs):
+        for j in range(i + 1, n_funcs):
+            conflicts[i, j] = conflicts[j, i] = draw(weight)
+    hot = draw(st.permutations(range(n_funcs)))[: draw(st.integers(0, n_funcs))]
+    sizes_lines = [-(-size // line) for size in sizes]
+    extents = [size + 4 * budget for size, budget in zip(sizes, budgets)]
+    return list(hot), conflicts, sizes_lines, extents, line, n_sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_closed_form_colors_match_the_loop(case):
+    """Pricing every color as a window sum of one weighted occupancy
+    vector picks the colors, and so the addresses, of the color-by-color
+    loop."""
+    assert _color_hot(*case) == color_hot_reference(*case)

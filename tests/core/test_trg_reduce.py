@@ -86,6 +86,15 @@ def test_slot_validation():
         reduce_trg(fig2_trg(), 0)
 
 
+@pytest.mark.parametrize("edge", [(1, 3), (1, 9), (-5, 1)])
+def test_edge_endpoint_missing_from_nodes(edge):
+    """An endpoint between the node ids, past the largest or below the
+    smallest is not a node."""
+    trg = TRG([1, 2, 4], [edge, (2, 4)], [5, 3])
+    with pytest.raises(ValueError, match="endpoint missing from trg.nodes"):
+        reduce_trg(trg, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     trace=st.lists(st.integers(0, 9), min_size=1, max_size=120),

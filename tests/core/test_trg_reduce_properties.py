@@ -59,6 +59,16 @@ def test_built_trg_equals_oracle(trace, window, n_slots):
     assert_same_reduction(build_trg(np.array(trace, dtype=np.int64), window), n_slots)
 
 
+@pytest.mark.parametrize("n_slots", [1, 2, 3])
+def test_sparse_far_apart_ids_equal_oracle(n_slots):
+    """Node ids far apart and out of order (one isolated, one negative)."""
+    trg = TRG.from_weights(
+        [7, 1_000_003, 42, -9, 500_000],
+        {(7, 42): 4, (7, 1_000_003): 4, (42, 1_000_003): 9, (-9, 42): 2, (-9, 1_000_003): 4},
+    )
+    assert_same_reduction(trg, n_slots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(trg=weighted_trgs(), n_slots=st.integers(1, 8))
 def test_reduction_leaves_trg_unchanged(trg, n_slots):
