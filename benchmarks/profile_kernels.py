@@ -73,12 +73,12 @@ def main(argv=None) -> int:
     from repro.core.layout import Granularity
     from repro.core.optimizers import OptimizerConfig, _prepare_trace
     from repro.experiments.pipeline import BASELINE, Lab
-    from repro.perf.backends import available_backends, resolve_backend
+    from repro.perf.backends import TIERS, resolve_backend
 
     if args.backend:
         names = [s.strip() for s in args.backend.split(",") if s.strip()]
     else:
-        names = list(available_backends())
+        names = list(TIERS)
 
     lab = Lab(scale=args.scale)
     stream = lab.lines(args.program, BASELINE)

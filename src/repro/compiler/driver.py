@@ -11,8 +11,9 @@ program transformation.  ...  The output is four optimized binaries."
 1. **instrument** — execute the test input, collect the trace bundle;
 2. **model + transform** — run the requested optimizers (default: the
    paper's four) to produce layouts;
-3. **evaluate** (optional) — execute the ref input and simulate each
-   layout in the target cache;
+3. **evaluate** (optional) — execute the ref input and count each
+   layout's misses in the target cache, one stack-distance histogram
+   per layout, serially in this process;
 4. **persist** (optional) — write the trace, layouts, and report into a
    build directory (:mod:`repro.compiler.artifacts`).
 
@@ -104,45 +105,21 @@ class Driver:
         cache: CacheConfig = PAPER_L1I,
         optimizers: Optional[Sequence[str]] = None,
         *,
-        jobs: int = 1,
-        memo=None,
-        store=None,
         profile_source: str = "trace",
     ):
-        """``jobs`` fans the per-layout evaluation simulations out across
-        worker processes; ``memo`` (a :class:`repro.perf.memo.SimMemo`)
-        replays identical simulations from the content-addressed cache;
-        ``store`` (a :class:`repro.perf.store.TraceStore`) ships the
-        evaluation streams to workers as zero-copy memmap refs instead of
-        pickled arrays.  All of them only trade wall-clock time — never
-        results.
-
-        ``profile_source`` selects where the optimization profile comes
+        """``profile_source`` selects where the optimization profile comes
         from: ``"trace"`` (the paper's pipeline — instrument and run the
         test input) or ``"static"`` (no execution at all — the synthetic
         bundle of :func:`repro.staticlint.profile.synthesize_bundle`,
         walked from CFG branch heuristics).  The evaluation stage always
         measures against the real ref-input trace, so the two sources
         are directly comparable."""
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if profile_source not in ("trace", "static"):
             raise ValueError(
                 f"profile_source must be 'trace' or 'static', got {profile_source!r}"
             )
         self.optimizer_config = optimizer_config or OptimizerConfig(cache=cache)
         self.cache = cache
-        self.jobs = jobs
-        self.memo = memo
-        self.store = store
-        self._cell_pool = None
-        #: cell transport counters, as in ``Lab.counters``.
-        self.counters: dict[str, float] = {
-            "store_bytes_shipped": 0,
-            "store_bytes_mapped": 0,
-            "pool_fanouts": 0,
-            "pool_reuses": 0,
-        }
         self.profile_source = profile_source
         self.optimizer_names = list(optimizers or OPTIMIZERS)
         for name in self.optimizer_names:
@@ -150,55 +127,22 @@ class Driver:
             if name == BASELINE or name not in LAYOUTS:
                 raise ValueError(f"unknown optimizer {name!r}")
 
-    def cell_pool(self):
-        """The driver's persistent cell pool (lazy, reused across builds)."""
-        from ..perf.parallel import CellPool
-
-        if self._cell_pool is None:
-            self._cell_pool = CellPool(
-                self.jobs,
-                store=self.store,
-                kernel_backend=self.optimizer_config.kernel_backend,
-            )
-        return self._cell_pool
-
-    def close(self) -> None:
-        """Release the persistent cell pool (idempotent)."""
-        if self._cell_pool is not None:
-            self._cell_pool.shutdown()
-            self._cell_pool = None
-
-    def __enter__(self) -> "Driver":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def _evaluate(self, streams: list) -> list[int]:
-        """Cold, prefetch-free LRU misses of the layouts' fetch streams
-        (memoized, possibly parallel).
+        """Cold, prefetch-free LRU misses of the layouts' fetch streams.
 
-        Each stream's stack-distance histogram answers its miss count, as
-        in the Lab's ``sim`` channel.  The per-layout cells are
-        independent, so with ``jobs > 1`` they fan out across the
-        driver's persistent cell pool; memo hits are resolved first and
-        fresh results are stored back, all bit-identical to serial
-        un-memoized computation.  With a trace store attached, streams
-        ship as zero-copy refs keyed by the same content digest the memo
-        key consumed.  This is the Lab's fan-out path too
-        (:func:`repro.perf.parallel.memoized_cells`).
+        One stack-distance histogram per stream, on the kernel tier of
+        ``optimizer_config.kernel_backend``, answers its miss count, as
+        in the Lab's ``sim`` channel.
         """
-        from ..perf.parallel import memoized_cells
+        from ..perf import backends
 
-        hists, _ = memoized_cells(
-            "histogram",
-            [(stream, self.cache.n_sets) for stream in streams],
-            memo=self.memo,
-            store=self.store,
-            pool=self.cell_pool,
-            counters=self.counters,
-        )
-        return [hist.misses(self.cache.assoc) for hist in hists]
+        histogram = backends.resolve_backend(
+            self.optimizer_config.kernel_backend
+        ).histogram
+        return [
+            histogram(stream, self.cache.n_sets).misses(self.cache.assoc)
+            for stream in streams
+        ]
 
     def build(
         self,
@@ -253,7 +197,7 @@ class Driver:
             start = time.perf_counter()
             with error_context("optimize", program=program, layout=name):
                 layouts[name] = build_layout(
-                    name, module, profile, self.optimizer_config, memo=self.memo
+                    name, module, profile, self.optimizer_config
                 )
             timings[f"optimize/{name}"] = time.perf_counter() - start
 

@@ -9,8 +9,8 @@ makes it fast without changing a single result:
   independent cells inside a pipeline, one row of the cell table
   :data:`~repro.perf.parallel.CELL_KINDS` per kind, run on a
   :class:`~repro.perf.parallel.CellPool`, with
-  :func:`~repro.perf.parallel.memoized_cells` the one memo → ship →
-  dispatch → store path the Lab and the compiler driver share;
+  :func:`~repro.perf.parallel.memoized_cells` the Lab's one memo →
+  ship → dispatch → store path;
 - :mod:`repro.perf.memo` — a content-addressed, disk-persistent memo
   cache for cache simulations (:class:`~repro.perf.memo.SimMemo`; one
   binary ``.npz`` entry per key),
@@ -40,12 +40,7 @@ Determinism is the contract: every knob here trades wall-clock time,
 never results — enforced by ``tests/perf/``.
 """
 
-from .backends import (
-    KernelBackend,
-    available_backends,
-    default_backend,
-    resolve_backend,
-)
+from .backends import KernelBackend, resolve_backend
 from .memo import (
     ANALYSIS_SCHEMA,
     SimMemo,
@@ -70,9 +65,7 @@ __all__ = [
     "TraceStore",
     "affinity_key",
     "analysis_key",
-    "available_backends",
     "compare_journal_outcomes",
-    "default_backend",
     "histogram_key",
     "memo_key",
     "memoized_cells",

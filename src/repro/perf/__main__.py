@@ -15,46 +15,49 @@ Subcommands:
 ``kernel-bench``
     Parity gate + speedup measurement for the stack-distance kernel
     across every registered backend tier (:mod:`repro.perf.backends`):
-    builds a real fetch stream, runs the scalar *simulator* once per
-    associativity of a geometry family (the reference), then runs one
-    histogram pass per tier, asserts every tier's miss counts are
-    **bit-identical** to the simulator and to each other (exit 1 on any
-    divergence), and reports per-tier speedups.  Timings are the
-    minimum over ``--reps`` repetitions.  ``--backend`` restricts the
-    tier list; ``--min-speedup`` gates the fastest tier;
-    ``--baseline PATH`` gates each tier's speedup against a committed
-    ``BENCH_kernel.json`` (no-regression floor, ``--regression-factor``
-    of the committed figure); ``--out PATH`` writes a standalone
-    ``BENCH_kernel.json``; ``--bench PATH`` merges the numbers into a
-    ``BENCH_perf.json`` under ``kernel_bench``.
+    builds syn-gcc's baseline fetch stream, runs the scalar *simulator*
+    once per associativity of the paper L1I's 128-set family (the
+    reference), then runs one histogram pass per tier, asserts every
+    tier's miss counts are **bit-identical** to the simulator and to
+    each other (exit 1 on any divergence), and reports per-tier
+    speedups.  Timings are the minimum over ``--reps`` repetitions.
+    ``--min-speedup`` gates the fastest tier; ``--baseline PATH`` gates
+    each tier's speedup against a committed ``BENCH_kernel.json``
+    (no-regression floor, :data:`REGRESSION_FACTOR` of the committed
+    figure); ``--out PATH`` writes a standalone ``BENCH_kernel.json``;
+    ``--bench PATH`` merges the numbers into a ``BENCH_perf.json`` under
+    ``kernel_bench``.
 
 ``analysis-bench``
     Parity gate + speedup measurement for the locality-model analysis
-    kernels (:mod:`repro.core.fastanalysis`): builds a real symbol
-    trace, runs the scalar oracles (``AffinityAnalysis`` for the full
-    ``2..w_max`` sweep and ``build_trg``), then runs each non-scalar
-    backend tier's kernels, asserts every tier's artifacts are
-    **bit-identical** to the oracles (exit 1 on any divergence), and
-    reports per-tier analysis-stage speedups.  Timings are the minimum
-    over ``--reps`` repetitions (single runs are noisy on shared
-    machines).  ``--backend`` restricts the tier list;
-    ``--min-speedup`` gates the fastest tier; ``--bench PATH`` merges
-    the numbers under ``analysis_bench``; ``--out PATH`` writes a
-    standalone ``BENCH_analysis.json``.
+    kernels (:mod:`repro.core.fastanalysis`): builds syn-gcc's
+    function-granularity symbol trace, runs the scalar oracles
+    (``AffinityAnalysis`` for the full ``2..w_max`` sweep and
+    ``build_trg``), then runs every non-scalar backend tier's kernels,
+    asserts every tier's artifacts are **bit-identical** to the oracles
+    (exit 1 on any divergence), and reports per-tier analysis-stage
+    speedups.  Timings are the minimum over ``--reps`` repetitions
+    (single runs are noisy on shared machines).  ``--min-speedup``
+    gates the fastest tier; ``--bench PATH`` merges the numbers under
+    ``analysis_bench``; ``--out PATH`` writes a standalone
+    ``BENCH_analysis.json``.
 
 ``store-bench``
     Transport gate for the zero-copy trace store
     (:mod:`repro.perf.store`): fans the L1I-family histogram cells of
-    several programs across a ``--jobs`` worker pool twice — once
+    four programs across a ``--jobs`` worker pool twice — once
     shipping pickled arrays, once shipping :class:`~repro.perf.store.StoreRef`
-    descriptors against a store — asserts the results are
+    descriptors against a temporary store — asserts the results are
     **bit-identical**, and reports per-cell bytes shipped both ways.
     ``--min-ratio`` turns the reduction into a gate (CI requires 10x);
     ``--bench PATH`` merges the numbers under ``store_bench``.
 
 Both ``kernel-bench`` and ``analysis-bench`` accept ``--store-dir`` to
 route their kernel-side inputs through the store's memmap reads, so the
-existing parity gates double as zero-copy correctness gates.
+existing parity gates double as zero-copy correctness gates.  What the
+gates measure is fixed by the module constants below, the values the
+committed ``BENCH_kernel.json`` and ``BENCH_analysis.json`` were
+recorded at.
 """
 
 from __future__ import annotations
@@ -73,31 +76,125 @@ def _load_journal(path: str) -> list[dict]:
     return [json.loads(e.to_json()) for e in RunJournal(path).entries()]
 
 
-#: schema tag of the standalone kernel-bench report (``--out``); this is
-#: the format of the committed ``BENCH_kernel.json`` baseline.
-KERNEL_BENCH_SCHEMA = "repro.perf/kernel-bench.v1"
+#: the program every gate measures (store-bench adds three more).
+BENCH_PROGRAM = "syn-gcc"
+#: the geometry family of kernel-bench and store-bench: the paper L1I's sets.
+N_SETS = 128
+#: the associativities kernel-bench's one histogram pass answers.
+KERNEL_ASSOCS = [1, 2, 4, 8, 16]
+#: under ``--baseline``, each tier must reach this fraction of its
+#: committed speedup (catches collapses, tolerates CI timing noise).
+REGRESSION_FACTOR = 0.5
+#: analysis-bench's symbol granularity, affinity sweep bound (the
+#: paper's w_max) and TRG reuse window in blocks.
+ANALYSIS_GRANULARITY = "function"
+ANALYSIS_W_MAX = 20
+ANALYSIS_WINDOW_BLOCKS = 256
+#: store-bench's programs (one histogram cell each) and trace scale.
+STORE_PROGRAMS = [BENCH_PROGRAM, "syn-gobmk", "syn-perlbench", "syn-sjeng"]
+STORE_SCALE = 0.25
 
 
-def _select_backends(spec, *, include_scalar: bool = True) -> list[str]:
-    """Resolve a ``--backend`` spec to a validated tier-name list.
+def _timed(fn, reps: int):
+    """(best wall seconds over ``reps`` calls, the last result)."""
+    best, result = float("inf"), None
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
 
-    ``None``/``"all"`` means every tier (the default first); an
-    explicit comma-separated list must name known tiers.  Raises
-    ValueError.
+
+def _finish_tier_gate(
+    args,
+    gate: str,
+    rows: dict[str, dict],
+    mismatches: list[str],
+    report: list[str],
+    section: dict,
+    failures: tuple[str, ...] = (),
+) -> int:
+    """The shared end of kernel-bench and analysis-bench.
+
+    A tier whose output diverged fails the gate (exit 1) before any
+    timing counts.  Otherwise ``report`` is printed, and the fastest
+    tier's speedup must reach ``--min-speedup``; it and ``failures``
+    (kernel-bench's baseline floors) exit 1 too.  A passing gate adds
+    the fastest tier's numbers to ``section``, merges it under
+    ``{gate}_bench`` of ``--bench`` and writes it standalone, tagged
+    ``repro.perf/{gate}-bench.v1``, to ``--out``.
     """
-    from .backends import available_backends, resolve_backend
+    from ..robust.atomic import atomic_write_text
 
-    if spec in (None, "", "all"):
-        names = list(available_backends())
-        if not include_scalar:
-            names = [n for n in names if n != "scalar"]
-        return names
-    names = [s.strip() for s in spec.split(",") if s.strip()]
-    if not names:
-        raise ValueError("--backend selects no tiers")
-    for name in names:
-        resolve_backend(name)  # unknown names raise
-    return names
+    if mismatches:
+        print(f"{gate} parity FAILED:", file=sys.stderr)
+        for m in mismatches:
+            print(f"  {m}", file=sys.stderr)
+        return 1
+    print("\n".join(report))
+    fastest = min(rows, key=lambda n: rows[n]["seconds"])
+    best = rows[fastest]
+    floor = args.min_speedup
+    if floor is not None and best["speedup"] < floor:
+        failures = (
+            f"fastest tier ({fastest}) speedup {best['speedup']:.2f}x below "
+            f"required {floor:.1f}x",
+            *failures,
+        )
+    for f in failures:
+        print(f"error: {f}", file=sys.stderr)
+    if failures:
+        return 1
+
+    section = {
+        **section,
+        "backend": fastest,
+        "backends": rows,
+        "kernel_seconds": best["seconds"],
+        # "speedup", and analysis-bench's per-kernel speedups.
+        **{k: v for k, v in best.items() if k.endswith("speedup")},
+    }
+    if args.bench is not None:
+        merge_bench_section(args.bench, f"{gate}_bench", section)
+        print(f"{gate}_bench section written to {args.bench}")
+    if args.out is not None:
+        out = {"schema": f"repro.perf/{gate}-bench.v1", "scale": args.scale, **section}
+        atomic_write_text(args.out, json.dumps(out, indent=2, sort_keys=True))
+        print(f"{gate}-bench report written to {args.out}")
+    return 0
+
+
+def _baseline_failures(path: str, rows: dict[str, dict]) -> tuple[str, ...]:
+    """The tiers whose speedup fell below :data:`REGRESSION_FACTOR` of
+    the committed report at ``path`` (a tier it lacks is not gated).
+    Raises ``OSError``/``ValueError`` when the report cannot be read."""
+    with open(path) as fh:
+        committed = json.load(fh).get("backends") or {}
+    failures = []
+    for name, row in rows.items():
+        base = committed.get(name)
+        if not base:
+            continue
+        floor = REGRESSION_FACTOR * base["speedup"]
+        if row["speedup"] < floor:
+            failures.append(
+                f"{name} tier speedup {row['speedup']:.1f}x regressed "
+                f"below {floor:.1f}x ({REGRESSION_FACTOR:.2f} of the committed "
+                f"{base['speedup']:.1f}x)"
+            )
+    return tuple(failures)
+
+
+def _store_input(args, array):
+    """``array``, or with ``--store-dir`` the same array published to the
+    store and read back as a zero-copy memmap, so the gate's parity
+    assertions also certify the mmap transport path."""
+    if args.store_dir is None:
+        return array
+    from .store import TraceStore
+
+    store = TraceStore(args.store_dir)
+    return store.resolve(store.ref(array))
 
 
 def _run_kernel_bench(args) -> int:
@@ -106,54 +203,32 @@ def _run_kernel_bench(args) -> int:
     from ..cache.config import CacheConfig
     from ..cache.setassoc import simulate
     from ..experiments.pipeline import BASELINE, Lab
-    from ..robust.atomic import atomic_write_text
-    from .backends import resolve_backend
+    from .backends import TIERS, resolve_backend
 
-    assocs = [int(a) for a in args.assocs.split(",")]
     reps = max(1, args.reps)
-    try:
-        names = _select_backends(args.backend)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    lab = Lab(scale=args.scale)
-    stream = lab.lines(args.program, BASELINE)
-    n_sets = args.n_sets
+    stream = Lab(scale=args.scale).lines(BENCH_PROGRAM, BASELINE)
 
-    # Scalar reference: one full LRU pass per associativity (best of reps).
-    scalar_misses: dict[int, int] = {}
-    scalar_s = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for assoc in assocs:
-            cfg = CacheConfig(
-                size_bytes=n_sets * assoc * 64, assoc=assoc, line_bytes=64
-            )
-            scalar_misses[assoc] = simulate(stream, cfg).misses
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
+    def scalar_passes() -> dict[int, int]:
+        """The reference: one full LRU simulation per associativity."""
+        return {
+            assoc: simulate(
+                stream,
+                CacheConfig(size_bytes=N_SETS * assoc * 64, assoc=assoc, line_bytes=64),
+            ).misses
+            for assoc in KERNEL_ASSOCS
+        }
 
-    kernel_input = np.asarray(stream)
-    if args.store_dir is not None:
-        # Route the kernels' input through the store: publish once, read
-        # back as a zero-copy memmap, so the parity assertions below also
-        # certify the mmap transport path.
-        from .store import TraceStore
-
-        store = TraceStore(args.store_dir)
-        kernel_input = store.resolve(store.ref(stream))
+    scalar_s, scalar_misses = _timed(scalar_passes, reps)
+    kernel_input = _store_input(args, np.asarray(stream))
 
     # One histogram pass per tier answers the whole family.
     rows: dict[str, dict] = {}
     ref_hist = None
     mismatches: list[str] = []
-    for name in names:
-        backend = resolve_backend(name)
-        best, hist = float("inf"), None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            hist = backend.histogram(kernel_input, n_sets)
-            best = min(best, time.perf_counter() - t0)
-        for a in assocs:
+    for name in TIERS:
+        histogram = resolve_backend(name).histogram
+        best, hist = _timed(lambda: histogram(kernel_input, N_SETS), reps)
+        for a in KERNEL_ASSOCS:
             got = hist.misses(a)
             if got != scalar_misses[a]:
                 mismatches.append(
@@ -162,90 +237,43 @@ def _run_kernel_bench(args) -> int:
         if ref_hist is None:
             ref_hist = hist
         elif hist != ref_hist:
-            mismatches.append(f"{name}: histogram diverges from {names[0]} tier")
+            mismatches.append(f"{name}: histogram diverges from {TIERS[0]} tier")
         rows[name] = {
             "seconds": round(best, 4),
             "speedup": round(scalar_s / best, 2) if best > 0 else float("inf"),
             "accesses_per_s": round(len(stream) / best, 1) if best > 0 else 0.0,
         }
 
-    if mismatches:
-        print("kernel parity FAILED:", file=sys.stderr)
-        for m in mismatches:
-            print(f"  {m}", file=sys.stderr)
-        return 1
-
-    fastest = min(rows, key=lambda n: rows[n]["seconds"])
-    kernel_s = rows[fastest]["seconds"]
-    speedup = rows[fastest]["speedup"]
-    print(
-        f"kernel parity OK: {args.program} ({len(stream)} lines), "
-        f"n_sets={n_sets}, assoc sweep {assocs}, tiers {names}, "
-        f"best of {reps} reps"
-    )
-    print(f"scalar simulator, {len(assocs)} passes: {scalar_s:.3f}s")
-    for name in names:
-        row = rows[name]
-        print(
-            f"  {name}: {row['seconds']:.4f}s ({row['speedup']:.1f}x, "
-            f"{row['accesses_per_s']:.0f} accesses/s)"
-        )
-
-    failures: list[str] = []
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        failures.append(
-            f"fastest tier ({fastest}) speedup {speedup:.1f}x below "
-            f"required {args.min_speedup:.1f}x"
-        )
-    if args.baseline is not None:
+    failures: tuple[str, ...] = ()
+    if args.baseline is not None and not mismatches:
         try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
+            failures = _baseline_failures(args.baseline, rows)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read baseline {args.baseline}: {exc}",
                   file=sys.stderr)
             return 1
-        factor = args.regression_factor
-        for name, row in rows.items():
-            base = (baseline.get("backends") or {}).get(name)
-            if not base:
-                continue
-            floor = factor * base["speedup"]
-            if row["speedup"] < floor:
-                failures.append(
-                    f"{name} tier speedup {row['speedup']:.1f}x regressed "
-                    f"below {floor:.1f}x ({factor:.2f} of the committed "
-                    f"{base['speedup']:.1f}x)"
-                )
-    if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return 1
-
+    report = [
+        f"kernel parity OK: {BENCH_PROGRAM} ({len(stream)} lines), "
+        f"n_sets={N_SETS}, assoc sweep {KERNEL_ASSOCS}, tiers {list(TIERS)}, "
+        f"best of {reps} reps",
+        f"scalar simulator, {len(KERNEL_ASSOCS)} passes: {scalar_s:.3f}s",
+    ]
+    report += [
+        f"  {name}: {row['seconds']:.4f}s ({row['speedup']:.1f}x, "
+        f"{row['accesses_per_s']:.0f} accesses/s)"
+        for name, row in rows.items()
+    ]
     section = {
-        "program": args.program,
+        "program": BENCH_PROGRAM,
         "stream_lines": int(len(stream)),
-        "n_sets": n_sets,
-        "assocs": assocs,
+        "n_sets": N_SETS,
+        "assocs": KERNEL_ASSOCS,
         "reps": reps,
         "scalar_seconds": round(scalar_s, 4),
-        "backend": fastest,
-        "backends": rows,
-        "kernel_seconds": kernel_s,
-        "speedup": speedup,
     }
-    if args.bench is not None:
-        merge_bench_section(args.bench, "kernel_bench", section)
-        print(f"kernel_bench section written to {args.bench}")
-    if args.out is not None:
-        report = {"schema": KERNEL_BENCH_SCHEMA, "scale": args.scale, **section}
-        atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
-        print(f"kernel-bench report written to {args.out}")
-    return 0
-
-
-#: schema tag of the standalone analysis-bench report (``--out``).
-ANALYSIS_BENCH_SCHEMA = "repro.perf/analysis-bench.v1"
+    return _finish_tier_gate(
+        args, "kernel", rows, mismatches, report, section, failures
+    )
 
 
 def _run_analysis_bench(args) -> int:
@@ -257,47 +285,23 @@ def _run_analysis_bench(args) -> int:
     from ..core.optimizers import OptimizerConfig, _prepare_trace
     from ..core.trg import build_trg
     from ..experiments.pipeline import Lab
-    from ..robust.atomic import atomic_write_text
-    from .backends import resolve_backend
+    from .backends import TIERS, resolve_backend
 
-    try:
-        # Scalar is the timed reference below; the tier loop covers the
-        # faster numpy backend.
-        names = _select_backends(args.backend, include_scalar=False)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    lab = Lab(scale=args.scale)
-    prepared = lab.program(args.program)
-    config = OptimizerConfig()
-    trace = _prepare_trace(
-        prepared.test_bundle, Granularity(args.granularity), config
-    )
-    w_max = args.w_max
-    window = args.window_blocks
+    # Scalar is the timed reference below; the tier loop covers the rest.
+    names = [name for name in TIERS if name != "scalar"]
     reps = max(1, args.reps)
-
-    kernel_trace = trace
-    if args.store_dir is not None:
-        # Kernels read the trace back through the store's memmap, so the
-        # bit-identity assertions below certify the zero-copy path too.
-        from .store import TraceStore
-
-        store = TraceStore(args.store_dir)
-        kernel_trace = store.resolve(store.ref(trace))
-
-    def timed(fn):
-        """(best wall seconds over reps, last result)."""
-        best, result = float("inf"), None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
+    prepared = Lab(scale=args.scale).program(BENCH_PROGRAM)
+    trace = _prepare_trace(
+        prepared.test_bundle, Granularity(ANALYSIS_GRANULARITY), OptimizerConfig()
+    )
+    w_max, window = ANALYSIS_W_MAX, ANALYSIS_WINDOW_BLOCKS
+    kernel_trace = _store_input(args, trace)
 
     # Scalar oracles: one-pass LRU-stack sweep + scalar TRG window walk.
-    scalar_aff_s, scalar_analysis = timed(lambda: AffinityAnalysis(trace, w_max))
-    scalar_trg_s, scalar_trg = timed(lambda: build_trg(trace, window_blocks=window))
+    scalar_aff_s, scalar_analysis = _timed(lambda: AffinityAnalysis(trace, w_max), reps)
+    scalar_trg_s, scalar_trg = _timed(
+        lambda: build_trg(trace, window_blocks=window), reps
+    )
     scalar_covg = coverage_from_analysis(scalar_analysis)
     scalar_s = scalar_aff_s + scalar_trg_s
 
@@ -305,8 +309,8 @@ def _run_analysis_bench(args) -> int:
     mismatches: list[str] = []
     for name in names:
         backend = resolve_backend(name)
-        aff_s, covg = timed(lambda: backend.affinity(kernel_trace, w_max=w_max))
-        trg_s, trg = timed(lambda: backend.trg(kernel_trace, window))
+        aff_s, covg = _timed(lambda: backend.affinity(kernel_trace, w_max=w_max), reps)
+        trg_s, trg = _timed(lambda: backend.trg(kernel_trace, window), reps)
         if scalar_covg != covg:
             mismatches.append(f"{name}: affinity coverage tables diverge")
         if scalar_trg != trg:
@@ -324,71 +328,34 @@ def _run_analysis_bench(args) -> int:
             else float("inf"),
             "speedup": round(scalar_s / total, 2) if total > 0 else float("inf"),
         }
-    if mismatches:
-        print("analysis parity FAILED:", file=sys.stderr)
-        for m in mismatches:
-            print(f"  {m}", file=sys.stderr)
-        return 1
 
-    fastest = min(rows, key=lambda n: rows[n]["seconds"])
-    kernel_s = rows[fastest]["seconds"]
-    speedup = rows[fastest]["speedup"]
     n_syms = int(np.unique(trace).size)
-    print(
-        f"analysis parity OK: {args.program} ({len(trace)} accesses, "
-        f"{n_syms} symbols, granularity={args.granularity}), "
+    report = [
+        f"analysis parity OK: {BENCH_PROGRAM} ({len(trace)} accesses, "
+        f"{n_syms} symbols, granularity={ANALYSIS_GRANULARITY}), "
         f"w_max={w_max}, window={window} blocks, tiers {names}, "
-        f"best of {reps} reps"
-    )
-    print(
+        f"best of {reps} reps",
         f"scalar oracles: affinity {scalar_aff_s:.3f}s + trg "
-        f"{scalar_trg_s:.3f}s = {scalar_s:.3f}s"
-    )
-    for name in names:
-        row = rows[name]
-        print(
-            f"  {name}: affinity {row['affinity_seconds']:.3f}s "
-            f"({row['affinity_speedup']:.2f}x), trg {row['trg_seconds']:.3f}s "
-            f"({row['trg_speedup']:.2f}x), stage {row['seconds']:.3f}s "
-            f"({row['speedup']:.2f}x)"
-        )
-
-    failures: list[str] = []
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        failures.append(
-            f"fastest tier ({fastest}) speedup {speedup:.2f}x below "
-            f"required {args.min_speedup:.1f}x"
-        )
-    if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return 1
-
-    best = rows[fastest]
+        f"{scalar_trg_s:.3f}s = {scalar_s:.3f}s",
+    ]
+    report += [
+        f"  {name}: affinity {row['affinity_seconds']:.3f}s "
+        f"({row['affinity_speedup']:.2f}x), trg {row['trg_seconds']:.3f}s "
+        f"({row['trg_speedup']:.2f}x), stage {row['seconds']:.3f}s "
+        f"({row['speedup']:.2f}x)"
+        for name, row in rows.items()
+    ]
     section = {
-        "program": args.program,
-        "granularity": args.granularity,
+        "program": BENCH_PROGRAM,
+        "granularity": ANALYSIS_GRANULARITY,
         "trace_accesses": int(len(trace)),
         "symbols": n_syms,
         "w_max": w_max,
         "window_blocks": window,
         "reps": reps,
         "scalar_seconds": round(scalar_s, 4),
-        "backend": fastest,
-        "backends": rows,
-        "kernel_seconds": kernel_s,
-        "affinity_speedup": best["affinity_speedup"],
-        "trg_speedup": best["trg_speedup"],
-        "speedup": speedup,
     }
-    if args.bench is not None:
-        merge_bench_section(args.bench, "analysis_bench", section)
-        print(f"analysis_bench section written to {args.bench}")
-    if args.out is not None:
-        report = {"schema": ANALYSIS_BENCH_SCHEMA, "scale": args.scale, **section}
-        atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
-        print(f"analysis-bench report written to {args.out}")
-    return 0
+    return _finish_tier_gate(args, "analysis", rows, mismatches, report, section)
 
 
 def _run_store_bench(args) -> int:
@@ -398,10 +365,12 @@ def _run_store_bench(args) -> int:
     from .parallel import CellPool, memoized_cells
     from .store import TraceStore
 
-    programs = [p for p in args.programs.split(",") if p]
-    n_sets = args.n_sets
-    lab = Lab(scale=args.scale)
-    cells = [(lab.lines(p, BASELINE), n_sets) for p in programs]
+    if args.jobs < 2:
+        # A map that stays in this process ships nothing to measure.
+        print("error: store-bench needs --jobs >= 2", file=sys.stderr)
+        return 2
+    lab = Lab(scale=STORE_SCALE)
+    cells = [(lab.lines(p, BASELINE), N_SETS) for p in STORE_PROGRAMS]
 
     def run(store):
         """The production fan-out of the histogram cells: its results, the
@@ -421,11 +390,11 @@ def _run_store_bench(args) -> int:
     # The pickled path: every cell carries its full stream.
     pickled_hists, pickled_bytes, pickled_s = run(None)
     with tempfile.TemporaryDirectory() as tmp:
-        store = TraceStore(args.store_dir or tmp)
+        store = TraceStore(tmp)
         ref_hists, ref_bytes, ref_s = run(store)
 
     mismatches = [
-        programs[i]
+        STORE_PROGRAMS[i]
         for i, (a, b) in enumerate(zip(pickled_hists, ref_hists))
         if a != b
     ]
@@ -436,11 +405,11 @@ def _run_store_bench(args) -> int:
         )
         return 1
 
-    n = len(programs)
+    n = len(STORE_PROGRAMS)
     ratio = pickled_bytes / ref_bytes if ref_bytes else float("inf")
     print(
         f"store transport parity OK: {n} histogram cells "
-        f"(n_sets={n_sets}, jobs={args.jobs})"
+        f"(n_sets={N_SETS}, jobs={args.jobs})"
     )
     print(
         f"bytes shipped per cell: pickled {pickled_bytes // n}, "
@@ -457,8 +426,8 @@ def _run_store_bench(args) -> int:
 
     if args.bench is not None:
         section = {
-            "programs": programs,
-            "n_sets": n_sets,
+            "programs": STORE_PROGRAMS,
+            "n_sets": N_SETS,
             "jobs": args.jobs,
             "cells": n,
             "bytes_shipped_pickled": pickled_bytes,
@@ -496,138 +465,52 @@ def main(argv: list[str] | None = None) -> int:
         "kernel-bench",
         help="stack-distance kernel parity gate + assoc-sweep speedup",
     )
-    kb_p.add_argument("--program", default="syn-gcc", help="suite program")
-    kb_p.add_argument(
-        "--scale", type=float, default=0.5, help="trace-budget multiplier"
-    )
-    kb_p.add_argument(
-        "--n-sets",
-        type=int,
-        default=128,
-        help="geometry family (default: the paper L1I's 128 sets)",
-    )
-    kb_p.add_argument(
-        "--assocs",
-        default="1,2,4,8,16",
-        help="comma-separated associativities for the sweep",
-    )
-    kb_p.add_argument(
-        "--backend",
-        default=None,
-        metavar="TIERS",
-        help="comma-separated kernel tiers to measure (numpy, scalar), "
-        "or 'all'; default: both tiers",
-    )
-    kb_p.add_argument(
-        "--reps",
-        type=int,
-        default=3,
-        help="repetitions per timing (the best is reported)",
-    )
-    kb_p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the fastest tier's speedup falls below this",
-    )
-    kb_p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed BENCH_kernel.json to gate against: each measured "
-        "tier must reach --regression-factor of its committed speedup",
-    )
-    kb_p.add_argument(
-        "--regression-factor",
-        type=float,
-        default=0.5,
-        help="fraction of the baseline speedup each tier must reach "
-        "(default 0.5 — catches collapses, tolerates CI timing noise)",
-    )
-    kb_p.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help="merge results into this BENCH_perf.json",
-    )
-    kb_p.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write a standalone BENCH_kernel.json report",
-    )
-    kb_p.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="route the kernel's input through a TraceStore memmap read "
-        "(the parity gate then also certifies the zero-copy path)",
-    )
-
     ab_p = sub.add_parser(
         "analysis-bench",
         help="locality-model kernel parity gate + analysis-stage speedup",
     )
-    ab_p.add_argument("--program", default="syn-gcc", help="suite program")
-    ab_p.add_argument(
-        "--scale", type=float, default=0.5, help="trace-budget multiplier"
-    )
-    ab_p.add_argument(
-        "--granularity",
-        default="function",
-        choices=["function", "bb"],
-        help="symbol granularity of the analyzed trace",
-    )
-    ab_p.add_argument(
-        "--w-max",
-        type=int,
-        default=20,
-        help="affinity sweep upper bound (default: the paper's w_max)",
-    )
-    ab_p.add_argument(
-        "--window-blocks",
-        type=int,
-        default=256,
-        help="TRG reuse-window capacity in blocks",
-    )
-    ab_p.add_argument(
-        "--reps",
-        type=int,
-        default=3,
-        help="repetitions per timing (the best is reported)",
-    )
-    ab_p.add_argument(
-        "--backend",
-        default=None,
-        metavar="TIERS",
-        help="comma-separated kernel tiers to measure against the scalar "
-        "oracles (numpy), or 'all'; default: every non-scalar tier",
-    )
-    ab_p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the fastest tier's combined speedup falls "
-        "below this",
-    )
-    ab_p.add_argument(
-        "--bench",
+    for tier_p in (kb_p, ab_p):
+        tier_p.add_argument(
+            "--scale", type=float, default=0.5, help="trace-budget multiplier"
+        )
+        tier_p.add_argument(
+            "--reps",
+            type=int,
+            default=3,
+            help="repetitions per timing (the best is reported)",
+        )
+        tier_p.add_argument(
+            "--min-speedup",
+            type=float,
+            default=None,
+            help="fail (exit 1) if the fastest tier's speedup falls below this",
+        )
+        tier_p.add_argument(
+            "--bench",
+            default=None,
+            metavar="PATH",
+            help="merge results into this BENCH_perf.json",
+        )
+        tier_p.add_argument(
+            "--out",
+            default=None,
+            metavar="PATH",
+            help="write a standalone report (BENCH_kernel.json or "
+            "BENCH_analysis.json)",
+        )
+        tier_p.add_argument(
+            "--store-dir",
+            default=None,
+            metavar="DIR",
+            help="route the kernels' input through a TraceStore memmap read "
+            "(the parity gate then also certifies the zero-copy path)",
+        )
+    kb_p.add_argument(
+        "--baseline",
         default=None,
         metavar="PATH",
-        help="merge results into this BENCH_perf.json",
-    )
-    ab_p.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write a standalone BENCH_analysis.json report",
-    )
-    ab_p.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="route the kernels' input trace through a TraceStore memmap "
-        "read (the parity gate then also certifies the zero-copy path)",
+        help="committed BENCH_kernel.json to gate against: each tier must "
+        f"reach {REGRESSION_FACTOR} of its committed speedup",
     )
 
     sb_p = sub.add_parser(
@@ -635,33 +518,13 @@ def main(argv: list[str] | None = None) -> int:
         help="zero-copy transport gate: shipped bytes, pickled vs store refs",
     )
     sb_p.add_argument(
-        "--programs",
-        default="syn-gcc,syn-gobmk,syn-perlbench,syn-sjeng",
-        help="comma-separated suite programs (one histogram cell each)",
-    )
-    sb_p.add_argument(
-        "--scale", type=float, default=0.25, help="trace-budget multiplier"
-    )
-    sb_p.add_argument(
-        "--n-sets",
-        type=int,
-        default=128,
-        help="geometry family (default: the paper L1I's 128 sets)",
-    )
-    sb_p.add_argument(
-        "--jobs", type=int, default=4, help="cell-pool worker processes"
+        "--jobs", type=int, default=4, help="cell-pool worker processes (>= 2)"
     )
     sb_p.add_argument(
         "--min-ratio",
         type=float,
         default=None,
         help="fail (exit 1) if per-cell shipped bytes shrink by less than this",
-    )
-    sb_p.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-store directory (default: a temporary one)",
     )
     sb_p.add_argument(
         "--bench",

@@ -52,13 +52,7 @@ from ..core.fastanalysis import (
 )
 from ..core.trg import TRG, build_trg
 
-__all__ = [
-    "KernelBackend",
-    "TIERS",
-    "available_backends",
-    "default_backend",
-    "resolve_backend",
-]
+__all__ = ["KernelBackend", "TIERS", "resolve_backend"]
 
 #: the registered tier names, the default first.
 TIERS = ("numpy", "scalar")
@@ -104,26 +98,16 @@ _NUMPY = KernelBackend(
 _REGISTRY: dict[str, KernelBackend] = {b.name: b for b in (_NUMPY, _SCALAR)}
 
 
-def available_backends() -> tuple[str, ...]:
-    """Registered tier names, the default first."""
-    return TIERS
-
-
-def default_backend() -> str:
-    """The tier :func:`resolve_backend` picks when no name is requested."""
-    return TIERS[0]
-
-
 def resolve_backend(
     name: Optional[str] = None, *, strict: bool = True
 ) -> KernelBackend:
-    """Look up a tier name (``None`` = :func:`default_backend`).
+    """Look up a tier name (``None`` = the default, ``TIERS[0]``).
 
     An unknown name raises :class:`ValueError`.  ``strict`` is inert:
     both tiers are always registered, so there is nothing to degrade
     to; the keyword stays for callers that wrap this function.
     """
-    backend = _REGISTRY.get(default_backend() if name is None else name)
+    backend = _REGISTRY.get(TIERS[0] if name is None else name)
     if backend is None:
         raise ValueError(
             f"unknown kernel backend {name!r}; known: {', '.join(TIERS)}"

@@ -21,9 +21,11 @@ Two fan-out layers, matching the structure of the evaluation:
   is the one fan-out of cells across a :class:`CellPool`, and
   :func:`memoized_cells` puts the memo and the trace store in front of
   it for stream cells: it is the one path
-  :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`,
-  ``Lab.precompute_footprints`` and the
-  :class:`~repro.compiler.driver.Driver` evaluation stage fan out through.
+  :meth:`Lab.precompute_solo <repro.experiments.pipeline.Lab.precompute_solo>`
+  and ``Lab.precompute_footprints`` fan out through.  The pool alone
+  decides whether a map goes to workers or runs in this process
+  (:meth:`CellPool.fans_out`); only a map that goes to workers ships
+  streams, publishes them to the store and counts as a fan-out.
 
 * **recipe cells** ship no stream at all.  A cell is
   ``(lab_config, program)``; the worker builds a serial lab from the
@@ -40,7 +42,7 @@ is attached: a cell's stream argument may be a
 :class:`~repro.perf.store.StoreRef` descriptor instead of the pickled
 array, and workers resolve it against the store with an ``np.memmap``
 read.  :class:`CellPool` keeps the workers alive across fan-out calls
-(one persistent pool per Lab/Driver instead of a throwaway
+(one persistent pool per Lab instead of a throwaway
 ``ProcessPoolExecutor`` per map) and submits cells in batches to
 amortize IPC.
 
@@ -259,11 +261,12 @@ class CellPool:
 
     The throwaway-pool model paid process startup (and, via ``fork``,
     page-table duplication) on *every* fan-out.  A ``CellPool`` is
-    owned by its Lab/Driver, spawns workers on first use, keeps them
-    alive across calls (``maps`` counts non-empty fan-outs, ``reuses``
-    the ones that found warm workers), and
-    submits cells in batches of roughly ``2 * jobs`` per map so the IPC
-    cost scales with worker count, not cell count.
+    owned by its Lab, spawns workers on first use, keeps them alive
+    across calls (``maps`` counts the maps that went to workers,
+    ``reuses`` the ones that found warm workers), and submits cells in
+    batches of roughly ``2 * jobs`` per map so the IPC cost scales with
+    worker count, not cell count.  A map that :meth:`fans_out` rejects
+    runs in this process and touches no worker.
 
     Fault model: a pool broken mid-map (a worker OOM-killed or
     segfaulted) loses only the batches that had not completed — finished
@@ -314,6 +317,11 @@ class CellPool:
             self.reuses += 1
         return self._executor
 
+    def fans_out(self, n: int) -> bool:
+        """Whether a map of ``n`` cells goes to workers; otherwise it
+        runs in this process."""
+        return self.jobs > 1 and n > 1
+
     def map(self, fn: Callable[[Any], Any], cells: list) -> list:
         """Map ``fn`` over ``cells``; results positionally aligned and
         bit-identical to ``[fn(c) for c in cells]``."""
@@ -323,11 +331,9 @@ class CellPool:
         _CELL_STORE = self._store
         _CELL_BACKEND = self._backend
         n = len(cells)
-        if n == 0:
-            return []
-        self.maps += 1
-        if self.jobs <= 1 or n == 1:
+        if not self.fans_out(n):
             return [fn(c) for c in cells]
+        self.maps += 1
         executor = self._ensure_executor()
         per_batch = max(1, -(-n // (self.jobs * 2)))
         results: list = [None] * n
@@ -476,11 +482,11 @@ def curve_cells(
 def dispatch(
     kind: str, cells: list, *, pool: Callable[[], CellPool], counters: dict
 ) -> list:
-    """Compute ``cells`` of one :data:`CELL_KINDS` row in one fan-out.
+    """Compute ``cells`` of one :data:`CELL_KINDS` row in one map.
 
-    ``pool()`` is called only when there is a cell to compute; the
-    fan-out is counted in ``counters`` (``pool_fanouts``, and
-    ``pool_reuses`` when it found warm workers).  Results are
+    ``pool()`` is called only when there is a cell to compute.  A map
+    that went to workers is counted in ``counters`` (``pool_fanouts``,
+    and ``pool_reuses`` when it found warm workers).  Results are
     positionally aligned with ``cells``; a worker's typed error (say a
     :class:`~repro.robust.errors.ProfileError` from a recipe whose
     program fails to build) is raised here as the serial path raises it.
@@ -488,15 +494,28 @@ def dispatch(
     if not cells:
         return []
     cell_pool = pool()
-    reuses = cell_pool.reuses
+    maps, reuses = cell_pool.maps, cell_pool.reuses
     if kind == "curve":
         # By name: the traced benchmark run counts curve passes here.
         results = curve_cells(cells, pool=cell_pool)
     else:
         results = cell_pool.map(CELL_KINDS[kind].worker, cells)
-    counters["pool_fanouts"] += 1
+    counters["pool_fanouts"] += cell_pool.maps - maps
     counters["pool_reuses"] += cell_pool.reuses - reuses
     return results
+
+
+def _ship(stream, src, store: Optional[TraceStore], counters: dict):
+    """A miss's stream as it crosses to a worker: a
+    :class:`~repro.perf.store.StoreRef` (published to ``store``, keyed by
+    its digest ``src``) or the array itself, counted in ``counters``."""
+    if store is None:
+        counters["store_bytes_shipped"] += int(np.asarray(stream).nbytes)
+        return stream
+    ref = store.ref(stream, key=src)
+    counters["store_bytes_shipped"] += len(pickle.dumps(ref))
+    counters["store_bytes_mapped"] += ref.nbytes
+    return ref
 
 
 def memoized_cells(
@@ -517,11 +536,14 @@ def memoized_cells(
 
     Each stream is hashed at most once: with a ``store`` its content
     digest keys both the memo entry and the store entry.  Memo hits (a
-    row without a memo part has none) are answered in place.  Each miss
-    ships its stream as a :class:`~repro.perf.store.StoreRef` (with a
-    store) or the array, counting ``store_bytes_shipped`` /
-    ``store_bytes_mapped`` in ``counters``.  The misses go out in one
-    :func:`dispatch` and their results back into ``memo``.
+    row without a memo part has none) are answered in place.  The misses
+    go out in one :func:`dispatch` and their results back into ``memo``.
+    Only when the pool sends them to workers (:meth:`CellPool.fans_out`)
+    does each miss ship its stream as a
+    :class:`~repro.perf.store.StoreRef` (with a store, which publishes
+    it) or the array, counting ``store_bytes_shipped`` /
+    ``store_bytes_mapped`` in ``counters``; a map run in this process
+    reads the streams in place.
 
     Returns the results, aligned with ``cells`` and bit-identical to
     serial un-memoized computation, and the indices of the cells that
@@ -532,6 +554,7 @@ def memoized_cells(
     results: list = []
     missed: list[int] = []
     keys: list[Optional[str]] = []
+    srcs: list = []
     tasks: list[tuple] = []
     for i, (stream, *params) in enumerate(cells):
         src = trace_digest(stream) if store is not None else stream
@@ -539,17 +562,17 @@ def memoized_cells(
         results.append(None if key is None else getattr(memo, row.get)(key))
         if results[-1] is not None:
             continue
-        if store is not None:
-            shipped = store.ref(stream, key=src)
-            counters["store_bytes_shipped"] += len(pickle.dumps(shipped))
-            counters["store_bytes_mapped"] += shipped.nbytes
-        else:
-            shipped = stream
-            counters["store_bytes_shipped"] += int(np.asarray(stream).nbytes)
-        tasks.append((shipped, *params))
+        tasks.append((stream, *params))
+        srcs.append(src)
         missed.append(i)
         keys.append(key)
-    fresh = dispatch(kind, tasks, pool=pool, counters=counters)
+    cell_pool = pool() if tasks else None
+    if cell_pool is not None and cell_pool.fans_out(len(tasks)):
+        tasks = [
+            (_ship(stream, src, store, counters), *params)
+            for (stream, *params), src in zip(tasks, srcs)
+        ]
+    fresh = dispatch(kind, tasks, pool=lambda: cell_pool, counters=counters)
     for i, key, value in zip(missed, keys, fresh):
         if key is not None:
             getattr(memo, row.put)(key, value)

@@ -1,11 +1,15 @@
 """Unit tests for the compilation driver (repro.compiler)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.compiler import Driver, load_layout, load_report
 from repro.engine import InputSpec, fetch_lines
 from repro.ir import LayoutKind
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "compiler-syn-sjeng-0.05.txt"
 
 
 @pytest.fixture
@@ -136,34 +140,15 @@ def test_cli_rejects_unknown_optimizer(capsys):
         main(["syn-mcf", "--optimizers", "nonsense"])
 
 
-def test_memoized_driver_replays_every_evaluation(tiny_module, tmp_path):
-    """A second memoized build replays each layout's evaluation cell from
-    the memo, dispatches nothing, and measures what a plain driver does."""
-    from repro.core.optimizers import OPTIMIZERS
-    from repro.perf import SimMemo, TraceStore
+def test_cli_output_matches_golden(capsys):
+    """The whole compile flow on syn-sjeng — per-layout bytes, jumps,
+    miss ratios, lint and static-lint counts, and the best layout — prints
+    exactly the committed text.  Regenerate after an intentional change::
 
-    inputs = (
-        InputSpec("test", seed=1, max_blocks=3000),
-        InputSpec("ref", seed=2, max_blocks=4000),
-    )
-    plain = Driver().build(tiny_module, *inputs)
+        python -m repro.compiler syn-sjeng --scale 0.05 --lint --static-lint \\
+            > tests/golden/compiler-syn-sjeng-0.05.txt
+    """
+    from repro.compiler.__main__ import main
 
-    def memoized():
-        return Driver(
-            memo=SimMemo(tmp_path / "memo"),
-            jobs=2,
-            store=TraceStore(tmp_path / "store"),
-        )
-
-    with memoized() as cold:
-        cold.build(tiny_module, *inputs)
-    assert cold.counters["pool_fanouts"] == 1
-    with memoized() as warm:
-        result = warm.build(tiny_module, *inputs)
-    # Every lookup hits: one analysis per model-driven optimizer and one
-    # evaluation cell per layout.
-    assert warm.memo.misses == 0
-    assert warm.memo.hits == len(OPTIMIZERS) + len(result.layouts)
-    assert warm.counters["pool_fanouts"] == 0
-    assert warm._cell_pool is None
-    assert result.miss_ratios == plain.miss_ratios
+    assert main(["syn-sjeng", "--scale", "0.05", "--lint", "--static-lint"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()

@@ -105,12 +105,14 @@ def test_cold_pooled_fleet_prepares_nothing_in_the_parent(tmp_path, monkeypatch)
 
 
 def test_prepared_program_ships_its_stream_not_its_recipe(tmp_path):
-    """A miss whose program the parent holds keeps the stream path."""
+    """Misses whose programs the parent holds keep the stream path (two
+    of them, so that map goes to the workers too)."""
     with fleet_lab(tmp_path, 2, "memo+store") as lab:
         lab.program("syn-mcf")
+        lab.program("syn-sjeng")
         lab.precompute_footprints(CELLS)
-        assert lab.counters["pool_fanouts"] == 2  # recipes, then the stream
-        assert lab.counters["store_bytes_mapped"] > 0  # syn-mcf's stream
+        assert lab.counters["pool_fanouts"] == 2  # recipes, then the streams
+        assert lab.counters["store_bytes_mapped"] > 0  # the two streams
         serial = Lab(scale=SCALE)
         for cell in CELLS:
             assert np.array_equal(lab.footprint(*cell).fp, serial.footprint(*cell).fp)

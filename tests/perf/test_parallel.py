@@ -24,6 +24,7 @@ from repro.perf import (
     compare_journal_outcomes,
     memoized_cells,
     rebuild_error,
+    trace_digest,
 )
 from repro.perf import parallel
 from repro.perf.parallel import CELL_KINDS, dispatch
@@ -138,7 +139,7 @@ class TestPrecomputeSolo:
 
 class TestMemoizedCells:
     """The one memoized fan-out path (memo -> ship -> dispatch -> store)
-    that the Lab precomputes and the compiler driver share."""
+    that the Lab precomputes through."""
 
     @staticmethod
     def _oracle(kind, lines):
@@ -181,6 +182,25 @@ class TestMemoizedCells:
             assert pool.maps == counters["pool_fanouts"] == 1
         assert list(first) == list(second) == list(oracle)
 
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_in_process_map_ships_nothing(self, tmp_path, with_store):
+        """Regression: one memo miss on a two-worker lab runs in this
+        process, so it ships, publishes and counts nothing."""
+        cells = [("syn-mcf", "baseline", "hw"), ("syn-gcc", "baseline", "hw")]
+        memo_dir = tmp_path / "memo"
+        Lab(scale=0.05, memo=SimMemo(memo_dir)).solo_miss(*cells[0])
+        store = TraceStore(tmp_path / "store") if with_store else None
+        with Lab(scale=0.05, jobs=2, memo=SimMemo(memo_dir), store=store) as lab:
+            lab.precompute_solo(cells)
+            assert (lab.memo.hits, lab.memo.misses) == (1, 1)
+            assert lab._cell_pool._executor is None
+            assert lab.counters["store_bytes_shipped"] == 0
+            assert lab.counters["store_bytes_mapped"] == 0
+            assert lab.counters["pool_fanouts"] == 0
+            if store is not None:
+                missed = lab.lines(*cells[1][:2])
+                assert not store.contains(trace_digest(missed))
+
     def test_empty_map_counts_no_fanout(self):
         with CellPool(2) as pool:
             assert pool.map(len, []) == []
@@ -193,6 +213,7 @@ class TestMemoizedCells:
         with Lab(scale=0.05, jobs=2, memo=SimMemo(tmp_path)) as cold:
             cold.precompute_solo(cells)
         assert cold.counters["pool_fanouts"] == 1
+        assert cold.counters["store_bytes_shipped"] > 0  # two misses went out
         warm = Lab(scale=0.05, jobs=2, memo=SimMemo(tmp_path))
         warm.precompute_solo(cells)
         assert (warm.memo.hits, warm.memo.misses) == (2, 0)

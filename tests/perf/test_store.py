@@ -261,24 +261,3 @@ class TestStoreParity:
         assert compare_journal_outcomes(
             [vars(e) for e in js.entries()], [vars(e) for e in jp.entries()]
         ) == []
-
-
-class TestDriverParity:
-    def test_driver_with_store_matches_plain(self, tmp_path):
-        from repro.compiler import Driver
-        from repro.workloads import build
-
-        prog, module = build("syn-mcf", ref_blocks=8_000, test_blocks=5_000)
-        plain = Driver(optimizers=["bb-affinity"]).build(
-            module, prog.spec.test_input(), prog.spec.ref_input()
-        )
-        with Driver(
-            optimizers=["bb-affinity"],
-            jobs=2,
-            store=TraceStore(tmp_path / "store"),
-        ) as driver:
-            stored = driver.build(
-                module, prog.spec.test_input(), prog.spec.ref_input()
-            )
-        assert stored.miss_ratios == plain.miss_ratios
-        assert driver.store.puts > 0  # streams really routed through the store

@@ -518,7 +518,7 @@ class TestPerfCli:
             [
                 "kernel-bench",
                 "--scale", "0.05",
-                "--assocs", "1,2,4",
+                "--reps", "1",
                 "--bench", str(bench),
             ]
         )
@@ -527,8 +527,10 @@ class TestPerfCli:
         assert "kernel parity OK" in out
         report = json.loads(bench.read_text())
         kb = report["kernel_bench"]
-        assert kb["assocs"] == [1, 2, 4]
+        assert kb["program"] == "syn-gcc"
+        assert kb["assocs"] == [1, 2, 4, 8, 16]
         assert kb["n_sets"] == 128
+        assert set(kb["backends"]) == {"numpy", "scalar"}
         assert kb["speedup"] > 0
         # The section merges into an existing report and survives show-bench.
         assert perf_main(["show-bench", str(bench)]) == 0
@@ -540,6 +542,23 @@ class TestPerfCli:
         )
         assert code == 1
         assert "below required" in capsys.readouterr().err
+
+    def test_kernel_bench_baseline_floor_enforced(self, tmp_path, capsys):
+        """Each tier must reach half of its committed speedup; a tier the
+        baseline lacks is not gated, and an unreadable baseline fails."""
+        baseline = tmp_path / "BENCH_kernel.json"
+        baseline.write_text(json.dumps({"backends": {"numpy": {"speedup": 1e9}}}))
+        argv = ["kernel-bench", "--scale", "0.05", "--reps", "1", "--baseline"]
+        assert perf_main(argv + [str(baseline)]) == 1
+        err = capsys.readouterr().err
+        assert "numpy tier speedup" in err and "regressed below" in err
+        assert "scalar tier" not in err
+        assert perf_main(argv + [str(tmp_path / "missing.json")]) == 1
+        assert "cannot read baseline" in capsys.readouterr().err
+
+    def test_store_bench_needs_workers(self, capsys):
+        assert perf_main(["store-bench", "--jobs", "1"]) == 2
+        assert "--jobs >= 2" in capsys.readouterr().err
 
     def test_analysis_bench_parity_gate(self, tmp_path, capsys):
         bench = tmp_path / "BENCH_perf.json"
